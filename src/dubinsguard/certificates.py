@@ -21,8 +21,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import IO_TOL, er_goal_distance, heading_error, interception
-from .model import GameParams, JointState, wrap_angle
+from .geometry import (
+    IO_TOL,
+    aim_bearing,
+    aim_point,
+    er_goal_distance,
+    goal_gap,
+    heading_error,
+    lowest_point,
+)
+from .model import GameParams, JointState, wrap_angle, wrap_to_pi
 from .numerics import Polynomial, golden_max, max_on_circle, real_roots
 
 _H_CACHE: dict[float, float] = {}
@@ -156,9 +164,13 @@ class AdjustBound:
     turn_sign: float
 
 
-def adjust_time_bound(state: JointState, p: GameParams) -> AdjustBound:
-    """Upper bound on the heading-adjustment time; rejects aligned states."""
-    err = heading_error(state, p)
+def adjust_time_bound(
+    state: JointState, p: GameParams, err: float | None = None
+) -> AdjustBound:
+    """Upper bound on the heading-adjustment time; rejects aligned states.
+    ``err`` is the state's heading error, when the caller already has it."""
+    if err is None:
+        err = heading_error(state, p)
     if err == 0.0:
         raise ValueError("state is already aligned; no adjustment to bound")
     sin_err = math.sin(err)
@@ -186,12 +198,16 @@ def adjust_time_bound(state: JointState, p: GameParams) -> AdjustBound:
     )
 
 
-def adjust_scope_holds(state: JointState, p: GameParams) -> bool:
+def adjust_scope_holds(
+    state: JointState, p: GameParams, bound: AdjustBound | None = None
+) -> bool:
     """Strict check that the evader sits far enough from the turn circle for
     the adjustment-time bound to be trustworthy: the center-to-evader
     distance must exceed kappa plus the evader's reach over the bound,
-    shrunk by sqrt(alpha^2 - 1)."""
-    bound = adjust_time_bound(state, p)
+    shrunk by sqrt(alpha^2 - 1).  ``bound`` is the state's
+    ``adjust_time_bound``, when the caller already has it."""
+    if bound is None:
+        bound = adjust_time_bound(state, p)
     gap = float(np.linalg.norm(bound.turn_center - state.evader.pos))
     return gap > p.kappa + p.v_p * bound.duration / math.sqrt(p.alpha**2 - 1.0)
 
@@ -325,14 +341,17 @@ def relaxed_clearance_from_centers(
             >= KKT_RESIDUAL_TOL
         ):
             continue
-        value = (
-            a2 * x_e_star[1]
-            - x_p_star[1]
-            - alpha * float(np.linalg.norm(x_p_star - x_e_star))
+        _, clearance, _ = lowest_point(
+            x_p_star[0],
+            x_p_star[1],
+            x_e_star[0],
+            x_e_star[1],
+            float(np.linalg.norm(x_p_star - x_e_star)),
+            alpha,
         )
-        if best is None or value < best.clearance * (a2 - 1.0):
+        if best is None or clearance < best.clearance:
             best = RelaxedSolution(
-                clearance=value / (a2 - 1.0),
+                clearance=float(clearance),
                 pursuer_point=x_p_star,
                 evader_point=x_e_star,
                 multiplier=lam,
@@ -362,7 +381,6 @@ def relaxed_oracle_from_centers(
     boundary angles on a grid x grid lattice and polish the best cell by
     alternating golden-section descent.  Returns the clearance on the same
     scale as the closed form."""
-    a2 = alpha * alpha
     x_c = np.asarray(x_c, dtype=float)
     x_e = np.asarray(x_e, dtype=float)
     cx, cy = float(x_c[0]), float(x_c[1])
@@ -374,7 +392,7 @@ def relaxed_oracle_from_centers(
         yp = cy + kappa * np.sin(theta_p)
         xe = ex + reach * np.cos(theta_e)
         ye = ey + reach * np.sin(theta_e)
-        return a2 * ye - yp - alpha * np.hypot(xp - xe, yp - ye)
+        return lowest_point(xp, yp, xe, ye, np.hypot(xp - xe, yp - ye), alpha)[1]
 
     angles = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
     tp, te = np.meshgrid(angles, angles, indexing="ij")
@@ -399,8 +417,7 @@ def relaxed_oracle_from_centers(
         )
         window *= 0.5
     value = float(objective(theta_p, theta_e))
-    value = min(value, float(vals[i, j]))
-    return value / (a2 - 1.0)
+    return min(value, float(vals[i, j]))
 
 
 def relaxed_clearance_oracle(state: JointState, p: GameParams, grid: int = 720) -> float:
@@ -424,18 +441,13 @@ def _rollout_positions(state: JointState, p: GameParams, sign: float, s, theta_e
 
 
 def _wrapped_error(xp, yp, theta_p, xe, ye, alpha: float):
-    a2 = alpha * alpha
-    dist = np.hypot(xp - xe, yp - ye)
-    cx = (a2 * xe - xp) / (a2 - 1.0)
-    cy = (a2 * ye - yp) / (a2 - 1.0) - alpha * dist / (a2 - 1.0)
+    cx, cy, _ = lowest_point(xp, yp, xe, ye, np.hypot(xp - xe, yp - ye), alpha)
     angle = np.arctan2(cy - yp, cx - xp)
     return np.mod(angle - theta_p + math.pi, 2.0 * math.pi) - math.pi
 
 
 def _clearance_at(xp, yp, xe, ye, alpha: float) -> float:
-    a2 = alpha * alpha
-    dist = math.hypot(xp - xe, yp - ye)
-    return (a2 * ye - yp - alpha * dist) / (a2 - 1.0)
+    return lowest_point(xp, yp, xe, ye, math.hypot(xp - xe, yp - ye), alpha)[1]
 
 
 def rollout_clearance_oracle(
@@ -566,10 +578,15 @@ def certify_win(
     range, the evader is outside the adjustment scope ball, the parameters
     pass the strict two-step check and the worst-case clearance bound is
     non-negative.  A simple-motion pursuer needs separation only.
+
+    The aim point, the heading error and the adjustment-time bound are each
+    computed once and handed to the predicates that use them.
     """
-    separation = er_goal_distance(state.pursuer.pos, state.evader.pos, p.alpha)
+    x_p, x_e = state.pursuer.pos, state.evader.pos
+    aim_x, aim_y, _ = aim_point(x_p, x_e, p.alpha)
+    separation = goal_gap(float(aim_y))
     sc = separation >= 0.0
-    dist = float(np.linalg.norm(state.pursuer.pos - state.evader.pos))
+    dist = float(np.linalg.norm(x_p - x_e))
 
     if motion == "simple":
         kind = CertificateKind.INTERCEPT if sc else CertificateKind.NONE
@@ -587,7 +604,7 @@ def certify_win(
             ),
         )
 
-    err = heading_error(state, p)
+    err = wrap_to_pi(aim_bearing(x_p, aim_x, aim_y) - state.pursuer.theta)
     io = abs(err) <= io_tol
     intercept_ok = intercept_feasible(p.r, p.kappa, p.alpha)
     adjust_ok = adjust_feasible(p.r, p.kappa, p.alpha)
@@ -615,12 +632,14 @@ def certify_win(
     solver_failed = False
     kind = CertificateKind.NONE
     if sc and not io and beyond_capture:
-        bound = adjust_time_bound(state, p)
+        bound = adjust_time_bound(state, p, err)
         duration = bound.duration
-        scope_ok = adjust_scope_holds(state, p)
+        scope_ok = adjust_scope_holds(state, p, bound)
         if scope_ok and two_ok:
             try:
-                clearance = solve_relaxed_clearance(state, p).clearance
+                clearance = relaxed_clearance_from_centers(
+                    bound.turn_center, x_e, p.alpha, p.kappa
+                ).clearance
             except KKTReconstructionError:
                 solver_failed = True
             else:

@@ -85,21 +85,40 @@ def evasion_region(x_p, x_e, alpha: float) -> Circle:
     )
 
 
+def lowest_point(xp, yp, xe, ye, dist, alpha: float):
+    """Lowest point (x, y) of the closed evasion disk of a pursuer at
+    (xp, yp) and an evader at (xe, ye), ``dist`` apart, and the disk's
+    radius, as a tuple (x, y, radius).
+
+    Plain arithmetic: the arguments may be floats or numpy arrays of one
+    shape.  Callers check the pair (``alpha > 1``, ``dist > 0``) first.
+    """
+    a2 = alpha * alpha
+    radius = alpha * dist / (a2 - 1.0)
+    return (a2 * xe - xp) / (a2 - 1.0), (a2 * ye - yp) / (a2 - 1.0) - radius, radius
+
+
+def aim_point(x_p, x_e, alpha: float) -> tuple[float, float, float]:
+    """Checked ``lowest_point`` of one pair: (x, y, radius)."""
+    dist = _check_pair(x_p, x_e, alpha)
+    return lowest_point(x_p[0], x_p[1], x_e[0], x_e[1], dist, alpha)
+
+
+def aim_bearing(x_p, x: float, y: float) -> float:
+    """Bearing from the pursuer at ``x_p`` toward the point (x, y), in
+    [0, 2*pi)."""
+    return wrap_angle(math.atan2(y - x_p[1], x - x_p[0]))
+
+
 def interception(x_p, x_e, alpha: float) -> InterceptionData:
     """Aim point: the lowest point of the closed evasion disk."""
     x_p = np.asarray(x_p, dtype=float)
     x_e = np.asarray(x_e, dtype=float)
-    dist = _check_pair(x_p, x_e, alpha)
-    a2 = alpha * alpha
-    cx = (a2 * x_e[0] - x_p[0]) / (a2 - 1.0)
-    cy = (a2 * x_e[1] - x_p[1]) / (a2 - 1.0)
-    radius = alpha * dist / (a2 - 1.0)
-    point = np.array([cx, cy - radius])
-    angle = wrap_angle(math.atan2(point[1] - x_p[1], point[0] - x_p[0]))
+    x, y, radius = aim_point(x_p, x_e, alpha)
     return InterceptionData(
-        point=point,
-        angle=angle,
-        clearance=float(point[1]),
+        point=np.array([x, y]),
+        angle=aim_bearing(x_p, x, y),
+        clearance=float(y),
         offset=np.array([0.0, -radius]),
     )
 
@@ -112,8 +131,12 @@ def er_goal_distance(x_p, x_e, alpha: float) -> float:
     intersect.  The value is -inf rather than the geometric overlap depth:
     it marks "separation lost", not a length.
     """
-    data = interception(x_p, x_e, alpha)
-    return data.clearance if data.clearance >= 0.0 else -math.inf
+    return goal_gap(float(aim_point(x_p, x_e, alpha)[1]))
+
+
+def goal_gap(clearance: float) -> float:
+    """``er_goal_distance`` of an aim point at height ``clearance``."""
+    return clearance if clearance >= 0.0 else -math.inf
 
 
 def separation_holds(state: JointState, p: GameParams) -> bool:

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .certificates import Certificate, CertificateKind, certify_win
+from .geometry import separation_holds
 from .model import GameParams, JointState
 
 
@@ -50,11 +51,19 @@ def build_graph(
     motion: dict[int, str] | None = None,
 ) -> WinGraph:
     """Certify every provided pair; an edge is present iff the certificate
-    is not NONE.  Inactive players are simply absent from ``pair_states``."""
+    is not NONE.  Inactive players are simply absent from ``pair_states``.
+
+    Pairs without separation are screened out first: every certificate
+    requires it, so ``certify_win`` would return NONE for them.  The screen
+    is ``separation_holds``, the same test ``certify_win`` makes.
+    """
     edges = {}
     for key in sorted(pair_states):
         kind = "dubins" if motion is None else motion[key[0]]
-        cert = certify_win(pair_states[key], pair_params[key], motion=kind)
+        state, params = pair_states[key], pair_params[key]
+        if not separation_holds(state, params):
+            continue
+        cert = certify_win(state, params, motion=kind)
         if cert.kind is not CertificateKind.NONE:
             edges[key] = cert
     return WinGraph(n_pursuers=n_pursuers, n_evaders=n_evaders, edges=edges)
@@ -64,24 +73,49 @@ def max_matching(graph: WinGraph) -> dict[int, int]:
     """Maximum-cardinality matching by augmenting paths.
 
     Pursuers are processed in ascending index order and their neighbor lists
-    are ascending as well, so the result is deterministic.
+    are ascending as well, so the result is deterministic.  Each augmenting
+    path is searched depth first with an explicit stack, so path length is
+    not bounded by the interpreter's recursion limit.
     """
-    adjacency = {i: graph.neighbors(i) for i in range(graph.n_pursuers)}
+    adjacency: dict[int, list[int]] = {i: [] for i in range(graph.n_pursuers)}
+    for i, j in sorted(graph.edges):
+        if i in adjacency:
+            adjacency[i].append(j)
     evader_owner: dict[int, int] = {}
+    for i in range(graph.n_pursuers):
+        _augment(i, adjacency, evader_owner)
+    return {i: j for j, i in sorted(evader_owner.items(), key=lambda kv: kv[1])}
 
-    def try_assign(i: int, seen: set[int]) -> bool:
-        for j in adjacency[i]:
+
+def _augment(root: int, adjacency: dict[int, list[int]], evader_owner: dict[int, int]) -> bool:
+    """Depth-first search for an augmenting path from pursuer ``root``;
+    flips it into ``evader_owner`` when found.
+
+    ``stack`` holds the pursuers on the current path, each with the
+    iterator over its remaining neighbors, and ``path[k]`` is the evader
+    through which ``stack[k + 1]`` was reached.
+    """
+    seen: set[int] = set()
+    stack = [(root, iter(adjacency[root]))]
+    path: list[int] = []
+    while stack:
+        for j in stack[-1][1]:
             if j in seen:
                 continue
             seen.add(j)
-            if j not in evader_owner or try_assign(evader_owner[j], seen):
-                evader_owner[j] = i
+            path.append(j)
+            if j not in evader_owner:
+                for (i, _), evader in zip(stack, path):
+                    evader_owner[evader] = i
                 return True
-        return False
-
-    for i in range(graph.n_pursuers):
-        try_assign(i, set())
-    return {i: j for j, i in sorted(evader_owner.items(), key=lambda kv: kv[1])}
+            owner = evader_owner[j]
+            stack.append((owner, iter(adjacency[owner])))
+            break
+        else:
+            stack.pop()
+            if path:
+                path.pop()
+    return False
 
 
 def assign(

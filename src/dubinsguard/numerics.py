@@ -1,11 +1,13 @@
 """Reusable numeric kernels: real roots of low-degree polynomials on an
 interval, and global maximization of a function on the unit circle.
 
-Both are scan-based with certified resolution rather than algebraic: the
-consumers only ever need roots inside an analytically known bracket, and the
-circle objectives are smooth with O(1) oscillation, so a dense scan plus
-local refinement is simpler to trust than companion matrices or general
-global optimizers.
+Roots come from the eigenvalues of the companion matrix (``np.roots``),
+polished by a guarded Newton iteration and kept only where the residual is
+small: eigenvalues of a balanced companion matrix are backward stable, so
+close root pairs stay apart and a double root shows up as a conjugate pair
+with a common real part.  The circle objectives are smooth with O(1)
+oscillation, so their maximum is found by a dense scan plus golden-section
+refinement.
 """
 
 from __future__ import annotations
@@ -19,6 +21,16 @@ _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 MAX_DEGREE = 6
 SCAN_SAMPLES = 4096
+
+#: Eigenvalues whose imaginary part is within this fraction of their modulus
+#: (or of 1, when smaller) are root candidates.  A double root splits into a
+#: conjugate pair about sqrt(machine epsilon) apart, a triple one about its
+#: cube root; spurious candidates are removed by the residual check.
+IMAG_TOL = 1e-5
+#: Newton polish limits: at most this many steps, each no longer than this
+#: fraction of (1 + |x|).
+NEWTON_STEPS = 8
+NEWTON_STEP_CAP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -62,30 +74,16 @@ class BracketedMax:
     certified_resolution: float
 
 
-def _bisect(poly: Polynomial, a: float, b: float, fa: float, tol: float) -> float:
-    # fa carries the sign of poly(a); the bracket [a, b] holds a sign change.
-    for _ in range(128):
-        if b - a <= tol * 0.25:
-            break
-        mid = 0.5 * (a + b)
-        fm = poly(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0.0) == (fa > 0.0):
-            a, fa = mid, fm
-        else:
-            b = mid
-    return 0.5 * (a + b)
-
-
 def real_roots(poly: Polynomial, lo: float, hi: float, tol: float = 1e-12) -> list[float]:
     """All real roots of ``poly`` in [lo, hi], sorted, deduplicated at
     spacing ``tol``.
 
-    Method: a dense sign-change scan (4096 samples or more) with bisection
-    refinement.  Roots of even multiplicity leave no sign change, so the
-    scan is complemented by a derivative analysis: every zero of the
-    derivative where the polynomial itself (nearly) vanishes is also a root.
+    Method: every eigenvalue of the companion matrix whose imaginary part is
+    small relative to its modulus is a candidate; its real part is polished
+    by Newton steps that must shrink the residual, and kept when it lies in
+    the interval (up to ``tol``) with a residual within the value tolerance.
+    A root of even multiplicity appears as a (near-)conjugate pair, so it is
+    found although the polynomial does not change sign there.
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
@@ -97,26 +95,16 @@ def real_roots(poly: Polynomial, lo: float, hi: float, tol: float = 1e-12) -> li
 
     if poly.degree == 0:
         return []
-    if poly.degree == 1:
-        c0, c1 = poly.coeffs
-        root = -c0 / c1
-        return [root] if lo <= root <= hi else []
-
-    xs = np.linspace(lo, hi, SCAN_SAMPLES + 1)
-    vals = poly(xs)
-
-    roots: list[float] = [float(xs[k]) for k in np.flatnonzero(vals == 0.0)]
-    for k in np.flatnonzero((vals[:-1] > 0.0) != (vals[1:] > 0.0)):
-        va, vb = float(vals[k]), float(vals[k + 1])
-        if va == 0.0 or vb == 0.0:
+    eigen = np.roots(poly.coeffs[::-1])
+    near_real = np.abs(eigen.imag) <= IMAG_TOL * np.maximum(np.abs(eigen), 1.0)
+    slope = poly.derivative()
+    roots = []
+    for x in eigen.real[near_real].tolist():
+        if not lo - tol <= x <= hi + tol:
             continue
-        roots.append(_bisect(poly, float(xs[k]), float(xs[k + 1]), va, tol))
-
-    # Touching (even-multiplicity) roots: stationary points where the value
-    # also vanishes.  The recursion terminates because the degree drops.
-    for x_star in real_roots(poly.derivative(), lo, hi, min(tol, 1e-9)):
-        if abs(poly(x_star)) <= value_tol:
-            roots.append(x_star)
+        x = min(max(_newton_polish(poly, slope, x), lo), hi)
+        if abs(poly(x)) <= value_tol:
+            roots.append(x)
 
     roots.sort()
     merged: list[float] = []
@@ -124,6 +112,28 @@ def real_roots(poly: Polynomial, lo: float, hi: float, tol: float = 1e-12) -> li
         if not merged or root - merged[-1] > tol:
             merged.append(root)
     return merged
+
+
+def _newton_polish(poly: Polynomial, slope: Polynomial, x: float) -> float:
+    """Newton steps from ``x`` while each one shrinks the residual and
+    stays short (so a flat stretch cannot throw the iterate onto another
+    root); returns the last accepted point."""
+    fx = poly(x)
+    for _ in range(NEWTON_STEPS):
+        if fx == 0.0:
+            break
+        dfx = slope(x)
+        if dfx == 0.0:
+            break
+        step = fx / dfx
+        if abs(step) > NEWTON_STEP_CAP * (1.0 + abs(x)):
+            break
+        trial = x - step
+        f_trial = poly(trial)
+        if not abs(f_trial) < abs(fx):
+            break
+        x, fx = trial, f_trial
+    return x
 
 
 def golden_max(f, a: float, b: float, tol: float = 1e-12) -> tuple[float, float]:

@@ -245,6 +245,36 @@ class TestCmdOracleCompare:
     def test_zero_trials_rejected(self):
         assert cli.main(["oracle-compare", "--trials", "0"]) == 1
 
+    @pytest.mark.parametrize(
+        "seed, clearance", [(19404, 0.80390), (174101848, 0.56916)]
+    )
+    def test_close_root_seeds_match_the_relaxed_oracle(self, tmp_path, seed, clearance):
+        # these trials draw sextics with two roots 4.4e-5 and 2.9e-4 apart in
+        # the multiplier bracket; both roots must be found for the KKT
+        # reconstruction to succeed
+        out = tmp_path / "oracle.csv"
+        argv = ["oracle-compare", "--trials", "1", "--seed", str(seed), "--out", str(out)]
+        assert cli.main(argv) == 0
+        fields = out.read_text().splitlines()[1].split(",")
+        closed, relaxed = float(fields[1]), float(fields[2])
+        assert closed == pytest.approx(clearance, abs=1e-5)
+        assert closed == pytest.approx(relaxed, abs=1e-9)
+        assert fields[-1] == "1"
+
+    def test_solver_failure_is_a_violation_row(self, tmp_path, monkeypatch, capsys):
+        def fail(state, p):
+            raise dg.KKTReconstructionError("KKT reconstruction failed")
+
+        monkeypatch.setattr(cli.certs, "solve_relaxed_clearance", fail)
+        out = tmp_path / "oracle.csv"
+        argv = ["oracle-compare", "--trials", "2", "--grid", "180", "--out", str(out)]
+        assert cli.main(argv) == 1
+        assert "violations=2" in capsys.readouterr().out
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 2
+        for row in rows:
+            assert row[1] == "nan" and row[4] == "nan" and row[5] == "0"
+
     def test_deterministic_given_seed(self, tmp_path):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
         for path in paths:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,101 @@ class TestBuildGraph:
         assert set(reduced.edges) <= set(full.edges)
 
 
+def _screen_corpus(rng, n):
+    """Seeded pair states and parameters for the separation screen: random
+    pairs, pairs shifted to within 1e-12 of the separation boundary (a
+    common vertical shift moves the aim point by the same amount), aligned
+    pairs, and a mix of car and simple-motion pursuers."""
+    paper = dg.GameParams.from_alpha(v_p=0.3, alpha=6.3, kappa=0.0625, r=0.1)
+    states, params, motions = {}, {}, {}
+    for i in range(n):
+        motions[i] = "simple" if rng.uniform() < 0.25 else "dubins"
+        for j in range(n):
+            if rng.uniform() < 0.5:
+                p = paper
+            else:
+                alpha = rng.uniform(1.5, 8.0)
+                p = dg.GameParams.from_alpha(
+                    v_p=0.3, alpha=alpha, kappa=rng.uniform(0.01, 0.1), r=rng.uniform(0.05, 0.5)
+                )
+            x_p = np.array([rng.uniform(-1.0, 1.0), rng.uniform(0.1, 1.5)])
+            bearing = rng.uniform(0, 2 * math.pi)
+            x_e = x_p + rng.uniform(0.15, 1.0) * np.array([math.cos(bearing), math.sin(bearing)])
+            if rng.uniform() < 0.4:
+                clearance = dg.interception(x_p, x_e, p.alpha).clearance
+                shift = np.array([0.0, rng.choice([-1e-12, 0.0, 1e-12]) - clearance])
+                x_p, x_e = x_p + shift, x_e + shift
+            theta = rng.uniform(0, 2 * math.pi)
+            if rng.uniform() < 0.3:
+                theta = dg.interception(x_p, x_e, p.alpha).angle
+            states[(i, j)] = make_state(x_p[0], x_p[1], theta, x_e[0], x_e[1])
+            params[(i, j)] = p
+    return states, params, motions
+
+
+class TestSeparationScreen:
+    def test_screen_matches_certifying_every_pair(self):
+        rng = np.random.default_rng(64)
+        kinds = set()
+        near_boundary = 0
+        for _ in range(12):
+            states, params, motions = _screen_corpus(rng, 8)
+            graph = dg.build_graph(states, params, 8, 8, motions)
+            expected = {}
+            for key in sorted(states):
+                cert = dg.certify_win(states[key], params[key], motion=motions[key[0]])
+                if cert.kind is not dg.CertificateKind.NONE:
+                    expected[key] = cert
+            near_boundary += sum(
+                abs(dg.interception(st.pursuer.pos, st.evader.pos, params[key].alpha).clearance)
+                < 1e-11
+                for key, st in states.items()
+            )
+            assert list(graph.edges) == list(expected)
+            for key, cert in expected.items():
+                assert graph.edges[key].kind is cert.kind
+                assert graph.edges[key].evidence == cert.evidence
+                kinds.add(cert.kind)
+        assert kinds == {dg.CertificateKind.INTERCEPT, dg.CertificateKind.TWO_STEP}
+        assert near_boundary > 100
+
+    def test_screened_pairs_are_not_certified(self, monkeypatch):
+        from dubinsguard import matching
+
+        states, params, motions = _screen_corpus(np.random.default_rng(65), 6)
+        calls = []
+
+        def counting(state, p, motion="dubins"):
+            calls.append(state)
+            return dg.certify_win(state, p, motion=motion)
+
+        monkeypatch.setattr(matching, "certify_win", counting)
+        dg.build_graph(states, params, 6, 6, motions)
+        separated = sum(dg.separation_holds(states[k], params[k]) for k in states)
+        assert 0 < len(calls) == separated < len(states)
+
+
+def _recursive_matching(graph):
+    """Depth-first augmenting paths by recursion, visiting pursuers and
+    their neighbors in ascending order."""
+    adjacency = {i: graph.neighbors(i) for i in range(graph.n_pursuers)}
+    owner = {}
+
+    def try_assign(i, seen):
+        for j in adjacency[i]:
+            if j in seen:
+                continue
+            seen.add(j)
+            if j not in owner or try_assign(owner[j], seen):
+                owner[j] = i
+                return True
+        return False
+
+    for i in range(graph.n_pursuers):
+        try_assign(i, set())
+    return {i: j for j, i in sorted(owner.items(), key=lambda kv: kv[1])}
+
+
 class TestMaxMatching:
     def test_single_edge(self):
         assert dg.max_matching(_graph(2, 2, [(0, 0)])) == {0: 0}
@@ -111,6 +208,27 @@ class TestMaxMatching:
                 assert (i, j) in g.edges
             adjacency = {i: g.neighbors(i) for i in range(n_p)}
             assert len(m) == brute_force_matching_size(n_p, adjacency)
+
+    def test_same_matching_as_recursive_search(self):
+        rng = np.random.default_rng(63)
+        for _ in range(100):
+            n_p = int(rng.integers(1, 12))
+            n_e = int(rng.integers(1, 12))
+            density = rng.uniform(0.1, 0.6)
+            pairs = [
+                (i, j) for i in range(n_p) for j in range(n_e) if rng.uniform() < density
+            ]
+            g = _graph(n_p, n_e, pairs)
+            assert dg.max_matching(g) == _recursive_matching(g)
+
+    def test_long_chain_has_no_recursion_limit(self):
+        # pursuer i links to evaders i-1 and i; each new pursuer's search
+        # walks the whole chain before it takes its own evader
+        n = 1500
+        cert = _dummy_cert()
+        edges = {(i, j): cert for i in range(n) for j in (i - 1, i) if j >= 0}
+        m = dg.max_matching(dg.WinGraph(n_pursuers=n, n_evaders=n, edges=edges))
+        assert m == {i: i for i in range(n)}
 
     def test_deterministic(self):
         pairs = [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0)]

@@ -21,6 +21,30 @@ def bisect_oracle(f, lo, hi, tol=1e-12):
     return 0.5 * (lo + hi)
 
 
+def scan_roots(poly, lo, hi, tol=1e-12, samples=4096):
+    """Dense sign-change scan with bisection refinement, plus the stationary
+    points (roots of the derivative, found the same way) where the
+    polynomial itself nearly vanishes.  Independent of the library's
+    eigenvalue route; it can merge roots closer than one scan cell."""
+    if poly.degree == 0:
+        return []
+    xs = np.linspace(lo, hi, samples + 1)
+    vals = poly(xs)
+    roots = [float(xs[k]) for k in np.flatnonzero(vals == 0.0)]
+    for k in np.flatnonzero(vals[:-1] * vals[1:] < 0.0):
+        roots.append(bisect_oracle(poly, float(xs[k]), float(xs[k + 1]), tol))
+    scale = max(abs(lo), abs(hi), 1.0)
+    value_tol = tol * (1.0 + max(abs(c) for c in poly.coeffs) * scale**poly.degree)
+    for x in scan_roots(poly.derivative(), lo, hi, min(tol, 1e-9), samples):
+        if abs(poly(x)) <= value_tol:
+            roots.append(x)
+    merged = []
+    for root in sorted(roots):
+        if not merged or root - merged[-1] > tol:
+            merged.append(root)
+    return merged
+
+
 class TestPolynomial:
     def test_trims_trailing_zeros(self):
         p = dg.Polynomial((1.0, 2.0, 0.0, 0.0))
@@ -63,6 +87,34 @@ class TestRealRoots:
         assert len(roots) == 1
         assert roots[0] == pytest.approx(expected, abs=1e-7)
         assert roots[0] == pytest.approx(1.4655712, abs=1e-7)
+
+    def test_close_root_pair(self):
+        # roots 4e-5 apart: a scan cell of [0, 3] is 7e-4 wide, so a scan
+        # sees no sign change between them; the eigenvalues keep them apart.
+        # Rounding the coefficients moves the close pair by about 1e-11.
+        coeffs = np.polynomial.polynomial.polyfromroots([1.0, 1.00004, 2.0])
+        roots = dg.real_roots(dg.Polynomial(tuple(coeffs)), 0.0, 3.0)
+        assert len(roots) == 3
+        for want, got in zip([1.0, 1.00004, 2.0], roots):
+            assert got == pytest.approx(want, abs=1e-9)
+
+    def test_relaxation_sextics_against_scan_oracle(self, paper):
+        # every root the scan finds on the multiplier bracket of a sampled
+        # two-step state is also found by the eigenvalue route
+        rng = np.random.default_rng(23)
+        lo, hi = paper.alpha - 1.0, paper.alpha + 1.0
+        found_any = 0
+        for _ in range(300):
+            state = dg.sample_adjust_feasible_state(rng, paper)
+            bound = dg.adjust_time_bound(state, paper)
+            poly = dg.relaxation_sextic(
+                bound.turn_center, state.evader.pos, paper.alpha, paper.kappa
+            )
+            roots = dg.real_roots(poly, lo, hi)
+            for want in scan_roots(poly, lo, hi):
+                assert min(abs(got - want) for got in roots) <= 1e-8
+                found_any += 1
+        assert found_any >= 300
 
     def test_rejects_bad_arguments(self):
         p = dg.Polynomial((1.0, 1.0))
