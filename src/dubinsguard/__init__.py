@@ -56,7 +56,15 @@ from .model import (
     wrap_to_pi,
 )
 from .numerics import BracketedMax, Polynomial, golden_max, max_on_circle, real_roots
-from .sim import Event, SimConfig, SimResult, detect_crossing, run
+from .sim import (
+    Event,
+    SimConfig,
+    SimResult,
+    detect_captures,
+    detect_crossing,
+    pair_distances,
+    run,
+)
 from .strategies import (
     ClampDiagnostics,
     InterceptGains,

@@ -10,7 +10,7 @@ pursuer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -176,6 +176,7 @@ def step_pursuer(s: PursuerState, u_p: float, dt: float, p: GameParams) -> Pursu
 
     The integration is exact: a straight segment for (numerically) zero
     command, otherwise a circular arc of signed curvature ``u_p / kappa``.
+    Only the car's own constants ``p.v_p`` and ``p.kappa`` are read.
     """
     if not (math.isfinite(u_p) and math.isfinite(dt)):
         raise ValueError("non-finite control or time step")
@@ -204,7 +205,7 @@ def step_pursuer(s: PursuerState, u_p: float, dt: float, p: GameParams) -> Pursu
 
 def step_evader(s: EvaderState, u_e, dt: float, p: GameParams) -> EvaderState:
     """Advance a simple-motion evader; its control must lie in the closed
-    unit disk."""
+    unit disk.  Only the evader's own speed ``p.v_e`` is read."""
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     u = _as_point(u_e)

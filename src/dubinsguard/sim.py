@@ -5,13 +5,17 @@ active pairs is rebuilt, a maximum matching assigns pursuers to evaders, and
 leftover pursuers chase the nearest unmatched evader.  Evader controls are
 computed first and fed to the pursuer strategies; both teams are integrated
 exactly under zero-order-hold controls; capture and goal-arrival crossings
-are located by linear interpolation inside the step.
+are located by linear interpolation inside the step.  The pair distances are
+one ``(n_p, n_e)`` array per step, shared by the capture screen and by the
+nearest-pursuer choice of ``optimal`` evaders.  A ``dt`` long enough for a
+pursuer and an evader to close a capture radius in one step is refused.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -103,18 +107,73 @@ def detect_crossing(prev: float, nxt: float, threshold: float) -> float | None:
     return (prev - threshold) / (prev - nxt)
 
 
+def pair_distances(p_pos: np.ndarray, e_pos: np.ndarray) -> np.ndarray:
+    """Distance of every pursuer to every evader, an ``(n_p, n_e)`` array.
+
+    Each entry is ``sqrt(d . d)`` through the same dot product that
+    ``np.linalg.norm`` takes for a 1-D vector, so it equals
+    ``np.linalg.norm(p - e)`` bit for bit; ``np.hypot`` and
+    ``sqrt(dx*dx + dy*dy)`` can differ from it in the last place.
+    """
+    d = p_pos[:, None, :] - e_pos[None, :, :]
+    return np.sqrt((d[..., None, :] @ d[..., :, None])[..., 0, 0])
+
+
+def detect_captures(
+    prev: np.ndarray, dist: np.ndarray, radii: np.ndarray, active: np.ndarray
+) -> dict[int, tuple[float, int]]:
+    """Capture crossings of one step over all pairs.
+
+    ``prev`` and ``dist`` are the ``(n_p, n_e)`` pair distances at the start
+    and the end of the step, ``radii`` the pursuers' capture radii and
+    ``active`` a boolean mask of the evaders in play.  Returns, for every
+    active evader that entered a capture disk, ``(fraction, pursuer)`` of the
+    earliest crossing by ``detect_crossing``'s rule; on equal fractions the
+    lowest pursuer index wins.
+    """
+    r = radii[:, None]
+    hit = (dist <= r) & (prev >= r) & active
+    found: dict[int, tuple[float, int]] = {}
+    # np.nonzero walks the hits row by row, so pursuers come in index order
+    for i, j in zip(*np.nonzero(hit)):
+        i, j = int(i), int(j)
+        frac = detect_crossing(float(prev[i, j]), float(dist[i, j]), float(radii[i]))
+        if j not in found or frac < found[j][0]:
+            found[j] = (frac, i)
+    return found
+
+
+def _positions(states) -> np.ndarray:
+    return np.array([s.pos for s in states])
+
+
 def run(sc: Scenario, cfg: SimConfig) -> SimResult:
     """Play the scenario out; returns trajectories, events and outcomes.
 
     Terminates when no active evader remains in the play region or the time
     horizon is exceeded (reported via ``horizon_exceeded``, not raised).
     Deterministic: identical inputs give identical results bit for bit.
+
+    Captures are detected from the pair distances at the ends of each step.
+    A ``dt`` with ``(v_i + max_j v_e_j) * dt >= r_i`` for some pursuer ``i``
+    is refused (``ValueError``): a head-on pass could then jump the capture
+    disk between two steps.  At an accepted ``dt`` a grazing pass whose chord
+    through the capture disk is shorter than one step can still be missed.
     """
     if not sc.pursuers or not sc.evaders:
         raise ValueError("scenario needs at least one pursuer and one evader")
     violations = validate_scenario(sc)
     if violations:
         raise ValueError("invalid scenario: " + "; ".join(violations))
+    v_e_max = max(spec.v for spec in sc.evaders)
+    for i, spec in enumerate(sc.pursuers):
+        closing = (spec.v + v_e_max) * cfg.dt
+        if closing >= spec.r:
+            raise ValueError(
+                f"dt={cfg.dt:g} is too large: pursuer {i} and the fastest evader "
+                f"close up to {closing:g} in one step, not less than its capture "
+                f"radius r={spec.r:g}"
+            )
 
     n_p = len(sc.pursuers)
     n_e = len(sc.evaders)
@@ -136,6 +195,11 @@ def run(sc: Scenario, cfg: SimConfig) -> SimResult:
         (i, j): sc.pair_params(i, j) for i in range(n_p) for j in range(n_e)
     }
     motion = {i: sc.pursuers[i].motion for i in range(n_p)}
+    # Stepping reads only an agent's own constants: its speed, and for a car
+    # its turning radius.
+    p_own = [SimpleNamespace(v_p=spec.v, kappa=spec.kappa) for spec in sc.pursuers]
+    e_own = [SimpleNamespace(v_e=spec.v) for spec in sc.evaders]
+    radii = np.array([spec.r for spec in sc.pursuers])
 
     target: list[int | None] = [None] * n_p
     mode = [MODE_SIMPLE if motion[i] != DUBINS else MODE_ADJUST for i in range(n_p)]
@@ -218,6 +282,12 @@ def run(sc: Scenario, cfg: SimConfig) -> SimResult:
     t = 0.0
     step_index = 0
     horizon_exceeded = False
+    # Pair distances at the current positions: computed before the loop and
+    # after each step's integration and heading re-snap.  Evaders leaving
+    # play are then moved to their event points, but their columns are
+    # never read again.
+    e_pos = _positions(evaders)
+    dist = pair_distances(_positions(pursuers), e_pos)
 
     while True:
         if step_index % cfg.matching_period == 0:
@@ -236,12 +306,7 @@ def run(sc: Scenario, cfg: SimConfig) -> SimResult:
             if spec.strategy == "optimal":
                 i_ref = assigned_to.get(j)
                 if i_ref is None:
-                    i_ref = min(
-                        range(n_p),
-                        key=lambda i: float(
-                            np.linalg.norm(pursuers[i].pos - evaders[j].pos)
-                        ),
-                    )
+                    i_ref = int(np.argmin(dist[:, j]))  # first nearest pursuer
                 e_controls[j] = evader_optimal(
                     JointState(pursuer=pursuers[i_ref], evader=evaders[j]),
                     params[(i_ref, j)],
@@ -323,32 +388,21 @@ def run(sc: Scenario, cfg: SimConfig) -> SimResult:
                 )
             )
 
-        prev_dist = {
-            (i, j): float(np.linalg.norm(pursuers[i].pos - evaders[j].pos))
-            for i in range(n_p)
-            for j in range(n_e)
-            if e_status[j] == ACTIVE
-        }
-        prev_y = [float(evaders[j].pos[1]) for j in range(n_e)]
-        prev_e_pos = [evaders[j].pos.copy() for j in range(n_e)]
+        prev_dist, prev_e_pos = dist, e_pos
 
         # Integrate under zero-order hold.
         for i in range(n_p):
             u = p_controls[i]
             if motion[i] == DUBINS:
-                anyp = params[(i, 0)] if n_e else None
-                pursuers[i] = step_pursuer(pursuers[i], u, cfg.dt, anyp)
+                pursuers[i] = step_pursuer(pursuers[i], u, cfg.dt, p_own[i])
             elif u is not None:
-                pr = params[(i, 0)]
                 pursuers[i] = PursuerState(
-                    pos=pursuers[i].pos + pr.v_p * cfg.dt * u,
+                    pos=pursuers[i].pos + p_own[i].v_p * cfg.dt * u,
                     theta=math.atan2(u[1], u[0]),
                 )
         for j in range(n_e):
             if e_status[j] == ACTIVE and e_controls[j] is not None:
-                evaders[j] = step_evader(
-                    evaders[j], e_controls[j], cfg.dt, params[(0, j)]
-                )
+                evaders[j] = step_evader(evaders[j], e_controls[j], cfg.dt, e_own[j])
 
         # Re-snap the alignment invariant against integration drift.
         for i in range(n_p):
@@ -368,18 +422,15 @@ def run(sc: Scenario, cfg: SimConfig) -> SimResult:
                     pursuers[i] = PursuerState(pos=pursuers[i].pos, theta=data.angle)
 
         # Event detection: capture before goal arrival, earlier fraction wins.
+        e_pos = _positions(evaders)
+        dist = pair_distances(_positions(pursuers), e_pos)
+        active = np.array([status == ACTIVE for status in e_status])
+        captures = detect_captures(prev_dist, dist, radii, active)
         for j in range(n_e):
             if e_status[j] != ACTIVE:
                 continue
-            cap_frac = None
-            cap_by = None
-            for i in range(n_p):
-                dist_now = float(np.linalg.norm(pursuers[i].pos - evaders[j].pos))
-                frac = detect_crossing(prev_dist[(i, j)], dist_now, sc.pursuers[i].r)
-                if frac is not None and (cap_frac is None or frac < cap_frac):
-                    cap_frac = frac
-                    cap_by = i
-            goal_frac = detect_crossing(prev_y[j], float(evaders[j].pos[1]), 0.0)
+            cap_frac, cap_by = captures.get(j, (None, None))
+            goal_frac = detect_crossing(float(prev_e_pos[j, 1]), float(e_pos[j, 1]), 0.0)
             if cap_frac is not None and (goal_frac is None or cap_frac <= goal_frac):
                 t_event = t + cap_frac * cfg.dt
                 e_status[j] = CAPTURED

@@ -110,6 +110,14 @@ class TestCmdRun:
         assert code == 1
         assert "dt" in capsys.readouterr().err
 
+    def test_dt_that_can_jump_a_capture_disk_is_input_error(self, golden_path, capsys):
+        code = cli.main(
+            ["run", "--scenario", golden_path, "--dt", "0.5", "--max-time", "1"]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "dt=0.5" in err
+
     def test_small_horizon_gives_exit_two(self, golden_path):
         code = cli.main(
             ["run", "--scenario", golden_path, "--dt", "1e-3", "--max-time", "0.01"]

@@ -264,3 +264,188 @@ class TestCertifiedPairsNeverLoseGoal:
                 )
             runs += 1
         assert runs == 100
+
+
+def _scalar_captures(prev, dist, radii, active):
+    """Per-pair reference for ``detect_captures``: earliest crossing per
+    evader, the first pursuer on equal fractions."""
+    found = {}
+    for j in range(prev.shape[1]):
+        if not active[j]:
+            continue
+        for i in range(prev.shape[0]):
+            frac = dg.detect_crossing(float(prev[i, j]), float(dist[i, j]), radii[i])
+            if frac is not None and (j not in found or frac < found[j][0]):
+                found[j] = (frac, i)
+    return found
+
+
+class TestDetectCaptures:
+    @pytest.mark.parametrize("n_p,n_e", [(3, 5), (5, 3), (4, 4)])
+    def test_matches_the_per_pair_loop(self, n_p, n_e):
+        rng = np.random.default_rng(100 * n_p + n_e)
+        for _ in range(200):
+            radii = rng.choice([0.05, 0.1, 0.15], size=n_p)
+            prev = rng.uniform(0.0, 0.25, (n_p, n_e))
+            dist = prev - rng.uniform(-0.05, 0.15, (n_p, n_e))
+            # distances exactly on the capture circle, before and after
+            on = rng.random((n_p, n_e)) < 0.2
+            prev[on] = np.broadcast_to(radii[:, None], (n_p, n_e))[on]
+            on = rng.random((n_p, n_e)) < 0.2
+            dist[on] = np.broadcast_to(radii[:, None], (n_p, n_e))[on]
+            active = rng.random(n_e) < 0.8
+            got = dg.detect_captures(prev, dist, radii, active)
+            assert got == _scalar_captures(prev, dist, radii, active)
+            assert all(type(f) is float and type(i) is int for f, i in got.values())
+
+    def test_equal_fractions_go_to_the_lowest_pursuer(self):
+        radii = np.array([0.1, 0.2, 0.1, 0.1])
+        prev = np.full((4, 2), 1.0)
+        dist = np.full((4, 2), 1.0)
+        prev[[2, 3], 0] = 0.3
+        dist[[2, 3], 0] = 0.05
+        prev[[1, 3], 1] = [0.2, 0.1]  # both already on their circles: fraction 0
+        dist[[1, 3], 1] = [0.15, 0.1]
+        active = np.array([True, True])
+        got = dg.detect_captures(prev, dist, radii, active)
+        assert got[0] == (pytest.approx(0.8), 2)
+        assert got[1] == (0.0, 1)
+        assert got == _scalar_captures(prev, dist, radii, active)
+
+    def test_inactive_evaders_are_skipped(self):
+        radii = np.array([0.1])
+        got = dg.detect_captures(
+            np.array([[0.2, 0.2]]), np.array([[0.0, 0.0]]), radii, np.array([False, True])
+        )
+        assert got == {1: (0.5, 0)}
+
+
+def test_pair_distances_equal_norm_bit_for_bit():
+    rng = np.random.default_rng(8)
+    p_pos = rng.uniform(-40.0, 40.0, (7, 2))
+    e_pos = rng.uniform(-40.0, 40.0, (11, 2)) * rng.uniform(0.0, 1.0, (11, 1))
+    dist = dg.pair_distances(p_pos, e_pos)
+    assert dist.shape == (7, 11)
+    for i in range(7):
+        for j in range(11):
+            assert dist[i, j] == np.linalg.norm(p_pos[i] - e_pos[j])
+
+
+def _head_on_duel():
+    """A car diving straight at an evader that climbs straight at it."""
+    return dg.Scenario(
+        pursuers=(
+            dg.PursuerSpec(
+                state=dg.PursuerState(pos=(0.0, 5.0), theta=1.5 * math.pi),
+                v=1.0,
+                kappa=1.0,
+                r=0.1,
+            ),
+        ),
+        evaders=(
+            dg.EvaderSpec(
+                state=dg.EvaderState(pos=(0.0, 2.05)),
+                v=0.2,
+                strategy="constant",
+                heading=0.5 * math.pi,
+            ),
+        ),
+        seed=0,
+    )
+
+
+class TestStepSizeGuard:
+    @pytest.mark.parametrize("dt", [1.0, 0.5])
+    def test_dt_that_can_jump_the_capture_disk_is_refused(self, dt):
+        # (v_p + v_e) * dt >= r: at dt = 1.0 the pursuer used to pass
+        # through the evader unseen and the run ended horizon_exceeded
+        with pytest.raises(ValueError, match=f"dt={dt:g}"):
+            dg.run(_head_on_duel(), dg.SimConfig(dt=dt, max_time=20.0))
+
+    def test_accepted_dt_captures_head_on(self):
+        result = dg.run(_head_on_duel(), dg.SimConfig(dt=0.01, max_time=20.0))
+        captures = [e for e in result.events if e.kind == "capture"]
+        assert [(e.pursuer, e.evader) for e in captures] == [(0, 0)]
+        # closing speed 1.2 over the gap 5 - 2.05 - 0.1
+        assert captures[0].t == pytest.approx(2.375, abs=1e-4)
+
+
+def _mixed_team():
+    """4v6 with mixed capture radii and evader strategies; evader 5 plays
+    ``optimal`` with no pursuer assigned at first, so it flees its nearest
+    pursuer."""
+    pursuers = [
+        (0.0, 0.9, 4.9, 0.1),
+        (1.2, 1.0, 4.2, 0.08),
+        (2.5, 0.8, 5.0, 0.12),
+        (3.6, 1.1, 3.9, 0.09),
+    ]
+    evaders = [
+        (0.3, 0.35, "optimal", None),
+        (1.0, 0.5, "constant", 4.0),
+        (1.9, 0.3, "optimal", None),
+        (2.8, 0.45, "random_goal", None),
+        (3.3, 0.6, "constant", 4.4),
+        (4.2, 0.4, "optimal", None),
+    ]
+    return dg.Scenario(
+        pursuers=tuple(
+            dg.PursuerSpec(
+                state=dg.PursuerState(pos=(x, y), theta=th), v=0.3, kappa=0.0625, r=r
+            )
+            for x, y, th, r in pursuers
+        ),
+        evaders=tuple(
+            dg.EvaderSpec(
+                state=dg.EvaderState(pos=(x, y)), v=0.3 / 6.3, strategy=s, heading=h
+            )
+            for x, y, s, h in evaders
+        ),
+        seed=11,
+    )
+
+
+class TestMixedTeamGame:
+    @pytest.fixture(scope="class")
+    def played(self):
+        sc = _mixed_team()
+        cfg = dg.SimConfig(dt=1e-3, max_time=10.0, matching_period=10)
+        return sc, cfg, dg.run(sc, cfg)
+
+    def test_deterministic(self, played):
+        sc, cfg, result = played
+        assert dg.run(sc, cfg) == result
+
+    def test_outcome(self, played):
+        _, _, result = played
+        assert not result.horizon_exceeded
+        assert result.outcome == {j: "captured" for j in range(6)}
+        captures = [e for e in result.events if e.kind == "capture"]
+        assert [(e.pursuer, e.evader) for e in captures] == [
+            (3, 4), (0, 0), (1, 2), (0, 1), (2, 3), (3, 5)
+        ]
+        expected_t = [1.94939238, 2.05652965, 3.54770856, 3.86332014, 4.37980873, 5.49678221]
+        assert [e.t for e in captures] == pytest.approx(expected_t, abs=1e-6)
+
+    def test_an_optimal_evader_flees_its_nearest_pursuer(self, played):
+        _, _, result = played
+        capture_t = {e.evader: e.t for e in result.events if e.kind == "capture"}
+        untargeted = any(
+            t < capture_t[5] and 5 not in {j for _, j in matched + opportunistic}
+            for t, matched, opportunistic in result.matching_history
+        )
+        assert untargeted
+
+    def test_captures_lie_on_the_capture_circle(self, played):
+        sc, _, result = played
+        for e in result.events:
+            if e.kind != "capture":
+                continue
+            rows = result.trajectories[f"P{e.pursuer + 1}"]
+            k = max(n for n, row in enumerate(rows) if row[0] <= e.t)
+            frac = (e.t - rows[k][0]) / (rows[k + 1][0] - rows[k][0])
+            px = rows[k][1] + frac * (rows[k + 1][1] - rows[k][1])
+            py = rows[k][2] + frac * (rows[k + 1][2] - rows[k][2])
+            ev = result.trajectories[f"E{e.evader + 1}"][-1]
+            dist = math.hypot(px - ev[1], py - ev[2])
+            assert dist == pytest.approx(sc.pursuers[e.pursuer].r, abs=1e-8)
