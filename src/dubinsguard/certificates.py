@@ -16,6 +16,7 @@ original one) cross-check it.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -33,8 +34,6 @@ from .geometry import (
 from .model import GameParams, JointState, wrap_angle, wrap_to_pi
 from .numerics import Polynomial, golden_max, max_on_circle, real_roots
 
-_H_CACHE: dict[float, float] = {}
-
 #: Max-norm threshold on the stationarity residual below which a
 #: reconstructed candidate counts as a genuine KKT point.
 KKT_RESIDUAL_TOL = 1e-6
@@ -50,22 +49,19 @@ def _demand_objective(x, y, alpha: float):
     return (y + alpha) / denom + alpha * x * (y + alpha) / denom**1.5
 
 
+@functools.lru_cache(maxsize=256)
 def curvature_demand(alpha: float) -> float:
     """Worst-case turn demand h(alpha): the global maximum over the unit
     circle of the normalized turn-command envelope.
 
     The capture radius must cover kappa times this value for the
-    interception-tracking command to stay admissible.  Memoized: parameter
-    sweeps evaluate it thousands of times per alpha.
+    interception-tracking command to stay admissible.  Memoized for the
+    256 most recently used alphas: a game asks for the same few speed
+    ratios on every certificate, while a sweep uses each of its alphas once.
     """
     if alpha <= 1.0:
         raise ValueError(f"speed ratio must exceed 1, got {alpha}")
-    cached = _H_CACHE.get(alpha)
-    if cached is not None:
-        return cached
-    result = max_on_circle(lambda x, y: _demand_objective(x, y, alpha)).max_value
-    _H_CACHE[alpha] = result
-    return result
+    return max_on_circle(lambda x, y: _demand_objective(x, y, alpha)).max_value
 
 
 def curvature_demand_bound(alpha: float) -> float:

@@ -23,7 +23,6 @@ from .model import (
     PursuerSpec,
     PursuerState,
     Scenario,
-    validate_scenario,
 )
 from .numerics import Polynomial, real_roots
 from .sim import SimConfig, run
@@ -49,7 +48,12 @@ def _require_number(entry: dict, key: str, where: str) -> float:
 
 def parse_scenario(doc: dict) -> Scenario:
     """Build a Scenario from a parsed JSON document, rejecting unknown keys
-    and reporting the offending field on error."""
+    and reporting the offending field on error.
+
+    Field values (motion kind, strategy, heading) are checked by
+    ``PursuerSpec``/``EvaderSpec``; the deployment rules by
+    ``model.validate_scenario``, which ``sim.run`` applies.
+    """
     if not isinstance(doc, dict):
         raise ScenarioFormatError("top level must be an object")
     unknown = set(doc) - {"goal", "pursuers", "evaders", "seed"}
@@ -69,9 +73,6 @@ def parse_scenario(doc: dict) -> Scenario:
         unknown = set(entry) - _PURSUER_KEYS
         if unknown:
             raise ScenarioFormatError(f"{where}: unknown keys {sorted(unknown)}")
-        model = entry.get("model", "dubins")
-        if model not in ("dubins", "simple"):
-            raise ScenarioFormatError(f"{where}.model: expected dubins|simple, got {model!r}")
         try:
             pursuers.append(
                 PursuerSpec(
@@ -81,7 +82,7 @@ def parse_scenario(doc: dict) -> Scenario:
                         ),
                         theta=_require_number(entry, "theta", where),
                     ),
-                    motion=model,
+                    motion=entry.get("model", "dubins"),
                     v=_require_number(entry, "speed", where),
                     kappa=_require_number(entry, "kappa", where),
                     r=_require_number(entry, "capture_radius", where),
@@ -98,11 +99,6 @@ def parse_scenario(doc: dict) -> Scenario:
         unknown = set(entry) - _EVADER_KEYS
         if unknown:
             raise ScenarioFormatError(f"{where}: unknown keys {sorted(unknown)}")
-        strategy = entry.get("strategy", "random_goal")
-        if strategy not in ("optimal", "constant", "random_goal"):
-            raise ScenarioFormatError(
-                f"{where}.strategy: expected optimal|constant|random_goal, got {strategy!r}"
-            )
         heading = None
         if "heading" in entry:
             heading = _require_number(entry, "heading", where)
@@ -115,7 +111,7 @@ def parse_scenario(doc: dict) -> Scenario:
                         )
                     ),
                     v=_require_number(entry, "speed", where),
-                    strategy=strategy,
+                    strategy=entry.get("strategy", "random_goal"),
                     heading=heading,
                 )
             )
@@ -222,11 +218,6 @@ def cmd_run(args) -> int:
             matching_period=args.matching_period,
             sticky=args.sticky,
         )
-        violations = validate_scenario(sc)
-        if violations:
-            for violation in violations:
-                print(f"error: {violation}", file=sys.stderr)
-            return 1
         result = run(sc, cfg)
     except (ScenarioFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,60 +1,69 @@
 """Receding-horizon multiplayer game loop.
 
-Every step (or every ``matching_period`` steps) the win graph over all
-active pairs is rebuilt, a maximum matching assigns pursuers to evaders, and
-leftover pursuers chase the nearest unmatched evader.  Evader controls are
-computed first and fed to the pursuer strategies; both teams are integrated
-exactly under zero-order-hold controls; capture and goal-arrival crossings
-are located by linear interpolation inside the step.  The pair distances are
-one ``(n_p, n_e)`` array per step, shared by the capture screen and by the
-nearest-pursuer choice of ``optimal`` evaders.  A ``dt`` long enough for a
-pursuer and an evader to close a capture radius in one step is refused.
+``run`` validates the scenario, then repeats five stages over one per-game
+state object until no evader is in play or the horizon is reached:
+
+- assign: every step (or every ``matching_period`` steps) the win graph over
+  all active pairs is rebuilt, a maximum matching assigns pursuers to
+  evaders, and leftover pursuers chase the nearest unmatched evader;
+- controls: evader controls first, then the pursuers', which observe them.
+  Every car runs ``strategies.two_step``, the one adjust-then-intercept
+  phase machine; the simulator snaps a car's heading onto the interception
+  angle when its phase switches, and logs ``io_achieved``;
+- record: one trajectory row per agent;
+- integrate: both teams move exactly under zero-order-hold controls, and
+  intercepting cars are re-snapped against integration drift;
+- detect: capture and goal-arrival crossings are located by linear
+  interpolation inside the step.
+
+The pair distances are one ``(n_p, n_e)`` array per step, shared by the
+capture screen and by the nearest-pursuer choice of ``optimal`` evaders.  A
+``dt`` long enough for a pursuer and an evader to close a capture radius in
+one step is refused.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
 
-from .certificates import CertificateKind, intercept_feasible
-from .geometry import heading_error, interception
+from .certificates import CertificateKind
+from .geometry import IO_TOL, interception
 from .matching import assign, build_graph, max_matching
 from .model import (
     DUBINS,
     EvaderState,
-    GameParams,
     JointState,
     PursuerState,
     Scenario,
     step_evader,
     step_pursuer,
     validate_scenario,
+    wrap_to_pi,
 )
 from .strategies import (
     ClampDiagnostics,
+    Phase,
+    TwoStepState,
     evader_constant,
     evader_optimal,
     evader_random_goal,
-    heading_adjust,
-    pursuit_intercept,
     pursuit_simple,
+    two_step,
 )
 
 ACTIVE = "active"
 CAPTURED = "captured"
 REACHED_GOAL = "reached_goal"
 
-MODE_INTERCEPT = "intercept"
-MODE_ADJUST = "adjust"
-MODE_SIMPLE = "simple"
-
-#: Heading drift band inside which the interception-tracking mode re-snaps
-#: the stored heading to the interception angle after each step.  The
-#: continuous strategy keeps the alignment invariant exactly; the snap
-#: removes the O(dt^2) integration noise that would otherwise accumulate.
+#: Heading drift band, in units of ``IO_TOL``, inside which an intercepting
+#: car's stored heading is re-snapped to the interception angle after each
+#: step.  The continuous strategy keeps the alignment invariant exactly; the
+#: snap removes the O(dt^2) integration noise that would otherwise accumulate.
 SNAP_FACTOR = 10.0
 
 
@@ -63,7 +72,6 @@ class SimConfig:
     dt: float = 1e-3
     max_time: float = 20.0
     matching_period: int = 1
-    io_tol: float = 1e-6
     sticky: bool = False
     seed: int | None = None
 
@@ -147,19 +155,12 @@ def _positions(states) -> np.ndarray:
     return np.array([s.pos for s in states])
 
 
-def run(sc: Scenario, cfg: SimConfig) -> SimResult:
-    """Play the scenario out; returns trajectories, events and outcomes.
+def _heading(u) -> float | None:
+    """Trajectory ``u`` column of a simple-motion control: its heading."""
+    return None if u is None else math.atan2(u[1], u[0])
 
-    Terminates when no active evader remains in the play region or the time
-    horizon is exceeded (reported via ``horizon_exceeded``, not raised).
-    Deterministic: identical inputs give identical results bit for bit.
 
-    Captures are detected from the pair distances at the ends of each step.
-    A ``dt`` with ``(v_i + max_j v_e_j) * dt >= r_i`` for some pursuer ``i``
-    is refused (``ValueError``): a head-on pass could then jump the capture
-    disk between two steps.  At an accepted ``dt`` a grazing pass whose chord
-    through the capture disk is shorter than one step can still be missed.
-    """
+def _validate(sc: Scenario, cfg: SimConfig):
     if not sc.pursuers or not sc.evaders:
         raise ValueError("scenario needs at least one pursuer and one evader")
     violations = validate_scenario(sc)
@@ -175,72 +176,84 @@ def run(sc: Scenario, cfg: SimConfig) -> SimResult:
                 f"radius r={spec.r:g}"
             )
 
-    n_p = len(sc.pursuers)
-    n_e = len(sc.evaders)
-    rng = np.random.default_rng(sc.seed if cfg.seed is None else cfg.seed)
 
-    pursuers = [spec.state for spec in sc.pursuers]
-    evaders = [spec.state for spec in sc.evaders]
-    e_status = [ACTIVE] * n_e
-    e_heading: list[float | None] = []
-    for j, spec in enumerate(sc.evaders):
-        if spec.strategy == "constant":
-            e_heading.append(float(spec.heading))
-        elif spec.strategy == "random_goal":
-            e_heading.append(evader_random_goal(evaders[j].pos, rng))
-        else:
-            e_heading.append(None)
+class _Game:
+    """State of one game in play, with one method per simulator stage.
 
-    params: dict[tuple[int, int], GameParams] = {
-        (i, j): sc.pair_params(i, j) for i in range(n_p) for j in range(n_e)
-    }
-    motion = {i: sc.pursuers[i].motion for i in range(n_p)}
-    # Stepping reads only an agent's own constants: its speed, and for a car
-    # its turning radius.
-    p_own = [SimpleNamespace(v_p=spec.v, kappa=spec.kappa) for spec in sc.pursuers]
-    e_own = [SimpleNamespace(v_e=spec.v) for spec in sc.evaders]
-    radii = np.array([spec.r for spec in sc.pursuers])
+    ``phases[i]`` is car ``i``'s ``TwoStepState``, or None for a
+    simple-motion pursuer.
+    """
 
-    target: list[int | None] = [None] * n_p
-    mode = [MODE_SIMPLE if motion[i] != DUBINS else MODE_ADJUST for i in range(n_p)]
-    last_err: list[float | None] = [None] * n_p
+    def __init__(self, sc: Scenario, cfg: SimConfig):
+        self.sc = sc
+        self.cfg = cfg
+        self.n_p = n_p = len(sc.pursuers)
+        self.n_e = n_e = len(sc.evaders)
+        rng = np.random.default_rng(sc.seed if cfg.seed is None else cfg.seed)
 
-    diag = ClampDiagnostics()
-    events: list[Event] = []
-    matching_history: list[tuple[float, tuple, tuple]] = []
-    trajectories: dict[str, list[tuple]] = {}
-    for i in range(n_p):
-        trajectories[f"P{i + 1}"] = []
-    for j in range(n_e):
-        trajectories[f"E{j + 1}"] = []
+        self.pursuers = [spec.state for spec in sc.pursuers]
+        self.evaders = [spec.state for spec in sc.evaders]
+        self.status = [ACTIVE] * n_e
+        self.e_heading: list[float | None] = []
+        for j, spec in enumerate(sc.evaders):
+            if spec.strategy == "constant":
+                self.e_heading.append(float(spec.heading))
+            elif spec.strategy == "random_goal":
+                self.e_heading.append(evader_random_goal(self.evaders[j].pos, rng))
+            else:
+                self.e_heading.append(None)
 
-    prev_matched: dict[int, int] = {}
-    matched: dict[int, int] = {}
-    opportunistic: dict[int, int] = {}
+        self.params = {(i, j): sc.pair_params(i, j) for i in range(n_p) for j in range(n_e)}
+        self.motion = {i: spec.motion for i, spec in enumerate(sc.pursuers)}
+        # Stepping reads only an agent's own constants: its speed, and for a
+        # car its turning radius.
+        self.p_own = [SimpleNamespace(v_p=spec.v, kappa=spec.kappa) for spec in sc.pursuers]
+        self.e_own = [SimpleNamespace(v_e=spec.v) for spec in sc.evaders]
+        self.radii = np.array([spec.r for spec in sc.pursuers])
 
-    def refresh_assignment(t: float):
-        nonlocal matched, opportunistic, prev_matched, target, mode, last_err
-        active = [j for j in range(n_e) if e_status[j] == ACTIVE]
+        self.target: list[int | None] = [None] * n_p
+        self.phases: list[TwoStepState | None] = [
+            TwoStepState() if spec.motion == DUBINS else None for spec in sc.pursuers
+        ]
+        self.matched: dict[int, int] = {}
+
+        self.t = 0.0
+        self.diag = ClampDiagnostics()
+        self.events: list[Event] = []
+        self.matching_history: list[tuple[float, tuple, tuple]] = []
+        self.p_rows: list[list[tuple]] = [[] for _ in range(n_p)]
+        self.e_rows: list[list[tuple]] = [[] for _ in range(n_e)]
+        # Pair distances at the current positions: computed here and after
+        # each step's integration and heading re-snap.  Evaders leaving play
+        # are then moved to their event points, but their columns are never
+        # read again.
+        self.e_pos = _positions(self.evaders)
+        self.dist = pair_distances(_positions(self.pursuers), self.e_pos)
+
+    def assign(self):
+        """Rebuild the win graph, re-match, and retarget the pursuers.  A
+        car with a new target starts intercepting if its edge is an
+        ``INTERCEPT`` certificate and adjusting otherwise."""
+        n_p, n_e = self.n_p, self.n_e
+        active = [j for j in range(n_e) if self.status[j] == ACTIVE]
         pair_states = {
-            (i, j): JointState(pursuer=pursuers[i], evader=evaders[j])
+            (i, j): JointState(pursuer=self.pursuers[i], evader=self.evaders[j])
             for i in range(n_p)
             for j in active
         }
-        graph = build_graph(pair_states, params, n_p, n_e, motion)
-        if cfg.sticky:
+        graph = build_graph(pair_states, self.params, n_p, n_e, self.motion)
+        if self.cfg.sticky:
             kept = {
                 i: j
-                for i, j in matched.items()
-                if (i, j) in graph.edges and e_status[j] == ACTIVE
+                for i, j in self.matched.items()
+                if (i, j) in graph.edges and self.status[j] == ACTIVE
             }
             residual_edges = {
                 (i, j): c
                 for (i, j), c in graph.edges.items()
                 if i not in kept and j not in kept.values()
             }
-            residual = type(graph)(
-                n_pursuers=n_p, n_evaders=n_e, edges=residual_edges
-            )
+            residual = type(graph)(n_pursuers=n_p, n_evaders=n_e, edges=residual_edges)
             new_matched = dict(kept)
             new_matched.update(max_matching(residual))
         else:
@@ -248,245 +261,188 @@ def run(sc: Scenario, cfg: SimConfig) -> SimResult:
         assignment = assign(
             graph,
             new_matched,
-            [pursuers[i].pos for i in range(n_p)],
-            {j: evaders[j].pos for j in active},
+            [state.pos for state in self.pursuers],
+            {j: self.evaders[j].pos for j in active},
         )
-        matched = assignment.matched
-        opportunistic = assignment.opportunistic
-        if matched != prev_matched:
-            events.append(
-                Event(
-                    t=t,
-                    kind="matching_changed",
-                    detail=tuple(sorted(matched.items())),
-                )
+        matched, opportunistic = assignment.matched, assignment.opportunistic
+        if matched != self.matched:
+            self.events.append(
+                Event(t=self.t, kind="matching_changed", detail=tuple(sorted(matched.items())))
             )
-            prev_matched = dict(matched)
-        matching_history.append(
-            (t, tuple(sorted(matched.items())), tuple(sorted(opportunistic.items())))
+            self.matched = dict(matched)
+        self.matching_history.append(
+            (self.t, tuple(sorted(matched.items())), tuple(sorted(opportunistic.items())))
         )
         for i in range(n_p):
             new_target = matched.get(i, opportunistic.get(i))
-            if new_target != target[i]:
-                target[i] = new_target
-                last_err[i] = None
-                if motion[i] != DUBINS:
-                    mode[i] = MODE_SIMPLE
-                elif (i, new_target) in graph.edges and graph.edges[
-                    (i, new_target)
-                ].kind is CertificateKind.INTERCEPT:
-                    mode[i] = MODE_INTERCEPT
+            if new_target == self.target[i]:
+                continue
+            self.target[i] = new_target
+            if self.phases[i] is not None:
+                edge = graph.edges.get((i, new_target))
+                if edge is not None and edge.kind is CertificateKind.INTERCEPT:
+                    self.phases[i] = TwoStepState(Phase.INTERCEPTING)
                 else:
-                    mode[i] = MODE_ADJUST
+                    self.phases[i] = TwoStepState()
 
-    t = 0.0
-    step_index = 0
-    horizon_exceeded = False
-    # Pair distances at the current positions: computed before the loop and
-    # after each step's integration and heading re-snap.  Evaders leaving
-    # play are then moved to their event points, but their columns are
-    # never read again.
-    e_pos = _positions(evaders)
-    dist = pair_distances(_positions(pursuers), e_pos)
+    def live_target(self, i: int) -> int | None:
+        """Pursuer ``i``'s target, if that evader is still in play."""
+        j = self.target[i]
+        return j if j is not None and self.status[j] == ACTIVE else None
 
-    while True:
-        if step_index % cfg.matching_period == 0:
-            refresh_assignment(t)
-
-        # Evasion team first: the pursuit side observes these controls.
+    def evader_controls(self) -> list[np.ndarray | None]:
+        """Unit controls of the active evaders (None for the others).  An
+        ``optimal`` evader flees its first assigned pursuer, or else its
+        first nearest one."""
         assigned_to: dict[int, int] = {}
-        for i in range(n_p):
-            if target[i] is not None and target[i] not in assigned_to:
-                assigned_to[target[i]] = i
-        e_controls: list[np.ndarray | None] = [None] * n_e
-        for j in range(n_e):
-            if e_status[j] != ACTIVE:
-                continue
-            spec = sc.evaders[j]
-            if spec.strategy == "optimal":
-                i_ref = assigned_to.get(j)
-                if i_ref is None:
-                    i_ref = int(np.argmin(dist[:, j]))  # first nearest pursuer
-                e_controls[j] = evader_optimal(
-                    JointState(pursuer=pursuers[i_ref], evader=evaders[j]),
-                    params[(i_ref, j)],
-                )
+        for i, j in enumerate(self.target):
+            if j is not None:
+                assigned_to.setdefault(j, i)
+        controls: list[np.ndarray | None] = []
+        for j, spec in enumerate(self.sc.evaders):
+            if self.status[j] != ACTIVE:
+                controls.append(None)
+            elif spec.strategy == "optimal":
+                i = assigned_to.get(j)
+                if i is None:
+                    i = int(np.argmin(self.dist[:, j]))
+                pair = JointState(pursuer=self.pursuers[i], evader=self.evaders[j])
+                controls.append(evader_optimal(pair, self.params[(i, j)]))
             else:
-                e_controls[j] = evader_constant(e_heading[j])
+                controls.append(evader_constant(self.e_heading[j]))
+        return controls
 
-        p_controls: list[float | np.ndarray | None] = [None] * n_p
-        for i in range(n_p):
-            j = target[i]
-            if j is None or e_status[j] != ACTIVE:
-                p_controls[i] = None if motion[i] != DUBINS else 0.0
+    def pursuer_controls(self, e_controls) -> list[float | np.ndarray | None]:
+        """Turn commands of the cars (0.0 without a live target) and unit
+        controls of the simple-motion pursuers (None without one)."""
+        controls: list[float | np.ndarray | None] = []
+        for i, phase in enumerate(self.phases):
+            j = self.live_target(i)
+            if j is None:
+                controls.append(None if phase is None else 0.0)
                 continue
-            pair = JointState(pursuer=pursuers[i], evader=evaders[j])
-            pr = params[(i, j)]
-            if motion[i] != DUBINS:
-                p_controls[i] = pursuit_simple(pursuers[i].pos, evaders[j].pos, pr.alpha)
+            pr = self.params[(i, j)]
+            car, evader = self.pursuers[i], self.evaders[j]
+            if phase is None:
+                controls.append(pursuit_simple(car.pos, evader.pos, pr.alpha))
                 continue
-            if mode[i] == MODE_ADJUST:
-                err = heading_error(pair, pr)
-                aligned = abs(err) <= cfg.io_tol
-                if not aligned and last_err[i] is not None:
-                    aligned = (
-                        (err > 0.0) != (last_err[i] > 0.0)
-                        and abs(err) < 0.5 * math.pi
-                        and abs(last_err[i]) < 0.5 * math.pi
-                    )
-                # switching to interception tracking also needs the
-                # curvature-feasibility parameter check
-                if aligned and not intercept_feasible(pr.r, pr.kappa, pr.alpha):
-                    aligned = False
-                if aligned:
-                    snapped = interception(pursuers[i].pos, evaders[j].pos, pr.alpha)
-                    pursuers[i] = PursuerState(pos=pursuers[i].pos, theta=snapped.angle)
-                    pair = JointState(pursuer=pursuers[i], evader=evaders[j])
-                    mode[i] = MODE_INTERCEPT
-                    last_err[i] = None
-                    events.append(Event(t=t, kind="io_achieved", pursuer=i, evader=j))
-                else:
-                    last_err[i] = err
-            if mode[i] == MODE_INTERCEPT:
-                p_controls[i] = pursuit_intercept(pair, e_controls[j], pr, diag)
+            pair = JointState(pursuer=car, evader=evader)
+            u, self.phases[i] = two_step(pair, e_controls[j], pr, phase, self.diag)
+            if self.phases[i].phase is not phase.phase:
+                angle = interception(car.pos, evader.pos, pr.alpha).angle
+                self.pursuers[i] = PursuerState(pos=car.pos, theta=angle)
+                self.events.append(Event(t=self.t, kind="io_achieved", pursuer=i, evader=j))
+            controls.append(u)
+        return controls
+
+    def record(self, p_controls, e_controls):
+        """Append one trajectory row per agent at the current time."""
+        for i, state in enumerate(self.pursuers):
+            phase = self.phases[i]
+            if phase is None:
+                u, mode = _heading(p_controls[i]), "simple"
+            elif phase.phase is Phase.INTERCEPTING:
+                u, mode = p_controls[i], "intercept"
             else:
-                p_controls[i] = heading_adjust(pair, pr)
+                u, mode = p_controls[i], "adjust"
+            x, y = map(float, state.pos)
+            self.p_rows[i].append((self.t, x, y, state.theta, u, mode, ACTIVE, self.target[i]))
+        for j, state in enumerate(self.evaders):
+            x, y = map(float, state.pos)
+            u, strategy = _heading(e_controls[j]), self.sc.evaders[j].strategy
+            self.e_rows[j].append((self.t, x, y, None, u, strategy, self.status[j], None))
 
-        for i in range(n_p):
-            u = p_controls[i]
-            if motion[i] == DUBINS:
-                row_u = u
-                theta = pursuers[i].theta
-            else:
-                row_u = None if u is None else math.atan2(u[1], u[0])
-                theta = pursuers[i].theta
-            trajectories[f"P{i + 1}"].append(
-                (
-                    t,
-                    float(pursuers[i].pos[0]),
-                    float(pursuers[i].pos[1]),
-                    theta,
-                    row_u,
-                    mode[i],
-                    ACTIVE,
-                    target[i],
-                )
-            )
-        for j in range(n_e):
-            u = e_controls[j]
-            row_u = None if u is None else math.atan2(u[1], u[0])
-            trajectories[f"E{j + 1}"].append(
-                (
-                    t,
-                    float(evaders[j].pos[0]),
-                    float(evaders[j].pos[1]),
-                    None,
-                    row_u,
-                    sc.evaders[j].strategy,
-                    e_status[j],
-                    None,
-                )
-            )
-
-        prev_dist, prev_e_pos = dist, e_pos
-
-        # Integrate under zero-order hold.
-        for i in range(n_p):
-            u = p_controls[i]
-            if motion[i] == DUBINS:
-                pursuers[i] = step_pursuer(pursuers[i], u, cfg.dt, p_own[i])
+    def integrate(self, p_controls, e_controls):
+        """Advance both teams by one step under zero-order hold, then re-snap
+        the intercepting cars' alignment invariant against integration
+        drift."""
+        dt = self.cfg.dt
+        for i, u in enumerate(p_controls):
+            if self.phases[i] is not None:
+                self.pursuers[i] = step_pursuer(self.pursuers[i], u, dt, self.p_own[i])
             elif u is not None:
-                pursuers[i] = PursuerState(
-                    pos=pursuers[i].pos + p_own[i].v_p * cfg.dt * u,
+                self.pursuers[i] = PursuerState(
+                    pos=self.pursuers[i].pos + self.p_own[i].v_p * dt * u,
                     theta=math.atan2(u[1], u[0]),
                 )
-        for j in range(n_e):
-            if e_status[j] == ACTIVE and e_controls[j] is not None:
-                evaders[j] = step_evader(evaders[j], e_controls[j], cfg.dt, e_own[j])
+        for j, u in enumerate(e_controls):
+            if u is not None:
+                self.evaders[j] = step_evader(self.evaders[j], u, dt, self.e_own[j])
 
-        # Re-snap the alignment invariant against integration drift.
-        for i in range(n_p):
-            j = target[i]
-            if (
-                motion[i] == DUBINS
-                and mode[i] == MODE_INTERCEPT
-                and j is not None
-                and e_status[j] == ACTIVE
-            ):
-                pair = JointState(pursuer=pursuers[i], evader=evaders[j])
-                err = heading_error(pair, params[(i, j)])
-                if 0.0 < abs(err) <= SNAP_FACTOR * cfg.io_tol:
-                    data = interception(
-                        pursuers[i].pos, evaders[j].pos, params[(i, j)].alpha
-                    )
-                    pursuers[i] = PursuerState(pos=pursuers[i].pos, theta=data.angle)
+        for i, phase in enumerate(self.phases):
+            j = self.live_target(i)
+            if j is None or phase is None or phase.phase is not Phase.INTERCEPTING:
+                continue
+            car = self.pursuers[i]
+            angle = interception(car.pos, self.evaders[j].pos, self.params[(i, j)].alpha).angle
+            if 0.0 < abs(wrap_to_pi(angle - car.theta)) <= SNAP_FACTOR * IO_TOL:
+                self.pursuers[i] = PursuerState(pos=car.pos, theta=angle)
 
-        # Event detection: capture before goal arrival, earlier fraction wins.
-        e_pos = _positions(evaders)
-        dist = pair_distances(_positions(pursuers), e_pos)
-        active = np.array([status == ACTIVE for status in e_status])
-        captures = detect_captures(prev_dist, dist, radii, active)
-        for j in range(n_e):
-            if e_status[j] != ACTIVE:
+    def detect(self):
+        """Refresh the pair distances and end the play of every evader that
+        was captured or reached the goal during the step: capture before
+        goal arrival, earlier fraction wins.  The evader is moved to its
+        event point."""
+        prev_dist, prev_e_pos = self.dist, self.e_pos
+        self.e_pos = _positions(self.evaders)
+        self.dist = pair_distances(_positions(self.pursuers), self.e_pos)
+        active = np.array([status == ACTIVE for status in self.status])
+        captures = detect_captures(prev_dist, self.dist, self.radii, active)
+        for j in range(self.n_e):
+            if self.status[j] != ACTIVE:
                 continue
             cap_frac, cap_by = captures.get(j, (None, None))
-            goal_frac = detect_crossing(float(prev_e_pos[j, 1]), float(e_pos[j, 1]), 0.0)
+            goal_frac = detect_crossing(float(prev_e_pos[j, 1]), float(self.e_pos[j, 1]), 0.0)
             if cap_frac is not None and (goal_frac is None or cap_frac <= goal_frac):
-                t_event = t + cap_frac * cfg.dt
-                e_status[j] = CAPTURED
-                evaders[j] = EvaderState(
-                    pos=prev_e_pos[j] + cap_frac * (evaders[j].pos - prev_e_pos[j])
-                )
-                events.append(Event(t=t_event, kind="capture", pursuer=cap_by, evader=j))
+                frac, status, kind, by = cap_frac, CAPTURED, "capture", cap_by
             elif goal_frac is not None:
-                t_event = t + goal_frac * cfg.dt
-                e_status[j] = REACHED_GOAL
-                evaders[j] = EvaderState(
-                    pos=prev_e_pos[j] + goal_frac * (evaders[j].pos - prev_e_pos[j])
-                )
-                events.append(Event(t=t_event, kind="goal_arrival", evader=j))
-
-        t += cfg.dt
-        step_index += 1
-        if all(status != ACTIVE for status in e_status):
-            break
-        if t >= cfg.max_time - 1e-15:
-            horizon_exceeded = True
-            break
-
-    for i in range(n_p):
-        trajectories[f"P{i + 1}"].append(
-            (
-                t,
-                float(pursuers[i].pos[0]),
-                float(pursuers[i].pos[1]),
-                pursuers[i].theta,
-                None,
-                mode[i],
-                ACTIVE,
-                target[i],
+                frac, status, kind, by = goal_frac, REACHED_GOAL, "goal_arrival", None
+            else:
+                continue
+            self.status[j] = status
+            start = prev_e_pos[j]
+            self.evaders[j] = EvaderState(pos=start + frac * (self.evaders[j].pos - start))
+            self.events.append(
+                Event(t=self.t + frac * self.cfg.dt, kind=kind, pursuer=by, evader=j)
             )
-        )
-    for j in range(n_e):
-        trajectories[f"E{j + 1}"].append(
-            (
-                t,
-                float(evaders[j].pos[0]),
-                float(evaders[j].pos[1]),
-                None,
-                None,
-                sc.evaders[j].strategy,
-                e_status[j],
-                None,
-            )
-        )
 
+
+def run(sc: Scenario, cfg: SimConfig) -> SimResult:
+    """Play the scenario out; returns trajectories, events and outcomes.
+
+    Terminates when no active evader remains in the play region or the time
+    horizon is exceeded (reported via ``horizon_exceeded``, not raised).
+    Deterministic: identical inputs give identical results bit for bit.
+
+    Captures are detected from the pair distances at the ends of each step.
+    A ``dt`` with ``(v_i + max_j v_e_j) * dt >= r_i`` for some pursuer ``i``
+    is refused (``ValueError``): a head-on pass could then jump the capture
+    disk between two steps.  At an accepted ``dt`` a grazing pass whose chord
+    through the capture disk is shorter than one step can still be missed.
+    """
+    _validate(sc, cfg)
+    game = _Game(sc, cfg)
+    for step_index in itertools.count():
+        if step_index % cfg.matching_period == 0:
+            game.assign()
+        e_controls = game.evader_controls()
+        p_controls = game.pursuer_controls(e_controls)
+        game.record(p_controls, e_controls)
+        game.integrate(p_controls, e_controls)
+        game.detect()
+        game.t += cfg.dt
+        if ACTIVE not in game.status or game.t >= cfg.max_time - 1e-15:
+            break
+
+    game.record([None] * game.n_p, [None] * game.n_e)
+    trajectories = {f"P{i + 1}": rows for i, rows in enumerate(game.p_rows)}
+    trajectories.update({f"E{j + 1}": rows for j, rows in enumerate(game.e_rows)})
     return SimResult(
         trajectories=trajectories,
-        events=events,
-        outcome={j: e_status[j] for j in range(n_e)},
-        matching_history=matching_history,
-        horizon_exceeded=horizon_exceeded,
-        clamp_events=diag.events,
-        clamp_max_excess=diag.max_excess,
+        events=game.events,
+        outcome=dict(enumerate(game.status)),
+        matching_history=game.matching_history,
+        horizon_exceeded=ACTIVE in game.status,
+        clamp_events=game.diag.events,
+        clamp_max_excess=game.diag.max_excess,
     )

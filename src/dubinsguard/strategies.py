@@ -4,8 +4,10 @@ Pursuer side: aim straight at the interception point (simple motion), track
 it with a turn-rate command synthesized from the evader's current control
 (car with separation and alignment established), or swing the heading toward
 the interception angle at full turn rate (alignment not yet established).
-Evader side: head for the interception point (the unique best response), or
-hold a constant heading.
+``two_step`` composes the last two into the car's adjust-then-intercept
+phase machine, the one the simulator runs for every car.  Evader side: head
+for the interception point (the unique best response), or hold a constant
+heading.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .certificates import intercept_feasible
 from .geometry import IO_TOL, heading_error, interception
 from .model import GameParams, JointState
 
@@ -156,16 +159,21 @@ def pursuit_intercept(
     return u
 
 
+def _turn_toward(err: float, tol_pi: float = OPPOSITE_TOL) -> float:
+    """Full turn command for the wrapped heading error ``err``: the shorter
+    angular sweep, clockwise within ``tol_pi`` of exactly opposite."""
+    if abs(abs(err) - math.pi) <= tol_pi:
+        return -1.0
+    return 1.0 if math.sin(err) > 0.0 else -1.0
+
+
 def heading_adjust(state: JointState, p: GameParams, tol_pi: float = OPPOSITE_TOL) -> float:
     """Full turn command toward the interception angle.
 
     Turns in the direction of the shorter angular sweep; when the error is
     within ``tol_pi`` of exactly opposite, turns clockwise.
     """
-    err = heading_error(state, p)
-    if abs(abs(err) - math.pi) <= tol_pi:
-        return -1.0
-    return 1.0 if math.sin(err) > 0.0 else -1.0
+    return _turn_toward(heading_error(state, p), tol_pi)
 
 
 def two_step(
@@ -173,29 +181,31 @@ def two_step(
     u_e,
     p: GameParams,
     mode: TwoStepState,
-    tol: float = IO_TOL,
+    diag: ClampDiagnostics | None = None,
 ) -> tuple[float, TwoStepState]:
     """Two-step pursuit: adjust the heading until alignment, then intercept.
 
     Returns the turn command and the updated phase state.  The transition
-    fires once, when the wrapped heading error first enters the tolerance
-    band or crosses zero between consecutive calls; on transition the caller
-    should snap the stored heading to the interception angle (the error at
-    the detected instant is below the step resolution).
+    fires once, when the wrapped heading error first enters the ``IO_TOL``
+    band or crosses zero between consecutive calls, and only if the
+    parameters pass ``intercept_feasible`` (r >= kappa * h(alpha)); while
+    they fail it the car keeps adjusting.  Clamped tracking commands are
+    recorded on ``diag``.  On transition the caller should snap the stored
+    heading to the interception angle (the error at the detected instant is
+    below the step resolution); the tracking command reads only positions,
+    so it does not change with the snap.
     """
     if mode.phase is Phase.INTERCEPTING:
-        return pursuit_intercept(state, u_e, p), mode
+        return pursuit_intercept(state, u_e, p, diag), mode
 
     err = heading_error(state, p)
-    aligned = abs(err) <= tol
+    aligned = abs(err) <= IO_TOL
     if not aligned and mode.last_error is not None:
-        crossed = (
+        aligned = (
             (err > 0.0) != (mode.last_error > 0.0)
             and abs(err) < 0.5 * math.pi
             and abs(mode.last_error) < 0.5 * math.pi
         )
-        aligned = crossed
-    if aligned:
-        new_mode = TwoStepState(phase=Phase.INTERCEPTING, last_error=None)
-        return pursuit_intercept(state, u_e, p), new_mode
-    return heading_adjust(state, p), replace(mode, last_error=err)
+    if aligned and intercept_feasible(p.r, p.kappa, p.alpha):
+        return pursuit_intercept(state, u_e, p, diag), TwoStepState(Phase.INTERCEPTING)
+    return _turn_toward(err), replace(mode, last_error=err)

@@ -36,7 +36,7 @@ def report(number, description, budget=None):
 def test_criterion_01_reference_parameter_checks():
     from dubinsguard import certificates
 
-    certificates._H_CACHE.clear()
+    certificates.curvature_demand.cache_clear()
     with report(1, "reference parameters pass both feasibility checks", budget=1.0):
         assert dg.curvature_demand_bound(6.3) == pytest.approx(0.412958, abs=1e-6)
         assert dg.heading_adjust_ratio(6.3) == pytest.approx(1.595987, abs=1e-6)

@@ -21,6 +21,18 @@ class TestParameterCurves:
             assert h >= 1.0 / (alpha - 1.0) - 1e-9
         assert 0.18868 <= dg.curvature_demand(6.3) <= 0.41296
 
+    def test_demand_memo_is_bounded_and_exact(self):
+        from dubinsguard import certificates
+
+        alphas = [1.5 + 0.01 * k for k in range(1000)]
+        values = [dg.curvature_demand(alpha) for alpha in alphas]
+        assert dg.curvature_demand.cache_info().currsize <= 256
+        for alpha, value in zip(alphas[::37], values[::37]):
+            uncached = dg.max_on_circle(
+                lambda x, y: certificates._demand_objective(x, y, alpha)
+            ).max_value
+            assert value == uncached
+
     def test_demand_rejects_unit_ratio(self):
         with pytest.raises(ValueError):
             dg.curvature_demand(1.0)

@@ -54,6 +54,12 @@ class TestScenarioFormat:
         with pytest.raises(cli.ScenarioFormatError, match="strategy"):
             cli.parse_scenario(doc)
 
+    def test_bad_model_names_the_location(self, golden_path):
+        doc = json.loads(open(golden_path).read())
+        doc["pursuers"][0]["model"] = "tank"
+        with pytest.raises(cli.ScenarioFormatError, match=r"pursuers\[0\].*motion kind"):
+            cli.parse_scenario(doc)
+
     def test_constant_strategy_requires_heading(self, golden_path):
         doc = json.load(open(golden_path))
         doc["evaders"][0]["strategy"] = "constant"
@@ -117,6 +123,18 @@ class TestCmdRun:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "dt=0.5" in err
+
+    def test_evader_inside_a_capture_disk_is_input_error(self, golden_path, tmp_path, capsys):
+        doc = json.loads(open(golden_path).read())
+        pursuer = doc["pursuers"][0]
+        doc["evaders"][0]["x"] = pursuer["x"] + 0.5 * pursuer["capture_radius"]
+        doc["evaders"][0]["y"] = pursuer["y"]
+        path = tmp_path / "inside.json"
+        path.write_text(json.dumps(doc))
+        code = cli.main(["run", "--scenario", str(path), "--max-time", "1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "inside capture disk" in err
 
     def test_small_horizon_gives_exit_two(self, golden_path):
         code = cli.main(

@@ -1,4 +1,5 @@
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -209,6 +210,42 @@ class TestGoldenNarrative:
         ]
         assert adjust_commands
         assert all(u in (-1.0, 1.0) for u in adjust_commands)
+
+
+#: Events of the bundled 5v5 at dt=1e-3, max_time=8, matching_period=20, as
+#: (kind, pursuer, evader, t), recorded before the simulator drove its cars
+#: through ``strategies.two_step``.
+GOLDEN_5V5_P20_EVENTS = [
+    ("matching_changed", None, None, 0.0),
+    ("io_achieved", 4, 0, 0.1520000000000001),
+    ("io_achieved", 0, 3, 0.1530000000000001),
+    ("io_achieved", 1, 4, 0.6400000000000005),
+    ("matching_changed", None, None, 0.6600000000000005),
+    ("capture", 3, 1, 1.3272629540227086),
+    ("capture", 2, 2, 1.3393631027665764),
+    ("matching_changed", None, None, 1.3399999999999632),
+    ("capture", 0, 3, 1.6624673646456394),
+    ("matching_changed", None, None, 1.6799999999999258),
+    ("io_achieved", 2, 0, 1.6829999999999254),
+    ("io_achieved", 3, 0, 1.6849999999999252),
+    ("io_achieved", 0, 0, 1.8089999999999116),
+    ("capture", 4, 0, 1.8855138391329977),
+    ("capture", 1, 4, 1.8983869036620542),
+]
+
+
+def test_bundled_5v5_reproduces_its_recorded_events():
+    from dubinsguard.cli import load_scenario
+
+    with resources.as_file(
+        resources.files("dubinsguard") / "scenarios" / "5v5_paper.json"
+    ) as path:
+        sc = load_scenario(path)
+    result = dg.run(sc, dg.SimConfig(dt=1e-3, max_time=8.0, matching_period=20))
+    got = [(e.kind, e.pursuer, e.evader) for e in result.events]
+    assert got == [event[:3] for event in GOLDEN_5V5_P20_EVENTS]
+    times = [e.t for e in result.events]
+    assert times == pytest.approx([event[3] for event in GOLDEN_5V5_P20_EVENTS], abs=1e-9)
 
 
 class TestCertifiedPairsNeverLoseGoal:

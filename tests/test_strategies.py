@@ -136,6 +136,40 @@ class TestTwoStep:
         _, mode2 = dg.two_step(state, u_e, paper, mode)
         assert mode2 is mode
 
+    def test_infeasible_parameters_keep_adjusting(self, paper):
+        # aligned, but r < kappa * h(alpha): the tracking command is not
+        # admissible, so the car must not switch
+        tiny_r = dg.GameParams.from_alpha(
+            v_p=paper.v_p, alpha=paper.alpha, kappa=paper.kappa, r=1e-3
+        )
+        assert not dg.intercept_feasible(tiny_r.r, tiny_r.kappa, tiny_r.alpha)
+        state = aligned_state(0, 0.95, 0.35, 0.40, paper.alpha)
+        u, mode = dg.two_step(state, (0, -1), tiny_r, dg.TwoStepState())
+        assert mode.phase is dg.Phase.ADJUSTING
+        assert mode.last_error is not None
+        assert abs(mode.last_error) <= dg.IO_TOL
+        assert u in (-1.0, 1.0)
+
+    def test_intercepting_records_clamps_on_the_given_diagnostics(self):
+        p = dg.GameParams(v_p=2.0, v_e=1.0, kappa=50.0, r=0.1)
+        diag = dg.ClampDiagnostics()
+        mode = dg.TwoStepState(phase=dg.Phase.INTERCEPTING)
+        u, _ = dg.two_step(make_state(0, 1, 0.0, 0, 0), (1, 0), p, mode, diag)
+        assert abs(u) <= 1.0
+        assert diag.events == 1
+        assert diag.max_excess > 1e-9
+
+    def test_adjusting_command_is_the_heading_adjust_law(self, paper):
+        rng = np.random.default_rng(41)
+        for _ in range(200):
+            x_p = rng.uniform(-1, 1, size=2)
+            x_e = x_p + rng.uniform(0.2, 1.0) * rng.normal(size=2)
+            state = make_state(x_p[0], x_p[1], rng.uniform(0, 2 * math.pi), x_e[0], x_e[1])
+            u, mode = dg.two_step(state, (0, -1), paper, dg.TwoStepState())
+            if mode.phase is dg.Phase.ADJUSTING:
+                assert u == dg.heading_adjust(state, paper)
+                assert mode.last_error == dg.heading_error(state, paper)
+
 
 class TestEvaderStrategies:
     def test_optimal_examples(self):
