@@ -51,7 +51,6 @@ from .model import (
     goal_value,
     step_evader,
     step_pursuer,
-    validate_scenario,
     wrap_angle,
     wrap_to_pi,
 )

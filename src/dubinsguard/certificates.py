@@ -26,7 +26,6 @@ from .geometry import (
     IO_TOL,
     aim_bearing,
     aim_point,
-    er_goal_distance,
     goal_gap,
     heading_error,
     lowest_point,
@@ -563,7 +562,6 @@ def certify_win(
     state: JointState,
     p: GameParams,
     motion: str = "dubins",
-    io_tol: float = IO_TOL,
 ) -> Certificate:
     """Decide whether the pursuer has a guaranteed win against the evader
     from this state, and record the predicate values that decided it.
@@ -601,7 +599,7 @@ def certify_win(
         )
 
     err = wrap_to_pi(aim_bearing(x_p, aim_x, aim_y) - state.pursuer.theta)
-    io = abs(err) <= io_tol
+    io = abs(err) <= IO_TOL
     intercept_ok = intercept_feasible(p.r, p.kappa, p.alpha)
     adjust_ok = adjust_feasible(p.r, p.kappa, p.alpha)
     two_ok = two_step_feasible(p.r, p.kappa, p.alpha)
@@ -665,20 +663,18 @@ def sample_adjust_feasible_state(
     rng: np.random.Generator,
     p: GameParams,
     d_range: tuple[float, float] = (0.2, 1.0),
-    require_sc: bool = False,
-    min_heading_gap: float = 1e-3,
-    max_tries: int = 10_000,
 ) -> JointState:
     """Draw a random unaligned state satisfying the adjustment-bound
-    conditions (beyond capture range, unaligned, evader outside the scope
-    ball); optionally also require separation.  Deterministic given ``rng``.
+    conditions (beyond capture range, heading error above 1e-3, evader
+    outside the scope ball) in at most 10,000 tries.  Deterministic given
+    ``rng``.
     """
     from .model import EvaderState, PursuerState
 
     lo, hi = d_range
     if lo <= p.r:
         raise ValueError("d_range must start above the capture radius")
-    for _ in range(max_tries):
+    for _ in range(10_000):
         x_p = np.array([rng.uniform(-1.0, 1.0), rng.uniform(0.1, 1.2)])
         theta_p = rng.uniform(0.0, 2.0 * math.pi)
         bearing = rng.uniform(0.0, 2.0 * math.pi)
@@ -690,11 +686,8 @@ def sample_adjust_feasible_state(
             pursuer=PursuerState(pos=x_p, theta=theta_p),
             evader=EvaderState(pos=x_e),
         )
-        if abs(heading_error(state, p)) <= min_heading_gap:
+        if abs(heading_error(state, p)) <= 1e-3:
             continue
-        if not adjust_scope_holds(state, p):
-            continue
-        if require_sc and er_goal_distance(x_p, x_e, p.alpha) < 0.0:
-            continue
-        return state
+        if adjust_scope_holds(state, p):
+            return state
     raise RuntimeError("failed to sample a feasible state")

@@ -3,6 +3,8 @@ parameter-region sweeps and oracle cross-checks.
 
 Scenario files are JSON with a fixed schema; trajectory output is CSV (one
 row per agent per step, 9 significant digits) and events are JSON lines.
+Every command that reads a scenario refuses a malformed or inadmissible one
+(``model.Scenario``'s rules) with one ``error:`` line.
 Exit codes: 0 clean, 1 input error, 2 time horizon exceeded.
 """
 
@@ -29,100 +31,82 @@ from .sim import SimConfig, run
 
 GOAL_NAME = "half_plane_y_leq_0"
 
-_PURSUER_KEYS = {"x", "y", "theta", "speed", "kappa", "capture_radius", "model"}
-_EVADER_KEYS = {"x", "y", "speed", "strategy", "heading"}
-
-
 class ScenarioFormatError(ValueError):
     pass
 
 
-def _require_number(entry: dict, key: str, where: str) -> float:
+def _number(entry: dict, key: str) -> float:
     if key not in entry:
-        raise ScenarioFormatError(f"{where}: missing required key {key!r}")
+        raise ValueError(f"missing required key {key!r}")
     value = entry[key]
     if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ScenarioFormatError(f"{where}.{key}: expected a number, got {value!r}")
+        raise ValueError(f"key {key!r} must be a number, got {value!r}")
     return float(value)
+
+
+def _pursuer(entry: dict) -> PursuerSpec:
+    return PursuerSpec(
+        state=PursuerState(
+            pos=np.array([_number(entry, "x"), _number(entry, "y")]),
+            theta=_number(entry, "theta"),
+        ),
+        motion=entry.get("model", "dubins"),
+        v=_number(entry, "speed"),
+        kappa=_number(entry, "kappa"),
+        r=_number(entry, "capture_radius"),
+    )
+
+
+def _evader(entry: dict) -> EvaderSpec:
+    return EvaderSpec(
+        state=EvaderState(pos=np.array([_number(entry, "x"), _number(entry, "y")])),
+        v=_number(entry, "speed"),
+        strategy=entry.get("strategy", "random_goal"),
+        heading=_number(entry, "heading") if "heading" in entry else None,
+    )
+
+
+#: Per team: its allowed entry keys and the builder of one entry's spec.
+_TEAMS = {
+    "pursuers": ({"x", "y", "theta", "speed", "kappa", "capture_radius", "model"}, _pursuer),
+    "evaders": ({"x", "y", "speed", "strategy", "heading"}, _evader),
+}
 
 
 def parse_scenario(doc: dict) -> Scenario:
     """Build a Scenario from a parsed JSON document, rejecting unknown keys
-    and reporting the offending field on error.
+    and reporting the offending entry as ``pursuers[i]``/``evaders[j]``.
 
-    Field values (motion kind, strategy, heading) are checked by
-    ``PursuerSpec``/``EvaderSpec``; the deployment rules by
-    ``model.validate_scenario``, which ``sim.run`` applies.
+    This checks the document's shape only; field values (motion kind,
+    strategy, heading) are checked by ``PursuerSpec``/``EvaderSpec``, and
+    ``Scenario`` refuses an inadmissible game (``ValueError`` starting
+    ``invalid scenario:``).
     """
     if not isinstance(doc, dict):
         raise ScenarioFormatError("top level must be an object")
-    unknown = set(doc) - {"goal", "pursuers", "evaders", "seed"}
+    unknown = set(doc) - {"goal", "seed", *_TEAMS}
     if unknown:
         raise ScenarioFormatError(f"unknown top-level keys: {sorted(unknown)}")
     if doc.get("goal") != GOAL_NAME:
         raise ScenarioFormatError(f"goal: expected {GOAL_NAME!r}, got {doc.get('goal')!r}")
-    seed = doc.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ScenarioFormatError(f"seed: expected an integer, got {seed!r}")
 
-    pursuers = []
-    for idx, entry in enumerate(doc.get("pursuers", [])):
-        where = f"pursuers[{idx}]"
-        if not isinstance(entry, dict):
-            raise ScenarioFormatError(f"{where}: expected an object")
-        unknown = set(entry) - _PURSUER_KEYS
-        if unknown:
-            raise ScenarioFormatError(f"{where}: unknown keys {sorted(unknown)}")
-        try:
-            pursuers.append(
-                PursuerSpec(
-                    state=PursuerState(
-                        pos=np.array(
-                            [_require_number(entry, "x", where), _require_number(entry, "y", where)]
-                        ),
-                        theta=_require_number(entry, "theta", where),
-                    ),
-                    motion=entry.get("model", "dubins"),
-                    v=_require_number(entry, "speed", where),
-                    kappa=_require_number(entry, "kappa", where),
-                    r=_require_number(entry, "capture_radius", where),
-                )
-            )
-        except ValueError as exc:
-            raise ScenarioFormatError(f"{where}: {exc}") from exc
-
-    evaders = []
-    for idx, entry in enumerate(doc.get("evaders", [])):
-        where = f"evaders[{idx}]"
-        if not isinstance(entry, dict):
-            raise ScenarioFormatError(f"{where}: expected an object")
-        unknown = set(entry) - _EVADER_KEYS
-        if unknown:
-            raise ScenarioFormatError(f"{where}: unknown keys {sorted(unknown)}")
-        heading = None
-        if "heading" in entry:
-            heading = _require_number(entry, "heading", where)
-        try:
-            evaders.append(
-                EvaderSpec(
-                    state=EvaderState(
-                        pos=np.array(
-                            [_require_number(entry, "x", where), _require_number(entry, "y", where)]
-                        )
-                    ),
-                    v=_require_number(entry, "speed", where),
-                    strategy=entry.get("strategy", "random_goal"),
-                    heading=heading,
-                )
-            )
-        except ValueError as exc:
-            raise ScenarioFormatError(f"{where}: {exc}") from exc
-
-    if not pursuers:
-        raise ScenarioFormatError("pursuers: at least one pursuer required")
-    if not evaders:
-        raise ScenarioFormatError("evaders: at least one evader required")
-    return Scenario(pursuers=tuple(pursuers), evaders=tuple(evaders), seed=seed)
+    teams = {}
+    for team, (keys, build) in _TEAMS.items():
+        entries = doc.get(team, [])
+        if not isinstance(entries, list):
+            raise ScenarioFormatError(f"{team}: expected a list")
+        teams[team] = []
+        for idx, entry in enumerate(entries):
+            try:
+                if not isinstance(entry, dict):
+                    raise ValueError("expected an object")
+                unknown = set(entry) - keys
+                if unknown:
+                    raise ValueError(f"unknown keys {sorted(unknown)}")
+                teams[team].append(build(entry))
+            except ValueError as exc:
+                raise ScenarioFormatError(f"{team}[{idx}]: {exc}") from exc
+    return Scenario(**teams, seed=doc.get("seed", 0))
 
 
 def scenario_to_doc(sc: Scenario) -> dict:
@@ -219,7 +203,7 @@ def cmd_run(args) -> int:
             sticky=args.sticky,
         )
         result = run(sc, cfg)
-    except (ScenarioFormatError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.out:
@@ -258,7 +242,7 @@ def _certificate_line(i: int, j: int, sc: Scenario) -> str:
 def cmd_certify(args) -> int:
     try:
         sc = load_scenario(args.scenario)
-    except ScenarioFormatError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.all:
@@ -288,8 +272,8 @@ def crossing_alpha() -> float:
 
 
 def cmd_sweep_regions(args) -> int:
-    if not (1.0 < args.alpha_min < args.alpha_max) or args.samples < 2:
-        print("error: need 1 < alpha-min < alpha-max and samples >= 2", file=sys.stderr)
+    if not (1.0 < args.alpha_min < args.alpha_max < math.inf) or args.samples < 2:
+        print("error: need 1 < alpha-min < alpha-max < inf and samples >= 2", file=sys.stderr)
         return 1
     alphas = np.linspace(args.alpha_min, args.alpha_max, args.samples)
     alpha0 = crossing_alpha()
@@ -308,8 +292,8 @@ def cmd_sweep_regions(args) -> int:
 
 
 def cmd_oracle_compare(args) -> int:
-    if args.trials < 1:
-        print("error: trials must be >= 1", file=sys.stderr)
+    if args.trials < 1 or args.grid < 1:
+        print("error: trials and grid must be >= 1", file=sys.stderr)
         return 1
     from .model import GameParams
 

@@ -1,4 +1,4 @@
-"""Player dynamics, goal-region geometry and scenario validation.
+"""Player dynamics, goal-region geometry and scenario admissibility.
 
 The playing field is the upper half-plane y > 0; the guarded goal region is
 the lower half-plane y <= 0 with boundary line y = 0.  Pursuers are constant
@@ -9,6 +9,7 @@ pursuer.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -152,6 +153,14 @@ class EvaderSpec:
 
 @dataclass(frozen=True)
 class Scenario:
+    """Both teams and the seed of the random evader headings.
+
+    Admissible by construction: ``__post_init__`` raises ``ValueError``
+    (``"invalid scenario: ..."``, every violated rule named with its agent)
+    unless all of ``_violations``' rules hold, so ``pair_params`` never
+    raises and no reader of a scenario checks it again.
+    """
+
     pursuers: tuple[PursuerSpec, ...]
     evaders: tuple[EvaderSpec, ...]
     seed: int = 0
@@ -159,6 +168,9 @@ class Scenario:
     def __post_init__(self):
         object.__setattr__(self, "pursuers", tuple(self.pursuers))
         object.__setattr__(self, "evaders", tuple(self.evaders))
+        violations = _violations(self)
+        if violations:
+            raise ValueError("invalid scenario: " + "; ".join(violations))
 
     def pair_params(self, i: int, j: int) -> GameParams:
         p = self.pursuers[i]
@@ -215,37 +227,51 @@ def step_evader(s: EvaderState, u_e, dt: float, p: GameParams) -> EvaderState:
     return EvaderState(pos=s.pos + p.v_e * dt * u)
 
 
-def validate_scenario(sc: Scenario) -> list[str]:
-    """Check the initial-deployment rules; returns a list of violation
-    messages (empty when the scenario is admissible).
+def _violations(sc: Scenario) -> list[str]:
+    """The admissibility rules of a scenario; returns the violations, each
+    naming its agent as ``pursuers[i]``/``evaders[j]``.
 
-    The rules: pursuers pairwise distinct, evaders pairwise distinct, every
-    evader strictly outside every capture disk, every evader strictly inside
-    the play region, and every pursuer strictly faster than every evader.
+    The rules: both teams non-empty; every speed, turning radius and capture
+    radius finite and positive; every constant evader's heading finite; the
+    seed a non-negative integer; pursuers pairwise distinct, evaders pairwise
+    distinct; every evader strictly outside every capture disk and strictly
+    inside the play region; every pursuer strictly faster than every evader.
     """
     violations = []
-    for i, a in enumerate(sc.pursuers):
-        for k in range(i + 1, len(sc.pursuers)):
-            if np.array_equal(a.state.pos, sc.pursuers[k].state.pos):
-                violations.append(f"pursuers {i} and {k} coincide")
-    for j, a in enumerate(sc.evaders):
-        for k in range(j + 1, len(sc.evaders)):
-            if np.array_equal(a.state.pos, sc.evaders[k].state.pos):
-                violations.append(f"evaders {j} and {k} coincide")
-    for i, pu in enumerate(sc.pursuers):
-        for j, ev in enumerate(sc.evaders):
+    for team in ("pursuers", "evaders"):
+        specs = getattr(sc, team)
+        if not specs:
+            violations.append(f"{team}: at least one required")
+        for k, spec in enumerate(specs):
+            values = {"speed": spec.v}
+            if team == "pursuers":
+                values.update(kappa=spec.kappa, capture_radius=spec.r)
+            for name, value in values.items():
+                if not (math.isfinite(value) and value > 0.0):
+                    violations.append(
+                        f"{team}[{k}]: {name} must be finite and positive, got {value}"
+                    )
+        for a, b in itertools.combinations(range(len(specs)), 2):
+            if np.array_equal(specs[a].state.pos, specs[b].state.pos):
+                violations.append(f"{team}[{a}] and {team}[{b}] coincide")
+    seed = sc.seed
+    if isinstance(seed, bool) or not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        violations.append(f"seed: must be a non-negative integer, got {seed!r}")
+    for j, ev in enumerate(sc.evaders):
+        if ev.strategy == "constant" and not math.isfinite(ev.heading):
+            violations.append(f"evaders[{j}]: heading must be finite, got {ev.heading}")
+        if goal_value(ev.state.pos) <= 0.0:
+            violations.append(f"evaders[{j}]: not in play region (y <= 0)")
+        for i, pu in enumerate(sc.pursuers):
             dist = float(np.linalg.norm(ev.state.pos - pu.state.pos))
             if dist <= pu.r:
                 violations.append(
-                    f"evader {j} inside capture disk of pursuer {i} "
+                    f"evaders[{j}]: inside capture disk of pursuers[{i}] "
                     f"(distance {dist:.6g} <= r = {pu.r:.6g})"
                 )
             if pu.v <= ev.v:
                 violations.append(
-                    f"pursuer {i} not faster than evader {j} "
-                    f"(v_p = {pu.v:.6g}, v_e = {ev.v:.6g})"
+                    f"pursuers[{i}]: not faster than evaders[{j}] "
+                    f"(speed {pu.v:.6g} <= {ev.v:.6g})"
                 )
-    for j, ev in enumerate(sc.evaders):
-        if goal_value(ev.state.pos) <= 0.0:
-            violations.append(f"evader {j} not in play region (y <= 0)")
     return violations

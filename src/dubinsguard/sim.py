@@ -1,7 +1,8 @@
 """Receding-horizon multiplayer game loop.
 
-``run`` validates the scenario, then repeats five stages over one per-game
-state object until no evader is in play or the horizon is reached:
+``run`` checks its ``dt`` against the scenario, then repeats five stages
+over one per-game state object until no evader is in play or the horizon is
+reached:
 
 - assign: every step (or every ``matching_period`` steps) the win graph over
   all active pairs is rebuilt, a maximum matching assigns pursuers to
@@ -42,7 +43,6 @@ from .model import (
     Scenario,
     step_evader,
     step_pursuer,
-    validate_scenario,
     wrap_to_pi,
 )
 from .strategies import (
@@ -73,13 +73,12 @@ class SimConfig:
     max_time: float = 20.0
     matching_period: int = 1
     sticky: bool = False
-    seed: int | None = None
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
-        if self.max_time < self.dt:
-            raise ValueError("max_time must be at least dt")
+        if not (math.isfinite(self.dt) and self.dt > 0.0):
+            raise ValueError(f"dt must be finite and positive, got {self.dt}")
+        if not (math.isfinite(self.max_time) and self.max_time >= self.dt):
+            raise ValueError(f"max_time must be finite and at least dt, got {self.max_time}")
         if self.matching_period < 1:
             raise ValueError("matching_period must be >= 1")
 
@@ -161,11 +160,6 @@ def _heading(u) -> float | None:
 
 
 def _validate(sc: Scenario, cfg: SimConfig):
-    if not sc.pursuers or not sc.evaders:
-        raise ValueError("scenario needs at least one pursuer and one evader")
-    violations = validate_scenario(sc)
-    if violations:
-        raise ValueError("invalid scenario: " + "; ".join(violations))
     v_e_max = max(spec.v for spec in sc.evaders)
     for i, spec in enumerate(sc.pursuers):
         closing = (spec.v + v_e_max) * cfg.dt
@@ -189,7 +183,7 @@ class _Game:
         self.cfg = cfg
         self.n_p = n_p = len(sc.pursuers)
         self.n_e = n_e = len(sc.evaders)
-        rng = np.random.default_rng(sc.seed if cfg.seed is None else cfg.seed)
+        rng = np.random.default_rng(sc.seed)
 
         self.pursuers = [spec.state for spec in sc.pursuers]
         self.evaders = [spec.state for spec in sc.evaders]
@@ -413,6 +407,8 @@ def run(sc: Scenario, cfg: SimConfig) -> SimResult:
     Terminates when no active evader remains in the play region or the time
     horizon is exceeded (reported via ``horizon_exceeded``, not raised).
     Deterministic: identical inputs give identical results bit for bit.
+    A ``Scenario`` is admissible by construction, so the one check left here
+    is on ``dt``.
 
     Captures are detected from the pair distances at the ends of each step.
     A ``dt`` with ``(v_i + max_j v_e_j) * dt >= r_i`` for some pursuer ``i``

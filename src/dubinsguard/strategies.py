@@ -159,21 +159,21 @@ def pursuit_intercept(
     return u
 
 
-def _turn_toward(err: float, tol_pi: float = OPPOSITE_TOL) -> float:
+def _turn_toward(err: float) -> float:
     """Full turn command for the wrapped heading error ``err``: the shorter
-    angular sweep, clockwise within ``tol_pi`` of exactly opposite."""
-    if abs(abs(err) - math.pi) <= tol_pi:
+    angular sweep, clockwise within ``OPPOSITE_TOL`` of exactly opposite."""
+    if abs(abs(err) - math.pi) <= OPPOSITE_TOL:
         return -1.0
     return 1.0 if math.sin(err) > 0.0 else -1.0
 
 
-def heading_adjust(state: JointState, p: GameParams, tol_pi: float = OPPOSITE_TOL) -> float:
+def heading_adjust(state: JointState, p: GameParams) -> float:
     """Full turn command toward the interception angle.
 
     Turns in the direction of the shorter angular sweep; when the error is
-    within ``tol_pi`` of exactly opposite, turns clockwise.
+    within ``OPPOSITE_TOL`` of exactly opposite, turns clockwise.
     """
-    return _turn_toward(heading_error(state, p), tol_pi)
+    return _turn_toward(heading_error(state, p))
 
 
 def two_step(

@@ -45,8 +45,9 @@ class TestScenarioFormat:
     def test_missing_field_names_the_location(self, golden_path):
         doc = json.load(open(golden_path))
         del doc["evaders"][2]["speed"]
-        with pytest.raises(cli.ScenarioFormatError, match=r"evaders\[2\].*speed"):
+        with pytest.raises(cli.ScenarioFormatError, match=r"evaders\[2\].*speed") as info:
             cli.parse_scenario(doc)
+        assert str(info.value) == "evaders[2]: missing required key 'speed'"
 
     def test_bad_strategy_rejected(self, golden_path):
         doc = json.load(open(golden_path))
@@ -66,11 +67,53 @@ class TestScenarioFormat:
         with pytest.raises(cli.ScenarioFormatError):
             cli.parse_scenario(doc)
 
+    def test_team_must_be_a_list(self, golden_path):
+        doc = json.load(open(golden_path))
+        doc["evaders"] = doc["evaders"][0]
+        with pytest.raises(cli.ScenarioFormatError, match="^evaders: expected a list$"):
+            cli.parse_scenario(doc)
+
     def test_invalid_json_reports_line(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"goal": \n!!!')
         with pytest.raises(cli.ScenarioFormatError, match="line 2"):
             cli.load_scenario(path)
+
+
+def _set(team, k, **fields):
+    def edit(doc):
+        doc[team][k].update(fields)
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "command", [["run", "--max-time", "1"], ["certify", "--all"]], ids=["run", "certify"]
+)
+@pytest.mark.parametrize(
+    "edit, expected",
+    [
+        (_set("evaders", 1, speed=1.0), "pursuers[0]: not faster than evaders[1] (speed"),
+        (_set("pursuers", 2, kappa=-1), "pursuers[2]: kappa must be finite and positive"),
+        (_set("pursuers", 3, capture_radius=0), "pursuers[3]: capture_radius must be"),
+        (_set("evaders", 4, strategy="constant", heading=math.nan), "evaders[4]: heading"),
+        (lambda doc: doc.update(seed=-1), "seed: must be a non-negative integer"),
+        (lambda doc: doc.update(pursuers=[]), "pursuers: at least one required"),
+    ],
+    ids=["evader_speed", "kappa", "capture_radius", "heading", "seed", "no_pursuers"],
+)
+def test_inadmissible_scenario_is_one_error_line(
+    golden_path, tmp_path, capsys, command, edit, expected
+):
+    doc = json.loads(open(golden_path).read())
+    edit(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main([command[0], "--scenario", str(path), *command[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: invalid scenario: ")
+    assert captured.err.count("\n") == 1 and expected in captured.err
 
 
 class TestCmdRun:
@@ -136,6 +179,14 @@ class TestCmdRun:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "inside capture disk" in err
 
+    @pytest.mark.parametrize(
+        "flags, name", [(["--max-time", "nan"], "max_time"), (["--dt", "inf"], "dt")]
+    )
+    def test_non_finite_time_is_input_error(self, golden_path, capsys, flags, name):
+        assert cli.main(["run", "--scenario", golden_path, *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {name} must be finite") and err.count("\n") == 1
+
     def test_small_horizon_gives_exit_two(self, golden_path):
         code = cli.main(
             ["run", "--scenario", golden_path, "--dt", "1e-3", "--max-time", "0.01"]
@@ -172,6 +223,10 @@ class TestCmdCertify:
 
     def test_malformed_pair(self, golden_path):
         assert cli.main(["certify", "--scenario", golden_path, "--pair", "3"]) == 1
+
+    def test_missing_file_is_input_error(self, tmp_path, capsys):
+        assert cli.main(["certify", "--scenario", str(tmp_path / "nope.json"), "--all"]) == 1
+        assert capsys.readouterr().err.startswith("error:")
 
 
 class TestCmdSweepRegions:
@@ -240,6 +295,13 @@ class TestCmdSweepRegions:
         )
         assert code == 1
 
+    def test_infinite_bound_rejected(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        argv = ["sweep-regions", "--alpha-min", "1.1", "--alpha-max", "inf", "--samples", "10"]
+        assert cli.main([*argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
 
 class TestCmdOracleCompare:
     def test_small_run_has_no_violations(self, tmp_path, capsys):
@@ -270,6 +332,12 @@ class TestCmdOracleCompare:
 
     def test_zero_trials_rejected(self):
         assert cli.main(["oracle-compare", "--trials", "0"]) == 1
+
+    @pytest.mark.parametrize("grid", ["0", "-5"])
+    def test_non_positive_grid_rejected(self, capsys, grid):
+        assert cli.main(["oracle-compare", "--trials", "1", "--grid", grid]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
 
     @pytest.mark.parametrize(
         "seed, clearance", [(19404, 0.80390), (174101848, 0.56916)]

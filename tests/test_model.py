@@ -139,34 +139,102 @@ def _scenario(pursuers, evaders, seed=0):
     return dg.Scenario(pursuers=pursuers, evaders=evaders, seed=seed)
 
 
-def _pursuer(x, y, theta=0.0, r=0.1):
+def _pursuer(x, y, theta=0.0, r=0.1, kappa=0.0625):
     return dg.PursuerSpec(
-        state=dg.PursuerState(pos=(x, y), theta=theta), v=0.3, kappa=0.0625, r=r
+        state=dg.PursuerState(pos=(x, y), theta=theta), v=0.3, kappa=kappa, r=r
     )
 
 
-def _evader(x, y, v=0.1):
-    return dg.EvaderSpec(state=dg.EvaderState(pos=(x, y)), v=v, strategy="random_goal")
+def _evader(x, y, v=0.1, heading=None):
+    strategy = "random_goal" if heading is None else "constant"
+    return dg.EvaderSpec(
+        state=dg.EvaderState(pos=(x, y)), v=v, strategy=strategy, heading=heading
+    )
+
+
+def _violation(pursuers, evaders, seed=0) -> str:
+    with pytest.raises(ValueError, match="^invalid scenario: ") as info:
+        _scenario(pursuers, evaders, seed)
+    return str(info.value)
 
 
 class TestValidateScenario:
     def test_clean_scenario(self):
         sc = _scenario([_pursuer(0, 1), _pursuer(2, 1)], [_evader(0, 2), _evader(2, 2)])
-        assert dg.validate_scenario(sc) == []
+        for i in range(2):
+            for j in range(2):
+                sc.pair_params(i, j)
 
     def test_coincident_pursuers(self):
-        sc = _scenario([_pursuer(0, 1), _pursuer(0, 1)], [_evader(0, 2)])
-        assert any("coincide" in v for v in dg.validate_scenario(sc))
+        msg = _violation([_pursuer(0, 1), _pursuer(0, 1)], [_evader(0, 2)])
+        assert "pursuers[0] and pursuers[1] coincide" in msg
 
     def test_evader_on_capture_boundary_is_violation(self):
         # the deployment rule is a strict inequality
-        sc = _scenario([_pursuer(0, 1, r=0.1)], [_evader(0.1, 1)])
-        assert any("capture disk" in v for v in dg.validate_scenario(sc))
+        msg = _violation([_pursuer(0, 1, r=0.1)], [_evader(0.1, 1)])
+        assert "evaders[0]: inside capture disk of pursuers[0]" in msg
 
     def test_evader_on_goal_boundary_is_violation(self):
-        sc = _scenario([_pursuer(0, 1)], [_evader(1, 0.0)])
-        assert any("play region" in v for v in dg.validate_scenario(sc))
+        msg = _violation([_pursuer(0, 1)], [_evader(1, 0.0)])
+        assert "evaders[0]: not in play region" in msg
 
     def test_slow_pursuer_is_violation(self):
-        sc = _scenario([_pursuer(0, 1)], [_evader(1, 1, v=0.5)])
-        assert any("not faster" in v for v in dg.validate_scenario(sc))
+        msg = _violation([_pursuer(0, 1)], [_evader(1, 1, v=0.5)])
+        assert "pursuers[0]: not faster than evaders[0]" in msg
+
+    @pytest.mark.parametrize(
+        "pursuers, evaders, seed, expected",
+        [
+            ([], [_evader(0, 2)], 0, "pursuers: at least one required"),
+            ([_pursuer(0, 1)], [], 0, "evaders: at least one required"),
+            ([_pursuer(0, 1, r=0.0)], [_evader(0, 2)], 0, "pursuers[0]: capture_radius"),
+            ([_pursuer(0, 1, r=math.inf)], [_evader(0, 2)], 0, "pursuers[0]: capture_radius"),
+            ([_pursuer(0, 1, kappa=-1.0)], [_evader(0, 2)], 0, "pursuers[0]: kappa"),
+            ([_pursuer(0, 1)], [_evader(0, 2, v=math.nan)], 0, "evaders[0]: speed"),
+            ([_pursuer(0, 1)], [_evader(0, 2, heading=math.nan)], 0, "evaders[0]: heading"),
+            ([_pursuer(0, 1)], [_evader(0, 2)], -1, "seed: must be a non-negative integer"),
+            ([_pursuer(0, 1)], [_evader(0, 2)], 1.5, "seed: must be a non-negative integer"),
+        ],
+        ids=["no_pursuers", "no_evaders", "r_zero", "r_inf", "kappa", "speed", "heading",
+             "seed_negative", "seed_float"],
+    )
+    def test_every_rule_names_its_agent(self, pursuers, evaders, seed, expected):
+        assert expected in _violation(pursuers, evaders, seed)
+
+    def test_every_violation_is_reported(self):
+        msg = _violation([_pursuer(0, 1, kappa=0.0), _pursuer(0, 1)], [_evader(0, 1)], -3)
+        assert msg.count("; ") == 4
+
+    def test_pair_params_never_raise_on_a_constructed_scenario(self):
+        rng = np.random.default_rng(7)
+
+        def pick(valid):
+            bad = (-1.0, 0.0, math.inf, math.nan)
+            return float(rng.choice(bad if rng.random() < 0.1 else valid))
+
+        built = 0
+        for _ in range(400):
+            pursuers = [
+                dg.PursuerSpec(
+                    state=dg.PursuerState(pos=rng.uniform(0.1, 3.0, 2), theta=0.0),
+                    v=pick((0.1, 0.3, 1.0)),
+                    kappa=pick((0.0625, 0.5)),
+                    r=pick((0.05, 0.1)),
+                )
+                for _ in range(rng.integers(1, 3))
+            ]
+            evaders = [
+                dg.EvaderSpec(
+                    state=dg.EvaderState(pos=rng.uniform(0.1, 3.0, 2)), v=pick((0.05, 0.3))
+                )
+                for _ in range(rng.integers(1, 3))
+            ]
+            try:
+                sc = _scenario(pursuers, evaders)
+            except ValueError:
+                continue
+            built += 1
+            for i in range(len(pursuers)):
+                for j in range(len(evaders)):
+                    sc.pair_params(i, j)
+        assert built >= 50

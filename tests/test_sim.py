@@ -154,13 +154,12 @@ class TestMultiplayerMechanics:
         assert result.outcome == {0: "captured"}
 
     def test_invalid_scenario_rejected(self):
-        sc = dg.Scenario(
-            pursuers=(_pursuer(0, 1, 0.0),),
-            evaders=(_evader(0.0, -1.0),),
-            seed=0,
-        )
-        with pytest.raises(ValueError):
-            dg.run(sc, dg.SimConfig())
+        with pytest.raises(ValueError, match=r"evaders\[0\]: not in play region"):
+            dg.Scenario(
+                pursuers=(_pursuer(0, 1, 0.0),),
+                evaders=(_evader(0.0, -1.0),),
+                seed=0,
+            )
 
     def test_goal_arrival_detected_for_undefended_evader(self):
         # pursuer far away and slow to engage; evader dives straight down
@@ -269,23 +268,24 @@ class TestCertifiedPairsNeverLoseGoal:
             if cert.kind is not dg.CertificateKind.INTERCEPT:
                 continue
             heading = rng.uniform(0, 2 * math.pi)
-            sc = dg.Scenario(
-                pursuers=(
-                    dg.PursuerSpec(
-                        state=state.pursuer, v=0.3, kappa=0.0625, r=0.1
+            try:
+                sc = dg.Scenario(
+                    pursuers=(
+                        dg.PursuerSpec(
+                            state=state.pursuer, v=0.3, kappa=0.0625, r=0.1
+                        ),
                     ),
-                ),
-                evaders=(
-                    dg.EvaderSpec(
-                        state=state.evader,
-                        v=0.3 / 6.3,
-                        strategy="constant",
-                        heading=heading,
+                    evaders=(
+                        dg.EvaderSpec(
+                            state=state.evader,
+                            v=0.3 / 6.3,
+                            strategy="constant",
+                            heading=heading,
+                        ),
                     ),
-                ),
-                seed=runs,
-            )
-            if dg.validate_scenario(sc):
+                    seed=runs,
+                )
+            except ValueError:
                 continue
             result = dg.run(
                 sc, dg.SimConfig(dt=2e-3, max_time=2.5, matching_period=5)
