@@ -30,7 +30,14 @@ from .geometry import (
     heading_error,
     lowest_point,
 )
-from .model import GameParams, JointState, wrap_angle, wrap_to_pi
+from .model import (
+    EvaderState,
+    GameParams,
+    JointState,
+    PursuerState,
+    wrap_angle,
+    wrap_to_pi,
+)
 from .numerics import Polynomial, golden_max, max_on_circle, real_roots
 
 #: Max-norm threshold on the stationarity residual below which a
@@ -76,9 +83,11 @@ def heading_adjust_ratio(alpha: float) -> float:
 
 
 def intercept_feasible(r: float, kappa: float, alpha: float) -> bool:
-    """Non-strict check r - kappa * h(alpha) >= 0 (admissibility of the
-    interception-tracking command under separation and alignment)."""
-    return r - kappa * curvature_demand(alpha) >= 0.0
+    """Non-strict check r/kappa >= h(alpha) (admissibility of the
+    interception-tracking command under separation and alignment).  The
+    one place this comparison is made: ``two_step_feasible`` and
+    ``classify_region`` call it."""
+    return r / kappa >= curvature_demand(alpha)
 
 
 def adjust_feasible(r: float, kappa: float, alpha: float) -> bool:
@@ -87,9 +96,9 @@ def adjust_feasible(r: float, kappa: float, alpha: float) -> bool:
 
 
 def two_step_feasible(r: float, kappa: float, alpha: float) -> bool:
-    """Strict check r/kappa > max of the curvature demand and the
-    heading-adjust ratio (both steps of the two-step strategy admissible)."""
-    return r / kappa > max(curvature_demand(alpha), heading_adjust_ratio(alpha))
+    """Both steps of the two-step strategy admissible: ``intercept_feasible``
+    (non-strict) and ``adjust_feasible`` (strict)."""
+    return intercept_feasible(r, kappa, alpha) and adjust_feasible(r, kappa, alpha)
 
 
 class RegionLabel(enum.Enum):
@@ -114,29 +123,28 @@ def classify_region(r: float, kappa: float, alpha: float) -> ParamRegion:
     """Classify parameters against the three curves.
 
     The label is a pure function of three comparisons of r/kappa: against
-    the exact demand curve (non-strict), its closed-form bound (non-strict)
-    and the heading-adjust ratio (strict).  II: above all three.  I: above
-    demand and bound only.  IV: above demand and ratio only.  III: above the
-    demand curve only.  V: below the demand curve (no guarantee).  The
-    two-step strategy is covered exactly in II and IV.
+    the exact demand curve (non-strict, ``intercept_feasible``), its
+    closed-form bound (non-strict) and the heading-adjust ratio (strict,
+    ``adjust_feasible``).  V: below the demand curve (no guarantee).  II:
+    above all three.  I: above demand and bound only.  IV: above demand and
+    ratio only.  III: above the demand curve only.  So ``intercept_feasible``
+    holds exactly outside V and ``two_step_feasible`` exactly in II and IV.
     """
     if min(r, kappa) <= 0.0 or alpha <= 1.0:
         raise ValueError("need positive r, kappa and alpha > 1")
-    demand = curvature_demand(alpha)
     bound = curvature_demand_bound(alpha)
-    ratio = heading_adjust_ratio(alpha)
-    rk = r / kappa
-    above_bound = rk >= bound
-    above_demand = rk >= demand or above_bound
-    above_ratio = rk > ratio
-    if above_bound:
-        label = RegionLabel.II if above_ratio else RegionLabel.I
-    elif above_demand:
-        label = RegionLabel.IV if above_ratio else RegionLabel.III
-    else:
+    above_ratio = adjust_feasible(r, kappa, alpha)
+    if not intercept_feasible(r, kappa, alpha):
         label = RegionLabel.V
+    elif r / kappa >= bound:
+        label = RegionLabel.II if above_ratio else RegionLabel.I
+    else:
+        label = RegionLabel.IV if above_ratio else RegionLabel.III
     return ParamRegion(
-        label=label, curvature_demand=demand, curvature_bound=bound, adjust_ratio=ratio
+        label=label,
+        curvature_demand=curvature_demand(alpha),
+        curvature_bound=bound,
+        adjust_ratio=heading_adjust_ratio(alpha),
     )
 
 
@@ -570,7 +578,7 @@ def certify_win(
     parameters pass the curvature check; it wins through the two-step route
     when separation holds without alignment, the pair is beyond capture
     range, the evader is outside the adjustment scope ball, the parameters
-    pass the strict two-step check and the worst-case clearance bound is
+    pass the two-step check and the worst-case clearance bound is
     non-negative.  A simple-motion pursuer needs separation only.
 
     The aim point, the heading error and the adjustment-time bound are each
@@ -581,54 +589,28 @@ def certify_win(
     separation = goal_gap(float(aim_y))
     sc = separation >= 0.0
     dist = float(np.linalg.norm(x_p - x_e))
-
-    if motion == "simple":
-        kind = CertificateKind.INTERCEPT if sc else CertificateKind.NONE
-        return Certificate(
-            kind=kind,
-            evidence=CertificateEvidence(
-                separation=separation,
-                sc=sc,
-                io=None,
-                heading_err=None,
-                dist=dist,
-                intercept_ok=None,
-                adjust_ok=None,
-                two_step_ok=None,
-            ),
-        )
-
-    err = wrap_to_pi(aim_bearing(x_p, aim_x, aim_y) - state.pursuer.theta)
-    io = abs(err) <= IO_TOL
-    intercept_ok = intercept_feasible(p.r, p.kappa, p.alpha)
-    adjust_ok = adjust_feasible(p.r, p.kappa, p.alpha)
-    two_ok = two_step_feasible(p.r, p.kappa, p.alpha)
-
-    if sc and io and intercept_ok:
-        return Certificate(
-            kind=CertificateKind.INTERCEPT,
-            evidence=CertificateEvidence(
-                separation=separation,
-                sc=sc,
-                io=io,
-                heading_err=err,
-                dist=dist,
-                intercept_ok=intercept_ok,
-                adjust_ok=adjust_ok,
-                two_step_ok=two_ok,
-            ),
-        )
-
-    beyond_capture = dist > p.r
-    scope_ok = None
-    duration = None
-    clearance = None
+    io = err = intercept_ok = adjust_ok = two_ok = None
+    beyond_capture = scope_ok = duration = clearance = None
     solver_failed = False
     kind = CertificateKind.NONE
-    if sc and not io and beyond_capture:
-        bound = adjust_time_bound(state, p, err)
-        duration = bound.duration
-        scope_ok = adjust_scope_holds(state, p, bound)
+
+    if motion == "simple":
+        if sc:
+            kind = CertificateKind.INTERCEPT
+    else:
+        err = wrap_to_pi(aim_bearing(x_p, aim_x, aim_y) - state.pursuer.theta)
+        io = abs(err) <= IO_TOL
+        intercept_ok = intercept_feasible(p.r, p.kappa, p.alpha)
+        adjust_ok = adjust_feasible(p.r, p.kappa, p.alpha)
+        two_ok = two_step_feasible(p.r, p.kappa, p.alpha)
+        if sc and io and intercept_ok:
+            kind = CertificateKind.INTERCEPT
+        else:
+            beyond_capture = dist > p.r
+            if sc and not io and beyond_capture:
+                bound = adjust_time_bound(state, p, err)
+                duration = bound.duration
+                scope_ok = adjust_scope_holds(state, p, bound)
         if scope_ok and two_ok:
             try:
                 clearance = relaxed_clearance_from_centers(
@@ -639,6 +621,7 @@ def certify_win(
             else:
                 if clearance >= 0.0:
                     kind = CertificateKind.TWO_STEP
+
     return Certificate(
         kind=kind,
         evidence=CertificateEvidence(
@@ -669,8 +652,6 @@ def sample_adjust_feasible_state(
     outside the scope ball) in at most 10,000 tries.  Deterministic given
     ``rng``.
     """
-    from .model import EvaderState, PursuerState
-
     lo, hi = d_range
     if lo <= p.r:
         raise ValueError("d_range must start above the capture radius")

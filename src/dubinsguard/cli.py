@@ -22,6 +22,8 @@ from . import certificates as certs
 from .model import (
     EvaderSpec,
     EvaderState,
+    GameParams,
+    JointState,
     PursuerSpec,
     PursuerState,
     Scenario,
@@ -193,19 +195,24 @@ def write_events(result, path: str | Path):
             fh.write(json.dumps(record) + "\n")
 
 
+def _check_writable(*paths):
+    """Raise the ``OSError`` that writing each given path would raise, before
+    any work is done; the files are created but not truncated."""
+    for path in paths:
+        if path:
+            open(path, "a").close()
+
+
 def cmd_run(args) -> int:
-    try:
-        sc = load_scenario(args.scenario)
-        cfg = SimConfig(
-            dt=args.dt,
-            max_time=args.max_time,
-            matching_period=args.matching_period,
-            sticky=args.sticky,
-        )
-        result = run(sc, cfg)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    sc = load_scenario(args.scenario)
+    cfg = SimConfig(
+        dt=args.dt,
+        max_time=args.max_time,
+        matching_period=args.matching_period,
+        sticky=args.sticky,
+    )
+    _check_writable(args.out, args.events_out)
+    result = run(sc, cfg)
     if args.out:
         write_trajectory_csv(result, args.out)
     if args.events_out:
@@ -217,8 +224,6 @@ def cmd_run(args) -> int:
 
 
 def _certificate_line(i: int, j: int, sc: Scenario) -> str:
-    from .model import JointState
-
     p = sc.pair_params(i, j)
     state = JointState(pursuer=sc.pursuers[i].state, evader=sc.evaders[j].state)
     cert = certs.certify_win(state, p, motion=sc.pursuers[i].motion)
@@ -240,23 +245,17 @@ def _certificate_line(i: int, j: int, sc: Scenario) -> str:
 
 
 def cmd_certify(args) -> int:
-    try:
-        sc = load_scenario(args.scenario)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    sc = load_scenario(args.scenario)
     if args.all:
         pairs = [(i, j) for i in range(len(sc.pursuers)) for j in range(len(sc.evaders))]
     else:
         try:
             i_str, j_str = args.pair.split(",")
             pair = (int(i_str) - 1, int(j_str) - 1)
-        except (AttributeError, ValueError):
-            print("error: --pair expects I,J (1-indexed)", file=sys.stderr)
-            return 1
+        except ValueError:
+            raise ValueError("--pair expects I,J (1-indexed)") from None
         if not (0 <= pair[0] < len(sc.pursuers)) or not (0 <= pair[1] < len(sc.evaders)):
-            print(f"error: pair {args.pair} out of range", file=sys.stderr)
-            return 1
+            raise ValueError(f"pair {args.pair} out of range")
         pairs = [pair]
     for i, j in pairs:
         print(_certificate_line(i, j, sc))
@@ -273,8 +272,7 @@ def crossing_alpha() -> float:
 
 def cmd_sweep_regions(args) -> int:
     if not (1.0 < args.alpha_min < args.alpha_max < math.inf) or args.samples < 2:
-        print("error: need 1 < alpha-min < alpha-max < inf and samples >= 2", file=sys.stderr)
-        return 1
+        raise ValueError("need 1 < alpha-min < alpha-max < inf and samples >= 2")
     alphas = np.linspace(args.alpha_min, args.alpha_max, args.samples)
     alpha0 = crossing_alpha()
     with open(args.out, "w") as fh:
@@ -293,10 +291,8 @@ def cmd_sweep_regions(args) -> int:
 
 def cmd_oracle_compare(args) -> int:
     if args.trials < 1 or args.grid < 1:
-        print("error: trials and grid must be >= 1", file=sys.stderr)
-        return 1
-    from .model import GameParams
-
+        raise ValueError("trials and grid must be >= 1")
+    _check_writable(args.out)
     p = GameParams.from_alpha(v_p=0.3, alpha=6.3, kappa=0.0625, r=0.1)
     rng = np.random.default_rng(args.seed)
     violations = 0
@@ -370,8 +366,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; an input or output error (``ValueError`` or
+    ``OSError``) is one ``error:`` line on stderr and exit code 1."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

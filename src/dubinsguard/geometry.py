@@ -6,6 +6,13 @@ evader reaches strictly first (under simple motion on both sides) is an open
 disk.  Its lowest point is where the evader can force the deepest approach to
 the guarded half-plane, so the pursuer aims there; the bearing toward that
 point is the interception angle.
+
+``lowest_point`` is the one copy of that formula, on floats or arrays.
+``aim_point`` (checked, one pair) and ``aim_bearing`` are the aim-point
+kernel: the predicates here, the strategies, the simulator's heading snaps
+and ``certify_win`` all read the point through them.  ``interception``
+packages the same point as an ``InterceptionData`` for callers that want
+every derived quantity at once.
 """
 
 from __future__ import annotations
@@ -142,14 +149,15 @@ def goal_gap(clearance: float) -> float:
 def separation_holds(state: JointState, p: GameParams) -> bool:
     """True iff the closed evasion disk keeps a non-negative distance to the
     goal half-plane."""
-    return er_goal_distance(state.pursuer.pos, state.evader.pos, p.alpha) >= 0.0
+    return aim_point(state.pursuer.pos, state.evader.pos, p.alpha)[1] >= 0.0
 
 
 def heading_error(state: JointState, p: GameParams) -> float:
     """Wrapped difference interception-angle minus pursuer-heading, in
     (-pi, pi]."""
-    data = interception(state.pursuer.pos, state.evader.pos, p.alpha)
-    return wrap_to_pi(data.angle - state.pursuer.theta)
+    x_p = state.pursuer.pos
+    x, y, _ = aim_point(x_p, state.evader.pos, p.alpha)
+    return wrap_to_pi(aim_bearing(x_p, x, y) - state.pursuer.theta)
 
 
 def orientation_holds(state: JointState, p: GameParams, tol: float = IO_TOL) -> bool:

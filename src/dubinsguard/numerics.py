@@ -71,7 +71,6 @@ class BracketedMax:
 
     argmax: float
     max_value: float
-    certified_resolution: float
 
 
 def real_roots(poly: Polynomial, lo: float, hi: float, tol: float = 1e-12) -> list[float]:
@@ -160,8 +159,8 @@ def max_on_circle(f, resolution: int = SCAN_SAMPLES) -> BracketedMax:
 
     The circle is parameterized as (cos t, sin t); ``f`` is sampled on
     ``resolution`` uniform angles (it must accept numpy arrays) and the best
-    bracket is refined by golden section to 1e-12 in t.  The certification is
-    the scan resolution: maxima narrower than one grid cell can be missed.
+    bracket is refined by golden section to 1e-12 in t.  Maxima narrower than
+    one grid cell (``2*pi / resolution``) can be missed.
     """
     if resolution < 360:
         raise ValueError(f"resolution must be >= 360, got {resolution}")
@@ -178,4 +177,4 @@ def max_on_circle(f, resolution: int = SCAN_SAMPLES) -> BracketedMax:
     t_star, v_star = golden_max(on_circle, t_lo, t_hi, tol=1e-12)
     if v_star < vals[best]:
         t_star, v_star = float(ts[best]), float(vals[best])
-    return BracketedMax(argmax=t_star, max_value=v_star, certified_resolution=spacing)
+    return BracketedMax(argmax=t_star, max_value=v_star)

@@ -33,7 +33,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .certificates import CertificateKind
-from .geometry import IO_TOL, interception
+from .geometry import IO_TOL, aim_bearing, aim_point
 from .matching import assign, build_graph, max_matching
 from .model import (
     DUBINS,
@@ -306,6 +306,13 @@ class _Game:
                 controls.append(evader_constant(self.e_heading[j]))
         return controls
 
+    def snap_angle(self, i: int, j: int) -> float:
+        """Interception angle of car ``i`` against evader ``j``: the heading
+        both snaps set."""
+        x_p = self.pursuers[i].pos
+        x, y, _ = aim_point(x_p, self.evaders[j].pos, self.params[(i, j)].alpha)
+        return aim_bearing(x_p, x, y)
+
     def pursuer_controls(self, e_controls) -> list[float | np.ndarray | None]:
         """Turn commands of the cars (0.0 without a live target) and unit
         controls of the simple-motion pursuers (None without one)."""
@@ -323,8 +330,7 @@ class _Game:
             pair = JointState(pursuer=car, evader=evader)
             u, self.phases[i] = two_step(pair, e_controls[j], pr, phase, self.diag)
             if self.phases[i].phase is not phase.phase:
-                angle = interception(car.pos, evader.pos, pr.alpha).angle
-                self.pursuers[i] = PursuerState(pos=car.pos, theta=angle)
+                self.pursuers[i] = PursuerState(pos=car.pos, theta=self.snap_angle(i, j))
                 self.events.append(Event(t=self.t, kind="io_achieved", pursuer=i, evader=j))
             controls.append(u)
         return controls
@@ -367,8 +373,7 @@ class _Game:
             j = self.live_target(i)
             if j is None or phase is None or phase.phase is not Phase.INTERCEPTING:
                 continue
-            car = self.pursuers[i]
-            angle = interception(car.pos, self.evaders[j].pos, self.params[(i, j)].alpha).angle
+            car, angle = self.pursuers[i], self.snap_angle(i, j)
             if 0.0 < abs(wrap_to_pi(angle - car.theta)) <= SNAP_FACTOR * IO_TOL:
                 self.pursuers[i] = PursuerState(pos=car.pos, theta=angle)
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .certificates import intercept_feasible
-from .geometry import IO_TOL, heading_error, interception
+from .geometry import IO_TOL, aim_point, heading_error
 from .model import GameParams, JointState
 
 #: Width of the "exactly opposite" band in the heading-adjust law.  The
@@ -82,16 +82,16 @@ def _unit(vec: np.ndarray) -> np.ndarray:
 def pursuit_simple(x_p, x_e, alpha: float) -> np.ndarray:
     """Unit vector from the pursuer toward the interception point."""
     x_p = np.asarray(x_p, dtype=float)
-    data = interception(x_p, x_e, alpha)
-    return _unit(data.point - x_p)
+    x, y, _ = aim_point(x_p, x_e, alpha)
+    return _unit(np.array([x, y]) - x_p)
 
 
 def evader_optimal(state: JointState, p: GameParams) -> np.ndarray:
     """Unit vector from the evader toward the interception point (the
     evader's unique best response to the interception strategies)."""
     x_e = state.evader.pos
-    data = interception(state.pursuer.pos, x_e, p.alpha)
-    return _unit(data.point - x_e)
+    x, y, _ = aim_point(state.pursuer.pos, x_e, p.alpha)
+    return _unit(np.array([x, y]) - x_e)
 
 
 def evader_constant(theta_e: float) -> np.ndarray:

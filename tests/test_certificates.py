@@ -101,6 +101,25 @@ class TestClassifyRegion:
             assert region.adjust_ratio > 0
 
 
+    def test_checks_and_label_agree_on_the_demand_curve(self):
+        # r = kappa*h(alpha) and its two float neighbours: intercept_feasible
+        # and the label decide r >= kappa*h(alpha) by the same comparison
+        def check(r, kappa, alpha):
+            label = dg.classify_region(r, kappa, alpha).label
+            assert dg.intercept_feasible(r, kappa, alpha) == (label is not dg.RegionLabel.V)
+            two_step = label in (dg.RegionLabel.II, dg.RegionLabel.IV)
+            assert dg.two_step_feasible(r, kappa, alpha) == two_step
+
+        check(0.9655499111747188, 0.7, 2.0)
+        rng = np.random.default_rng(0)
+        for _ in range(2000):
+            alpha = float(rng.uniform(1.05, 20.0))
+            kappa = float(rng.uniform(1e-3, 10.0))
+            r = kappa * dg.curvature_demand(alpha)
+            for r_k in (math.nextafter(r, 0.0), r, math.nextafter(r, math.inf)):
+                check(r_k, kappa, alpha)
+
+
 class TestAdjustTimeBound:
     def test_hand_worked_geometry(self):
         p = dg.GameParams.from_alpha(v_p=1.0, alpha=6.3, kappa=1.0, r=0.1)

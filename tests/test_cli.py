@@ -386,3 +386,28 @@ class TestCmdOracleCompare:
                 ]
             )
         assert paths[0].read_text() == paths[1].read_text()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--max-time", "0.5", "--out"],
+        ["run", "--max-time", "0.5", "--events-out"],
+        ["sweep-regions", "--alpha-min", "1.1", "--alpha-max", "8", "--samples", "5", "--out"],
+        ["oracle-compare", "--trials", "1", "--out"],
+    ],
+    ids=["run_out", "run_events_out", "sweep_regions", "oracle_compare"],
+)
+def test_unwritable_output_is_one_error_line(golden_path, tmp_path, capsys, monkeypatch, argv):
+    played = []
+    real_run = cli.run
+    monkeypatch.setattr(cli, "run", lambda *args: played.append(args) or real_run(*args))
+    if argv[0] == "run":
+        argv = [argv[0], "--scenario", golden_path, *argv[1:]]
+    target = tmp_path / "missing" / "out.csv"
+    assert cli.main([*argv, str(target)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert str(target) in captured.err
+    assert played == []  # a game is not played before the path is refused

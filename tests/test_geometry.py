@@ -149,3 +149,35 @@ def test_horizontal_translation_equivariance():
         moved = dg.interception(x_p + shift, x_e + shift, alpha)
         assert moved.point == pytest.approx(base.point + shift, abs=1e-9)
         assert moved.clearance == pytest.approx(base.clearance, abs=1e-12)
+
+
+def test_aim_point_readers_equal_their_interception_definitions():
+    # interception is the paper-facing reference; the predicates and the
+    # strategies read the same point through aim_point and must agree with
+    # it bit for bit
+    def unit(vec):
+        return vec / math.hypot(vec[0], vec[1])
+
+    rng = np.random.default_rng(23)
+    seen_separated = set()
+    for _ in range(400):
+        x_p = np.array([rng.uniform(-2.0, 2.0), rng.uniform(0.05, 2.0)])
+        x_e = x_p + rng.normal(size=2) * rng.uniform(0.01, 1.5)
+        if np.linalg.norm(x_p - x_e) < 1e-6:
+            continue
+        p = dg.GameParams.from_alpha(
+            v_p=0.3, alpha=float(rng.uniform(1.05, 10.0)), kappa=0.0625, r=0.1
+        )
+        theta = float(rng.uniform(0.0, 2.0 * math.pi))
+        state = make_state(x_p[0], x_p[1], theta, x_e[0], x_e[1])
+        data = dg.interception(x_p, x_e, p.alpha)
+
+        assert dg.heading_error(state, p) == dg.wrap_to_pi(data.angle - theta)
+        separated = dg.separation_holds(state, p)
+        assert separated == (data.clearance >= 0.0)
+        seen_separated.add(separated)
+        assert np.array_equal(
+            dg.pursuit_simple(x_p, x_e, p.alpha), unit(data.point - x_p)
+        )
+        assert np.array_equal(dg.evader_optimal(state, p), unit(data.point - x_e))
+    assert seen_separated == {True, False}

@@ -6,6 +6,7 @@ import pytest
 
 import dubinsguard as dg
 from conftest import aligned_state
+from dubinsguard import sim
 
 
 def test_detect_crossing_examples():
@@ -486,3 +487,31 @@ class TestMixedTeamGame:
             ev = result.trajectories[f"E{e.evader + 1}"][-1]
             dist = math.hypot(px - ev[1], py - ev[2])
             assert dist == pytest.approx(sc.pursuers[e.pursuer].r, abs=1e-8)
+
+
+def test_every_step_moves_each_car_and_each_active_evader_once(monkeypatch):
+    # run steps the agents through sim's own step_pursuer/step_evader
+    # bindings, once per car and once per active evader in each step, cars
+    # first; tools that time the simulator per step rely on these calls
+    calls = []
+
+    def counted(tag, step):
+        def wrapper(*args):
+            calls.append(tag)
+            return step(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(sim, "step_pursuer", counted("p", sim.step_pursuer))
+    monkeypatch.setattr(sim, "step_evader", counted("e", sim.step_evader))
+    sc = _mixed_team()
+    result = dg.run(sc, dg.SimConfig(dt=1e-3, max_time=2.5, matching_period=10))
+    assert sum(e.kind == "capture" for e in result.events) == 2
+
+    e_rows = [result.trajectories[f"E{j + 1}"] for j in range(len(sc.evaders))]
+    n_steps = len(e_rows[0]) - 1
+    expected = "".join(
+        "p" * len(sc.pursuers) + "e" * sum(rows[k][6] == "active" for rows in e_rows)
+        for k in range(n_steps)
+    )
+    assert "".join(calls) == expected
