@@ -380,14 +380,12 @@ def relaxed_oracle_from_centers(
     """Brute-force minimum of the relaxed clearance objective.
 
     The objective is concave and the constraint set is a product of two
-    disks, so the minimum sits on both boundary circles; scan the two
-    boundary angles on a grid x grid lattice and polish the best cell by
-    alternating golden-section descent.  Returns the clearance on the same
-    scale as the closed form."""
-    x_c = np.asarray(x_c, dtype=float)
-    x_e = np.asarray(x_e, dtype=float)
-    cx, cy = float(x_c[0]), float(x_c[1])
-    ex, ey = float(x_e[0]), float(x_e[1])
+    disks, so the minimum sits on both boundary circles; scan the grid x grid
+    lattice of boundary angles as one column-by-row broadcast (each angle's
+    cos/sin taken once), then polish the best cell by alternating
+    golden-section descent.  Returns the clearance on the closed form's scale."""
+    cx, cy = map(float, x_c)
+    ex, ey = map(float, x_e)
     reach = 2.0 * math.pi * kappa / alpha
 
     def objective(theta_p, theta_e):
@@ -398,13 +396,10 @@ def relaxed_oracle_from_centers(
         return lowest_point(xp, yp, xe, ye, np.hypot(xp - xe, yp - ye), alpha)[1]
 
     angles = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
-    tp, te = np.meshgrid(angles, angles, indexing="ij")
-    vals = objective(tp, te)
+    vals = objective(angles[:, None], angles[None, :])
     i, j = np.unravel_index(int(np.argmin(vals)), vals.shape)
     theta_p, theta_e = float(angles[i]), float(angles[j])
-    cell = 2.0 * math.pi / grid
-
-    window = 2.0 * cell
+    window = 4.0 * math.pi / grid
     for _ in range(8):
         theta_p, _ = golden_max(
             lambda t: -float(objective(t, theta_e)),
@@ -449,8 +444,27 @@ def _wrapped_error(xp, yp, theta_p, xe, ye, alpha: float):
     return np.mod(angle - theta_p + math.pi, 2.0 * math.pi) - math.pi
 
 
-def _clearance_at(xp, yp, xe, ye, alpha: float) -> float:
-    return lowest_point(xp, yp, xe, ye, math.hypot(xp - xe, yp - ye), alpha)[1]
+def _bisect_events(state, p, sign, theta_e, t_lo, t_hi, capture: bool):
+    """Event time in each bracket [t_lo, t_hi] of the evader headings
+    ``theta_e``: 60 joint halvings of the capture gap or the wrapped heading
+    error.  A zero at a midpoint collapses that bracket onto it for good."""
+
+    def event(s):
+        xp, yp, tp, xe, ye = _rollout_positions(state, p, sign, s, theta_e)
+        if capture:
+            return np.hypot(xp - xe, yp - ye) - p.r
+        return _wrapped_error(xp, yp, tp, xe, ye, p.alpha)
+
+    f_lo = event(t_lo)
+    for _ in range(60):
+        mid = 0.5 * (t_lo + t_hi)
+        f_mid = event(mid)
+        zero = f_mid == 0.0
+        lo_moves = (f_mid > 0.0) == (f_lo > 0.0)
+        t_lo = np.where(lo_moves | zero, mid, t_lo)
+        t_hi = np.where(lo_moves & ~zero, t_hi, mid)
+        f_lo = np.where(lo_moves, f_mid, f_lo)
+    return 0.5 * (t_lo + t_hi)
 
 
 def rollout_clearance_oracle(
@@ -466,75 +480,60 @@ def rollout_clearance_oracle(
     initial states are terminal already: returns +inf.  With
     ``return_times`` also returns the per-heading event times (NaN where no
     event occurred within one turning period).
+
+    A coarse time scan brackets each heading's first firing test; then one
+    array bisection locates all heading-error events and one all captures (the
+    earlier wins), and one ``lowest_point`` call gives every event clearance.
     """
     dist0 = float(np.linalg.norm(state.pursuer.pos - state.evader.pos))
-    if dist0 <= p.r:
-        return (math.inf, np.full(grid, np.nan)) if return_times else math.inf
-    err0 = heading_error(state, p)
-    if abs(err0) <= 1e-12:
+    if dist0 <= p.r or abs(err0 := heading_error(state, p)) <= 1e-12:
         return (math.inf, np.full(grid, np.nan)) if return_times else math.inf
     bound = adjust_time_bound(state, p)
     sign = bound.turn_sign
     dt = bound.duration / 2000.0
     horizon = 2.0 * math.pi * p.kappa / p.v_p
     steps = int(math.ceil(horizon / dt)) + 1
-    alpha = p.alpha
 
     headings = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
     active = np.ones(grid, dtype=bool)
-    prev_err = np.full(grid, err0)
-    prev_gap = np.full(grid, dist0 - p.r)
-    prev_t = 0.0
-    best = math.inf
-    event_times = np.full(grid, np.nan)
-
-    def refine(theta_e: float, t_lo: float, t_hi: float, capture: bool) -> float:
-        def event(s: float) -> float:
-            xp, yp, tp, xe, ye = _rollout_positions(state, p, sign, s, theta_e)
-            if capture:
-                return math.hypot(xp - xe, yp - ye) - p.r
-            return float(_wrapped_error(xp, yp, tp, xe, ye, alpha))
-
-        f_lo = event(t_lo)
-        for _ in range(60):
-            mid = 0.5 * (t_lo + t_hi)
-            f_mid = event(mid)
-            if f_mid == 0.0:
-                return mid
-            if (f_mid > 0.0) == (f_lo > 0.0):
-                t_lo, f_lo = mid, f_mid
-            else:
-                t_hi = mid
-        return 0.5 * (t_lo + t_hi)
+    io_fired, cap_fired = np.zeros((2, grid), dtype=bool)
+    t_lo, t_hi = np.zeros((2, grid))
+    prev_err, prev_gap, prev_t = np.full(grid, err0), np.full(grid, dist0 - p.r), 0.0
 
     for k in range(1, steps + 1):
         t = min(k * dt, horizon)
         xp, yp, tp, xe, ye = _rollout_positions(state, p, sign, t, headings)
-        err = _wrapped_error(xp, yp, tp, xe, ye, alpha)
+        err = _wrapped_error(xp, yp, tp, xe, ye, p.alpha)
         gap = np.hypot(xp - xe, yp - ye) - p.r
         io_hit = active & (np.sign(err) != np.sign(prev_err)) & (
             np.abs(err) + np.abs(prev_err) < math.pi
         )
         cap_hit = active & (gap <= 0.0) & (prev_gap > 0.0)
-        for idx in np.flatnonzero(io_hit | cap_hit):
-            theta_e = float(headings[idx])
-            t_event = math.inf
-            if io_hit[idx]:
-                t_event = refine(theta_e, prev_t, t, capture=False)
-            if cap_hit[idx]:
-                t_event = min(t_event, refine(theta_e, prev_t, t, capture=True))
-            xps, yps, _, xes, yes = _rollout_positions(state, p, sign, t_event, theta_e)
-            best = min(best, _clearance_at(float(xps), float(yps), float(xes), float(yes), alpha))
-            event_times[idx] = t_event
-            active[idx] = False
-        if not active.any():
-            break
-        prev_err = err
-        prev_gap = gap
-        prev_t = t
+        hit = io_hit | cap_hit
+        if hit.any():
+            io_fired |= io_hit
+            cap_fired |= cap_hit
+            t_lo[hit], t_hi[hit] = prev_t, t
+            active &= ~hit
+            if not active.any():
+                break
+        prev_err, prev_gap, prev_t = err, gap, t
         if t >= horizon:
             break
-    return (best, event_times) if return_times else best
+
+    times = np.full(grid, math.inf)
+    for fired, capture in ((io_fired, False), (cap_fired, True)):
+        if fired.any():
+            found = _bisect_events(
+                state, p, sign, headings[fired], t_lo[fired], t_hi[fired], capture
+            )
+            times[fired] = np.minimum(times[fired], found)
+    fired = ~active
+    xp, yp, _, xe, ye = _rollout_positions(state, p, sign, times[fired], headings[fired])
+    clearance = lowest_point(xp, yp, xe, ye, np.hypot(xp - xe, yp - ye), p.alpha)[1]
+    best = float(np.min(clearance, initial=math.inf))
+    times[~fired] = np.nan
+    return (best, times) if return_times else best
 
 
 class CertificateKind(enum.Enum):

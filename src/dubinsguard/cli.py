@@ -5,7 +5,8 @@ Scenario files are JSON with a fixed schema; trajectory output is CSV (one
 row per agent per step, 9 significant digits) and events are JSON lines.
 Every command that reads a scenario refuses a malformed or inadmissible one
 (``model.Scenario``'s rules) with one ``error:`` line.
-Exit codes: 0 clean, 1 input error, 2 time horizon exceeded.
+Exit codes: 0 clean, 1 input error or a violating ``oracle-compare`` trial,
+2 time horizon exceeded.
 """
 
 from __future__ import annotations

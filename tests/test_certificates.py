@@ -5,6 +5,119 @@ import pytest
 
 import dubinsguard as dg
 from conftest import aligned_state, make_state
+from dubinsguard.certificates import _rollout_positions, _wrapped_error
+from dubinsguard.geometry import lowest_point
+
+
+def _reference_relaxed_oracle(x_c, x_e, alpha, kappa, grid):
+    """The relaxed oracle with its first grid scan: a ``meshgrid`` of both
+    boundary angles, then the same golden-section polish."""
+    cx, cy = float(x_c[0]), float(x_c[1])
+    ex, ey = float(x_e[0]), float(x_e[1])
+    reach = 2.0 * math.pi * kappa / alpha
+
+    def objective(theta_p, theta_e):
+        xp = cx + kappa * np.cos(theta_p)
+        yp = cy + kappa * np.sin(theta_p)
+        xe = ex + reach * np.cos(theta_e)
+        ye = ey + reach * np.sin(theta_e)
+        return lowest_point(xp, yp, xe, ye, np.hypot(xp - xe, yp - ye), alpha)[1]
+
+    angles = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
+    tp, te = np.meshgrid(angles, angles, indexing="ij")
+    vals = objective(tp, te)
+    i, j = np.unravel_index(int(np.argmin(vals)), vals.shape)
+    theta_p, theta_e = float(angles[i]), float(angles[j])
+    window = 2.0 * (2.0 * math.pi / grid)
+    for _ in range(8):
+        theta_p, _ = dg.golden_max(
+            lambda t: -float(objective(t, theta_e)), theta_p - window, theta_p + window, tol=1e-12
+        )
+        theta_e, _ = dg.golden_max(
+            lambda t: -float(objective(theta_p, t)), theta_e - window, theta_e + window, tol=1e-12
+        )
+        window *= 0.5
+    return min(float(objective(theta_p, theta_e)), float(vals[i, j]))
+
+
+def _reference_rollout_oracle(state, p, grid):
+    """The rollout oracle with its first event location: the same coarse
+    scan, then one scalar 60-halving bisection per heading and fired test,
+    and each event's clearance on floats.  Returns the value, the event
+    times, the number of capture brackets and the number of headings on
+    which both tests fired in the same coarse step."""
+    dist0 = float(np.linalg.norm(state.pursuer.pos - state.evader.pos))
+    err0 = dg.heading_error(state, p)
+    bound = dg.adjust_time_bound(state, p)
+    sign = bound.turn_sign
+    dt = bound.duration / 2000.0
+    horizon = 2.0 * math.pi * p.kappa / p.v_p
+    steps = int(math.ceil(horizon / dt)) + 1
+    headings = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
+    active = np.ones(grid, dtype=bool)
+    prev_err, prev_gap, prev_t = np.full(grid, err0), np.full(grid, dist0 - p.r), 0.0
+    best, event_times = math.inf, np.full(grid, np.nan)
+    captures = both = 0
+
+    def refine(theta_e, t_lo, t_hi, capture):
+        def event(s):
+            xp, yp, tp, xe, ye = _rollout_positions(state, p, sign, s, theta_e)
+            if capture:
+                return math.hypot(xp - xe, yp - ye) - p.r
+            return float(_wrapped_error(xp, yp, tp, xe, ye, p.alpha))
+
+        f_lo = event(t_lo)
+        for _ in range(60):
+            mid = 0.5 * (t_lo + t_hi)
+            f_mid = event(mid)
+            if f_mid == 0.0:
+                return mid
+            if (f_mid > 0.0) == (f_lo > 0.0):
+                t_lo, f_lo = mid, f_mid
+            else:
+                t_hi = mid
+        return 0.5 * (t_lo + t_hi)
+
+    for k in range(1, steps + 1):
+        t = min(k * dt, horizon)
+        xp, yp, tp, xe, ye = _rollout_positions(state, p, sign, t, headings)
+        err = _wrapped_error(xp, yp, tp, xe, ye, p.alpha)
+        gap = np.hypot(xp - xe, yp - ye) - p.r
+        io_hit = active & (np.sign(err) != np.sign(prev_err)) & (
+            np.abs(err) + np.abs(prev_err) < math.pi
+        )
+        cap_hit = active & (gap <= 0.0) & (prev_gap > 0.0)
+        captures += int(cap_hit.sum())
+        both += int((io_hit & cap_hit).sum())
+        for idx in np.flatnonzero(io_hit | cap_hit):
+            theta_e = float(headings[idx])
+            t_event = math.inf
+            if io_hit[idx]:
+                t_event = refine(theta_e, prev_t, t, capture=False)
+            if cap_hit[idx]:
+                t_event = min(t_event, refine(theta_e, prev_t, t, capture=True))
+            xs, ys, _, xes, yes = map(
+                float, _rollout_positions(state, p, sign, t_event, theta_e)
+            )
+            dist = math.hypot(xs - xes, ys - yes)
+            best = min(best, lowest_point(xs, ys, xes, yes, dist, p.alpha)[1])
+            event_times[idx] = t_event
+            active[idx] = False
+        if not active.any():
+            break
+        prev_err, prev_gap, prev_t = err, gap, t
+        if t >= horizon:
+            break
+    return best, event_times, captures, both
+
+
+def _oracle_corpora(paper):
+    """Trial states as ``oracle-compare --trials 1 --seed S`` draws them for
+    S = 0..15, and near-capture states from one seeded stream."""
+    trials = [dg.sample_adjust_feasible_state(np.random.default_rng(s), paper) for s in range(16)]
+    rng = np.random.default_rng(57)
+    near = [dg.sample_adjust_feasible_state(rng, paper, d_range=(0.11, 0.2)) for _ in range(4)]
+    return trials, near
 
 
 class TestParameterCurves:
@@ -348,6 +461,15 @@ class TestRelaxedOracle:
         assert abs(fine - coarse) < 1e-4
 
 
+    def test_broadcast_grid_matches_meshgrid_reference(self, paper):
+        trials, near = _oracle_corpora(paper)
+        for state in trials + near:
+            center = dg.adjust_time_bound(state, paper).turn_center
+            args = (center, state.evader.pos, paper.alpha, paper.kappa)
+            want = _reference_relaxed_oracle(*args, grid=180)
+            assert dg.relaxed_oracle_from_centers(*args, grid=180) == want
+
+
 class TestRolloutOracle:
     def test_terminal_states_give_infinity(self, paper):
         aligned = aligned_state(0, 0.95, 0.35, 0.40, paper.alpha)
@@ -368,6 +490,42 @@ class TestRolloutOracle:
             assert np.isfinite(times).all()
             assert float(np.nanmax(times)) <= bound.duration + 1e-6
 
+
+    def test_batched_bisection_matches_scalar_reference(self, paper):
+        # the trial states hold no capture event at all; the near-capture
+        # states exercise capture brackets and headings where both tests
+        # fire in one coarse step, which take the earlier time
+        trials, near = _oracle_corpora(paper)
+        counts = []
+        for state in trials + near:
+            value, times = dg.rollout_clearance_oracle(state, paper, grid=180, return_times=True)
+            want, want_times, captures, both = _reference_rollout_oracle(state, paper, 180)
+            assert abs(value - want) <= 1e-12
+            assert np.array_equal(np.isnan(times), np.isnan(want_times))
+            np.testing.assert_allclose(times, want_times, rtol=0.0, atol=1e-12)
+            counts.append((captures, both))
+        assert sum(c for c, _ in counts[: len(trials)]) == 0
+        assert sum(c for c, _ in counts[len(trials) :]) > 100
+        assert sum(b for _, b in counts[len(trials) :]) >= 1
+
+
+    def test_bisection_stops_each_bracket_at_an_exact_zero(self, paper, monkeypatch):
+        # with the event value replaced by s - theta_e, the first bracket
+        # meets its root at the first midpoint, the second at the second,
+        # and the third never does; collapsing the two stopped brackets must
+        # not disturb the third
+        from dubinsguard import certificates
+
+        monkeypatch.setattr(
+            certificates, "_rollout_positions", lambda state, p, sign, s, theta_e: (s - theta_e,) * 5
+        )
+        monkeypatch.setattr(certificates, "_wrapped_error", lambda xp, *rest: xp)
+        roots = np.array([0.0, 0.0, 1.0 / 3.0])
+        found = certificates._bisect_events(
+            None, paper, 1.0, roots, np.array([-1.0, -1.0, 0.0]), np.array([1.0, 3.0, 1.0]), False
+        )
+        assert found[0] == 0.0 and found[1] == 0.0
+        assert abs(found[2] - 1.0 / 3.0) < 1e-15
 
 class TestCertifyWin:
     def test_aligned_separated_pair_is_intercept(self, paper):
@@ -396,3 +554,60 @@ class TestCertifyWin:
         assert good.kind is dg.CertificateKind.INTERCEPT
         bad = dg.certify_win(make_state(0, 3, 0.0, 0, 1), p, motion="simple")
         assert bad.kind is dg.CertificateKind.NONE
+
+
+def _certify_corpus(rng, n):
+    """Seeded pairs for the invariance checks: random positions, a third of
+    the headings snapped onto the aim point, and per-pair speed ratio,
+    turning radius and capture radius."""
+    pairs = []
+    for _ in range(n):
+        p = dg.GameParams.from_alpha(
+            v_p=0.3, alpha=rng.uniform(1.5, 8.0), kappa=rng.uniform(0.01, 0.1), r=rng.uniform(0.01, 0.12)
+        )
+        x_p = np.array([rng.uniform(-1.0, 1.0), rng.uniform(0.1, 1.5)])
+        bearing = rng.uniform(0, 2 * math.pi)
+        x_e = x_p + rng.uniform(0.15, 1.0) * np.array([math.cos(bearing), math.sin(bearing)])
+        theta = rng.uniform(0, 2 * math.pi)
+        if rng.uniform() < 1 / 3:
+            theta = dg.interception(x_p, x_e, p.alpha).angle
+        pairs.append((make_state(x_p[0], x_p[1], theta, x_e[0], x_e[1]), p))
+    return pairs
+
+
+class TestCertifyInvariance:
+    def test_mirror_keeps_the_kind(self):
+        kinds = set()
+        for state, p in _certify_corpus(np.random.default_rng(58), 800):
+            (px, py), (ex, ey) = state.pursuer.pos, state.evader.pos
+            mirror = make_state(-px, py, math.pi - state.pursuer.theta, -ex, ey)
+            kind = dg.certify_win(state, p).kind
+            assert dg.certify_win(mirror, p).kind is kind
+            kinds.add(kind)
+        assert kinds == set(dg.CertificateKind)
+
+    def test_scaling_lengths_keeps_the_kind(self):
+        kinds = set()
+        for state, p in _certify_corpus(np.random.default_rng(59), 800):
+            scaled_p = dg.GameParams(v_p=p.v_p, v_e=p.v_e, kappa=2 * p.kappa, r=2 * p.r)
+            (px, py), (ex, ey) = 2 * state.pursuer.pos, 2 * state.evader.pos
+            scaled = make_state(px, py, state.pursuer.theta, ex, ey)
+            kind = dg.certify_win(state, p).kind
+            assert dg.certify_win(scaled, scaled_p).kind is kind
+            kinds.add(kind)
+        assert kinds == set(dg.CertificateKind)
+
+    def test_growing_the_capture_radius_keeps_every_certificate(self):
+        # radii stay below the corpus's smallest pair distance (0.15), so no
+        # pair is inside a grown capture disk; growing r crosses both the
+        # demand curve and the heading-adjust ratio for most pairs
+        gained = 0
+        for state, p in _certify_corpus(np.random.default_rng(60), 400):
+            certified = False
+            for r in (0.005, 0.02, 0.05, 0.1, 0.149):
+                grown = dg.GameParams(v_p=p.v_p, v_e=p.v_e, kappa=p.kappa, r=r)
+                now = dg.certify_win(state, grown).kind is not dg.CertificateKind.NONE
+                assert now or not certified
+                gained += now and not certified and r > 0.005
+                certified = now
+        assert gained > 100
