@@ -29,15 +29,12 @@ from .certificates import (
 )
 from .geometry import (
     IO_TOL,
-    Circle,
     InterceptionData,
     er_goal_distance,
-    evasion_region,
     heading_error,
     interception,
-    orientation_holds,
-    potential,
     separation_holds,
+    turn_direction,
 )
 from .matching import Assignment, WinGraph, assign, build_graph, max_matching
 from .model import (

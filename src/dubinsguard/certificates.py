@@ -10,7 +10,9 @@ worst-case clearance bound: the minimum signed distance the interception
 point can be forced to during one turning period.  That bound has a KKT
 closed form driven by a degree-six polynomial; two brute-force oracles
 (a boundary scan of the relaxed problem and a trajectory rollout of the
-original one) cross-check it.
+original one) cross-check it.  All of them bound the turn the car makes:
+``adjust_time_bound`` takes its direction from ``geometry.turn_direction``,
+the rule the strategies steer by.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .geometry import (
     goal_gap,
     heading_error,
     lowest_point,
+    turn_direction,
 )
 from .model import (
     EvaderState,
@@ -171,13 +174,16 @@ def adjust_time_bound(
     state: JointState, p: GameParams, err: float | None = None
 ) -> AdjustBound:
     """Upper bound on the heading-adjustment time; rejects aligned states.
-    ``err`` is the state's heading error, when the caller already has it."""
+    ``err`` is the state's heading error, when the caller already has it.
+
+    The turn is the one the car makes: ``turn_sign`` is
+    ``geometry.turn_direction(err)``, so every bound built on this one
+    (scope, clearance, both oracles) is a bound on the executed maneuver."""
     if err is None:
         err = heading_error(state, p)
     if err == 0.0:
         raise ValueError("state is already aligned; no adjustment to bound")
-    sin_err = math.sin(err)
-    sign = -1.0 if sin_err == 0.0 else math.copysign(1.0, sin_err)
+    sign = turn_direction(err)
     theta_p = state.pursuer.theta
     center_bearing = wrap_angle(theta_p + sign * 0.5 * math.pi)
     center = state.pursuer.pos + p.kappa * np.array(

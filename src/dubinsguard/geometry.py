@@ -1,5 +1,5 @@
-"""Evasion-region geometry: potential function, interception point and the
-separation / orientation predicates.
+"""Evasion-region geometry: the interception point, the separation
+predicate, the heading error and the turn rule that closes it.
 
 For a pursuer-evader pair with speed ratio alpha > 1 the set of points the
 evader reaches strictly first (under simple motion on both sides) is an open
@@ -9,10 +9,16 @@ point is the interception angle.
 
 ``lowest_point`` is the one copy of that formula, on floats or arrays.
 ``aim_point`` (checked, one pair) and ``aim_bearing`` are the aim-point
-kernel: the predicates here, the strategies, the simulator's heading snaps
-and ``certify_win`` all read the point through them.  ``interception``
+kernel: the separation predicate and the heading error here, the
+strategies, the simulator's heading snaps and ``certify_win`` all read the
+point through them.  ``interception``
 packages the same point as an ``InterceptionData`` for callers that want
 every derived quantity at once.
+
+``turn_direction`` is the one rule that maps a heading error to the
+direction of the full-rate heading adjustment: the strategies steer by it,
+and the adjustment-time bound, the clearance certificate and both of its
+oracles bound the turn it picks.
 """
 
 from __future__ import annotations
@@ -24,21 +30,15 @@ import numpy as np
 
 from .model import GameParams, JointState, wrap_angle, wrap_to_pi
 
-#: Default tolerance on the heading-alignment predicate.  Exact equality is
-#: unreachable in floating point; the simulator snaps the heading once the
-#: wrapped difference is inside this band.
+#: Width of the heading-alignment band.  Exact equality is unreachable in
+#: floating point; the simulator snaps the heading once the wrapped
+#: difference is inside this band.
 IO_TOL = 1e-6
 
-
-@dataclass(frozen=True)
-class Circle:
-    center: np.ndarray
-    radius: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
-        if self.radius < 0.0:
-            raise ValueError(f"radius must be >= 0, got {self.radius}")
+#: Width of the "exactly opposite" band of ``turn_direction``.  The
+#: opposite-heading case is measure zero and any perturbation escapes it, so
+#: the band only needs to absorb float noise.
+OPPOSITE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -57,20 +57,6 @@ class InterceptionData:
     offset: np.ndarray
 
 
-def potential(x, x_p, x_e, alpha: float) -> float:
-    """Evaluate ||x - x_p|| - alpha * ||x - x_e||.
-
-    Positive inside the evasion region, zero on its boundary circle.
-    """
-    x = np.asarray(x, dtype=float)
-    x_p = np.asarray(x_p, dtype=float)
-    x_e = np.asarray(x_e, dtype=float)
-    return float(
-        math.hypot(x[0] - x_p[0], x[1] - x_p[1])
-        - alpha * math.hypot(x[0] - x_e[0], x[1] - x_e[1])
-    )
-
-
 def _check_pair(x_p: np.ndarray, x_e: np.ndarray, alpha: float) -> float:
     if alpha <= 1.0:
         raise ValueError(f"speed ratio must exceed 1, got {alpha}")
@@ -78,18 +64,6 @@ def _check_pair(x_p: np.ndarray, x_e: np.ndarray, alpha: float) -> float:
     if dist == 0.0:
         raise ValueError("pursuer and evader positions coincide")
     return dist
-
-
-def evasion_region(x_p, x_e, alpha: float) -> Circle:
-    """Open disk of points the evader reaches strictly before the pursuer."""
-    x_p = np.asarray(x_p, dtype=float)
-    x_e = np.asarray(x_e, dtype=float)
-    dist = _check_pair(x_p, x_e, alpha)
-    a2 = alpha * alpha
-    return Circle(
-        center=(a2 * x_e - x_p) / (a2 - 1.0),
-        radius=alpha * dist / (a2 - 1.0),
-    )
 
 
 def lowest_point(xp, yp, xe, ye, dist, alpha: float):
@@ -160,7 +134,13 @@ def heading_error(state: JointState, p: GameParams) -> float:
     return wrap_to_pi(aim_bearing(x_p, x, y) - state.pursuer.theta)
 
 
-def orientation_holds(state: JointState, p: GameParams, tol: float = IO_TOL) -> bool:
-    """True iff the pursuer heading matches the interception angle within
-    ``tol`` (wrapped)."""
-    return abs(heading_error(state, p)) <= tol
+def turn_direction(err: float) -> float:
+    """Direction of the full-rate heading adjustment for the wrapped
+    heading error ``err``: +1 counter-clockwise, -1 clockwise.
+
+    Takes the shorter angular sweep; within ``OPPOSITE_TOL`` of exactly
+    opposite (both sweeps equal up to float noise) it turns clockwise.
+    """
+    if abs(abs(err) - math.pi) <= OPPOSITE_TOL:
+        return -1.0
+    return 1.0 if math.sin(err) > 0.0 else -1.0

@@ -48,10 +48,11 @@ def build_graph(
     pair_params: dict[tuple[int, int], GameParams],
     n_pursuers: int,
     n_evaders: int,
-    motion: dict[int, str] | None = None,
+    motion: dict[int, str],
 ) -> WinGraph:
     """Certify every provided pair; an edge is present iff the certificate
     is not NONE.  Inactive players are simply absent from ``pair_states``.
+    ``motion`` maps each pursuer index to its ``certify_win`` motion model.
 
     Pairs without separation are screened out first: every certificate
     requires it, so ``certify_win`` would return NONE for them.  The screen
@@ -59,11 +60,10 @@ def build_graph(
     """
     edges = {}
     for key in sorted(pair_states):
-        kind = "dubins" if motion is None else motion[key[0]]
         state, params = pair_states[key], pair_params[key]
         if not separation_holds(state, params):
             continue
-        cert = certify_win(state, params, motion=kind)
+        cert = certify_win(state, params, motion=motion[key[0]])
         if cert.kind is not CertificateKind.NONE:
             edges[key] = cert
     return WinGraph(n_pursuers=n_pursuers, n_evaders=n_evaders, edges=edges)

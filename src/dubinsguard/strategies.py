@@ -3,11 +3,12 @@
 Pursuer side: aim straight at the interception point (simple motion), track
 it with a turn-rate command synthesized from the evader's current control
 (car with separation and alignment established), or swing the heading toward
-the interception angle at full turn rate (alignment not yet established).
-``two_step`` composes the last two into the car's adjust-then-intercept
-phase machine, the one the simulator runs for every car.  Evader side: head
-for the interception point (the unique best response), or hold a constant
-heading.
+the interception angle at full turn rate (alignment not yet established),
+turning the way ``geometry.turn_direction`` picks, the same rule the
+certificates bound.  ``two_step`` composes the last two into the car's
+adjust-then-intercept phase machine, the one the simulator runs for every
+car.  Evader side: head for the interception point (the unique best
+response), or hold a constant heading.
 """
 
 from __future__ import annotations
@@ -19,13 +20,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .certificates import intercept_feasible
-from .geometry import IO_TOL, aim_point, heading_error
+from .geometry import IO_TOL, aim_point, heading_error, turn_direction
 from .model import GameParams, JointState
-
-#: Width of the "exactly opposite" band in the heading-adjust law.  The
-#: opposite-heading case is measure zero and any perturbation escapes it, so
-#: the band only needs to absorb float noise.
-OPPOSITE_TOL = 1e-9
 
 #: Turn commands may exceed 1 in magnitude by rounding; excess above this is
 #: counted as a genuine precondition violation rather than float noise.
@@ -159,21 +155,11 @@ def pursuit_intercept(
     return u
 
 
-def _turn_toward(err: float) -> float:
-    """Full turn command for the wrapped heading error ``err``: the shorter
-    angular sweep, clockwise within ``OPPOSITE_TOL`` of exactly opposite."""
-    if abs(abs(err) - math.pi) <= OPPOSITE_TOL:
-        return -1.0
-    return 1.0 if math.sin(err) > 0.0 else -1.0
-
-
 def heading_adjust(state: JointState, p: GameParams) -> float:
-    """Full turn command toward the interception angle.
-
-    Turns in the direction of the shorter angular sweep; when the error is
-    within ``OPPOSITE_TOL`` of exactly opposite, turns clockwise.
-    """
-    return _turn_toward(heading_error(state, p))
+    """Full turn command toward the interception angle, in the direction
+    ``geometry.turn_direction`` picks: the shorter angular sweep, clockwise
+    when the error is exactly opposite up to float noise."""
+    return turn_direction(heading_error(state, p))
 
 
 def two_step(
@@ -208,4 +194,4 @@ def two_step(
         )
     if aligned and intercept_feasible(p.r, p.kappa, p.alpha):
         return pursuit_intercept(state, u_e, p, diag), TwoStepState(Phase.INTERCEPTING)
-    return _turn_toward(err), replace(mode, last_error=err)
+    return turn_direction(err), replace(mode, last_error=err)

@@ -556,6 +556,48 @@ class TestCertifyWin:
         assert bad.kind is dg.CertificateKind.NONE
 
 
+class TestTurnRule:
+    """The certificates bound the turn the car makes: near-opposite
+    headings, where the shorter sweep is decided by float noise, are the
+    states on which a second turn rule could disagree with the strategy."""
+
+    def test_exactly_opposite_state_bounds_the_clockwise_turn(self, paper):
+        # heading error exactly pi: the car turns clockwise, and the
+        # clearance of that turn is negative, so no certificate is issued
+        # (the counter-clockwise turn would have cleared by +6.557e-4)
+        state = make_state(
+            -0.27057586891169283,
+            0.5708685990021566,
+            1.8662926706621672,
+            -0.12676656193627223,
+            0.16656105340535715,
+        )
+        assert dg.heading_error(state, paper) == math.pi
+        assert dg.heading_adjust(state, paper) == -1.0
+        assert dg.adjust_time_bound(state, paper).turn_sign == -1.0
+        cert = dg.certify_win(state, paper)
+        assert cert.kind is dg.CertificateKind.NONE
+        assert cert.evidence.scope_ok and cert.evidence.two_step_ok
+        assert cert.evidence.clearance == pytest.approx(-2.2057e-4, abs=1e-8)
+        assert cert.evidence.clearance == dg.solve_relaxed_clearance(state, paper).clearance
+
+    @pytest.mark.parametrize("delta", [0.0, 5e-10, -5e-10, 2e-9])
+    def test_bound_strategy_and_phase_machine_turn_alike(self, paper, delta):
+        rng = np.random.default_rng(91)
+        u_e = np.array([1.0, 0.0])
+        for _ in range(250):
+            base = dg.sample_adjust_feasible_state(rng, paper)
+            x_p, x_e = base.pursuer.pos, base.evader.pos
+            bearing = dg.interception(x_p, x_e, paper.alpha).angle
+            theta = dg.wrap_angle(bearing + math.pi - delta)
+            state = make_state(x_p[0], x_p[1], theta, x_e[0], x_e[1])
+            sign = dg.adjust_time_bound(state, paper).turn_sign
+            assert dg.heading_adjust(state, paper) == sign
+            command, mode = dg.two_step(state, u_e, paper, dg.TwoStepState())
+            assert mode.phase is dg.Phase.ADJUSTING
+            assert command == sign
+
+
 def _certify_corpus(rng, n):
     """Seeded pairs for the invariance checks: random positions, a third of
     the headings snapped onto the aim point, and per-pair speed ratio,

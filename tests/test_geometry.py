@@ -5,15 +5,44 @@ import pytest
 
 import dubinsguard as dg
 from conftest import make_state
+from dubinsguard.geometry import aim_point
+
+
+# The paper's definitions, kept here as oracles for the library's closed
+# forms: the potential, the evasion disk it bounds, and the alignment
+# predicate.
+
+
+def _potential(x, x_p, x_e, alpha):
+    """||x - x_p|| - alpha * ||x - x_e||: positive inside the evasion
+    region, zero on its boundary circle."""
+    return math.hypot(x[0] - x_p[0], x[1] - x_p[1]) - alpha * math.hypot(
+        x[0] - x_e[0], x[1] - x_e[1]
+    )
+
+
+def _evasion_region(x_p, x_e, alpha):
+    """Center and radius of the open disk of points the evader reaches
+    strictly before the pursuer."""
+    x_p = np.asarray(x_p, dtype=float)
+    x_e = np.asarray(x_e, dtype=float)
+    a2 = alpha * alpha
+    center = (a2 * x_e - x_p) / (a2 - 1.0)
+    return center, alpha * float(np.linalg.norm(x_p - x_e)) / (a2 - 1.0)
+
+
+def _orientation_holds(state, p, tol):
+    """The pursuer heading matches the interception angle within ``tol``."""
+    return abs(dg.heading_error(state, p)) <= tol
 
 
 def test_potential_examples():
     # at the evader's own position only the first term survives
-    assert dg.potential((0, 1), (0, 2), (0, 1), 2.0) == pytest.approx(1.0)
+    assert _potential((0, 1), (0, 2), (0, 1), 2.0) == pytest.approx(1.0)
     # at the pursuer's position only the (negated) second term survives
-    assert dg.potential((0, 2), (0, 2), (0, 1), 2.0) == pytest.approx(-2.0)
+    assert _potential((0, 2), (0, 2), (0, 1), 2.0) == pytest.approx(-2.0)
     # hand-picked boundary point
-    assert dg.potential((0, 0), (0, 2), (0, 1), 2.0) == pytest.approx(0.0)
+    assert _potential((0, 0), (0, 2), (0, 1), 2.0) == pytest.approx(0.0)
 
 
 def test_potential_vanishes_on_boundary_circle():
@@ -24,30 +53,32 @@ def test_potential_vanishes_on_boundary_circle():
         if np.linalg.norm(x_p - x_e) < 1e-3:
             continue
         alpha = rng.uniform(1.2, 8.0)
-        circle = dg.evasion_region(x_p, x_e, alpha)
+        center, radius = _evasion_region(x_p, x_e, alpha)
         scale = 1e-9 * (1.0 + float(np.linalg.norm(x_p - x_e)))
         ts = rng.uniform(0, 2 * math.pi, size=50)
         for t in ts:
-            z = circle.center + circle.radius * np.array([math.cos(t), math.sin(t)])
-            assert abs(dg.potential(z, x_p, x_e, alpha)) <= scale
+            z = center + radius * np.array([math.cos(t), math.sin(t)])
+            assert abs(_potential(z, x_p, x_e, alpha)) <= scale
 
 
 def test_evasion_region_examples():
-    c = dg.evasion_region((0, 2), (0, 1), 2.0)
-    assert c.center == pytest.approx([0, 2 / 3])
-    assert c.radius == pytest.approx(2 / 3)
-    c = dg.evasion_region((0, 3), (0, 1), 2.0)
-    assert c.center == pytest.approx([0, 1 / 3])
-    assert c.radius == pytest.approx(4 / 3)
+    center, radius = _evasion_region((0, 2), (0, 1), 2.0)
+    assert center == pytest.approx([0, 2 / 3])
+    assert radius == pytest.approx(2 / 3)
+    center, radius = _evasion_region((0, 3), (0, 1), 2.0)
+    assert center == pytest.approx([0, 1 / 3])
+    assert radius == pytest.approx(4 / 3)
     # large ratio shrinks the region onto the evader
-    c = dg.evasion_region((1, 0), (0, 0), 100.0)
-    assert c.radius == pytest.approx(100 / 9999)
-    assert c.center == pytest.approx([0, 0], abs=2e-4)
+    center, radius = _evasion_region((1, 0), (0, 0), 100.0)
+    assert radius == pytest.approx(100 / 9999)
+    assert center == pytest.approx([0, 0], abs=2e-4)
 
 
-def test_evasion_region_rejects_coincident():
-    with pytest.raises(ValueError):
-        dg.evasion_region((1, 1), (1, 1), 2.0)
+def test_aim_point_and_interception_reject_coincident():
+    with pytest.raises(ValueError, match="coincide"):
+        aim_point(np.array([1.0, 1.0]), np.array([1.0, 1.0]), 2.0)
+    with pytest.raises(ValueError, match="coincide"):
+        dg.interception((1, 1), (1, 1), 2.0)
 
 
 def test_interception_examples():
@@ -79,18 +110,18 @@ def test_interception_offset_and_boundary_membership():
         assert d.offset[1] == pytest.approx(
             -alpha * dist / (alpha**2 - 1), rel=1e-12
         )
-        assert abs(dg.potential(d.point, x_p, x_e, alpha)) <= 1e-9 * (1.0 + dist)
+        assert abs(_potential(d.point, x_p, x_e, alpha)) <= 1e-9 * (1.0 + dist)
 
 
 def test_interception_point_is_argmin_over_closed_region():
     rng = np.random.default_rng(13)
     x_p, x_e, alpha = np.array([0.4, 1.7]), np.array([-0.3, 1.1]), 3.0
-    circle = dg.evasion_region(x_p, x_e, alpha)
+    center, radius = _evasion_region(x_p, x_e, alpha)
     target = dg.interception(x_p, x_e, alpha)
     for _ in range(1000):
         t = rng.uniform(0, 2 * math.pi)
-        rad = circle.radius * math.sqrt(rng.uniform(0, 1))
-        z = circle.center + rad * np.array([math.cos(t), math.sin(t)])
+        rad = radius * math.sqrt(rng.uniform(0, 1))
+        z = center + rad * np.array([math.cos(t), math.sin(t)])
         assert dg.goal_value(z) >= target.clearance - 1e-9
 
 
@@ -108,8 +139,8 @@ def test_er_goal_distance_matches_center_minus_radius():
         if np.linalg.norm(x_p - x_e) < 1e-3:
             continue
         alpha = rng.uniform(1.2, 8.0)
-        circle = dg.evasion_region(x_p, x_e, alpha)
-        gap = circle.center[1] - circle.radius
+        center, radius = _evasion_region(x_p, x_e, alpha)
+        gap = center[1] - radius
         value = dg.er_goal_distance(x_p, x_e, alpha)
         if gap >= 0:
             assert value == pytest.approx(gap, rel=1e-12)
@@ -129,11 +160,27 @@ def test_orientation_predicate():
     data = dg.interception((0, 2), (0, 1), p.alpha)
     tol = 1e-6
     exact = make_state(0, 2, data.angle, 0, 1)
-    assert dg.orientation_holds(exact, p, tol)
+    assert _orientation_holds(exact, p, tol)
     opposite = make_state(0, 2, dg.wrap_angle(data.angle + math.pi), 0, 1)
-    assert not dg.orientation_holds(opposite, p, tol)
+    assert not _orientation_holds(opposite, p, tol)
     inside_band = make_state(0, 2, dg.wrap_angle(data.angle + tol / 2), 0, 1)
-    assert dg.orientation_holds(inside_band, p, tol)
+    assert _orientation_holds(inside_band, p, tol)
+    # certify_win makes the same test at the library's band
+    for state in (exact, opposite, inside_band):
+        assert dg.certify_win(state, p).evidence.io == _orientation_holds(
+            state, p, dg.IO_TOL
+        )
+
+
+def test_turn_direction_takes_the_shorter_sweep():
+    assert dg.turn_direction(0.5) == 1.0
+    assert dg.turn_direction(-0.5) == -1.0
+    assert dg.turn_direction(math.pi - 2e-9) == 1.0
+    assert dg.turn_direction(-math.pi + 2e-9) == -1.0
+    # within OPPOSITE_TOL of exactly opposite both sweeps are equal up to
+    # float noise, and the car turns clockwise
+    for err in (math.pi, -math.pi, math.pi - 5e-10, -math.pi + 5e-10):
+        assert dg.turn_direction(err) == -1.0
 
 
 def test_horizontal_translation_equivariance():
