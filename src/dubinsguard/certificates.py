@@ -473,6 +473,12 @@ def _bisect_events(state, p, sign, theta_e, t_lo, t_hi, capture: bool):
     return 0.5 * (t_lo + t_hi)
 
 
+#: Time steps per block of the rollout oracle's coarse scan: each block is
+#: one array pass over (block steps) x (headings still without an event), so
+#: the pass amortises numpy's per-call cost while its memory stays bounded.
+_SCAN_BLOCK = 64
+
+
 def rollout_clearance_oracle(
     state: JointState, p: GameParams, grid: int = 720, return_times: bool = False
 ):
@@ -487,9 +493,14 @@ def rollout_clearance_oracle(
     ``return_times`` also returns the per-heading event times (NaN where no
     event occurred within one turning period).
 
-    A coarse time scan brackets each heading's first firing test; then one
-    array bisection locates all heading-error events and one all captures (the
-    earlier wins), and one ``lowest_point`` call gives every event clearance.
+    A coarse time scan brackets each heading's first firing test.  It runs in
+    blocks of ``_SCAN_BLOCK`` time steps: each block is one 2-D pass, time
+    down the rows and the headings still without an event across the
+    columns, whose first firing row per heading is found with ``argmax``.  A
+    block's last row is the next block's previous row, and headings that
+    fired leave the later blocks.  Then one array bisection locates all
+    heading-error events and one all captures (the earlier wins), and one
+    ``lowest_point`` call gives every event clearance.
     """
     dist0 = float(np.linalg.norm(state.pursuer.pos - state.evader.pos))
     if dist0 <= p.r or abs(err0 := heading_error(state, p)) <= 1e-12:
@@ -501,30 +512,28 @@ def rollout_clearance_oracle(
     steps = int(math.ceil(horizon / dt)) + 1
 
     headings = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
-    active = np.ones(grid, dtype=bool)
+    idx = np.arange(grid)
     io_fired, cap_fired = np.zeros((2, grid), dtype=bool)
     t_lo, t_hi = np.zeros((2, grid))
     prev_err, prev_gap, prev_t = np.full(grid, err0), np.full(grid, dist0 - p.r), 0.0
 
-    for k in range(1, steps + 1):
-        t = min(k * dt, horizon)
-        xp, yp, tp, xe, ye = _rollout_positions(state, p, sign, t, headings)
-        err = _wrapped_error(xp, yp, tp, xe, ye, p.alpha)
-        gap = np.hypot(xp - xe, yp - ye) - p.r
-        io_hit = active & (np.sign(err) != np.sign(prev_err)) & (
-            np.abs(err) + np.abs(prev_err) < math.pi
-        )
-        cap_hit = active & (gap <= 0.0) & (prev_gap > 0.0)
+    for k0 in range(1, steps + 1, _SCAN_BLOCK):
+        ks = np.arange(k0, min(k0 + _SCAN_BLOCK, steps + 1))
+        ts = np.concatenate(([prev_t], np.minimum(ks * dt, horizon)))
+        ts = ts[: np.searchsorted(ts, horizon) + 1]
+        xp, yp, tp, xe, ye = _rollout_positions(state, p, sign, ts[1:, None], headings[idx])
+        err = np.vstack([prev_err, _wrapped_error(xp, yp, tp, xe, ye, p.alpha)])
+        gap = np.vstack([prev_gap, np.hypot(xp - xe, yp - ye) - p.r])
+        err_sign, err_abs = np.sign(err), np.abs(err)
+        io_hit = (err_sign[1:] != err_sign[:-1]) & (err_abs[1:] + err_abs[:-1] < math.pi)
+        cap_hit = (gap[1:] <= 0.0) & (gap[:-1] > 0.0)
         hit = io_hit | cap_hit
-        if hit.any():
-            io_fired |= io_hit
-            cap_fired |= cap_hit
-            t_lo[hit], t_hi[hit] = prev_t, t
-            active &= ~hit
-            if not active.any():
-                break
-        prev_err, prev_gap, prev_t = err, gap, t
-        if t >= horizon:
+        fired = hit.any(axis=0)
+        row, col = hit.argmax(axis=0)[fired], idx[fired]
+        io_fired[col], cap_fired[col] = io_hit[row, fired], cap_hit[row, fired]
+        t_lo[col], t_hi[col] = ts[row], ts[row + 1]
+        idx, prev_err, prev_gap, prev_t = idx[~fired], err[-1, ~fired], gap[-1, ~fired], ts[-1]
+        if idx.size == 0 or prev_t >= horizon:
             break
 
     times = np.full(grid, math.inf)
@@ -534,7 +543,7 @@ def rollout_clearance_oracle(
                 state, p, sign, headings[fired], t_lo[fired], t_hi[fired], capture
             )
             times[fired] = np.minimum(times[fired], found)
-    fired = ~active
+    fired = io_fired | cap_fired
     xp, yp, _, xe, ye = _rollout_positions(state, p, sign, times[fired], headings[fired])
     clearance = lowest_point(xp, yp, xe, ye, np.hypot(xp - xe, yp - ye), p.alpha)[1]
     best = float(np.min(clearance, initial=math.inf))

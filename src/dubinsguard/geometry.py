@@ -71,8 +71,9 @@ def lowest_point(xp, yp, xe, ye, dist, alpha: float):
     (xp, yp) and an evader at (xe, ye), ``dist`` apart, and the disk's
     radius, as a tuple (x, y, radius).
 
-    Plain arithmetic: the arguments may be floats or numpy arrays of one
-    shape.  Callers check the pair (``alpha > 1``, ``dist > 0``) first.
+    Plain arithmetic: the arguments may be floats or numpy arrays that
+    broadcast together.  Callers check the pair (``alpha > 1``,
+    ``dist > 0``) first.
     """
     a2 = alpha * alpha
     radius = alpha * dist / (a2 - 1.0)

@@ -120,6 +120,14 @@ def _oracle_corpora(paper):
     return trials, near
 
 
+def _horizon_case():
+    """A state and parameters whose rollout leaves some evader headings
+    without any event: the evader starts 0.0025 from the car's turning
+    centre, and the capture radius is small."""
+    p = dg.GameParams.from_alpha(v_p=0.3, alpha=3.0, kappa=0.0625, r=0.01)
+    return make_state(0.0, 0.5, 0.0, 0.0, 0.56), p
+
+
 class TestParameterCurves:
     def test_closed_form_bound_values(self):
         assert dg.curvature_demand_bound(2.0) == pytest.approx(3.0)
@@ -526,6 +534,45 @@ class TestRolloutOracle:
         )
         assert found[0] == 0.0 and found[1] == 0.0
         assert abs(found[2] - 1.0 / 3.0) < 1e-15
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_scan_blocks_give_the_same_events(self, paper, monkeypatch, block):
+        # a wrongly carried previous row or time, or an off-by-one at a
+        # block edge, moves a bracket and so an event time; the horizon case
+        # also cuts its last block short
+        from dubinsguard import certificates
+
+        trials, near = _oracle_corpora(paper)
+        cases = [(state, paper) for state in trials + near] + [_horizon_case()]
+        want = [dg.rollout_clearance_oracle(s, p, grid=180, return_times=True) for s, p in cases]
+        monkeypatch.setattr(certificates, "_SCAN_BLOCK", block)
+        for (state, p), (value, times) in zip(cases, want):
+            got = dg.rollout_clearance_oracle(state, p, grid=180, return_times=True)
+            assert got[0] == value
+            assert np.array_equal(got[1], times, equal_nan=True)
+
+    def test_headings_without_event_scan_to_the_horizon(self, monkeypatch):
+        # the evader starts beside the car's turning centre: on 66 of 360
+        # headings it is neither caught nor crossed by the heading error
+        # within one turning period, so the scan runs to the clamped horizon
+        from dubinsguard import certificates
+
+        state, p = _horizon_case()
+        horizon = 2.0 * math.pi * p.kappa / p.v_p
+        scanned = []
+
+        def spy(state, p, sign, s, theta_e):
+            scanned.append(float(np.max(s)))
+            return _rollout_positions(state, p, sign, s, theta_e)
+
+        monkeypatch.setattr(certificates, "_rollout_positions", spy)
+        value, times = dg.rollout_clearance_oracle(state, p, grid=360, return_times=True)
+        want, want_times, captures, _ = _reference_rollout_oracle(state, p, 360)
+        assert max(scanned) == horizon
+        assert int(np.isnan(times).sum()) == 66 and captures > 0
+        assert np.array_equal(np.isnan(times), np.isnan(want_times))
+        assert abs(value - want) <= 1e-12
+        np.testing.assert_allclose(times, want_times, rtol=0.0, atol=1e-12)
 
 class TestCertifyWin:
     def test_aligned_separated_pair_is_intercept(self, paper):
