@@ -263,25 +263,30 @@ class RelaxedSolution:
 
 
 def _kkt_residual(
-    x_p: np.ndarray,
-    x_e_star: np.ndarray,
-    x_c: np.ndarray,
-    x_e: np.ndarray,
+    pxs: float,
+    pys: float,
+    exs: float,
+    eys: float,
+    cx: float,
+    cy: float,
+    ex: float,
+    ey: float,
     lam: float,
     alpha: float,
     kappa: float,
     reach: float,
 ) -> float:
-    diff = x_p - x_e_star
-    dist = math.hypot(diff[0], diff[1])
+    """Max-norm stationarity residual of the candidate pursuer point
+    (pxs, pys) and evader point (exs, eys), for the turn center (cx, cy),
+    the evader at (ex, ey) and the multiplier ``lam``."""
+    dx, dy = pxs - exs, pys - eys
+    dist = math.hypot(dx, dy)
     if dist == 0.0:
         return math.inf
-    u_e = (x_e_star - x_e) / reach
-    u_p = (x_p - x_c) / kappa
-    res_a = alpha * diff[0] / dist + alpha * lam * u_e[0]
-    res_b = alpha * diff[1] / dist + alpha * lam * u_e[1] + alpha * alpha
-    res_c = -alpha * diff[0] / dist + lam * u_p[0]
-    res_d = -alpha * diff[1] / dist + lam * u_p[1] - 1.0
+    res_a = alpha * dx / dist + alpha * lam * ((exs - ex) / reach)
+    res_b = alpha * dy / dist + alpha * lam * ((eys - ey) / reach) + alpha * alpha
+    res_c = -alpha * dx / dist + lam * ((pxs - cx) / kappa)
+    res_d = -alpha * dy / dist + lam * ((pys - cy) / kappa) - 1.0
     return max(abs(res_a), abs(res_b), abs(res_c), abs(res_d))
 
 
@@ -297,24 +302,26 @@ def relaxed_clearance_from_centers(
     keeps those passing the active-constraint, sign-law and stationarity
     checks, and returns the candidate with the smallest objective.  Squaring
     steps in the derivation can introduce spurious roots; the residual
-    filter removes them.
+    filter removes them.  The candidates are reconstructed on floats; the
+    kept candidate's distance is ``np.linalg.norm``'s, the one the
+    clearance has always been computed from.
     """
     a2 = alpha * alpha
-    x_c = np.asarray(x_c, dtype=float)
-    x_e = np.asarray(x_e, dtype=float)
+    cx, cy = float(x_c[0]), float(x_c[1])
+    ex, ey = float(x_e[0]), float(x_e[1])
     sigma = 0
-    if x_c[0] > x_e[0]:
+    if cx > ex:
         sigma = 1
-    elif x_c[0] < x_e[0]:
+    elif cx < ex:
         sigma = -1
-    poly = relaxation_sextic(x_c, x_e, alpha, kappa)
+    poly = relaxation_sextic((cx, cy), (ex, ey), alpha, kappa)
     candidates = real_roots(poly, alpha - 1.0, alpha + 1.0, tol=1e-12)
     for endpoint in (alpha - 1.0, alpha + 1.0):
         if all(abs(endpoint - c) > 1e-9 for c in candidates):
             candidates.append(endpoint)
 
     reach = 2.0 * math.pi * kappa / alpha
-    side_tol = 1e-9 * (1.0 + float(np.linalg.norm(x_c - x_e)))
+    side_tol = 1e-9 * (1.0 + math.hypot(cx - ex, cy - ey))
     best: RelaxedSolution | None = None
     for lam in candidates:
         if lam <= 0.0:
@@ -323,46 +330,32 @@ def relaxed_clearance_from_centers(
         if phi_sq < -1e-9:
             continue
         phi = math.sqrt(max(phi_sq, 0.0))
-        x_p_star = np.array(
-            [
-                x_c[0] + sigma * kappa * phi / (2.0 * lam),
-                x_c[1] + (1.0 - a2 + lam * lam) * kappa / (2.0 * lam),
-            ]
-        )
-        x_e_star = np.array(
-            [
-                x_e[0] - sigma * math.pi * kappa * phi / (a2 * lam),
-                x_e[1] + (1.0 - a2 - lam * lam) * math.pi * kappa / (a2 * lam),
-            ]
-        )
-        if abs(np.linalg.norm(x_e_star - x_e) - reach) > 1e-9 * (1.0 + reach):
+        pxs = cx + sigma * kappa * phi / (2.0 * lam)
+        pys = cy + (1.0 - a2 + lam * lam) * kappa / (2.0 * lam)
+        exs = ex - sigma * math.pi * kappa * phi / (a2 * lam)
+        eys = ey + (1.0 - a2 - lam * lam) * math.pi * kappa / (a2 * lam)
+        if abs(math.hypot(exs - ex, eys - ey) - reach) > 1e-9 * (1.0 + reach):
             continue
-        if abs(np.linalg.norm(x_p_star - x_c) - kappa) > 1e-9 * (1.0 + kappa):
+        if abs(math.hypot(pxs - cx, pys - cy) - kappa) > 1e-9 * (1.0 + kappa):
             continue
-        gap_x = x_p_star[0] - x_e_star[0]
+        gap_x = pxs - exs
         if sigma == 0:
             if abs(gap_x) > side_tol:
                 continue
         elif sigma * gap_x < -side_tol:
             continue
         if (
-            _kkt_residual(x_p_star, x_e_star, x_c, x_e, lam, alpha, kappa, reach)
+            _kkt_residual(pxs, pys, exs, eys, cx, cy, ex, ey, lam, alpha, kappa, reach)
             >= KKT_RESIDUAL_TOL
         ):
             continue
-        _, clearance, _ = lowest_point(
-            x_p_star[0],
-            x_p_star[1],
-            x_e_star[0],
-            x_e_star[1],
-            float(np.linalg.norm(x_p_star - x_e_star)),
-            alpha,
-        )
+        dist = float(np.linalg.norm(np.array([gap_x, pys - eys])))
+        _, clearance, _ = lowest_point(pxs, pys, exs, eys, dist, alpha)
         if best is None or clearance < best.clearance:
             best = RelaxedSolution(
-                clearance=float(clearance),
-                pursuer_point=x_p_star,
-                evader_point=x_e_star,
+                clearance=clearance,
+                pursuer_point=np.array([pxs, pys]),
+                evader_point=np.array([exs, eys]),
                 multiplier=lam,
                 sigma=sigma,
             )
@@ -444,8 +437,12 @@ def _rollout_positions(state: JointState, p: GameParams, sign: float, s, theta_e
     return xp, yp, theta_p, xe, ye
 
 
-def _wrapped_error(xp, yp, theta_p, xe, ye, alpha: float):
-    cx, cy, _ = lowest_point(xp, yp, xe, ye, np.hypot(xp - xe, yp - ye), alpha)
+def _wrapped_error(xp, yp, theta_p, xe, ye, alpha: float, dist=None):
+    """Wrapped heading error of the rollout positions; ``dist`` is their
+    pair distance ``np.hypot(xp - xe, yp - ye)``, when the caller has it."""
+    if dist is None:
+        dist = np.hypot(xp - xe, yp - ye)
+    cx, cy, _ = lowest_point(xp, yp, xe, ye, dist, alpha)
     angle = np.arctan2(cy - yp, cx - xp)
     return np.mod(angle - theta_p + math.pi, 2.0 * math.pi) - math.pi
 
@@ -522,8 +519,9 @@ def rollout_clearance_oracle(
         ts = np.concatenate(([prev_t], np.minimum(ks * dt, horizon)))
         ts = ts[: np.searchsorted(ts, horizon) + 1]
         xp, yp, tp, xe, ye = _rollout_positions(state, p, sign, ts[1:, None], headings[idx])
-        err = np.vstack([prev_err, _wrapped_error(xp, yp, tp, xe, ye, p.alpha)])
-        gap = np.vstack([prev_gap, np.hypot(xp - xe, yp - ye) - p.r])
+        dist = np.hypot(xp - xe, yp - ye)
+        err = np.vstack([prev_err, _wrapped_error(xp, yp, tp, xe, ye, p.alpha, dist)])
+        gap = np.vstack([prev_gap, dist - p.r])
         err_sign, err_abs = np.sign(err), np.abs(err)
         io_hit = (err_sign[1:] != err_sign[:-1]) & (err_abs[1:] + err_abs[:-1] < math.pi)
         cap_hit = (gap[1:] <= 0.0) & (gap[:-1] > 0.0)
@@ -584,6 +582,7 @@ def certify_win(
     state: JointState,
     p: GameParams,
     motion: str = "dubins",
+    aim: tuple[float, float, float] | None = None,
 ) -> Certificate:
     """Decide whether the pursuer has a guaranteed win against the evader
     from this state, and record the predicate values that decided it.
@@ -596,10 +595,13 @@ def certify_win(
     non-negative.  A simple-motion pursuer needs separation only.
 
     The aim point, the heading error and the adjustment-time bound are each
-    computed once and handed to the predicates that use them.
+    computed once and handed to the predicates that use them.  ``aim`` is
+    the pair's ``aim_point``, when the caller already has it.
     """
     x_p, x_e = state.pursuer.pos, state.evader.pos
-    aim_x, aim_y, _ = aim_point(x_p, x_e, p.alpha)
+    if aim is None:
+        aim = aim_point(x_p, x_e, p.alpha)
+    aim_x, aim_y, _ = aim
     separation = goal_gap(float(aim_y))
     sc = separation >= 0.0
     dist = float(np.linalg.norm(x_p - x_e))
@@ -616,7 +618,7 @@ def certify_win(
         io = abs(err) <= IO_TOL
         intercept_ok = intercept_feasible(p.r, p.kappa, p.alpha)
         adjust_ok = adjust_feasible(p.r, p.kappa, p.alpha)
-        two_ok = two_step_feasible(p.r, p.kappa, p.alpha)
+        two_ok = intercept_ok and adjust_ok
         if sc and io and intercept_ok:
             kind = CertificateKind.INTERCEPT
         else:

@@ -13,18 +13,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .certificates import Certificate, CertificateKind, certify_win
-from .geometry import separation_holds
+from .geometry import aim_point
 from .model import GameParams, JointState
 
 
 @dataclass(frozen=True)
 class WinGraph:
     """Bipartite graph over pursuer and evader indices; every edge carries
-    the certificate that justifies it."""
+    the certificate that justifies it.  ``screened`` holds the aim height,
+    below 0, of every pair the separation screen left out."""
 
     n_pursuers: int
     n_evaders: int
     edges: dict[tuple[int, int], Certificate] = field(default_factory=dict)
+    screened: dict[tuple[int, int], float] = field(default_factory=dict)
 
     def neighbors(self, pursuer: int) -> list[int]:
         return sorted(j for (i, j) in self.edges if i == pursuer)
@@ -56,17 +58,25 @@ def build_graph(
 
     Pairs without separation are screened out first: every certificate
     requires it, so ``certify_win`` would return NONE for them.  The screen
-    is ``separation_holds``, the same test ``certify_win`` makes.
+    is the test of ``separation_holds`` and of ``certify_win``, an aim
+    height of at least 0; each pair's aim point is computed once, here, and
+    handed to ``certify_win``.  The graph reports the aim height of every
+    pair screened out.
     """
     edges = {}
+    screened = {}
     for key in sorted(pair_states):
         state, params = pair_states[key], pair_params[key]
-        if not separation_holds(state, params):
+        aim = aim_point(state.pursuer.pos, state.evader.pos, params.alpha)
+        if aim[1] < 0.0:
+            screened[key] = float(aim[1])
             continue
-        cert = certify_win(state, params, motion=motion[key[0]])
+        cert = certify_win(state, params, motion=motion[key[0]], aim=aim)
         if cert.kind is not CertificateKind.NONE:
             edges[key] = cert
-    return WinGraph(n_pursuers=n_pursuers, n_evaders=n_evaders, edges=edges)
+    return WinGraph(
+        n_pursuers=n_pursuers, n_evaders=n_evaders, edges=edges, screened=screened
+    )
 
 
 def max_matching(graph: WinGraph) -> dict[int, int]:

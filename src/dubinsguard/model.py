@@ -49,7 +49,7 @@ def _as_point(x) -> np.ndarray:
     p = np.asarray(x, dtype=float)
     if p.shape != (2,):
         raise ValueError(f"expected a 2-D point, got shape {p.shape}")
-    if not np.isfinite(p).all():
+    if not (math.isfinite(p[0]) and math.isfinite(p[1])):
         raise ValueError("point has non-finite coordinates")
     return p
 

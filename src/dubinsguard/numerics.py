@@ -1,17 +1,21 @@
 """Reusable numeric kernels: real roots of low-degree polynomials on an
 interval, and global maximization of a function on the unit circle.
 
-Roots come from the eigenvalues of the companion matrix (``np.roots``),
-polished by a guarded Newton iteration and kept only where the residual is
-small: eigenvalues of a balanced companion matrix are backward stable, so
-close root pairs stay apart and a double root shows up as a conjugate pair
-with a common real part.  The circle objectives are smooth with O(1)
-oscillation, so their maximum is found by a dense scan plus golden-section
-refinement.
+Roots come from the eigenvalues of the companion matrix, polished by a
+guarded Newton iteration and kept only where the residual is small:
+eigenvalues of a balanced companion matrix are backward stable, so close
+root pairs stay apart and a double root shows up as a conjugate pair with a
+common real part.  ``real_roots`` builds the matrix ``np.roots`` builds and
+hands it to ``np.linalg.eigvals`` itself, so its roots equal ``np.roots``'
+bit for bit without that function's per-call array work; the polish and the
+residual check run on the coefficients as a tuple of floats.  The circle
+objectives are smooth with O(1) oscillation, so their maximum is found by a
+dense scan plus golden-section refinement.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -54,10 +58,7 @@ class Polynomial:
         return len(self.coeffs) - 1
 
     def __call__(self, x):
-        result = 0.0 * x + self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
-            result = result * x + c
-        return result
+        return _horner(self.coeffs, x)
 
     def derivative(self) -> "Polynomial":
         if self.degree == 0:
@@ -89,20 +90,19 @@ def real_roots(poly: Polynomial, lo: float, hi: float, tol: float = 1e-12) -> li
     if tol <= 0.0:
         raise ValueError("tol must be positive")
 
+    coeffs = poly.coeffs
     scale = max(abs(lo), abs(hi), 1.0)
-    value_tol = tol * (1.0 + max(abs(c) for c in poly.coeffs) * scale**poly.degree)
+    value_tol = tol * (1.0 + max(abs(c) for c in coeffs) * scale**poly.degree)
 
     if poly.degree == 0:
         return []
-    eigen = np.roots(poly.coeffs[::-1])
-    near_real = np.abs(eigen.imag) <= IMAG_TOL * np.maximum(np.abs(eigen), 1.0)
-    slope = poly.derivative()
+    slope = tuple(k * c for k, c in enumerate(coeffs) if k > 0)
     roots = []
-    for x in eigen.real[near_real].tolist():
+    for x in _eigen_candidates(coeffs):
         if not lo - tol <= x <= hi + tol:
             continue
-        x = min(max(_newton_polish(poly, slope, x), lo), hi)
-        if abs(poly(x)) <= value_tol:
+        x = min(max(_newton_polish(coeffs, slope, x), lo), hi)
+        if abs(_horner(coeffs, x)) <= value_tol:
             roots.append(x)
 
     roots.sort()
@@ -113,22 +113,65 @@ def real_roots(poly: Polynomial, lo: float, hi: float, tol: float = 1e-12) -> li
     return merged
 
 
-def _newton_polish(poly: Polynomial, slope: Polynomial, x: float) -> float:
+def _eigen_candidates(coeffs: tuple[float, ...]) -> list[float]:
+    """Real parts of the near-real roots of the polynomial with ascending
+    ``coeffs`` (leading one non-zero), in the order ``np.roots`` lists them.
+
+    The same route as ``np.roots``: zero low-order coefficients are
+    stripped and come back as roots at 0 after the others; the rest are the
+    eigenvalues of the companion matrix whose first row is ``-c_k / c_n``,
+    so the eigenvalues, and the candidates, equal its bit for bit.
+    """
+    zeros = 0
+    while coeffs[zeros] == 0.0:
+        zeros += 1
+    desc = coeffs[zeros:][::-1]
+    n = len(desc) - 1
+    candidates = []
+    if n > 0:
+        companion = _subdiagonal(n).copy()
+        lead = desc[0]
+        companion[0] = [-c / lead for c in desc[1:]]
+        eigen = np.linalg.eigvals(companion)
+        near_real = np.abs(eigen.imag) <= IMAG_TOL * np.maximum(np.abs(eigen), 1.0)
+        candidates = eigen.real[near_real].tolist()
+    return candidates + [0.0] * zeros
+
+
+@functools.lru_cache(maxsize=None)
+def _subdiagonal(n: int) -> np.ndarray:
+    """The n x n companion matrix without its first row: ones on the
+    subdiagonal.  Shared; callers copy it before writing."""
+    return np.eye(n, k=-1)
+
+
+def _horner(coeffs: tuple[float, ...], x):
+    """Value at ``x`` (a float or an array) of the polynomial with ascending
+    ``coeffs``, by Horner's rule; ``0.0 * x`` gives a constant the shape of
+    ``x``."""
+    result = 0.0 * x + coeffs[-1]
+    for c in coeffs[-2::-1]:
+        result = result * x + c
+    return result
+
+
+def _newton_polish(coeffs: tuple[float, ...], slope: tuple[float, ...], x: float) -> float:
     """Newton steps from ``x`` while each one shrinks the residual and
     stays short (so a flat stretch cannot throw the iterate onto another
-    root); returns the last accepted point."""
-    fx = poly(x)
+    root); returns the last accepted point.  ``coeffs`` and ``slope`` are
+    the ascending coefficients of the polynomial and of its derivative."""
+    fx = _horner(coeffs, x)
     for _ in range(NEWTON_STEPS):
         if fx == 0.0:
             break
-        dfx = slope(x)
+        dfx = _horner(slope, x)
         if dfx == 0.0:
             break
         step = fx / dfx
         if abs(step) > NEWTON_STEP_CAP * (1.0 + abs(x)):
             break
         trial = x - step
-        f_trial = poly(trial)
+        f_trial = _horner(coeffs, trial)
         if not abs(f_trial) < abs(fx):
             break
         x, fx = trial, f_trial

@@ -5,8 +5,11 @@ over one per-game state object until no evader is in play or the horizon is
 reached:
 
 - assign: every step (or every ``matching_period`` steps) the win graph over
-  all active pairs is rebuilt, a maximum matching assigns pursuers to
-  evaders, and leftover pursuers chase the nearest unmatched evader;
+  the active pairs is rebuilt, a maximum matching assigns pursuers to
+  evaders, and leftover pursuers chase the nearest unmatched evader.  A
+  pair the graph's separation screen left out is not offered again while
+  its separation window is open (see ``WINDOW_MARGIN``): no pair in a window
+  could be an edge, so the graph is the one a full rebuild would give;
 - controls: evader controls first, then the pursuers', which observe them.
   Every car runs ``strategies.two_step``, the one adjust-then-intercept
   phase machine; the simulator snaps a car's heading onto the interception
@@ -65,6 +68,16 @@ REACHED_GOAL = "reached_goal"
 #: step.  The continuous strategy keeps the alignment invariant exactly; the
 #: snap removes the O(dt^2) integration noise that would otherwise accumulate.
 SNAP_FACTOR = 10.0
+
+#: Margin, in units of aim height, that a separation window keeps.  A pair's
+#: aim height y = (a^2 y_e - y_p - a d) / (a^2 - 1) moves at most
+#: 2 v_p / (a - 1) per unit of game time, for cars and simple-motion
+#: pursuers alike (|dy_e/dt| <= v_e = v_p / a, |dy_p/dt| <= v_p and
+#: |dd/dt| <= v_p + v_e).  So a pair screened out at aim height y < 0 still
+#: lacks separation, with an aim height below -WINDOW_MARGIN, until
+#: (-y - WINDOW_MARGIN) (a - 1) / (2 v_p) of game time has passed: its
+#: window.  The margin absorbs the rounding of the computed heights.
+WINDOW_MARGIN = 1e-12
 
 
 @dataclass(frozen=True)
@@ -198,6 +211,9 @@ class _Game:
                 self.e_heading.append(None)
 
         self.params = {(i, j): sc.pair_params(i, j) for i in range(n_p) for j in range(n_e)}
+        # Game time until which each screened-out pair provably stays
+        # without separation.
+        self.unseparated_until: dict[tuple[int, int], float] = {}
         self.motion = {i: spec.motion for i, spec in enumerate(sc.pursuers)}
         # Stepping reads only an agent's own constants: its speed, and for a
         # car its turning radius.
@@ -225,17 +241,23 @@ class _Game:
         self.dist = pair_distances(_positions(self.pursuers), self.e_pos)
 
     def assign(self):
-        """Rebuild the win graph, re-match, and retarget the pursuers.  A
-        car with a new target starts intercepting if its edge is an
-        ``INTERCEPT`` certificate and adjusting otherwise."""
-        n_p, n_e = self.n_p, self.n_e
+        """Rebuild the win graph over the active pairs outside their
+        separation windows, re-match, and retarget the pursuers.  A car with
+        a new target starts intercepting if its edge is an ``INTERCEPT``
+        certificate and adjusting otherwise."""
+        n_p, n_e, t = self.n_p, self.n_e, self.t
         active = [j for j in range(n_e) if self.status[j] == ACTIVE]
+        until = self.unseparated_until
         pair_states = {
             (i, j): JointState(pursuer=self.pursuers[i], evader=self.evaders[j])
             for i in range(n_p)
             for j in active
+            if until.get((i, j), t) <= t
         }
         graph = build_graph(pair_states, self.params, n_p, n_e, self.motion)
+        for key, height in graph.screened.items():
+            p = self.params[key]
+            until[key] = t + (-height - WINDOW_MARGIN) * (p.alpha - 1.0) / (2.0 * p.v_p)
         if self.cfg.sticky:
             kept = {
                 i: j

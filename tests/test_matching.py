@@ -144,14 +144,51 @@ class TestSeparationScreen:
         states, params, motions = _screen_corpus(np.random.default_rng(65), 6)
         calls = []
 
-        def counting(state, p, motion="dubins"):
+        def counting(state, p, motion="dubins", aim=None):
             calls.append(state)
-            return dg.certify_win(state, p, motion=motion)
+            return dg.certify_win(state, p, motion=motion, aim=aim)
 
         monkeypatch.setattr(matching, "certify_win", counting)
         dg.build_graph(states, params, 6, 6, motions)
         separated = sum(dg.separation_holds(states[k], params[k]) for k in states)
         assert 0 < len(calls) == separated < len(states)
+
+
+    def test_each_pair_aim_point_computed_once(self, monkeypatch):
+        # the screen's aim point is the one certify_win reads: one
+        # aim_point call per pair, wherever it is made from
+        from dubinsguard import certificates, geometry, matching
+
+        calls = []
+        aim_point = geometry.aim_point
+
+        def counting(x_p, x_e, alpha):
+            calls.append(alpha)
+            return aim_point(x_p, x_e, alpha)
+
+        rng = np.random.default_rng(66)
+        for module in (matching, certificates, geometry):
+            monkeypatch.setattr(module, "aim_point", counting)
+        for _ in range(4):
+            states, params, motions = _screen_corpus(rng, 6)
+            calls.clear()
+            graph = dg.build_graph(states, params, 6, 6, motions)
+            assert len(calls) == len(states)
+            assert 0 < len(graph.screened) < len(states)
+            assert any(c.kind is dg.CertificateKind.TWO_STEP for c in graph.edges.values())
+
+    def test_screened_heights_are_the_aim_heights(self):
+        from dubinsguard.geometry import aim_point
+
+        states, params, motions = _screen_corpus(np.random.default_rng(67), 6)
+        graph = dg.build_graph(states, params, 6, 6, motions)
+        expected = {}
+        for key, st in states.items():
+            y = aim_point(st.pursuer.pos, st.evader.pos, params[key].alpha)[1]
+            if y < 0.0:
+                expected[key] = y
+        assert graph.screened == expected
+        assert not set(graph.screened) & set(graph.edges)
 
 
 def _recursive_matching(graph):

@@ -135,6 +135,38 @@ class TestStepEvader:
             dg.step_evader(dg.EvaderState(pos=(0, 0)), (1.0, 0.1), 1.0, p)
 
 
+_NON_FINITE_POINTS = [
+    pt
+    for bad in (math.nan, math.inf, -math.inf)
+    for pt in ((bad, 0.5), (0.5, bad))
+]
+_MISSHAPEN_POINTS = [np.zeros(3), np.zeros((1, 2))]
+
+
+class TestPointChecks:
+    # every state and every evader control is checked to be one finite
+    # 2-D point, whatever coordinate is bad
+    @pytest.mark.parametrize("pt", _NON_FINITE_POINTS)
+    def test_non_finite_coordinates_rejected(self, pt):
+        p = dg.GameParams(v_p=2.0, v_e=1.0, kappa=1.0, r=0.1)
+        with pytest.raises(ValueError, match="non-finite"):
+            dg.PursuerState(pos=pt, theta=0.0)
+        with pytest.raises(ValueError, match="non-finite"):
+            dg.EvaderState(pos=pt)
+        with pytest.raises(ValueError, match="non-finite"):
+            dg.step_evader(dg.EvaderState(pos=(0.0, 1.0)), pt, 0.1, p)
+
+    @pytest.mark.parametrize("pt", _MISSHAPEN_POINTS, ids=["(3,)", "(1, 2)"])
+    def test_wrong_shapes_rejected(self, pt):
+        p = dg.GameParams(v_p=2.0, v_e=1.0, kappa=1.0, r=0.1)
+        with pytest.raises(ValueError, match="shape"):
+            dg.PursuerState(pos=pt, theta=0.0)
+        with pytest.raises(ValueError, match="shape"):
+            dg.EvaderState(pos=pt)
+        with pytest.raises(ValueError, match="shape"):
+            dg.step_evader(dg.EvaderState(pos=(0.0, 1.0)), pt, 0.1, p)
+
+
 def _scenario(pursuers, evaders, seed=0):
     return dg.Scenario(pursuers=pursuers, evaders=evaders, seed=seed)
 

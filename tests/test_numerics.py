@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import dubinsguard as dg
+from dubinsguard.numerics import IMAG_TOL, NEWTON_STEP_CAP, NEWTON_STEPS
 
 
 def bisect_oracle(f, lo, hi, tol=1e-12):
@@ -43,6 +44,88 @@ def scan_roots(poly, lo, hi, tol=1e-12, samples=4096):
         if not merged or root - merged[-1] > tol:
             merged.append(root)
     return merged
+
+
+def reference_real_roots(poly, lo, hi, tol=1e-12):
+    """``real_roots`` as it was before it built the companion matrix
+    itself: the eigenvalues from ``np.roots``, the polish and the residual
+    check through ``Polynomial`` objects.  The reference the float-native
+    route must match root for root, bit for bit."""
+    scale = max(abs(lo), abs(hi), 1.0)
+    value_tol = tol * (1.0 + max(abs(c) for c in poly.coeffs) * scale**poly.degree)
+    if poly.degree == 0:
+        return []
+    eigen = np.roots(poly.coeffs[::-1])
+    near_real = np.abs(eigen.imag) <= IMAG_TOL * np.maximum(np.abs(eigen), 1.0)
+    slope = poly.derivative()
+    roots = []
+    for x in eigen.real[near_real].tolist():
+        if not lo - tol <= x <= hi + tol:
+            continue
+        x = min(max(_reference_polish(poly, slope, x), lo), hi)
+        if abs(poly(x)) <= value_tol:
+            roots.append(x)
+    merged = []
+    for root in sorted(roots):
+        if not merged or root - merged[-1] > tol:
+            merged.append(root)
+    return merged
+
+
+def _reference_polish(poly, slope, x):
+    fx = poly(x)
+    for _ in range(NEWTON_STEPS):
+        if fx == 0.0:
+            break
+        dfx = slope(x)
+        if dfx == 0.0:
+            break
+        step = fx / dfx
+        if abs(step) > NEWTON_STEP_CAP * (1.0 + abs(x)):
+            break
+        trial = x - step
+        f_trial = poly(trial)
+        if not abs(f_trial) < abs(fx):
+            break
+        x, fx = trial, f_trial
+    return x
+
+
+def _root_corpus(rng, n, paper):
+    """Seeded (polynomial, lo, hi, tol) cases: random coefficients of
+    degree 1-6, some with zero constant (and further low-order) terms or
+    zero inner coefficients, factored ones with double and close roots,
+    and the relaxation sextics of sampled two-step states on their
+    multiplier bracket."""
+    cases = []
+    for k in range(n):
+        degree = int(rng.integers(1, 7))
+        kind = k % 5
+        if kind == 4:
+            state = dg.sample_adjust_feasible_state(rng, paper)
+            bound = dg.adjust_time_bound(state, paper)
+            poly = dg.relaxation_sextic(
+                bound.turn_center, state.evader.pos, paper.alpha, paper.kappa
+            )
+            cases.append((poly, paper.alpha - 1.0, paper.alpha + 1.0, 1e-12))
+            continue
+        if kind == 0:
+            coeffs = rng.normal(size=degree + 1)
+        elif kind == 1:
+            coeffs = rng.normal(size=degree + 1)
+            coeffs[: int(rng.integers(1, degree + 1))] = 0.0
+        elif kind == 2:
+            coeffs = rng.normal(size=degree + 1)
+            coeffs[rng.uniform(size=degree + 1) < 0.3] = 0.0
+        else:
+            roots = rng.uniform(-1.0, 2.0, size=degree)
+            if degree >= 2:
+                roots[1] = roots[0] + rng.choice([0.0, 1e-9, 1e-5, 1e-3])
+            coeffs = np.polynomial.polynomial.polyfromroots(roots) * rng.uniform(0.5, 3.0)
+        if coeffs[-1] == 0.0:
+            coeffs[-1] = 1.0
+        cases.append((dg.Polynomial(tuple(coeffs)), -1.5, 2.5, rng.choice([1e-12, 1e-9])))
+    return cases
 
 
 class TestPolynomial:
@@ -156,6 +239,27 @@ class TestRealRoots:
             ) ** poly.degree)
             for root in dg.real_roots(poly, lo, hi, tol=tol):
                 assert abs(poly(root)) <= bound
+
+
+    def test_same_roots_as_the_np_roots_reference(self, paper):
+        # the companion matrix built in place gives np.roots' eigenvalues,
+        # and the float polish the Polynomial one: identical root lists,
+        # down to the sign of a zero root
+        cases = _root_corpus(np.random.default_rng(31), 10_000, paper)
+        kinds = {"degree": set(), "zero_constant": 0, "double": 0, "sextic": 0}
+        for poly, lo, hi, tol in cases:
+            got = dg.real_roots(poly, lo, hi, tol=tol)
+            want = reference_real_roots(poly, lo, hi, tol=tol)
+            assert [x.hex() for x in got] == [x.hex() for x in want]
+            kinds["degree"].add(poly.degree)
+            kinds["zero_constant"] += poly.coeffs[0] == 0.0
+            kinds["sextic"] += lo != -1.5
+            slope = poly.derivative()
+            kinds["double"] += any(abs(slope(x)) < 1e-6 for x in got)
+        assert kinds["degree"] == {1, 2, 3, 4, 5, 6}
+        assert kinds["zero_constant"] >= 1000
+        assert kinds["sextic"] >= 1000
+        assert kinds["double"] >= 100
 
 
 class TestMaxOnCircle:

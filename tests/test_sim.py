@@ -515,3 +515,122 @@ def test_every_step_moves_each_car_and_each_active_evader_once(monkeypatch):
         for k in range(n_steps)
     )
     assert "".join(calls) == expected
+
+
+def _bundled_5v5():
+    from dubinsguard.cli import load_scenario
+
+    with resources.as_file(
+        resources.files("dubinsguard") / "scenarios" / "5v5_paper.json"
+    ) as path:
+        return load_scenario(path)
+
+
+def _contested_team(seed=11, n=5):
+    """Seeded game on overlapping lanes: evaders spread over a strip
+    sqrt(n) wide, each with a pursuer 0.2-0.5 above it and within 0.3 of it
+    in x, so most pursuers have several evaders within reach.  Pursuers 0
+    and 3 use simple motion; evaders starting inside a capture disk are
+    dropped."""
+    rng = np.random.default_rng(seed)
+    half = math.sqrt(n) / 2.0
+    evaders = [(rng.uniform(-half, half), rng.uniform(0.2, 0.6)) for _ in range(n)]
+    pursuers = [
+        (ex + rng.uniform(-0.3, 0.3), ey + rng.uniform(0.2, 0.5), rng.uniform(0, 2 * math.pi))
+        for ex, ey in evaders
+    ]
+    kept = [
+        (ex, ey)
+        for ex, ey in evaders
+        if all(math.hypot(ex - px, ey - py) > 0.1 for px, py, _ in pursuers)
+    ]
+    strategies = ("optimal", "constant", "random_goal")
+    return dg.Scenario(
+        pursuers=tuple(
+            _pursuer(px, py, th, motion="simple" if i % 3 == 0 else "dubins")
+            for i, (px, py, th) in enumerate(pursuers)
+        ),
+        evaders=tuple(
+            _evader(ex, ey, strategies[j % 3], heading=rng.uniform(3.6, 5.8))
+            for j, (ex, ey) in enumerate(kept)
+        ),
+        seed=seed,
+    )
+
+
+def _climbing_duels():
+    """Two far-apart lanes, a car in one and a simple-motion pursuer in the
+    other, each straight above an evader that climbs toward it: each aim
+    height rises at exactly the window bound 2 v_p / (alpha - 1), from about
+    -0.33 through 0, so a window any longer than the bound skips refreshes
+    at which the pair has separation."""
+    up = 0.5 * math.pi
+    return dg.Scenario(
+        pursuers=(_pursuer(0.0, 3.0, 1.5 * math.pi), _pursuer(10.0, 3.0, 0.0, motion="simple")),
+        evaders=(_evader(0.0, 0.2, "constant", heading=up), _evader(10.0, 0.2, "constant", heading=up)),
+        seed=0,
+    )
+
+
+def _replay_windows(monkeypatch, sc, cfg):
+    """Play the game checking every pair the simulator leaves out of a
+    refresh: each must lack separation there.  Returns the result and the
+    counts of windowed (skipped) and screened-out pair evaluations."""
+    counts = {"skipped": 0, "screened": 0}
+    game = {}
+    assign, build_graph = sim._Game.assign, sim.build_graph
+
+    def recording_assign(self):
+        game["now"] = self
+        assign(self)
+
+    def checked_build_graph(pair_states, *args):
+        g = game["now"]
+        for i in range(g.n_p):
+            for j in range(g.n_e):
+                if g.status[j] != sim.ACTIVE or (i, j) in pair_states:
+                    continue
+                state = dg.JointState(pursuer=g.pursuers[i], evader=g.evaders[j])
+                assert not dg.separation_holds(state, g.params[(i, j)]), (g.t, i, j)
+                counts["skipped"] += 1
+        graph = build_graph(pair_states, *args)
+        counts["screened"] += len(graph.screened)
+        return graph
+
+    monkeypatch.setattr(sim._Game, "assign", recording_assign)
+    monkeypatch.setattr(sim, "build_graph", checked_build_graph)
+    return dg.run(sc, cfg), counts
+
+
+class TestSeparationWindows:
+    @pytest.mark.parametrize(
+        "scenario, period, sticky",
+        [
+            (_bundled_5v5, 1, False),
+            (_bundled_5v5, 20, False),
+            (_bundled_5v5, 1, True),
+            (_mixed_team, 10, False),
+            (_contested_team, 5, False),
+            (_climbing_duels, 1, False),
+        ],
+        ids=["5v5-p1", "5v5-p20", "5v5-p1-sticky", "4v6-p10", "contested-p5", "climbing-p1"],
+    )
+    def test_windowed_pairs_lack_separation(self, monkeypatch, scenario, period, sticky):
+        sc = scenario()
+        cfg = dg.SimConfig(dt=1e-3, max_time=10.0, matching_period=period, sticky=sticky)
+        result, counts = _replay_windows(monkeypatch, sc, cfg)
+        assert not result.horizon_exceeded
+        assert counts["skipped"] > 0
+        if scenario is _bundled_5v5 and period == 1:
+            assert counts["skipped"] >= 0.99 * (counts["skipped"] + counts["screened"])
+
+    def test_contested_game_is_unchanged_without_windows(self, monkeypatch):
+        sc = _contested_team()
+        assert any(spec.motion == "simple" for spec in sc.pursuers)
+        cfg = dg.SimConfig(dt=1e-3, max_time=10.0, matching_period=5)
+        windowed = dg.run(sc, cfg)
+        monkeypatch.setattr(sim, "WINDOW_MARGIN", math.inf)
+        unwindowed, counts = _replay_windows(monkeypatch, sc, cfg)
+        assert counts["skipped"] == 0
+        assert unwindowed == windowed
+        assert sum(e.kind == "capture" for e in windowed.events) >= 2
