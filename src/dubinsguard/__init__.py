@@ -30,7 +30,6 @@ from .certificates import (
 from .geometry import (
     IO_TOL,
     InterceptionData,
-    er_goal_distance,
     heading_error,
     interception,
     separation_holds,

@@ -604,7 +604,7 @@ def certify_win(
     aim_x, aim_y, _ = aim
     separation = goal_gap(float(aim_y))
     sc = separation >= 0.0
-    dist = float(np.linalg.norm(x_p - x_e))
+    dist = math.hypot(x_p[0] - x_e[0], x_p[1] - x_e[1])
     io = err = intercept_ok = adjust_ok = two_ok = None
     beyond_capture = scope_ok = duration = clearance = None
     solver_failed = False

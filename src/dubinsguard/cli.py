@@ -161,25 +161,20 @@ def _fmt(value) -> str:
 
 
 def write_trajectory_csv(result, path: str | Path):
-    """CSV rows sorted by (t, kind, agent); floats at 9 significant digits;
-    theta and target are empty for evaders."""
-    rows = []
-    for agent, series in result.trajectories.items():
-        kind = "pursuer" if agent.startswith("P") else "evader"
-        index = int(agent[1:])
-        for t, x, y, theta, u, _mode, status, target in series:
-            target_name = "" if target is None else f"E{target + 1}"
-            rows.append(
-                (t, kind, index, agent, x, y, theta, u, status, target_name)
-            )
-    rows.sort(key=lambda row: (row[0], row[1], row[2]))
+    """CSV rows in step order, each step's evaders then pursuers by numeric
+    index (E2 before E10); floats at 9 significant digits; theta and target
+    are empty for evaders.  Series of unequal length raise ``ValueError``."""
+    agents = sorted(result.trajectories, key=lambda name: (name[0] == "P", int(name[1:])))
+    labels = [f"{agent},{'pursuer' if agent[0] == 'P' else 'evader'}" for agent in agents]
     with open(path, "w") as fh:
         fh.write("t,agent,kind,x,y,theta,u,status,target\n")
-        for t, kind, _index, agent, x, y, theta, u, status, target_name in rows:
-            fh.write(
-                f"{_fmt(t)},{agent},{kind},{_fmt(x)},{_fmt(y)},"
-                f"{_fmt(theta)},{_fmt(u)},{status},{target_name}\n"
-            )
+        for step in zip(*(result.trajectories[agent] for agent in agents), strict=True):
+            for label, (t, x, y, theta, u, _mode, status, target) in zip(labels, step):
+                target_name = "" if target is None else f"E{target + 1}"
+                fh.write(
+                    f"{_fmt(t)},{label},{_fmt(x)},{_fmt(y)},"
+                    f"{_fmt(theta)},{_fmt(u)},{status},{target_name}\n"
+                )
 
 
 def write_events(result, path: str | Path):

@@ -105,19 +105,15 @@ def interception(x_p, x_e, alpha: float) -> InterceptionData:
     )
 
 
-def er_goal_distance(x_p, x_e, alpha: float) -> float:
-    """Distance between the closed evasion disk and the goal half-plane.
+def goal_gap(clearance: float) -> float:
+    """Distance between the goal half-plane and a closed evasion disk whose
+    aim point sits at height ``clearance``.
 
     Returns the (non-negative) gap when the interiors are disjoint and -inf
     when the open disk dips into the open half-plane, i.e. the two interiors
     intersect.  The value is -inf rather than the geometric overlap depth:
     it marks "separation lost", not a length.
     """
-    return goal_gap(float(aim_point(x_p, x_e, alpha)[1]))
-
-
-def goal_gap(clearance: float) -> float:
-    """``er_goal_distance`` of an aim point at height ``clearance``."""
     return clearance if clearance >= 0.0 else -math.inf
 
 

@@ -28,9 +28,6 @@ class WinGraph:
     edges: dict[tuple[int, int], Certificate] = field(default_factory=dict)
     screened: dict[tuple[int, int], float] = field(default_factory=dict)
 
-    def neighbors(self, pursuer: int) -> list[int]:
-        return sorted(j for (i, j) in self.edges if i == pursuer)
-
 
 @dataclass(frozen=True)
 class Assignment:

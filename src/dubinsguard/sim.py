@@ -107,6 +107,10 @@ class Event:
 
 @dataclass
 class SimResult:
+    """``trajectories``: one row ``(t, x, y, theta, u, mode, status, target)``
+    per agent (``P1``.., ``E1``..) per step; the k-th rows of all agents
+    share one ``t``, which strictly increases."""
+
     trajectories: dict[str, list[tuple]]
     events: list[Event]
     outcome: dict[int, str]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import dubinsguard as dg
+from dubinsguard.geometry import aim_point, goal_gap
 
 
 @pytest.fixture(scope="session")
@@ -27,6 +28,20 @@ def aligned_state(px, py, ex, ey, alpha) -> dg.JointState:
     return make_state(px, py, data.angle, ex, ey)
 
 
+def er_goal_distance(x_p, x_e, alpha: float) -> float:
+    """Reference: distance between the closed evasion disk and the goal
+    half-plane, -inf once the interiors intersect (``geometry.goal_gap`` of
+    the pair's aim height)."""
+    return goal_gap(float(aim_point(x_p, x_e, alpha)[1]))
+
+
+def adjacency(graph: dg.WinGraph) -> dict[int, list[int]]:
+    """Reference: every pursuer's evader neighbours in ascending order."""
+    return {
+        i: sorted(j for (k, j) in graph.edges if k == i) for i in range(graph.n_pursuers)
+    }
+
+
 def bare_intercept_run(
     state: dg.JointState,
     p: dg.GameParams,
@@ -41,7 +56,7 @@ def bare_intercept_run(
     Returns (clearances, controls, heading_errors, capture_time).
     """
     ps, es = state.pursuer, state.evader
-    clearances = [dg.er_goal_distance(ps.pos, es.pos, p.alpha)]
+    clearances = [er_goal_distance(ps.pos, es.pos, p.alpha)]
     controls = []
     errors = [abs(dg.heading_error(dg.JointState(pursuer=ps, evader=es), p))]
     captured = None
@@ -60,7 +75,7 @@ def bare_intercept_run(
             if 0.0 < abs(dg.wrap_to_pi(data.angle - ps.theta)) <= snap_band:
                 ps = dg.PursuerState(pos=ps.pos, theta=data.angle)
         pair = dg.JointState(pursuer=ps, evader=es)
-        clearances.append(dg.er_goal_distance(ps.pos, es.pos, p.alpha))
+        clearances.append(er_goal_distance(ps.pos, es.pos, p.alpha))
         errors.append(abs(dg.heading_error(pair, p)))
     return clearances, controls, errors, captured
 

@@ -13,7 +13,13 @@ import pytest
 
 import dubinsguard as dg
 from dubinsguard import cli
-from conftest import aligned_state, bare_intercept_run, brute_force_matching_size
+from conftest import (
+    adjacency,
+    aligned_state,
+    bare_intercept_run,
+    brute_force_matching_size,
+    er_goal_distance,
+)
 
 REFERENCE = dg.GameParams.from_alpha(v_p=0.3, alpha=6.3, kappa=0.0625, r=0.1)
 
@@ -81,11 +87,11 @@ def test_criterion_03_clearance_conservation_against_best_response():
         p = sc.pair_params(0, 0)
         rows_p = result.trajectories["P1"]
         rows_e = result.trajectories["E1"]
-        base = dg.er_goal_distance(
+        base = er_goal_distance(
             (rows_p[0][1], rows_p[0][2]), (rows_e[0][1], rows_e[0][2]), p.alpha
         )
         for rp, re in zip(rows_p, rows_e):
-            clearance = dg.er_goal_distance((rp[1], rp[2]), (re[1], re[2]), p.alpha)
+            clearance = er_goal_distance((rp[1], rp[2]), (re[1], re[2]), p.alpha)
             assert abs(clearance - base) <= 1e-3
         commands = [row[4] for row in rows_p if row[4] is not None]
         assert len(commands) >= 10_000
@@ -232,8 +238,7 @@ def test_criterion_08_matching_optimality():
             assert len(set(matching.values())) == len(matching)
             for i, j in matching.items():
                 assert (i, j) in edges
-            adjacency = {i: graph.neighbors(i) for i in range(n_p)}
-            assert len(matching) == brute_force_matching_size(n_p, adjacency)
+            assert len(matching) == brute_force_matching_size(n_p, adjacency(graph))
 
 
 def test_criterion_09_golden_run():

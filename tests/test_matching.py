@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import dubinsguard as dg
-from conftest import brute_force_matching_size, make_state
+from conftest import adjacency, brute_force_matching_size, make_state
 
 
 def _dummy_cert():
@@ -194,11 +194,11 @@ class TestSeparationScreen:
 def _recursive_matching(graph):
     """Depth-first augmenting paths by recursion, visiting pursuers and
     their neighbors in ascending order."""
-    adjacency = {i: graph.neighbors(i) for i in range(graph.n_pursuers)}
+    neighbors = adjacency(graph)
     owner = {}
 
     def try_assign(i, seen):
-        for j in adjacency[i]:
+        for j in neighbors[i]:
             if j in seen:
                 continue
             seen.add(j)
@@ -243,8 +243,7 @@ class TestMaxMatching:
             assert len(set(m.values())) == len(m)
             for i, j in m.items():
                 assert (i, j) in g.edges
-            adjacency = {i: g.neighbors(i) for i in range(n_p)}
-            assert len(m) == brute_force_matching_size(n_p, adjacency)
+            assert len(m) == brute_force_matching_size(n_p, adjacency(g))
 
     def test_same_matching_as_recursive_search(self):
         rng = np.random.default_rng(63)

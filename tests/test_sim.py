@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import dubinsguard as dg
-from conftest import aligned_state
+from conftest import aligned_state, er_goal_distance
 from dubinsguard import sim
 
 
@@ -52,7 +52,7 @@ def _clearances(result, sc):
     rows_e = result.trajectories["E1"]
     out = []
     for rp, re in zip(rows_p, rows_e):
-        out.append(dg.er_goal_distance((rp[1], rp[2]), (re[1], re[2]), p.alpha))
+        out.append(er_goal_distance((rp[1], rp[2]), (re[1], re[2]), p.alpha))
     return out
 
 
@@ -297,7 +297,7 @@ class TestCertifiedPairsNeverLoseGoal:
             rows_e = result.trajectories["E1"]
             for rp, re in zip(rows_p[::25], rows_e[::25]):
                 assert (
-                    dg.er_goal_distance((rp[1], rp[2]), (re[1], re[2]), paper.alpha)
+                    er_goal_distance((rp[1], rp[2]), (re[1], re[2]), paper.alpha)
                     >= -1e-9
                 )
             runs += 1
