@@ -123,12 +123,16 @@ def separation_holds(state: JointState, p: GameParams) -> bool:
     return aim_point(state.pursuer.pos, state.evader.pos, p.alpha)[1] >= 0.0
 
 
+def bearing_error(x_p, theta: float, x_e, alpha: float) -> float:
+    """Wrapped difference interception-angle minus the heading ``theta`` of
+    a pursuer at ``x_p``, against an evader at ``x_e``, in (-pi, pi]."""
+    x, y, _ = aim_point(x_p, x_e, alpha)
+    return wrap_to_pi(aim_bearing(x_p, x, y) - theta)
+
+
 def heading_error(state: JointState, p: GameParams) -> float:
-    """Wrapped difference interception-angle minus pursuer-heading, in
-    (-pi, pi]."""
-    x_p = state.pursuer.pos
-    x, y, _ = aim_point(x_p, state.evader.pos, p.alpha)
-    return wrap_to_pi(aim_bearing(x_p, x, y) - state.pursuer.theta)
+    """``bearing_error`` of a pair state."""
+    return bearing_error(state.pursuer.pos, state.pursuer.theta, state.evader.pos, p.alpha)
 
 
 def turn_direction(err: float) -> float:

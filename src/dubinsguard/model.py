@@ -183,48 +183,53 @@ def goal_value(x) -> float:
     return float(_as_point(x)[1])
 
 
-def step_pursuer(s: PursuerState, u_p: float, dt: float, p: GameParams) -> PursuerState:
-    """Advance a car holding the turn command ``u_p`` in [-1, 1] constant.
+def _finite_step(x: float, y: float, *rest: float) -> tuple[float, ...]:
+    """A step's result (x, y, *rest), refused unless x and y are finite."""
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError("step result has non-finite coordinates")
+    return (x, y, *rest)
+
+
+def step_pursuer(
+    x: float, y: float, theta: float, u_p: float, dt: float, v_p: float, kappa: float
+) -> tuple[float, float, float]:
+    """Advance a car at (x, y) with heading ``theta`` in [0, 2*pi), holding
+    the turn command ``u_p`` in [-1, 1] constant; returns (x, y, theta).
 
     The integration is exact: a straight segment for (numerically) zero
-    command, otherwise a circular arc of signed curvature ``u_p / kappa``.
-    Only the car's own constants ``p.v_p`` and ``p.kappa`` are read.
+    command, otherwise a circular arc of signed curvature ``u_p / kappa``,
+    where ``v_p`` is the car's speed and ``kappa`` its turning radius.
     """
     if not (math.isfinite(u_p) and math.isfinite(dt)):
         raise ValueError("non-finite control or time step")
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    x, y = float(s.pos[0]), float(s.pos[1])
-    theta = s.theta
     if abs(u_p) < STRAIGHT_EPS:
-        step = p.v_p * dt
-        return PursuerState(
-            pos=np.array([x + step * math.cos(theta), y + step * math.sin(theta)]),
-            theta=theta,
-        )
-    rad = p.kappa / u_p  # signed turn radius
-    theta_new = theta + p.v_p * u_p * dt / p.kappa
-    return PursuerState(
-        pos=np.array(
-            [
-                x + rad * (math.sin(theta_new) - math.sin(theta)),
-                y - rad * (math.cos(theta_new) - math.cos(theta)),
-            ]
-        ),
-        theta=wrap_angle(theta_new),
+        step = v_p * dt
+        return _finite_step(x + step * math.cos(theta), y + step * math.sin(theta), theta)
+    rad = kappa / u_p  # signed turn radius
+    theta_new = theta + v_p * u_p * dt / kappa
+    return _finite_step(
+        x + rad * (math.sin(theta_new) - math.sin(theta)),
+        y - rad * (math.cos(theta_new) - math.cos(theta)),
+        wrap_angle(theta_new),
     )
 
 
-def step_evader(s: EvaderState, u_e, dt: float, p: GameParams) -> EvaderState:
-    """Advance a simple-motion evader; its control must lie in the closed
-    unit disk.  Only the evader's own speed ``p.v_e`` is read."""
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    u = _as_point(u_e)
-    norm = math.hypot(u[0], u[1])
+def step_evader(x: float, y: float, u_e, dt: float, v_e: float) -> tuple[float, float]:
+    """Advance a simple-motion evader at (x, y) at speed ``v_e``; returns
+    (x, y).  Its control must be a finite point of the closed unit disk."""
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt must be finite and positive, got {dt}")
+    if not (type(u_e) is tuple and len(u_e) == 2 and type(u_e[0]) is type(u_e[1]) is float):
+        u_e = tuple(_as_point(u_e).tolist())
+    ux, uy = u_e
+    step = v_e * dt
+    out = _finite_step(x + step * ux, y + step * uy)
+    norm = math.hypot(ux, uy)
     if norm > 1.0 + 1e-12:
         raise ValueError(f"evader control must lie in the unit disk, |u| = {norm}")
-    return EvaderState(pos=s.pos + p.v_e * dt * u)
+    return out
 
 
 def _violations(sc: Scenario) -> list[str]:

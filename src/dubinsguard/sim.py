@@ -11,19 +11,23 @@ reached:
   its separation window is open (see ``WINDOW_MARGIN``): no pair in a window
   could be an edge, so the graph is the one a full rebuild would give;
 - controls: evader controls first, then the pursuers', which observe them.
-  Every car runs ``strategies.two_step``, the one adjust-then-intercept
-  phase machine; the simulator snaps a car's heading onto the interception
-  angle when its phase switches, and logs ``io_achieved``;
+  Every car runs ``strategies.two_step_command``, the one adjust-then-
+  intercept phase machine; the simulator snaps a car's heading onto the
+  interception angle when its phase switches, and logs ``io_achieved``;
 - record: one trajectory row per agent;
-- integrate: both teams move exactly under zero-order-hold controls, and
-  intercepting cars are re-snapped against integration drift;
+- integrate: each car and each active evader moves exactly under its
+  zero-order-hold control, one ``model.step_pursuer`` or ``step_evader``
+  call each, and intercepting cars are re-snapped against integration drift;
 - detect: capture and goal-arrival crossings are located by linear
   interpolation inside the step.
 
-The pair distances are one ``(n_p, n_e)`` array per step, shared by the
-capture screen and by the nearest-pursuer choice of ``optimal`` evaders.  A
-``dt`` long enough for a pursuer and an evader to close a capture radius in
-one step is refused.
+Agent state is plain floats, stepped by the float kernels of ``model`` and
+``strategies``; validated state objects are built only for the win graph
+(once per refresh, for agents with a pair outside its window) and for
+``optimal`` evaders.  The pair distances are one ``(n_p, n_e)`` array per
+step, shared by the capture screen and by the nearest-pursuer choice of
+``optimal`` evaders.  A ``dt`` long enough for a pursuer and an evader to
+close a capture radius in one step is refused.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -46,6 +49,7 @@ from .model import (
     Scenario,
     step_evader,
     step_pursuer,
+    wrap_angle,
     wrap_to_pi,
 )
 from .strategies import (
@@ -56,7 +60,7 @@ from .strategies import (
     evader_optimal,
     evader_random_goal,
     pursuit_simple,
-    two_step,
+    two_step_command,
 )
 
 ACTIVE = "active"
@@ -167,13 +171,10 @@ def detect_captures(
     return found
 
 
-def _positions(states) -> np.ndarray:
-    return np.array([s.pos for s in states])
-
-
-def _heading(u) -> float | None:
-    """Trajectory ``u`` column of a simple-motion control: its heading."""
-    return None if u is None else math.atan2(u[1], u[0])
+def _with_heading(u: np.ndarray) -> tuple[tuple[float, float], float]:
+    """A simple-motion control as (unit control, heading), in floats."""
+    ux, uy = u.tolist()
+    return (ux, uy), math.atan2(uy, ux)
 
 
 def _validate(sc: Scenario, cfg: SimConfig):
@@ -191,8 +192,9 @@ def _validate(sc: Scenario, cfg: SimConfig):
 class _Game:
     """State of one game in play, with one method per simulator stage.
 
-    ``phases[i]`` is car ``i``'s ``TwoStepState``, or None for a
-    simple-motion pursuer.
+    Agents are plain floats: ``p_xy[i]`` and ``e_xy[j]`` are (x, y) tuples,
+    ``theta[i]`` is pursuer ``i``'s heading in [0, 2*pi) and ``phases[i]``
+    its ``TwoStepState``, None for a simple-motion pursuer.
     """
 
     def __init__(self, sc: Scenario, cfg: SimConfig):
@@ -202,27 +204,26 @@ class _Game:
         self.n_e = n_e = len(sc.evaders)
         rng = np.random.default_rng(sc.seed)
 
-        self.pursuers = [spec.state for spec in sc.pursuers]
-        self.evaders = [spec.state for spec in sc.evaders]
+        self.p_xy = [tuple(spec.state.pos.tolist()) for spec in sc.pursuers]
+        self.theta = [spec.state.theta for spec in sc.pursuers]
+        self.e_xy = [tuple(spec.state.pos.tolist()) for spec in sc.evaders]
         self.status = [ACTIVE] * n_e
-        self.e_heading: list[float | None] = []
-        for j, spec in enumerate(sc.evaders):
-            if spec.strategy == "constant":
-                self.e_heading.append(float(spec.heading))
-            elif spec.strategy == "random_goal":
-                self.e_heading.append(evader_random_goal(self.evaders[j].pos, rng))
-            else:
-                self.e_heading.append(None)
+        # Per game, the (unit control, recorded heading) of every evader
+        # that holds a constant heading; None for an ``optimal`` one.
+        self.e_fixed: list[tuple | None] = []
+        for spec in sc.evaders:
+            if spec.strategy == "optimal":
+                self.e_fixed.append(None)
+                continue
+            constant = spec.strategy == "constant"
+            heading = spec.heading if constant else evader_random_goal(spec.state.pos, rng)
+            self.e_fixed.append(_with_heading(evader_constant(float(heading))))
 
         self.params = {(i, j): sc.pair_params(i, j) for i in range(n_p) for j in range(n_e)}
         # Game time until which each screened-out pair provably stays
         # without separation.
         self.unseparated_until: dict[tuple[int, int], float] = {}
         self.motion = {i: spec.motion for i, spec in enumerate(sc.pursuers)}
-        # Stepping reads only an agent's own constants: its speed, and for a
-        # car its turning radius.
-        self.p_own = [SimpleNamespace(v_p=spec.v, kappa=spec.kappa) for spec in sc.pursuers]
-        self.e_own = [SimpleNamespace(v_e=spec.v) for spec in sc.evaders]
         self.radii = np.array([spec.r for spec in sc.pursuers])
 
         self.target: list[int | None] = [None] * n_p
@@ -241,8 +242,11 @@ class _Game:
         # each step's integration and heading re-snap.  Evaders leaving play
         # are then moved to their event points, but their columns are never
         # read again.
-        self.e_pos = _positions(self.evaders)
-        self.dist = pair_distances(_positions(self.pursuers), self.e_pos)
+        self.e_pos = np.array(self.e_xy)
+        self.dist = pair_distances(np.array(self.p_xy), self.e_pos)
+
+    def pursuer_state(self, i: int) -> PursuerState:
+        return PursuerState(pos=self.p_xy[i], theta=self.theta[i])
 
     def assign(self):
         """Rebuild the win graph over the active pairs outside their
@@ -252,12 +256,10 @@ class _Game:
         n_p, n_e, t = self.n_p, self.n_e, self.t
         active = [j for j in range(n_e) if self.status[j] == ACTIVE]
         until = self.unseparated_until
-        pair_states = {
-            (i, j): JointState(pursuer=self.pursuers[i], evader=self.evaders[j])
-            for i in range(n_p)
-            for j in active
-            if until.get((i, j), t) <= t
-        }
+        keys = [(i, j) for i in range(n_p) for j in active if until.get((i, j), t) <= t]
+        pursuers = {i: self.pursuer_state(i) for i in {i for i, _ in keys}}
+        evaders = {j: EvaderState(pos=self.e_xy[j]) for j in {j for _, j in keys}}
+        pair_states = {(i, j): JointState(pursuers[i], evaders[j]) for i, j in keys}
         graph = build_graph(pair_states, self.params, n_p, n_e, self.motion)
         for key, height in graph.screened.items():
             p = self.params[key]
@@ -278,12 +280,7 @@ class _Game:
             new_matched.update(max_matching(residual))
         else:
             new_matched = max_matching(graph)
-        assignment = assign(
-            graph,
-            new_matched,
-            [state.pos for state in self.pursuers],
-            {j: self.evaders[j].pos for j in active},
-        )
+        assignment = assign(graph, new_matched, self.p_xy, {j: self.e_xy[j] for j in active})
         matched, opportunistic = assignment.matched, assignment.opportunistic
         if matched != self.matched:
             self.events.append(
@@ -310,98 +307,99 @@ class _Game:
         j = self.target[i]
         return j if j is not None and self.status[j] == ACTIVE else None
 
-    def evader_controls(self) -> list[np.ndarray | None]:
-        """Unit controls of the active evaders (None for the others).  An
-        ``optimal`` evader flees its first assigned pursuer, or else its
-        first nearest one."""
+    def evader_controls(self) -> list[tuple | None]:
+        """(unit control, recorded heading) of every active evader, None for
+        the others.  An ``optimal`` evader flees its first assigned
+        pursuer, or else its first nearest one."""
         assigned_to: dict[int, int] = {}
         for i, j in enumerate(self.target):
             if j is not None:
                 assigned_to.setdefault(j, i)
-        controls: list[np.ndarray | None] = []
-        for j, spec in enumerate(self.sc.evaders):
+        controls: list[tuple | None] = []
+        for j, fixed in enumerate(self.e_fixed):
             if self.status[j] != ACTIVE:
                 controls.append(None)
-            elif spec.strategy == "optimal":
+            elif fixed is not None:
+                controls.append(fixed)
+            else:
                 i = assigned_to.get(j)
                 if i is None:
                     i = int(np.argmin(self.dist[:, j]))
-                pair = JointState(pursuer=self.pursuers[i], evader=self.evaders[j])
-                controls.append(evader_optimal(pair, self.params[(i, j)]))
-            else:
-                controls.append(evader_constant(self.e_heading[j]))
+                evader = EvaderState(pos=self.e_xy[j])
+                u = evader_optimal(JointState(self.pursuer_state(i), evader), self.params[(i, j)])
+                controls.append(_with_heading(u))
         return controls
 
     def snap_angle(self, i: int, j: int) -> float:
         """Interception angle of car ``i`` against evader ``j``: the heading
         both snaps set."""
-        x_p = self.pursuers[i].pos
-        x, y, _ = aim_point(x_p, self.evaders[j].pos, self.params[(i, j)].alpha)
+        x_p = self.p_xy[i]
+        x, y, _ = aim_point(x_p, self.e_xy[j], self.params[(i, j)].alpha)
         return aim_bearing(x_p, x, y)
 
-    def pursuer_controls(self, e_controls) -> list[float | np.ndarray | None]:
+    def pursuer_controls(self, e_controls) -> list[float | tuple | None]:
         """Turn commands of the cars (0.0 without a live target) and unit
         controls of the simple-motion pursuers (None without one)."""
-        controls: list[float | np.ndarray | None] = []
+        controls: list[float | tuple | None] = []
         for i, phase in enumerate(self.phases):
             j = self.live_target(i)
             if j is None:
                 controls.append(None if phase is None else 0.0)
                 continue
             pr = self.params[(i, j)]
-            car, evader = self.pursuers[i], self.evaders[j]
             if phase is None:
-                controls.append(pursuit_simple(car.pos, evader.pos, pr.alpha))
+                u = pursuit_simple(self.p_xy[i], self.e_xy[j], pr.alpha)
+                controls.append(tuple(u.tolist()))
                 continue
-            pair = JointState(pursuer=car, evader=evader)
-            u, self.phases[i] = two_step(pair, e_controls[j], pr, phase, self.diag)
+            u, self.phases[i] = two_step_command(
+                self.p_xy[i], self.theta[i], self.e_xy[j], e_controls[j][0], pr, phase, self.diag
+            )
             if self.phases[i].phase is not phase.phase:
-                self.pursuers[i] = PursuerState(pos=car.pos, theta=self.snap_angle(i, j))
+                self.theta[i] = self.snap_angle(i, j)
                 self.events.append(Event(t=self.t, kind="io_achieved", pursuer=i, evader=j))
             controls.append(u)
         return controls
 
     def record(self, p_controls, e_controls):
         """Append one trajectory row per agent at the current time."""
-        for i, state in enumerate(self.pursuers):
-            phase = self.phases[i]
+        t = self.t
+        for i, (x, y) in enumerate(self.p_xy):
+            phase, u = self.phases[i], p_controls[i]
             if phase is None:
-                u, mode = _heading(p_controls[i]), "simple"
-            elif phase.phase is Phase.INTERCEPTING:
-                u, mode = p_controls[i], "intercept"
+                u, mode = None if u is None else math.atan2(u[1], u[0]), "simple"
             else:
-                u, mode = p_controls[i], "adjust"
-            x, y = map(float, state.pos)
-            self.p_rows[i].append((self.t, x, y, state.theta, u, mode, ACTIVE, self.target[i]))
-        for j, state in enumerate(self.evaders):
-            x, y = map(float, state.pos)
-            u, strategy = _heading(e_controls[j]), self.sc.evaders[j].strategy
-            self.e_rows[j].append((self.t, x, y, None, u, strategy, self.status[j], None))
+                mode = "intercept" if phase.phase is Phase.INTERCEPTING else "adjust"
+            self.p_rows[i].append((t, x, y, self.theta[i], u, mode, ACTIVE, self.target[i]))
+        for j, (x, y) in enumerate(self.e_xy):
+            c, strategy = e_controls[j], self.sc.evaders[j].strategy
+            u = None if c is None else c[1]
+            self.e_rows[j].append((t, x, y, None, u, strategy, self.status[j], None))
 
     def integrate(self, p_controls, e_controls):
         """Advance both teams by one step under zero-order hold, then re-snap
         the intercepting cars' alignment invariant against integration
         drift."""
         dt = self.cfg.dt
-        for i, u in enumerate(p_controls):
+        for i, (spec, u) in enumerate(zip(self.sc.pursuers, p_controls)):
+            x, y = self.p_xy[i]
             if self.phases[i] is not None:
-                self.pursuers[i] = step_pursuer(self.pursuers[i], u, dt, self.p_own[i])
+                x, y, self.theta[i] = step_pursuer(x, y, self.theta[i], u, dt, spec.v, spec.kappa)
+                self.p_xy[i] = (x, y)
             elif u is not None:
-                self.pursuers[i] = PursuerState(
-                    pos=self.pursuers[i].pos + self.p_own[i].v_p * dt * u,
-                    theta=math.atan2(u[1], u[0]),
-                )
-        for j, u in enumerate(e_controls):
-            if u is not None:
-                self.evaders[j] = step_evader(self.evaders[j], u, dt, self.e_own[j])
+                step = spec.v * dt
+                self.p_xy[i] = (x + step * u[0], y + step * u[1])
+                self.theta[i] = wrap_angle(math.atan2(u[1], u[0]))
+        for j, (spec, c) in enumerate(zip(self.sc.evaders, e_controls)):
+            if c is not None:
+                self.e_xy[j] = step_evader(*self.e_xy[j], c[0], dt, spec.v)
 
         for i, phase in enumerate(self.phases):
             j = self.live_target(i)
             if j is None or phase is None or phase.phase is not Phase.INTERCEPTING:
                 continue
-            car, angle = self.pursuers[i], self.snap_angle(i, j)
-            if 0.0 < abs(wrap_to_pi(angle - car.theta)) <= SNAP_FACTOR * IO_TOL:
-                self.pursuers[i] = PursuerState(pos=car.pos, theta=angle)
+            angle = self.snap_angle(i, j)
+            if 0.0 < abs(wrap_to_pi(angle - self.theta[i])) <= SNAP_FACTOR * IO_TOL:
+                self.theta[i] = angle
 
     def detect(self):
         """Refresh the pair distances and end the play of every evader that
@@ -409,15 +407,15 @@ class _Game:
         goal arrival, earlier fraction wins.  The evader is moved to its
         event point."""
         prev_dist, prev_e_pos = self.dist, self.e_pos
-        self.e_pos = _positions(self.evaders)
-        self.dist = pair_distances(_positions(self.pursuers), self.e_pos)
+        self.e_pos = np.array(self.e_xy)
+        self.dist = pair_distances(np.array(self.p_xy), self.e_pos)
         active = np.array([status == ACTIVE for status in self.status])
         captures = detect_captures(prev_dist, self.dist, self.radii, active)
         for j in range(self.n_e):
             if self.status[j] != ACTIVE:
                 continue
             cap_frac, cap_by = captures.get(j, (None, None))
-            goal_frac = detect_crossing(float(prev_e_pos[j, 1]), float(self.e_pos[j, 1]), 0.0)
+            goal_frac = detect_crossing(float(prev_e_pos[j, 1]), self.e_xy[j][1], 0.0)
             if cap_frac is not None and (goal_frac is None or cap_frac <= goal_frac):
                 frac, status, kind, by = cap_frac, CAPTURED, "capture", cap_by
             elif goal_frac is not None:
@@ -425,8 +423,8 @@ class _Game:
             else:
                 continue
             self.status[j] = status
-            start = prev_e_pos[j]
-            self.evaders[j] = EvaderState(pos=start + frac * (self.evaders[j].pos - start))
+            (sx, sy), (ex, ey) = prev_e_pos[j].tolist(), self.e_xy[j]
+            self.e_xy[j] = (sx + frac * (ex - sx), sy + frac * (ey - sy))
             self.events.append(
                 Event(t=self.t + frac * self.cfg.dt, kind=kind, pursuer=by, evader=j)
             )

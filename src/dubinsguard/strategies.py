@@ -5,22 +5,23 @@ it with a turn-rate command synthesized from the evader's current control
 (car with separation and alignment established), or swing the heading toward
 the interception angle at full turn rate (alignment not yet established),
 turning the way ``geometry.turn_direction`` picks, the same rule the
-certificates bound.  ``two_step`` composes the last two into the car's
-adjust-then-intercept phase machine, the one the simulator runs for every
-car.  Evader side: head for the interception point (the unique best
-response), or hold a constant heading.
+certificates bound.  ``two_step_command`` composes the last two into the
+car's adjust-then-intercept phase machine on float pairs, the one the
+simulator runs for every car; ``two_step`` is its ``JointState`` form.
+Evader side: head for the interception point (the unique best response), or
+hold a constant heading.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .certificates import intercept_feasible
-from .geometry import IO_TOL, aim_point, heading_error, turn_direction
+from .geometry import IO_TOL, aim_point, bearing_error, heading_error, turn_direction
 from .model import GameParams, JointState
 
 #: Turn commands may exceed 1 in magnitude by rounding; excess above this is
@@ -104,6 +105,26 @@ def evader_random_goal(x_e, rng: np.random.Generator) -> float:
             return theta
 
 
+def _xy(v) -> tuple[float, float]:
+    return float(v[0]), float(v[1])
+
+
+def _gains(x_p, x_e, alpha: float, kappa: float) -> tuple[float, float, float]:
+    """Tracking gains (vec_x, vec_y, bias) of a car at ``x_p``, evader at ``x_e``."""
+    dx = x_p[0] - x_e[0]
+    dy = x_p[1] - x_e[1]
+    dist = math.hypot(dx, dy)
+    if dist == 0.0:
+        raise ValueError("pursuer and evader positions coincide")
+    shared = kappa * (alpha * dist + dy)
+    denom = (alpha * alpha + 1.0) * dist + 2.0 * alpha * dy
+    return (
+        shared * dy / (dist * dist * denom),
+        -shared * dx / (dist * dist * denom),
+        -alpha * shared * dx / (dist**1.5 * denom**1.5),
+    )
+
+
 def intercept_gains(state: JointState, p: GameParams) -> InterceptGains:
     """Gains of the turn-rate command that keeps the car tracking the
     interception point.
@@ -111,24 +132,20 @@ def intercept_gains(state: JointState, p: GameParams) -> InterceptGains:
     Finite whenever the pair positions are distinct: the denominator factor
     (alpha^2 + 1) * d + 2 * alpha * (y_p - y_e) is at least (alpha - 1)^2 * d.
     """
-    x_p, y_p = float(state.pursuer.pos[0]), float(state.pursuer.pos[1])
-    x_e, y_e = float(state.evader.pos[0]), float(state.evader.pos[1])
-    alpha = p.alpha
-    dx = x_p - x_e
-    dy = y_p - y_e
-    dist = math.hypot(dx, dy)
-    if dist == 0.0:
-        raise ValueError("pursuer and evader positions coincide")
-    shared = p.kappa * (alpha * dist + dy)
-    denom = (alpha * alpha + 1.0) * dist + 2.0 * alpha * dy
-    vec = np.array(
-        [
-            shared * dy / (dist * dist * denom),
-            -shared * dx / (dist * dist * denom),
-        ]
-    )
-    bias = -alpha * shared * dx / (dist**1.5 * denom**1.5)
-    return InterceptGains(vec=vec, bias=bias)
+    vx, vy, bias = _gains(_xy(state.pursuer.pos), _xy(state.evader.pos), p.alpha, p.kappa)
+    return InterceptGains(vec=np.array([vx, vy]), bias=bias)
+
+
+def intercept_command(x_p, x_e, u_e, p: GameParams, diag=None) -> float:
+    """``pursuit_intercept`` on float pairs: the car at ``x_p``, the evader
+    at ``x_e`` and its control ``u_e``, each an (x, y) of Python floats."""
+    vx, vy, bias = _gains(x_p, x_e, p.alpha, p.kappa)
+    u = vx * u_e[0] + vy * u_e[1] + bias
+    if u > 1.0 or u < -1.0:
+        if diag is not None:
+            diag.record(abs(u) - 1.0)
+        u = max(-1.0, min(1.0, u))
+    return u
 
 
 def pursuit_intercept(
@@ -145,14 +162,7 @@ def pursuit_intercept(
     clamping is applied (and recorded on ``diag``) as a diagnostic for
     precondition violations, never as an error.
     """
-    gains = intercept_gains(state, p)
-    u_e = np.asarray(u_e, dtype=float)
-    u = float(gains.vec[0] * u_e[0] + gains.vec[1] * u_e[1] + gains.bias)
-    if u > 1.0 or u < -1.0:
-        if diag is not None:
-            diag.record(abs(u) - 1.0)
-        u = max(-1.0, min(1.0, u))
-    return u
+    return intercept_command(_xy(state.pursuer.pos), _xy(state.evader.pos), _xy(u_e), p, diag)
 
 
 def heading_adjust(state: JointState, p: GameParams) -> float:
@@ -160,6 +170,27 @@ def heading_adjust(state: JointState, p: GameParams) -> float:
     ``geometry.turn_direction`` picks: the shorter angular sweep, clockwise
     when the error is exactly opposite up to float noise."""
     return turn_direction(heading_error(state, p))
+
+
+def two_step_command(
+    x_p, theta: float, x_e, u_e, p: GameParams, mode: TwoStepState, diag=None
+) -> tuple[float, TwoStepState]:
+    """``two_step`` on float pairs (see ``intercept_command``) and the car's
+    heading ``theta``: the one copy of the phase machine."""
+    if mode.phase is Phase.INTERCEPTING:
+        return intercept_command(x_p, x_e, u_e, p, diag), mode
+
+    err = bearing_error(x_p, theta, x_e, p.alpha)
+    aligned = abs(err) <= IO_TOL
+    if not aligned and mode.last_error is not None:
+        aligned = (
+            (err > 0.0) != (mode.last_error > 0.0)
+            and abs(err) < 0.5 * math.pi
+            and abs(mode.last_error) < 0.5 * math.pi
+        )
+    if aligned and intercept_feasible(p.r, p.kappa, p.alpha):
+        return intercept_command(x_p, x_e, u_e, p, diag), TwoStepState(Phase.INTERCEPTING)
+    return turn_direction(err), TwoStepState(mode.phase, err)
 
 
 def two_step(
@@ -181,17 +212,5 @@ def two_step(
     below the step resolution); the tracking command reads only positions,
     so it does not change with the snap.
     """
-    if mode.phase is Phase.INTERCEPTING:
-        return pursuit_intercept(state, u_e, p, diag), mode
-
-    err = heading_error(state, p)
-    aligned = abs(err) <= IO_TOL
-    if not aligned and mode.last_error is not None:
-        aligned = (
-            (err > 0.0) != (mode.last_error > 0.0)
-            and abs(err) < 0.5 * math.pi
-            and abs(mode.last_error) < 0.5 * math.pi
-        )
-    if aligned and intercept_feasible(p.r, p.kappa, p.alpha):
-        return pursuit_intercept(state, u_e, p, diag), TwoStepState(Phase.INTERCEPTING)
-    return turn_direction(err), replace(mode, last_error=err)
+    car = state.pursuer
+    return two_step_command(_xy(car.pos), car.theta, _xy(state.evader.pos), _xy(u_e), p, mode, diag)

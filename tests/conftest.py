@@ -1,10 +1,13 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import dubinsguard as dg
-from dubinsguard.geometry import aim_point, goal_gap
+from dubinsguard.geometry import aim_bearing, aim_point, bearing_error, goal_gap
+from dubinsguard.model import STRAIGHT_EPS, _as_point
+from dubinsguard.strategies import intercept_command
 
 
 @pytest.fixture(scope="session")
@@ -53,31 +56,133 @@ def bare_intercept_run(
     """Roll the interception-tracking strategy forward against a given
     evader control law; mirrors the simulator's per-step snap protocol.
 
+    ``evader_control`` is either the evader's fixed control (x, y) or a map
+    from the pair's ``JointState`` to its control.  The pair is stepped on
+    floats, through ``strategies.intercept_command`` and the model's step
+    kernels, as the simulator steps it.
+
     Returns (clearances, controls, heading_errors, capture_time).
     """
-    ps, es = state.pursuer, state.evader
-    clearances = [er_goal_distance(ps.pos, es.pos, p.alpha)]
+    x_p, theta = _xy(state.pursuer.pos), state.pursuer.theta
+    x_e = _xy(state.evader.pos)
+    fixed = None if callable(evader_control) else _xy(evader_control)
+    clearances = [er_goal_distance(x_p, x_e, p.alpha)]
     controls = []
-    errors = [abs(dg.heading_error(dg.JointState(pursuer=ps, evader=es), p))]
+    errors = [abs(bearing_error(x_p, theta, x_e, p.alpha))]
     captured = None
     for k in range(steps):
-        pair = dg.JointState(pursuer=ps, evader=es)
-        u_e = evader_control(pair)
-        u_p = dg.pursuit_intercept(pair, u_e, p)
+        u_e = fixed
+        if u_e is None:
+            pair = dg.JointState(
+                pursuer=dg.PursuerState(pos=x_p, theta=theta), evader=dg.EvaderState(pos=x_e)
+            )
+            u_e = _xy(evader_control(pair))
+        u_p = intercept_command(x_p, x_e, u_e, p)
         controls.append(u_p)
-        ps = dg.step_pursuer(ps, u_p, dt, p)
-        es = dg.step_evader(es, u_e, dt, p)
-        if float(np.linalg.norm(ps.pos - es.pos)) <= p.r:
+        px, py, theta = dg.step_pursuer(*x_p, theta, u_p, dt, p.v_p, p.kappa)
+        x_p = (px, py)
+        x_e = dg.step_evader(*x_e, u_e, dt, p.v_e)
+        if math.hypot(x_p[0] - x_e[0], x_p[1] - x_e[1]) <= p.r:
             captured = (k + 1) * dt
             break
-        if snap_band is not None:
-            data = dg.interception(ps.pos, es.pos, p.alpha)
-            if 0.0 < abs(dg.wrap_to_pi(data.angle - ps.theta)) <= snap_band:
-                ps = dg.PursuerState(pos=ps.pos, theta=data.angle)
-        pair = dg.JointState(pursuer=ps, evader=es)
-        clearances.append(er_goal_distance(ps.pos, es.pos, p.alpha))
-        errors.append(abs(dg.heading_error(pair, p)))
+        x, y, _ = aim_point(x_p, x_e, p.alpha)
+        angle = aim_bearing(x_p, x, y)
+        if snap_band is not None and 0.0 < abs(dg.wrap_to_pi(angle - theta)) <= snap_band:
+            theta = angle
+        clearances.append(goal_gap(y))
+        errors.append(abs(dg.wrap_to_pi(angle - theta)))
     return clearances, controls, errors, captured
+
+
+def _xy(v) -> tuple[float, float]:
+    return float(v[0]), float(v[1])
+
+
+def reference_step_pursuer(
+    s: dg.PursuerState, u_p: float, dt: float, p: dg.GameParams
+) -> dg.PursuerState:
+    """``model.step_pursuer`` as it was on validated states, before it
+    became a float kernel: the reference the kernel must match bit for
+    bit."""
+    if not (math.isfinite(u_p) and math.isfinite(dt)):
+        raise ValueError("non-finite control or time step")
+    if dt <= 0.0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    x, y = float(s.pos[0]), float(s.pos[1])
+    theta = s.theta
+    if abs(u_p) < STRAIGHT_EPS:
+        step = p.v_p * dt
+        return dg.PursuerState(
+            pos=np.array([x + step * math.cos(theta), y + step * math.sin(theta)]),
+            theta=theta,
+        )
+    rad = p.kappa / u_p
+    theta_new = theta + p.v_p * u_p * dt / p.kappa
+    return dg.PursuerState(
+        pos=np.array(
+            [
+                x + rad * (math.sin(theta_new) - math.sin(theta)),
+                y - rad * (math.cos(theta_new) - math.cos(theta)),
+            ]
+        ),
+        theta=dg.wrap_angle(theta_new),
+    )
+
+
+def reference_step_evader(s: dg.EvaderState, u_e, dt: float, p: dg.GameParams) -> dg.EvaderState:
+    """``model.step_evader`` as it was on validated states."""
+    if dt <= 0.0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    u = _as_point(u_e)
+    norm = math.hypot(u[0], u[1])
+    if norm > 1.0 + 1e-12:
+        raise ValueError(f"evader control must lie in the unit disk, |u| = {norm}")
+    return dg.EvaderState(pos=s.pos + p.v_e * dt * u)
+
+
+def reference_pursuit_intercept(state: dg.JointState, u_e, p: dg.GameParams, diag=None) -> float:
+    """``strategies.pursuit_intercept`` as it was, with the gains on numpy
+    arrays."""
+    x_p, y_p = float(state.pursuer.pos[0]), float(state.pursuer.pos[1])
+    x_e, y_e = float(state.evader.pos[0]), float(state.evader.pos[1])
+    alpha = p.alpha
+    dx = x_p - x_e
+    dy = y_p - y_e
+    dist = math.hypot(dx, dy)
+    if dist == 0.0:
+        raise ValueError("pursuer and evader positions coincide")
+    shared = p.kappa * (alpha * dist + dy)
+    denom = (alpha * alpha + 1.0) * dist + 2.0 * alpha * dy
+    vec = np.array([shared * dy / (dist * dist * denom), -shared * dx / (dist * dist * denom)])
+    bias = -alpha * shared * dx / (dist**1.5 * denom**1.5)
+    u_e = np.asarray(u_e, dtype=float)
+    u = float(vec[0] * u_e[0] + vec[1] * u_e[1] + bias)
+    if u > 1.0 or u < -1.0:
+        if diag is not None:
+            diag.record(abs(u) - 1.0)
+        u = max(-1.0, min(1.0, u))
+    return u
+
+
+def reference_two_step(state: dg.JointState, u_e, p: dg.GameParams, mode, diag=None):
+    """``strategies.two_step`` as it was on validated states."""
+    if mode.phase is dg.Phase.INTERCEPTING:
+        return reference_pursuit_intercept(state, u_e, p, diag), mode
+    x_p = state.pursuer.pos
+    x, y, _ = aim_point(x_p, state.evader.pos, p.alpha)
+    err = dg.wrap_to_pi(aim_bearing(x_p, x, y) - state.pursuer.theta)
+    aligned = abs(err) <= dg.IO_TOL
+    if not aligned and mode.last_error is not None:
+        aligned = (
+            (err > 0.0) != (mode.last_error > 0.0)
+            and abs(err) < 0.5 * math.pi
+            and abs(mode.last_error) < 0.5 * math.pi
+        )
+    if aligned and dg.intercept_feasible(p.r, p.kappa, p.alpha):
+        return reference_pursuit_intercept(state, u_e, p, diag), dg.TwoStepState(
+            dg.Phase.INTERCEPTING
+        )
+    return dg.turn_direction(err), replace(mode, last_error=err)
 
 
 def brute_force_matching_size(n_pursuers: int, adjacency: dict[int, list[int]]) -> int:

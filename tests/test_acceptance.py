@@ -109,7 +109,7 @@ def test_criterion_04_clearance_monotone_against_constant_headings():
                 REFERENCE,
                 1e-4,
                 10_000,
-                lambda s: dg.evader_constant(heading),
+                dg.evader_constant(heading),
             )
             worst = min(
                 (b - a for a, b in zip(clearances, clearances[1:])), default=0.0
@@ -128,6 +128,7 @@ def test_criterion_05_heading_adjustment_reaches_alignment_in_time():
             )
             bound = dg.adjust_time_bound(state, REFERENCE)
             heading = rng.uniform(0, 2 * math.pi)
+            u_e = dg.evader_constant(heading)
             ps, es = state.pursuer, state.evader
             q_prev = None
             last_err = None
@@ -152,8 +153,12 @@ def test_criterion_05_heading_adjustment_reaches_alignment_in_time():
                 assert (
                     float(np.linalg.norm(ps.pos - es.pos)) > REFERENCE.r
                 ), "captured before alignment"
-                ps = dg.step_pursuer(ps, dg.heading_adjust(pair, REFERENCE), dt, REFERENCE)
-                es = dg.step_evader(es, dg.evader_constant(heading), dt, REFERENCE)
+                command = dg.heading_adjust(pair, REFERENCE)
+                x, y, theta = dg.step_pursuer(
+                    *ps.pos, ps.theta, command, dt, REFERENCE.v_p, REFERENCE.kappa
+                )
+                ps = dg.PursuerState(pos=(x, y), theta=theta)
+                es = dg.EvaderState(pos=dg.step_evader(*es.pos, u_e, dt, REFERENCE.v_e))
             assert t_aligned is not None
             assert t_aligned <= bound.duration + dt
 

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import dubinsguard as dg
+from conftest import reference_step_evader, reference_step_pursuer
+from dubinsguard.model import STRAIGHT_EPS, TWO_PI
 
 
 def test_goal_value_examples():
@@ -43,46 +45,37 @@ def test_wrap_helpers():
 
 class TestStepPursuer:
     def test_straight_motion(self):
-        p = dg.GameParams(v_p=0.3, v_e=0.1, kappa=1.0, r=0.1)
-        s = dg.PursuerState(pos=(0, 0), theta=0.0)
-        out = dg.step_pursuer(s, 0.0, 1.0, p)
-        assert out.pos == pytest.approx([0.3, 0.0])
-        assert out.theta == 0.0
+        out = dg.step_pursuer(0.0, 0.0, 0.0, 0.0, 1.0, 0.3, 1.0)
+        assert out[:2] == pytest.approx([0.3, 0.0])
+        assert out[2] == 0.0
 
     def test_quarter_circle(self):
         # v_p * dt / kappa = pi/2 turns a quarter arc about (0, 1)
-        p = dg.GameParams(v_p=1.0, v_e=0.5, kappa=1.0, r=0.1)
-        s = dg.PursuerState(pos=(0, 0), theta=0.0)
-        out = dg.step_pursuer(s, 1.0, math.pi / 2, p)
-        assert out.pos == pytest.approx([1.0, 1.0], abs=1e-12)
-        assert out.theta == pytest.approx(math.pi / 2)
+        out = dg.step_pursuer(0.0, 0.0, 0.0, 1.0, math.pi / 2, 1.0, 1.0)
+        assert out[:2] == pytest.approx([1.0, 1.0], abs=1e-12)
+        assert out[2] == pytest.approx(math.pi / 2)
 
     def test_full_period_returns_to_start(self):
-        p = dg.GameParams(v_p=1.0, v_e=0.5, kappa=1.0, r=0.1)
-        s = dg.PursuerState(pos=(0, 0), theta=0.0)
-        out = dg.step_pursuer(s, -1.0, 2 * math.pi, p)
-        assert out.pos == pytest.approx([0.0, 0.0], abs=1e-12)
-        assert out.theta == pytest.approx(0.0, abs=1e-12)
+        out = dg.step_pursuer(0.0, 0.0, 0.0, -1.0, 2 * math.pi, 1.0, 1.0)
+        assert out[:2] == pytest.approx([0.0, 0.0], abs=1e-12)
+        assert out[2] == pytest.approx(0.0, abs=1e-12)
 
     def test_rejects_nonfinite(self):
-        p = dg.GameParams(v_p=1.0, v_e=0.5, kappa=1.0, r=0.1)
-        s = dg.PursuerState(pos=(0, 0), theta=0.0)
         with pytest.raises(ValueError):
-            dg.step_pursuer(s, math.nan, 1.0, p)
+            dg.step_pursuer(0.0, 0.0, 0.0, math.nan, 1.0, 1.0, 1.0)
         with pytest.raises(ValueError):
-            dg.step_pursuer(s, 0.5, -1.0, p)
+            dg.step_pursuer(0.0, 0.0, 0.0, 0.5, -1.0, 1.0, 1.0)
 
     def test_chord_length_and_speed_bound(self):
         p = dg.GameParams(v_p=0.7, v_e=0.3, kappa=0.4, r=0.1)
         rng = np.random.default_rng(3)
         for _ in range(200):
-            s = dg.PursuerState(
-                pos=rng.normal(size=2), theta=rng.uniform(0, 2 * math.pi)
-            )
+            x, y = rng.normal(size=2)
+            theta = rng.uniform(0, 2 * math.pi)
             u = rng.uniform(-1, 1)
             dt = rng.uniform(0.01, 2.0)
-            out = dg.step_pursuer(s, u, dt, p)
-            moved = float(np.linalg.norm(out.pos - s.pos))
+            out = dg.step_pursuer(x, y, theta, u, dt, p.v_p, p.kappa)
+            moved = math.hypot(out[0] - x, out[1] - y)
             assert moved <= p.v_p * dt + 1e-12
             if abs(u) >= 1e-12:
                 chord = 2 * (p.kappa / abs(u)) * abs(
@@ -96,43 +89,36 @@ class TestStepPursuer:
         p = dg.GameParams(v_p=0.7, v_e=0.3, kappa=0.4, r=0.1)
         rng = np.random.default_rng(4)
         for _ in range(100):
-            s = dg.PursuerState(
-                pos=rng.normal(size=2), theta=rng.uniform(0, 2 * math.pi)
-            )
+            x, y = rng.normal(size=2)
+            theta = rng.uniform(0, 2 * math.pi)
             u = rng.uniform(-1, 1)
             dt = rng.uniform(0.01, 1.0)
-            whole = dg.step_pursuer(s, u, dt, p)
-            halves = dg.step_pursuer(dg.step_pursuer(s, u, dt / 2, p), u, dt / 2, p)
-            assert whole.pos == pytest.approx(halves.pos, abs=1e-12)
-            assert dg.wrap_to_pi(whole.theta - halves.theta) == pytest.approx(
-                0.0, abs=1e-12
-            )
+            whole = dg.step_pursuer(x, y, theta, u, dt, p.v_p, p.kappa)
+            half = dg.step_pursuer(x, y, theta, u, dt / 2, p.v_p, p.kappa)
+            halves = dg.step_pursuer(*half, u, dt / 2, p.v_p, p.kappa)
+            assert whole[:2] == pytest.approx(halves[:2], abs=1e-12)
+            assert dg.wrap_to_pi(whole[2] - halves[2]) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestStepEvader:
     def test_examples(self):
-        p1 = dg.GameParams(v_p=2.0, v_e=1.0, kappa=1.0, r=0.1)
-        out = dg.step_evader(dg.EvaderState(pos=(0, 1)), (0, -1), 1.0, p1)
-        assert out.pos == pytest.approx([0.0, 0.0])
-        p2 = dg.GameParams(v_p=3.0, v_e=2.0, kappa=1.0, r=0.1)
-        out = dg.step_evader(dg.EvaderState(pos=(2, 3)), (1, 0), 0.5, p2)
-        assert out.pos == pytest.approx([3.0, 3.0])
+        out = dg.step_evader(0.0, 1.0, (0, -1), 1.0, 1.0)
+        assert out == pytest.approx([0.0, 0.0])
+        out = dg.step_evader(2.0, 3.0, (1, 0), 0.5, 2.0)
+        assert out == pytest.approx([3.0, 3.0])
         # idle control is admissible: the control set is the closed unit disk
-        out = dg.step_evader(dg.EvaderState(pos=(0, 0)), (0, 0), 7.0, p1)
-        assert out.pos == pytest.approx([0.0, 0.0])
+        out = dg.step_evader(0.0, 0.0, (0, 0), 7.0, 1.0)
+        assert out == pytest.approx([0.0, 0.0])
 
     def test_linear_in_dt(self):
-        p = dg.GameParams(v_p=2.0, v_e=1.3, kappa=1.0, r=0.1)
-        s = dg.EvaderState(pos=(1, 2))
         u = np.array([0.6, -0.8])
-        a = dg.step_evader(s, u, 0.7, p)
-        b = dg.step_evader(dg.step_evader(s, u, 0.3, p), u, 0.4, p)
-        assert a.pos == pytest.approx(b.pos, abs=1e-15)
+        a = dg.step_evader(1.0, 2.0, u, 0.7, 1.3)
+        b = dg.step_evader(*dg.step_evader(1.0, 2.0, u, 0.3, 1.3), u, 0.4, 1.3)
+        assert a == pytest.approx(b, abs=1e-15)
 
     def test_rejects_control_outside_disk(self):
-        p = dg.GameParams(v_p=2.0, v_e=1.0, kappa=1.0, r=0.1)
         with pytest.raises(ValueError):
-            dg.step_evader(dg.EvaderState(pos=(0, 0)), (1.0, 0.1), 1.0, p)
+            dg.step_evader(0.0, 0.0, (1.0, 0.1), 1.0, 1.0)
 
 
 _NON_FINITE_POINTS = [
@@ -145,26 +131,44 @@ _MISSHAPEN_POINTS = [np.zeros(3), np.zeros((1, 2))]
 
 class TestPointChecks:
     # every state and every evader control is checked to be one finite
-    # 2-D point, whatever coordinate is bad
+    # 2-D point, whatever coordinate is bad, and a step never returns a
+    # non-finite state
     @pytest.mark.parametrize("pt", _NON_FINITE_POINTS)
     def test_non_finite_coordinates_rejected(self, pt):
-        p = dg.GameParams(v_p=2.0, v_e=1.0, kappa=1.0, r=0.1)
         with pytest.raises(ValueError, match="non-finite"):
             dg.PursuerState(pos=pt, theta=0.0)
         with pytest.raises(ValueError, match="non-finite"):
             dg.EvaderState(pos=pt)
         with pytest.raises(ValueError, match="non-finite"):
-            dg.step_evader(dg.EvaderState(pos=(0.0, 1.0)), pt, 0.1, p)
+            dg.step_evader(0.0, 1.0, pt, 0.1, 1.0)
+        with pytest.raises(ValueError, match="non-finite"):
+            dg.step_evader(0.0, 1.0, np.array(pt), 0.1, 1.0)
 
     @pytest.mark.parametrize("pt", _MISSHAPEN_POINTS, ids=["(3,)", "(1, 2)"])
     def test_wrong_shapes_rejected(self, pt):
-        p = dg.GameParams(v_p=2.0, v_e=1.0, kappa=1.0, r=0.1)
         with pytest.raises(ValueError, match="shape"):
             dg.PursuerState(pos=pt, theta=0.0)
         with pytest.raises(ValueError, match="shape"):
             dg.EvaderState(pos=pt)
         with pytest.raises(ValueError, match="shape"):
-            dg.step_evader(dg.EvaderState(pos=(0.0, 1.0)), pt, 0.1, p)
+            dg.step_evader(0.0, 1.0, pt, 0.1, 1.0)
+        with pytest.raises(ValueError, match="shape"):
+            dg.step_evader(0.0, 1.0, tuple(pt), 0.1, 1.0)
+
+    @pytest.mark.parametrize("pt", _NON_FINITE_POINTS)
+    def test_non_finite_results_rejected(self, pt):
+        x, y = pt
+        with pytest.raises(ValueError, match="non-finite"):
+            dg.step_pursuer(x, y, 0.0, 0.0, 0.1, 1.0, 1.0)
+        with pytest.raises(ValueError, match="non-finite"):
+            dg.step_pursuer(x, y, 1.0, 0.5, 0.1, 1.0, 1.0)
+        with pytest.raises(ValueError, match="non-finite"):
+            dg.step_evader(x, y, (0.6, -0.8), 0.1, 1.0)
+        # finite inputs whose step overflows
+        with pytest.raises(ValueError, match="non-finite"):
+            dg.step_evader(1.7e308, 0.5, (1.0, 0.0), 1.0, 1e308)
+        with pytest.raises(ValueError, match="non-finite"):
+            dg.step_pursuer(1.7e308, 0.5, 0.0, 0.0, 1.0, 1e308, 1.0)
 
 
 def _scenario(pursuers, evaders, seed=0):
@@ -270,3 +274,53 @@ class TestValidateScenario:
                 for j in range(len(evaders)):
                     sc.pair_params(i, j)
         assert built >= 50
+
+
+def _outcome(step, *args):
+    """The result of one step as the repr of a tuple, or the error type it
+    raised."""
+    try:
+        return repr(tuple(step(*args)))
+    except ValueError:
+        return "ValueError"
+
+
+class TestStepKernelsMatchReference:
+    # the float kernels give the validated-state steps' results bit for bit
+    # on a seeded corpus, its edge cases included
+    def test_step_pursuer(self):
+        rng = np.random.default_rng(71)
+        eps = STRAIGHT_EPS
+        commands = [0.0, 1.0, -1.0, math.nextafter(eps, 0.0), math.nextafter(eps, 1.0)]
+        commands += [s * eps * f for s in (1.0, -1.0) for f in (1.0, 1 - 1e-9, 1 + 1e-9, 0.5, 2.0)]
+        headings = [0.0, 5e-324, 1e-16, 1e-15, math.pi]
+        headings += [math.nextafter(TWO_PI, 0.0), TWO_PI - 1e-15]
+        cases = [(c, h) for c in commands for h in headings]
+        cases += [(rng.uniform(-1, 1), rng.uniform(0, TWO_PI)) for _ in range(300)]
+        for u, theta in cases:
+            assert dg.wrap_angle(theta) == theta
+            x, y = rng.normal(size=2).tolist()
+            dt = float(rng.choice([1e-3, 1e-4, rng.uniform(0.01, 2.0)]))
+            v_p, kappa = float(rng.uniform(0.1, 2.0)), float(rng.uniform(0.05, 1.0))
+            p = dg.GameParams(v_p=v_p, v_e=v_p / 2.0, kappa=kappa, r=0.1)
+            ref = reference_step_pursuer(dg.PursuerState(pos=(x, y), theta=theta), u, dt, p)
+            out = dg.step_pursuer(x, y, theta, u, dt, v_p, kappa)
+            assert all(type(v) is float for v in out)
+            assert repr(out) == repr((*ref.pos.tolist(), ref.theta)), (u, theta)
+
+    def test_step_evader(self):
+        rng = np.random.default_rng(72)
+        controls = [(0.0, 0.0), (1.0, 0.0), (0.0, -1.0), (-1.0, 0.0), (0.0, 1.0)]
+        for a in rng.uniform(0, TWO_PI, size=100):
+            for scale in (1.0, 1.0 + 1e-12, math.nextafter(1.0 + 1e-12, 2.0), 1.0 + 2e-12, 0.5):
+                controls.append((scale * math.cos(a), scale * math.sin(a)))
+        for ux, uy in controls:
+            x, y = rng.normal(size=2).tolist()
+            dt, v_e = float(rng.uniform(1e-4, 1.0)), float(rng.uniform(0.01, 1.0))
+            p = dg.GameParams(v_p=2.0 * v_e, v_e=v_e, kappa=1.0, r=0.1)
+            state = dg.EvaderState(pos=(x, y))
+            ref = _outcome(lambda: reference_step_evader(state, (ux, uy), dt, p).pos.tolist())
+            assert _outcome(dg.step_evader, x, y, (ux, uy), dt, v_e) == ref
+            assert _outcome(dg.step_evader, x, y, np.array([ux, uy]), dt, v_e) == ref
+        refused = [_outcome(dg.step_evader, 0.0, 1.0, u, 0.1, 1.0) == "ValueError" for u in controls]
+        assert 100 <= sum(refused) < len(controls) - 300

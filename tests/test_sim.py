@@ -590,7 +590,9 @@ def _replay_windows(monkeypatch, sc, cfg):
             for j in range(g.n_e):
                 if g.status[j] != sim.ACTIVE or (i, j) in pair_states:
                     continue
-                state = dg.JointState(pursuer=g.pursuers[i], evader=g.evaders[j])
+                state = dg.JointState(
+                    pursuer=g.pursuer_state(i), evader=dg.EvaderState(pos=g.e_xy[j])
+                )
                 assert not dg.separation_holds(state, g.params[(i, j)]), (g.t, i, j)
                 counts["skipped"] += 1
         graph = build_graph(pair_states, *args)

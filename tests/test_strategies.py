@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 import dubinsguard as dg
-from conftest import aligned_state, bare_intercept_run, make_state
+from conftest import (
+    aligned_state,
+    bare_intercept_run,
+    make_state,
+    reference_pursuit_intercept,
+    reference_two_step,
+)
+from dubinsguard.geometry import aim_bearing, aim_point
+from dubinsguard.strategies import intercept_command, two_step_command
 
 
 class TestPursuitSimple:
@@ -228,7 +236,7 @@ class TestInterceptDynamics:
         for _ in range(20):
             heading = rng.uniform(0, 2 * math.pi)
             rhos, _, _, _ = bare_intercept_run(
-                state, paper, dt, 1000, lambda s: dg.evader_constant(heading)
+                state, paper, dt, 1000, dg.evader_constant(heading)
             )
             drops = [b - a for a, b in zip(rhos, rhos[1:])]
             assert min(drops, default=0.0) >= -10 * dt * dt
@@ -245,7 +253,7 @@ class TestInterceptDynamics:
                 paper,
                 1e-4,
                 10_000,
-                lambda s: dg.evader_constant(heading),
+                dg.evader_constant(heading),
                 snap_band=None,
             )
             assert max(errs) <= 10 * dg.IO_TOL
@@ -257,6 +265,7 @@ class TestInterceptDynamics:
         for _ in range(5):
             state = dg.sample_adjust_feasible_state(rng, paper, d_range=(0.35, 1.0))
             heading = rng.uniform(0, 2 * math.pi)
+            u_e = dg.evader_constant(heading)
             ps, es = state.pursuer, state.evader
             dt = 1e-3
             q_prev = None
@@ -278,7 +287,66 @@ class TestInterceptDynamics:
                 q_prev = q
                 last_err = err
                 u = dg.heading_adjust(pair, paper)
-                ps = dg.step_pursuer(ps, u, dt, paper)
-                es = dg.step_evader(es, dg.evader_constant(heading), dt, paper)
+                x, y, theta = dg.step_pursuer(*ps.pos, ps.theta, u, dt, paper.v_p, paper.kappa)
+                ps = dg.PursuerState(pos=(x, y), theta=theta)
+                es = dg.EvaderState(pos=dg.step_evader(*es.pos, u_e, dt, paper.v_e))
             else:
                 pytest.fail("alignment not reached within the horizon")
+
+
+class TestFloatCoreMatchesReference:
+    # the float-level phase machine and intercept command, and their
+    # JointState wrappers, give the pre-float strategies' commands, phase
+    # states and clamp records bit for bit
+    @staticmethod
+    def _corpus(paper):
+        rng = np.random.default_rng(73)
+        tiny_r = dg.GameParams(v_p=paper.v_p, v_e=paper.v_e, kappa=paper.kappa, r=1e-3)
+        modes = [dg.TwoStepState(), dg.TwoStepState(dg.Phase.INTERCEPTING)]
+        modes += [dg.TwoStepState(last_error=e) for e in (1e-3, -1e-3, 0.4, -0.4, 2.0, -2.0)]
+        for k in range(150):
+            x_p = rng.uniform(-1, 1, size=2)
+            # some evaders close enough for the tracking command to clamp
+            x_e = x_p + rng.normal(scale=0.15 if k % 4 else 0.01, size=2)
+            p = tiny_r if k % 7 == 0 else paper
+            x, y, _ = aim_point(x_p, x_e, p.alpha)
+            aim = aim_bearing(x_p, x, y)
+            offsets = [0.0, 5e-7, -5e-7, 2e-6, math.pi, rng.uniform(-math.pi, math.pi)]
+            offsets += [math.pi + d for d in (1e-10, -1e-10, 2e-9, -2e-9, 1e-12)]
+            a = rng.uniform(0, 2 * math.pi)
+            u_e = rng.uniform(0, 1) * np.array([math.cos(a), math.sin(a)])
+            for off in offsets:
+                theta = dg.wrap_angle(aim + off)
+                for mode in modes:
+                    yield make_state(*x_p, theta, *x_e), u_e, p, mode
+
+    def test_two_step(self, paper):
+        diags = [dg.ClampDiagnostics() for _ in range(3)]
+        phases = set()
+        for state, u_e, p, mode in self._corpus(paper):
+            want = reference_two_step(state, u_e, p, mode, diags[0])
+            car = state.pursuer
+            got = two_step_command(
+                tuple(car.pos.tolist()), car.theta, tuple(state.evader.pos.tolist()),
+                tuple(u_e.tolist()), p, mode, diags[1],
+            )
+            assert type(got[0]) is float
+            assert repr(got) == repr(want)
+            assert repr(dg.two_step(state, u_e, p, mode, diags[2])) == repr(want)
+            phases.add((mode.phase, want[1].phase))
+        assert len(phases) == 3
+        assert diags[0].events > 0
+        clamps = [(d.events, d.max_excess) for d in diags]
+        assert clamps[1:] == clamps[:1] * 2
+
+    def test_pursuit_intercept(self, paper):
+        for state, u_e, p, mode in self._corpus(paper):
+            if mode != dg.TwoStepState():
+                continue
+            want = reference_pursuit_intercept(state, u_e, p)
+            got = intercept_command(
+                tuple(state.pursuer.pos.tolist()), tuple(state.evader.pos.tolist()),
+                tuple(u_e.tolist()), p,
+            )
+            assert type(got) is float and repr(got) == repr(want)
+            assert repr(dg.pursuit_intercept(state, u_e, p)) == repr(want)
