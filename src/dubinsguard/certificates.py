@@ -34,6 +34,7 @@ from .geometry import (
     turn_direction,
 )
 from .model import (
+    TWO_PI,
     EvaderState,
     GameParams,
     JointState,
@@ -373,6 +374,54 @@ def solve_relaxed_clearance(state: JointState, p: GameParams) -> RelaxedSolution
     )
 
 
+#: Lattice rows per block of the relaxed oracle's scan: each block is one
+#: array pass over (block rows) x (lattice columns), so the scan's memory is
+#: linear in the lattice's width.
+_LATTICE_BLOCK = 64
+
+
+def _check_grid(grid: int) -> None:
+    if grid < 1:
+        raise ValueError("grid must be >= 1")
+
+
+def _lowest_cell(xp, yp, xe, ye, alpha: float) -> tuple[int, int, float]:
+    """Lowest interception point over the lattice of pursuer points (``xp``,
+    ``yp``; one per row) and evader points (``xe``, ``ye``; one per column):
+    (row, column, height) of the first lowest cell in row-major order, the
+    cell ``np.argmin`` picks on the whole lattice (a NaN cell wins).
+
+    Scans ``_LATTICE_BLOCK`` rows at a time in two reused buffers and
+    computes only the height of ``lowest_point``, in place and in its order
+    of operations: ``(a2*ye - yp)/(a2 - 1) - alpha*dist/(a2 - 1)``."""
+    a2 = alpha * alpha
+    a2_ye = a2 * ye
+    xp, yp = xp[:, None], yp[:, None]
+    radius_buf, height_buf = np.empty((2, min(_LATTICE_BLOCK, len(xp)), len(xe)))
+    best, cell = math.inf, (0, 0)
+    for i0 in range(0, len(xp), _LATTICE_BLOCK):
+        rows = slice(i0, i0 + _LATTICE_BLOCK)
+        n = len(xp[rows])
+        radius, height = radius_buf[:n], height_buf[:n]
+        np.hypot(
+            np.subtract(xp[rows], xe, out=radius),
+            np.subtract(yp[rows], ye, out=height),
+            out=radius,
+        )
+        np.multiply(alpha, radius, out=radius)
+        np.divide(radius, a2 - 1.0, out=radius)
+        np.subtract(a2_ye, yp[rows], out=height)
+        np.divide(height, a2 - 1.0, out=height)
+        np.subtract(height, radius, out=height)
+        k = int(np.argmin(height))
+        value = float(height.flat[k])
+        # a later block wins only with a strictly lower value, or with the
+        # first NaN
+        if best == best and not value >= best:
+            best, cell = value, (i0 + k // len(xe), k % len(xe))
+    return (*cell, best)
+
+
 def relaxed_oracle_from_centers(
     x_c, x_e, alpha: float, kappa: float, grid: int = 720
 ) -> float:
@@ -380,41 +429,48 @@ def relaxed_oracle_from_centers(
 
     The objective is concave and the constraint set is a product of two
     disks, so the minimum sits on both boundary circles; scan the grid x grid
-    lattice of boundary angles as one column-by-row broadcast (each angle's
-    cos/sin taken once), then polish the best cell by alternating
-    golden-section descent.  Returns the clearance on the closed form's scale."""
+    lattice of boundary angles (``_lowest_cell``: pursuer angle down the
+    rows, evader angle across, each angle's boundary point taken once), then
+    polish the lowest cell by alternating golden-section descent, each
+    search's fixed boundary point built once.  Returns the clearance on the
+    closed form's scale."""
+    _check_grid(grid)
     cx, cy = map(float, x_c)
     ex, ey = map(float, x_e)
     reach = 2.0 * math.pi * kappa / alpha
 
-    def objective(theta_p, theta_e):
-        xp = cx + kappa * np.cos(theta_p)
-        yp = cy + kappa * np.sin(theta_p)
-        xe = ex + reach * np.cos(theta_e)
-        ye = ey + reach * np.sin(theta_e)
-        return lowest_point(xp, yp, xe, ye, np.hypot(xp - xe, yp - ye), alpha)[1]
+    # the polish works on Python floats, which round as numpy scalars do;
+    # the trig and the distance stay numpy's
+    def circle(x0, y0, radius, theta):
+        return x0 + radius * float(np.cos(theta)), y0 + radius * float(np.sin(theta))
+
+    def height(xp, yp, xe, ye):
+        return lowest_point(xp, yp, xe, ye, float(np.hypot(xp - xe, yp - ye)), alpha)[1]
 
     angles = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
-    vals = objective(angles[:, None], angles[None, :])
-    i, j = np.unravel_index(int(np.argmin(vals)), vals.shape)
+    cos, sin = np.cos(angles), np.sin(angles)
+    i, j, best = _lowest_cell(
+        cx + kappa * cos, cy + kappa * sin, ex + reach * cos, ey + reach * sin, alpha
+    )
     theta_p, theta_e = float(angles[i]), float(angles[j])
     window = 4.0 * math.pi / grid
     for _ in range(8):
+        xe, ye = circle(ex, ey, reach, theta_e)
         theta_p, _ = golden_max(
-            lambda t: -float(objective(t, theta_e)),
+            lambda t: -height(*circle(cx, cy, kappa, t), xe, ye),
             theta_p - window,
             theta_p + window,
             tol=1e-12,
         )
+        xp, yp = circle(cx, cy, kappa, theta_p)
         theta_e, _ = golden_max(
-            lambda t: -float(objective(theta_p, t)),
+            lambda t: -height(xp, yp, *circle(ex, ey, reach, t)),
             theta_e - window,
             theta_e + window,
             tol=1e-12,
         )
         window *= 0.5
-    value = float(objective(theta_p, theta_e))
-    return min(value, float(vals[i, j]))
+    return min(height(xp, yp, *circle(ex, ey, reach, theta_e)), best)
 
 
 def relaxed_clearance_oracle(state: JointState, p: GameParams, grid: int = 720) -> float:
@@ -437,20 +493,42 @@ def _rollout_positions(state: JointState, p: GameParams, sign: float, s, theta_e
     return xp, yp, theta_p, xe, ye
 
 
-def _wrapped_error(xp, yp, theta_p, xe, ye, alpha: float, dist=None):
-    """Wrapped heading error of the rollout positions; ``dist`` is their
-    pair distance ``np.hypot(xp - xe, yp - ye)``, when the caller has it."""
+def _shifted_mod(x, out=None):
+    """``np.mod(x, 2*pi) - pi`` bit for bit, written into ``out`` when given
+    (which may be ``x``).
+
+    ``fmod`` is exact, and ``np.mod`` is ``fmod`` plus ``2*pi`` where the
+    remainder is negative; the two differ only in the sign of a zero
+    remainder, which the ``- pi`` turns into -pi either way."""
+    r = np.fmod(x, TWO_PI, out=out)
+    if r.ndim == 0:
+        return (r + TWO_PI if r < 0.0 else r) - math.pi
+    np.add(r, TWO_PI, out=r, where=r < 0.0)
+    r -= math.pi
+    return r
+
+
+def _wrapped_error(xp, yp, theta_p, xe, ye, alpha: float, dist=None, out=None):
+    """Wrapped heading error of the rollout positions, in [-pi, pi); ``dist``
+    is their pair distance ``np.hypot(xp - xe, yp - ye)``, when the caller
+    has it, and ``out`` an array to write the errors into."""
     if dist is None:
         dist = np.hypot(xp - xe, yp - ye)
     cx, cy, _ = lowest_point(xp, yp, xe, ye, dist, alpha)
-    angle = np.arctan2(cy - yp, cx - xp)
-    return np.mod(angle - theta_p + math.pi, 2.0 * math.pi) - math.pi
+    err = np.arctan2(cy - yp, cx - xp, out=out)
+    if out is None:
+        return _shifted_mod(err - theta_p + math.pi)
+    err -= theta_p
+    err += math.pi
+    return _shifted_mod(err, out=err)
 
 
 def _bisect_events(state, p, sign, theta_e, t_lo, t_hi, capture: bool):
     """Event time in each bracket [t_lo, t_hi] of the evader headings
     ``theta_e``: 60 joint halvings of the capture gap or the wrapped heading
-    error.  A zero at a midpoint collapses that bracket onto it for good."""
+    error.  A zero at a midpoint collapses that bracket onto it for good.
+    Only the sign of the value at ``t_lo`` is kept: ``t_lo`` moves only to a
+    midpoint on the same side of zero, so that sign never changes."""
 
     def event(s):
         xp, yp, tp, xe, ye = _rollout_positions(state, p, sign, s, theta_e)
@@ -458,15 +536,14 @@ def _bisect_events(state, p, sign, theta_e, t_lo, t_hi, capture: bool):
             return np.hypot(xp - xe, yp - ye) - p.r
         return _wrapped_error(xp, yp, tp, xe, ye, p.alpha)
 
-    f_lo = event(t_lo)
+    lo_positive = event(t_lo) > 0.0
     for _ in range(60):
         mid = 0.5 * (t_lo + t_hi)
         f_mid = event(mid)
         zero = f_mid == 0.0
-        lo_moves = (f_mid > 0.0) == (f_lo > 0.0)
+        lo_moves = (f_mid > 0.0) == lo_positive
         t_lo = np.where(lo_moves | zero, mid, t_lo)
         t_hi = np.where(lo_moves & ~zero, t_hi, mid)
-        f_lo = np.where(lo_moves, f_mid, f_lo)
     return 0.5 * (t_lo + t_hi)
 
 
@@ -494,11 +571,13 @@ def rollout_clearance_oracle(
     blocks of ``_SCAN_BLOCK`` time steps: each block is one 2-D pass, time
     down the rows and the headings still without an event across the
     columns, whose first firing row per heading is found with ``argmax``.  A
-    block's last row is the next block's previous row, and headings that
-    fired leave the later blocks.  Then one array bisection locates all
+    block's rows go into two buffers allocated once per call, its first row
+    the previous block's last, and headings that fired leave the later
+    blocks.  Then one array bisection locates all
     heading-error events and one all captures (the earlier wins), and one
     ``lowest_point`` call gives every event clearance.
     """
+    _check_grid(grid)
     dist0 = float(np.linalg.norm(state.pursuer.pos - state.evader.pos))
     if dist0 <= p.r or abs(err0 := heading_error(state, p)) <= 1e-12:
         return (math.inf, np.full(grid, np.nan)) if return_times else math.inf
@@ -512,25 +591,32 @@ def rollout_clearance_oracle(
     idx = np.arange(grid)
     io_fired, cap_fired = np.zeros((2, grid), dtype=bool)
     t_lo, t_hi = np.zeros((2, grid))
-    prev_err, prev_gap, prev_t = np.full(grid, err0), np.full(grid, dist0 - p.r), 0.0
+    # a block's error and gap rows, the carried previous row first, live in
+    # two buffers that every block reuses
+    err_buf, gap_buf = np.empty((2, (_SCAN_BLOCK + 1) * grid))
+    err_buf[:grid], gap_buf[:grid], prev_t = err0, dist0 - p.r, 0.0
 
     for k0 in range(1, steps + 1, _SCAN_BLOCK):
         ks = np.arange(k0, min(k0 + _SCAN_BLOCK, steps + 1))
         ts = np.concatenate(([prev_t], np.minimum(ks * dt, horizon)))
         ts = ts[: np.searchsorted(ts, horizon) + 1]
+        size = ts.size * idx.size
+        err = err_buf[:size].reshape(ts.size, idx.size)
+        gap = gap_buf[:size].reshape(ts.size, idx.size)
         xp, yp, tp, xe, ye = _rollout_positions(state, p, sign, ts[1:, None], headings[idx])
         dist = np.hypot(xp - xe, yp - ye)
-        err = np.vstack([prev_err, _wrapped_error(xp, yp, tp, xe, ye, p.alpha, dist)])
-        gap = np.vstack([prev_gap, dist - p.r])
+        _wrapped_error(xp, yp, tp, xe, ye, p.alpha, dist, out=err[1:])
+        np.subtract(dist, p.r, out=gap[1:])
         err_sign, err_abs = np.sign(err), np.abs(err)
         io_hit = (err_sign[1:] != err_sign[:-1]) & (err_abs[1:] + err_abs[:-1] < math.pi)
         cap_hit = (gap[1:] <= 0.0) & (gap[:-1] > 0.0)
         hit = io_hit | cap_hit
         fired = hit.any(axis=0)
-        row, col = hit.argmax(axis=0)[fired], idx[fired]
+        row, col = hit[:, fired].argmax(axis=0), idx[fired]
         io_fired[col], cap_fired[col] = io_hit[row, fired], cap_hit[row, fired]
         t_lo[col], t_hi[col] = ts[row], ts[row + 1]
-        idx, prev_err, prev_gap, prev_t = idx[~fired], err[-1, ~fired], gap[-1, ~fired], ts[-1]
+        idx, prev_t = idx[~fired], ts[-1]
+        err_buf[: idx.size], gap_buf[: idx.size] = err[-1, ~fired], gap[-1, ~fired]
         if idx.size == 0 or prev_t >= horizon:
             break
 

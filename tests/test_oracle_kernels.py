@@ -1,0 +1,192 @@
+"""The brute-force oracles' array kernels: the exact wrap, the row-blocked
+relaxed lattice, their memory and their refusal of an empty lattice."""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import dubinsguard as dg
+from conftest import aligned_state
+from dubinsguard import certificates
+from dubinsguard.certificates import _lowest_cell, _shifted_mod, _wrapped_error
+from dubinsguard.geometry import lowest_point
+from test_certificates import _oracle_corpora
+
+TWO_PI = 2.0 * math.pi
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def _np_mod_wrap(x):
+    """The wrap as ``np.mod`` computes it."""
+    return np.mod(x, TWO_PI) - math.pi
+
+
+def _wrap_edge_values():
+    """+-0, +-pi, +-2pi and +-4pi with both ``nextafter`` neighbours of each,
+    +-1e300 and NaN."""
+    values = []
+    for v in (0.0, math.pi, TWO_PI, 2.0 * TWO_PI):
+        for x in (v, -v):
+            values += [x, np.nextafter(x, math.inf), np.nextafter(x, -math.inf)]
+    return np.array(values + [1e300, -1e300, math.nan])
+
+
+class TestShiftedMod:
+    def test_edge_values_match_np_mod_bit_for_bit(self):
+        x = _wrap_edge_values()
+        want = _bits(_np_mod_wrap(x))
+        assert np.array_equal(_bits(_shifted_mod(x)), want)
+        assert np.array_equal(_bits([_shifted_mod(float(v)) for v in x]), want)
+        buf = x.copy()
+        assert _shifted_mod(buf, out=buf) is buf
+        assert np.array_equal(_bits(buf), want)
+
+    def test_seeded_values_match_np_mod_bit_for_bit(self):
+        x = np.random.default_rng(2024).uniform(-4.0 * math.pi, 4.0 * math.pi, 10**6)
+        assert np.array_equal(_bits(_shifted_mod(x)), _bits(_np_mod_wrap(x)))
+
+    def test_wrapped_error_on_floats_keeps_the_np_mod_value(self):
+        # the rollout reference calls the wrapped error on scalars
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            xp, yp, xe, ye = (float(v) for v in rng.uniform(-2.0, 2.0, 4))
+            theta_p = float(rng.uniform(-10.0, 10.0))
+            cx, cy, _ = lowest_point(xp, yp, xe, ye, np.hypot(xp - xe, yp - ye), 6.3)
+            want = _np_mod_wrap(np.arctan2(cy - yp, cx - xp) - theta_p + math.pi)
+            got = _wrapped_error(xp, yp, theta_p, xe, ye, 6.3)
+            assert np.ndim(got) == 0
+            assert _bits(got) == _bits(want)
+
+
+def _lattices(paper):
+    """Boundary-point lattices (xp, yp, xe, ye) at grid 180: the oracle
+    corpora's, one whose rows all tie, one whose last row is lowest, and
+    one with a NaN column."""
+    trials, near = _oracle_corpora(paper)
+    angles = np.linspace(0.0, TWO_PI, 180, endpoint=False)
+    reach = TWO_PI * paper.kappa / paper.alpha
+    lattices = []
+    for state in trials + near:
+        (cx, cy), (ex, ey) = dg.adjust_time_bound(state, paper).turn_center, state.evader.pos
+        lattices.append(
+            (
+                cx + paper.kappa * np.cos(angles),
+                cy + paper.kappa * np.sin(angles),
+                ex + reach * np.cos(angles),
+                ey + reach * np.sin(angles),
+            )
+        )
+    xp, yp, xe, ye = lattices[0]
+    tied = (np.full(180, xp[0]), np.full(180, yp[0]), xe, ye)
+    last_lowest = (xp, np.where(np.arange(180) == 179, yp + 1.0, yp), xe, ye)
+    with_nan = (xp, yp, np.where(np.arange(180) == 40, np.nan, xe), ye)
+    return lattices + [tied, last_lowest, with_nan]
+
+
+class TestLatticeBlocks:
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_lowest_cell_is_the_first_minimum(self, paper, monkeypatch, block):
+        # the cell np.argmin picks on the whole lattice, in any row blocks:
+        # a wrong tie rule, a dropped partial block or a lost row offset
+        # picks another cell
+        monkeypatch.setattr(certificates, "_LATTICE_BLOCK", block)
+        for xp, yp, xe, ye in _lattices(paper):
+            xp_col, yp_col = xp[:, None], yp[:, None]
+            dist = np.hypot(xp_col - xe, yp_col - ye)
+            full = lowest_point(xp_col, yp_col, xe, ye, dist, paper.alpha)[1]
+            i, j = np.unravel_index(int(np.argmin(full)), full.shape)
+            row, col, value = _lowest_cell(xp, yp, xe, ye, paper.alpha)
+            assert (row, col) == (i, j)
+            assert _bits(value) == _bits(full[i, j])
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_lattice_blocks_give_the_same_value(self, paper, monkeypatch, block):
+        trials, near = _oracle_corpora(paper)
+        cases = [
+            (dg.adjust_time_bound(state, paper).turn_center, state.evader.pos)
+            for state in trials + near
+        ]
+        want = [
+            dg.relaxed_oracle_from_centers(c, e, paper.alpha, paper.kappa, grid=180)
+            for c, e in cases
+        ]
+        monkeypatch.setattr(certificates, "_LATTICE_BLOCK", block)
+        for (c, e), value in zip(cases, want):
+            assert dg.relaxed_oracle_from_centers(c, e, paper.alpha, paper.kappa, grid=180) == value
+
+    def test_relaxed_memory_is_linear_in_grid(self, paper):
+        # a whole 1440 x 1440 lattice of float64 is 16.6 MB per temporary
+        state = dg.sample_adjust_feasible_state(np.random.default_rng(0), paper)
+        center = dg.adjust_time_bound(state, paper).turn_center
+        tracemalloc.start()
+        try:
+            dg.relaxed_oracle_from_centers(
+                center, state.evader.pos, paper.alpha, paper.kappa, grid=1440
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
+
+@pytest.mark.parametrize("grid", [0, -3])
+def test_an_empty_lattice_is_refused(paper, grid):
+    # refused before any work: the aligned state would otherwise return
+    # inf from the rollout oracle at once
+    state = dg.sample_adjust_feasible_state(np.random.default_rng(0), paper)
+    aligned = aligned_state(0, 0.95, 0.35, 0.40, paper.alpha)
+    center = dg.adjust_time_bound(state, paper).turn_center
+    with pytest.raises(ValueError, match="grid must be >= 1"):
+        dg.relaxed_clearance_oracle(state, paper, grid=grid)
+    with pytest.raises(ValueError, match="grid must be >= 1"):
+        dg.relaxed_oracle_from_centers(center, state.evader.pos, paper.alpha, paper.kappa, grid)
+    for s in (state, aligned):
+        with pytest.raises(ValueError, match="grid must be >= 1"):
+            dg.rollout_clearance_oracle(s, paper, grid=grid)
+
+
+class TestScanCarry:
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_each_block_compares_with_the_true_previous_step(self, paper, monkeypatch, block):
+        # a synthetic heading error: a sawtooth in [-pi, pi) per heading,
+        # signed like the state's error, that first wraps (a sign change
+        # that does not fire) and then crosses zero on a step of its own,
+        # spread over several hundred steps; no capture.  Every event time
+        # must lie in the step a per-step scan brackets it in.  A block that
+        # compared its first row with a stale or misaligned previous row
+        # would fire some headings in another step.
+        state = dg.sample_adjust_feasible_state(np.random.default_rng(3), paper)
+        err0 = dg.heading_error(state, paper)
+        dt = dg.adjust_time_bound(state, paper).duration / 2000.0
+        omega = math.pi / (300.0 * dt)
+
+        def field(t, theta_e):
+            return math.copysign(1.0, err0) * _np_mod_wrap(omega * t + 3.0 * theta_e)
+
+        def positions(state, p, sign, s, theta_e):
+            zeros = np.zeros(np.broadcast(s, theta_e).shape)
+            return zeros, zeros, s + zeros, zeros + 1.0, theta_e + zeros
+
+        def error(xp, yp, tp, xe, ye, alpha, dist=None, out=None):
+            if out is None:
+                return field(tp, ye)
+            out[...] = field(tp, ye)
+            return out
+
+        monkeypatch.setattr(certificates, "_rollout_positions", positions)
+        monkeypatch.setattr(certificates, "_wrapped_error", error)
+        monkeypatch.setattr(certificates, "_SCAN_BLOCK", block)
+        _, times = dg.rollout_clearance_oracle(state, paper, grid=90, return_times=True)
+
+        headings = np.linspace(0.0, TWO_PI, 90, endpoint=False)
+        ts = np.arange(1201) * dt
+        err = np.vstack([np.full(90, err0), field(ts[1:, None], headings)])
+        hit = (np.sign(err[1:]) != np.sign(err[:-1])) & (np.abs(err[1:]) + np.abs(err[:-1]) < math.pi)
+        k = np.argmax(hit, axis=0)
+        assert hit.any(axis=0).all() and len(set(k)) > 20 and k.max() > 64
+        assert np.all((ts[k] <= times) & (times <= ts[k + 1]))
