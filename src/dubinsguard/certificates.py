@@ -10,7 +10,8 @@ worst-case clearance bound: the minimum signed distance the interception
 point can be forced to during one turning period.  That bound has a KKT
 closed form driven by a degree-six polynomial; two brute-force oracles
 (a boundary scan of the relaxed problem and a trajectory rollout of the
-original one) cross-check it.  All of them bound the turn the car makes:
+original one, which skips the time steps where no event can fire)
+cross-check it.  All of them bound the turn the car makes:
 ``adjust_time_bound`` takes its direction from ``geometry.turn_direction``,
 the rule the strategies steer by.
 """
@@ -481,15 +482,16 @@ def relaxed_clearance_oracle(state: JointState, p: GameParams, grid: int = 720) 
     )
 
 
-def _rollout_positions(state: JointState, p: GameParams, sign: float, s, theta_e):
+def _rollout_positions(state: JointState, p: GameParams, sign: float, s, cos_e, sin_e):
     """Closed-form pair positions at elapsed time ``s`` under the frozen-sign
-    full-rate turn and a constant evader heading (both may be arrays)."""
+    full-rate turn and a constant evader heading (cosine ``cos_e``, sine
+    ``sin_e``; all may be arrays)."""
     theta_p0 = state.pursuer.theta
     theta_p = theta_p0 + p.v_p * s * sign / p.kappa
     xp = state.pursuer.pos[0] + sign * p.kappa * (np.sin(theta_p) - math.sin(theta_p0))
     yp = state.pursuer.pos[1] - sign * p.kappa * (np.cos(theta_p) - math.cos(theta_p0))
-    xe = state.evader.pos[0] + p.v_e * s * np.cos(theta_e)
-    ye = state.evader.pos[1] + p.v_e * s * np.sin(theta_e)
+    xe = state.evader.pos[0] + p.v_e * s * cos_e
+    ye = state.evader.pos[1] + p.v_e * s * sin_e
     return xp, yp, theta_p, xe, ye
 
 
@@ -508,30 +510,27 @@ def _shifted_mod(x, out=None):
     return r
 
 
-def _wrapped_error(xp, yp, theta_p, xe, ye, alpha: float, dist=None, out=None):
+def _wrapped_error(xp, yp, theta_p, xe, ye, alpha: float, dist=None):
     """Wrapped heading error of the rollout positions, in [-pi, pi); ``dist``
     is their pair distance ``np.hypot(xp - xe, yp - ye)``, when the caller
-    has it, and ``out`` an array to write the errors into."""
+    has it."""
     if dist is None:
         dist = np.hypot(xp - xe, yp - ye)
     cx, cy, _ = lowest_point(xp, yp, xe, ye, dist, alpha)
-    err = np.arctan2(cy - yp, cx - xp, out=out)
-    if out is None:
-        return _shifted_mod(err - theta_p + math.pi)
-    err -= theta_p
-    err += math.pi
-    return _shifted_mod(err, out=err)
+    err = np.arctan2(cy - yp, cx - xp) - theta_p + math.pi
+    return _shifted_mod(err, out=err if np.ndim(err) else None)
 
 
-def _bisect_events(state, p, sign, theta_e, t_lo, t_hi, capture: bool):
-    """Event time in each bracket [t_lo, t_hi] of the evader headings
-    ``theta_e``: 60 joint halvings of the capture gap or the wrapped heading
-    error.  A zero at a midpoint collapses that bracket onto it for good.
-    Only the sign of the value at ``t_lo`` is kept: ``t_lo`` moves only to a
-    midpoint on the same side of zero, so that sign never changes."""
+def _bisect_events(state, p, sign, cos_e, sin_e, t_lo, t_hi, capture: bool):
+    """Event time in each bracket [t_lo, t_hi] of the evader headings of
+    cosines ``cos_e``, sines ``sin_e``: 60 joint halvings of the capture gap
+    or the wrapped heading error.  A zero at a midpoint collapses that
+    bracket onto it for good.  Only the sign of the value at ``t_lo`` is
+    kept: ``t_lo`` moves only to a midpoint on the same side of zero, so that
+    sign never changes."""
 
     def event(s):
-        xp, yp, tp, xe, ye = _rollout_positions(state, p, sign, s, theta_e)
+        xp, yp, tp, xe, ye = _rollout_positions(state, p, sign, s, cos_e, sin_e)
         if capture:
             return np.hypot(xp - xe, yp - ye) - p.r
         return _wrapped_error(xp, yp, tp, xe, ye, p.alpha)
@@ -547,10 +546,49 @@ def _bisect_events(state, p, sign, theta_e, t_lo, t_hi, capture: bool):
     return 0.5 * (t_lo + t_hi)
 
 
-#: Time steps per block of the rollout oracle's coarse scan: each block is
-#: one array pass over (block steps) x (headings still without an event), so
-#: the pass amortises numpy's per-call cost while its memory stays bounded.
-_SCAN_BLOCK = 64
+def _error_rate_bound(p: GameParams) -> tuple[float, float]:
+    """(a, b) of the heading error's rate bound a + b / d (``_JUMP_MARGIN``)."""
+    return p.v_p / p.kappa, p.v_p * (p.alpha + 1.0) ** 2 / (p.alpha * (p.alpha - 1.0))
+
+
+#: Rounding margin of the rollout scan's jumps, in radians of heading error
+#: and in lengths of capture gap.  A heading at step k, with error e, gap g
+#: and pair distance d = g + r, jumps s = ``_quiet_steps`` >= 1 steps and
+#: skips the hit tests of steps k+1..k+s, which span at most x = s dt of game
+#: time (the horizon clamp only shortens it).  No skipped step fires.  The
+#: gap moves at most v_p + v_e, and x <= (g - margin) / (v_p + v_e), so it
+#: stays above the margin (no capture) and the pair farther apart than d_min
+#: = d - (v_p + v_e) x > r.  The unwrapped error u, the bearing to the aim
+#: point A minus the heading, then moves at most R x with R = a + b / d_min
+#: (``_error_rate_bound``): the heading turns at a = v_p / kappa, |dA/dt| <=
+#: 2 v_p / (alpha - 1), the car moves at v_p and |A - x_p| >= alpha d /
+#: (alpha + 1), so the bearing turns at most b / d with b = v_p (alpha + 1)^2
+#: / (alpha (alpha - 1)).  As R x < |e| - margin, u stays strictly between
+#: the two multiples of 2 pi around its value at step k: no skipped step
+#: computes an error of 0.  A sign change between two skipped steps is then a
+#: wrap across +-pi, with |e0| + |e1| = 2 pi - |du| > pi because the change
+#: |du| <= R x < |e| <= pi, so it does not fire either; the same inequality
+#: makes R dt >= pi force s = 0.  Times come from the per-step grid min(k dt,
+#: horizon), so a jump lands on the values the per-step scan computes there,
+#: and a heading with s < 1 takes one step under the per-step hit test:
+#: brackets, and so event times and values, are the per-step scan's bit for
+#: bit.  The margin absorbs the rounding of the computed errors, gaps and
+#: spans at the oracle's length scales.
+_JUMP_MARGIN = 1e-9
+
+
+def _quiet_steps(err, gap, p: GameParams, dt: float):
+    """Whole steps of ``dt`` over which neither the heading error ``err`` nor
+    the capture gap ``gap`` can reach zero (``_JUMP_MARGIN``), or below 1."""
+    a, b = _error_rate_bound(p)
+    close = p.v_p + p.v_e
+    e = np.abs(err) - _JUMP_MARGIN
+    d = gap + p.r
+    # smaller root of a x + b x / (d - close x) = e; disc >= 0 for e >= -margin
+    q = a * d + b + close * e
+    disc = (a * d - close * e) ** 2 + b * (b + 2.0 * (a * d + close * e))
+    x = 2.0 * e * d / (q + np.sqrt(disc))
+    return np.floor(np.minimum(x, (gap - _JUMP_MARGIN) / close) / dt)
 
 
 def rollout_clearance_oracle(
@@ -567,68 +605,58 @@ def rollout_clearance_oracle(
     ``return_times`` also returns the per-heading event times (NaN where no
     event occurred within one turning period).
 
-    A coarse time scan brackets each heading's first firing test.  It runs in
-    blocks of ``_SCAN_BLOCK`` time steps: each block is one 2-D pass, time
-    down the rows and the headings still without an event across the
-    columns, whose first firing row per heading is found with ``argmax``.  A
-    block's rows go into two buffers allocated once per call, its first row
-    the previous block's last, and headings that fired leave the later
-    blocks.  Then one array bisection locates all
-    heading-error events and one all captures (the earlier wins), and one
-    ``lowest_point`` call gives every event clearance.
+    A time scan on the grid min(k dt, horizon) brackets each heading's first
+    firing step.  Each heading without an event keeps its own step, error
+    and gap; in one array pass per round, all of them jump over the steps
+    where neither can reach zero (``_quiet_steps``) or take one step under
+    the hit test, so the brackets are a per-step scan's (``_JUMP_MARGIN``).
+    Then one array bisection locates all heading-error events and one all
+    captures (the earlier wins), and one ``lowest_point`` call gives every
+    event clearance.
     """
     _check_grid(grid)
     dist0 = float(np.linalg.norm(state.pursuer.pos - state.evader.pos))
     if dist0 <= p.r or abs(err0 := heading_error(state, p)) <= 1e-12:
         return (math.inf, np.full(grid, np.nan)) if return_times else math.inf
-    bound = adjust_time_bound(state, p)
+    bound = adjust_time_bound(state, p, err0)
     sign = bound.turn_sign
     dt = bound.duration / 2000.0
     horizon = 2.0 * math.pi * p.kappa / p.v_p
-    steps = int(math.ceil(horizon / dt)) + 1
 
     headings = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
-    idx = np.arange(grid)
+    cos_e, sin_e = np.cos(headings), np.sin(headings)
     io_fired, cap_fired = np.zeros((2, grid), dtype=bool)
     t_lo, t_hi = np.zeros((2, grid))
-    # a block's error and gap rows, the carried previous row first, live in
-    # two buffers that every block reuses
-    err_buf, gap_buf = np.empty((2, (_SCAN_BLOCK + 1) * grid))
-    err_buf[:grid], gap_buf[:grid], prev_t = err0, dist0 - p.r, 0.0
-
-    for k0 in range(1, steps + 1, _SCAN_BLOCK):
-        ks = np.arange(k0, min(k0 + _SCAN_BLOCK, steps + 1))
-        ts = np.concatenate(([prev_t], np.minimum(ks * dt, horizon)))
-        ts = ts[: np.searchsorted(ts, horizon) + 1]
-        size = ts.size * idx.size
-        err = err_buf[:size].reshape(ts.size, idx.size)
-        gap = gap_buf[:size].reshape(ts.size, idx.size)
-        xp, yp, tp, xe, ye = _rollout_positions(state, p, sign, ts[1:, None], headings[idx])
+    # the headings without an event, each at its own step k and time t
+    idx, k, t = np.arange(grid), np.zeros(grid), np.zeros(grid)
+    err, gap = np.full(grid, err0), np.full(grid, dist0 - p.r)
+    while idx.size:
+        skip = _quiet_steps(err, gap, p, dt)
+        single = skip < 1.0
+        k = np.where(single, k + 1.0, k + skip)
+        t_next = np.minimum(k * dt, horizon)
+        xp, yp, tp, xe, ye = _rollout_positions(state, p, sign, t_next, cos_e[idx], sin_e[idx])
         dist = np.hypot(xp - xe, yp - ye)
-        _wrapped_error(xp, yp, tp, xe, ye, p.alpha, dist, out=err[1:])
-        np.subtract(dist, p.r, out=gap[1:])
-        err_sign, err_abs = np.sign(err), np.abs(err)
-        io_hit = (err_sign[1:] != err_sign[:-1]) & (err_abs[1:] + err_abs[:-1] < math.pi)
-        cap_hit = (gap[1:] <= 0.0) & (gap[:-1] > 0.0)
-        hit = io_hit | cap_hit
-        fired = hit.any(axis=0)
-        row, col = hit[:, fired].argmax(axis=0), idx[fired]
-        io_fired[col], cap_fired[col] = io_hit[row, fired], cap_hit[row, fired]
-        t_lo[col], t_hi[col] = ts[row], ts[row + 1]
-        idx, prev_t = idx[~fired], ts[-1]
-        err_buf[: idx.size], gap_buf[: idx.size] = err[-1, ~fired], gap[-1, ~fired]
-        if idx.size == 0 or prev_t >= horizon:
-            break
+        err_next = _wrapped_error(xp, yp, tp, xe, ye, p.alpha, dist)
+        gap_next = dist - p.r
+        flip = (np.sign(err_next) != np.sign(err)) & (np.abs(err_next) + np.abs(err) < math.pi)
+        io_hit, cap_hit = single & flip, single & (gap_next <= 0.0) & (gap > 0.0)
+        fired = io_hit | cap_hit
+        col = idx[fired]
+        io_fired[col], cap_fired[col] = io_hit[fired], cap_hit[fired]
+        t_lo[col], t_hi[col] = t[fired], t_next[fired]
+        keep = ~fired & (t_next < horizon)
+        idx, k, t, err, gap = idx[keep], k[keep], t_next[keep], err_next[keep], gap_next[keep]
 
     times = np.full(grid, math.inf)
     for fired, capture in ((io_fired, False), (cap_fired, True)):
         if fired.any():
             found = _bisect_events(
-                state, p, sign, headings[fired], t_lo[fired], t_hi[fired], capture
+                state, p, sign, cos_e[fired], sin_e[fired], t_lo[fired], t_hi[fired], capture
             )
             times[fired] = np.minimum(times[fired], found)
     fired = io_fired | cap_fired
-    xp, yp, _, xe, ye = _rollout_positions(state, p, sign, times[fired], headings[fired])
+    xp, yp, _, xe, ye = _rollout_positions(state, p, sign, times[fired], cos_e[fired], sin_e[fired])
     clearance = lowest_point(xp, yp, xe, ye, np.hypot(xp - xe, yp - ye), p.alpha)[1]
     best = float(np.min(clearance, initial=math.inf))
     times[~fired] = np.nan

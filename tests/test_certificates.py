@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -41,11 +42,11 @@ def _reference_relaxed_oracle(x_c, x_e, alpha, kappa, grid):
 
 
 def _reference_rollout_oracle(state, p, grid):
-    """The rollout oracle with its first event location: the same coarse
-    scan, then one scalar 60-halving bisection per heading and fired test,
-    and each event's clearance on floats.  Returns the value, the event
-    times, the number of capture brackets and the number of headings on
-    which both tests fired in the same coarse step."""
+    """The rollout oracle with its first event location: a scan of every
+    time step, then one scalar 60-halving bisection per heading and fired
+    test, and each event's clearance on floats.  Returns the value, the
+    event times, the number of capture brackets and the number of headings
+    on which both tests fired in the same step."""
     dist0 = float(np.linalg.norm(state.pursuer.pos - state.evader.pos))
     err0 = dg.heading_error(state, p)
     bound = dg.adjust_time_bound(state, p)
@@ -54,16 +55,17 @@ def _reference_rollout_oracle(state, p, grid):
     horizon = 2.0 * math.pi * p.kappa / p.v_p
     steps = int(math.ceil(horizon / dt)) + 1
     headings = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
+    cos_h, sin_h = np.cos(headings), np.sin(headings)
     active = np.ones(grid, dtype=bool)
     prev_err, prev_gap, prev_t = np.full(grid, err0), np.full(grid, dist0 - p.r), 0.0
     best, event_times = math.inf, np.full(grid, np.nan)
     captures = both = 0
 
-    def refine(theta_e, t_lo, t_hi, capture):
+    def refine(cos_e, sin_e, t_lo, t_hi, capture):
         def event(s):
-            xp, yp, tp, xe, ye = _rollout_positions(state, p, sign, s, theta_e)
+            xp, yp, tp, xe, ye = _rollout_positions(state, p, sign, s, cos_e, sin_e)
             if capture:
-                return math.hypot(xp - xe, yp - ye) - p.r
+                return np.hypot(xp - xe, yp - ye) - p.r
             return float(_wrapped_error(xp, yp, tp, xe, ye, p.alpha))
 
         f_lo = event(t_lo)
@@ -80,7 +82,7 @@ def _reference_rollout_oracle(state, p, grid):
 
     for k in range(1, steps + 1):
         t = min(k * dt, horizon)
-        xp, yp, tp, xe, ye = _rollout_positions(state, p, sign, t, headings)
+        xp, yp, tp, xe, ye = _rollout_positions(state, p, sign, t, cos_h, sin_h)
         err = _wrapped_error(xp, yp, tp, xe, ye, p.alpha)
         gap = np.hypot(xp - xe, yp - ye) - p.r
         io_hit = active & (np.sign(err) != np.sign(prev_err)) & (
@@ -90,16 +92,16 @@ def _reference_rollout_oracle(state, p, grid):
         captures += int(cap_hit.sum())
         both += int((io_hit & cap_hit).sum())
         for idx in np.flatnonzero(io_hit | cap_hit):
-            theta_e = float(headings[idx])
+            cos_e, sin_e = cos_h[idx], sin_h[idx]
             t_event = math.inf
             if io_hit[idx]:
-                t_event = refine(theta_e, prev_t, t, capture=False)
+                t_event = refine(cos_e, sin_e, prev_t, t, capture=False)
             if cap_hit[idx]:
-                t_event = min(t_event, refine(theta_e, prev_t, t, capture=True))
+                t_event = min(t_event, refine(cos_e, sin_e, prev_t, t, capture=True))
             xs, ys, _, xes, yes = map(
-                float, _rollout_positions(state, p, sign, t_event, theta_e)
+                float, _rollout_positions(state, p, sign, t_event, cos_e, sin_e)
             )
-            dist = math.hypot(xs - xes, ys - yes)
+            dist = np.hypot(xs - xes, ys - yes)
             best = min(best, lowest_point(xs, ys, xes, yes, dist, p.alpha)[1])
             event_times[idx] = t_event
             active[idx] = False
@@ -126,6 +128,27 @@ def _horizon_case():
     centre, and the capture radius is small."""
     p = dg.GameParams.from_alpha(v_p=0.3, alpha=3.0, kappa=0.0625, r=0.01)
     return make_state(0.0, 0.5, 0.0, 0.0, 0.56), p
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+@functools.cache
+def _jump_corpus(paper, grid):
+    """Rollout cases with their ``_reference_rollout_oracle`` at ``grid``:
+    the oracle corpora first, then the horizon case and two states from one
+    seeded stream at each of three parameter sets away from the paper's:
+    nearly equal speeds with a wide capture radius (alpha 1.2), a fast car
+    (alpha 20) and a small capture radius (alpha 2, r 0.02)."""
+    trials, near = _oracle_corpora(paper)
+    cases = [(state, paper) for state in trials + near] + [_horizon_case()]
+    for alpha, kappa, r in ((1.2, 0.05, 0.5), (20.0, 0.2, 0.05), (2.0, 0.1, 0.02)):
+        p = dg.GameParams.from_alpha(v_p=0.3, alpha=alpha, kappa=kappa, r=r)
+        rng = np.random.default_rng(7)
+        for _ in range(2):
+            cases.append((dg.sample_adjust_feasible_state(rng, p, d_range=(1.2 * r, r + 1.0)), p))
+    return [(state, p, _reference_rollout_oracle(state, p, grid)) for state, p in cases]
 
 
 class TestParameterCurves:
@@ -502,12 +525,12 @@ class TestRolloutOracle:
     def test_batched_bisection_matches_scalar_reference(self, paper):
         # the trial states hold no capture event at all; the near-capture
         # states exercise capture brackets and headings where both tests
-        # fire in one coarse step, which take the earlier time
+        # fire in one scan step, which take the earlier time
         trials, near = _oracle_corpora(paper)
         counts = []
-        for state in trials + near:
+        for state, _, reference in _jump_corpus(paper, 180)[: len(trials + near)]:
             value, times = dg.rollout_clearance_oracle(state, paper, grid=180, return_times=True)
-            want, want_times, captures, both = _reference_rollout_oracle(state, paper, 180)
+            want, want_times, captures, both = reference
             assert abs(value - want) <= 1e-12
             assert np.array_equal(np.isnan(times), np.isnan(want_times))
             np.testing.assert_allclose(times, want_times, rtol=0.0, atol=1e-12)
@@ -518,38 +541,72 @@ class TestRolloutOracle:
 
 
     def test_bisection_stops_each_bracket_at_an_exact_zero(self, paper, monkeypatch):
-        # with the event value replaced by s - theta_e, the first bracket
-        # meets its root at the first midpoint, the second at the second,
-        # and the third never does; collapsing the two stopped brackets must
-        # not disturb the third
+        # with the event value replaced by s - cos_e and the roots passed as
+        # cosines, the first bracket meets its root at the first midpoint,
+        # the second at the second, and the third never does; collapsing the
+        # two stopped brackets must not disturb the third
         from dubinsguard import certificates
 
-        monkeypatch.setattr(
-            certificates, "_rollout_positions", lambda state, p, sign, s, theta_e: (s - theta_e,) * 5
-        )
+        def positions(state, p, sign, s, cos_e, sin_e):
+            return (s - cos_e,) * 5
+
+        monkeypatch.setattr(certificates, "_rollout_positions", positions)
         monkeypatch.setattr(certificates, "_wrapped_error", lambda xp, *rest: xp)
         roots = np.array([0.0, 0.0, 1.0 / 3.0])
-        found = certificates._bisect_events(
-            None, paper, 1.0, roots, np.array([-1.0, -1.0, 0.0]), np.array([1.0, 3.0, 1.0]), False
-        )
+        t_lo, t_hi = np.array([-1.0, -1.0, 0.0]), np.array([1.0, 3.0, 1.0])
+        found = certificates._bisect_events(None, paper, 1.0, roots, roots, t_lo, t_hi, False)
         assert found[0] == 0.0 and found[1] == 0.0
         assert abs(found[2] - 1.0 / 3.0) < 1e-15
 
-    @pytest.mark.parametrize("block", [1, 7])
-    def test_scan_blocks_give_the_same_events(self, paper, monkeypatch, block):
-        # a wrongly carried previous row or time, or an off-by-one at a
-        # block edge, moves a bracket and so an event time; the horizon case
-        # also cuts its last block short
+    @pytest.mark.parametrize("grid", [180, 360])
+    def test_jump_scan_equals_the_per_step_reference(self, paper, grid):
+        # values and event times bit for bit, NaN pattern included: a jump
+        # over a firing step moves a bracket and so an event time
+        for state, p, (want, want_times, _, _) in _jump_corpus(paper, grid):
+            value, times = dg.rollout_clearance_oracle(state, p, grid=grid, return_times=True)
+            assert _bits(value) == _bits(want)
+            assert np.array_equal(_bits(times), _bits(want_times))
+
+    def test_a_halved_rate_bound_breaks_the_equality(self, paper, monkeypatch):
+        # the mutation check of the test above: with half the heading
+        # error's true rate bound, jumps cross events on that corpus
         from dubinsguard import certificates
 
-        trials, near = _oracle_corpora(paper)
-        cases = [(state, paper) for state in trials + near] + [_horizon_case()]
-        want = [dg.rollout_clearance_oracle(s, p, grid=180, return_times=True) for s, p in cases]
-        monkeypatch.setattr(certificates, "_SCAN_BLOCK", block)
-        for (state, p), (value, times) in zip(cases, want):
-            got = dg.rollout_clearance_oracle(state, p, grid=180, return_times=True)
-            assert got[0] == value
-            assert np.array_equal(got[1], times, equal_nan=True)
+        true_bound = certificates._error_rate_bound
+        monkeypatch.setattr(
+            certificates, "_error_rate_bound", lambda p: tuple(0.5 * c for c in true_bound(p))
+        )
+        mismatches = 0
+        for grid in (180, 360):
+            for state, p, (want, want_times, _, _) in _jump_corpus(paper, grid):
+                value, times = dg.rollout_clearance_oracle(state, p, grid=grid, return_times=True)
+                mismatches += _bits(value) != _bits(want) or not np.array_equal(
+                    _bits(times), _bits(want_times)
+                )
+        assert mismatches >= 1
+
+    def test_jump_scan_evaluates_few_headings(self, paper, monkeypatch):
+        # a scan of every step evaluates each heading at every step up to
+        # its event at t, at least floor(t / dt) times; the jump scan
+        # evaluates once per round each heading it passes to _quiet_steps
+        from dubinsguard import certificates
+
+        evaluated = []
+
+        def spy(err, gap, p, dt):
+            evaluated.append(err.size)
+            return quiet_steps(err, gap, p, dt)
+
+        quiet_steps = certificates._quiet_steps
+        monkeypatch.setattr(certificates, "_quiet_steps", spy)
+        per_step = 0
+        for seed in range(12):
+            state = dg.sample_adjust_feasible_state(np.random.default_rng(seed), paper)
+            _, times = dg.rollout_clearance_oracle(state, paper, grid=360, return_times=True)
+            dt = dg.adjust_time_bound(state, paper).duration / 2000.0
+            assert np.isfinite(times).all()
+            per_step += int(np.floor(times / dt).sum())
+        assert sum(evaluated) <= 0.05 * per_step
 
     def test_headings_without_event_scan_to_the_horizon(self, monkeypatch):
         # the evader starts beside the car's turning centre: on 66 of 360
@@ -561,9 +618,9 @@ class TestRolloutOracle:
         horizon = 2.0 * math.pi * p.kappa / p.v_p
         scanned = []
 
-        def spy(state, p, sign, s, theta_e):
+        def spy(state, p, sign, s, cos_e, sin_e):
             scanned.append(float(np.max(s)))
-            return _rollout_positions(state, p, sign, s, theta_e)
+            return _rollout_positions(state, p, sign, s, cos_e, sin_e)
 
         monkeypatch.setattr(certificates, "_rollout_positions", spy)
         value, times = dg.rollout_clearance_oracle(state, p, grid=360, return_times=True)

@@ -1,5 +1,6 @@
 """The brute-force oracles' array kernels: the exact wrap, the row-blocked
-relaxed lattice, their memory and their refusal of an empty lattice."""
+relaxed lattice, their memory and their refusal of an empty lattice, and
+the rollout scan's jumps."""
 
 import math
 import tracemalloc
@@ -12,13 +13,9 @@ from conftest import aligned_state
 from dubinsguard import certificates
 from dubinsguard.certificates import _lowest_cell, _shifted_mod, _wrapped_error
 from dubinsguard.geometry import lowest_point
-from test_certificates import _oracle_corpora
+from test_certificates import _bits, _oracle_corpora
 
 TWO_PI = 2.0 * math.pi
-
-
-def _bits(x):
-    return np.asarray(x, dtype=float).view(np.int64)
 
 
 def _np_mod_wrap(x):
@@ -151,42 +148,48 @@ def test_an_empty_lattice_is_refused(paper, grid):
 
 
 class TestScanCarry:
-    @pytest.mark.parametrize("block", [1, 7, 64])
-    def test_each_block_compares_with_the_true_previous_step(self, paper, monkeypatch, block):
-        # a synthetic heading error: a sawtooth in [-pi, pi) per heading,
-        # signed like the state's error, that first wraps (a sign change
-        # that does not fire) and then crosses zero on a step of its own,
-        # spread over several hundred steps; no capture.  Every event time
-        # must lie in the step a per-step scan brackets it in.  A block that
-        # compared its first row with a stale or misaligned previous row
-        # would fire some headings in another step.
-        state = dg.sample_adjust_feasible_state(np.random.default_rng(3), paper)
+    @pytest.mark.parametrize("seed", [1, 7, 64])
+    def test_each_block_compares_with_the_true_previous_step(self, paper, monkeypatch, seed):
+        # a synthetic heading error per heading, signed like the state's
+        # error and starting from it: its size grows at a heading-dependent
+        # rate omega (2 + cos theta_e) up to pi, wraps there (a sign change
+        # that does not fire) and then falls to a zero crossing on a step of
+        # its own, spread over several hundred steps; no capture.  The
+        # patched rate bound is 3 omega.  Every event time must lie in the
+        # step a per-step scan brackets it in: a jump across a firing step,
+        # or a hit test against a stale previous error (a block of steps
+        # jumped over carrying the wrong error), would fire some headings in
+        # another step.
+        state = dg.sample_adjust_feasible_state(np.random.default_rng(seed), paper)
         err0 = dg.heading_error(state, paper)
         dt = dg.adjust_time_bound(state, paper).duration / 2000.0
         omega = math.pi / (300.0 * dt)
+        passes = []
 
-        def field(t, theta_e):
-            return math.copysign(1.0, err0) * _np_mod_wrap(omega * t + 3.0 * theta_e)
+        def field(t, cos_e):
+            grown = abs(err0) + omega * (2.0 + cos_e) * t + math.pi
+            return math.copysign(1.0, err0) * _np_mod_wrap(grown)
 
-        def positions(state, p, sign, s, theta_e):
-            zeros = np.zeros(np.broadcast(s, theta_e).shape)
-            return zeros, zeros, s + zeros, zeros + 1.0, theta_e + zeros
+        def positions(state, p, sign, s, cos_e, sin_e):
+            passes.append(s)
+            zeros = np.zeros(np.broadcast(s, cos_e).shape)
+            return zeros, zeros, s + zeros, zeros + 1.0, cos_e + zeros
 
-        def error(xp, yp, tp, xe, ye, alpha, dist=None, out=None):
-            if out is None:
-                return field(tp, ye)
-            out[...] = field(tp, ye)
-            return out
+        def error(xp, yp, tp, xe, ye, alpha, dist=None):
+            return field(tp, ye)
 
         monkeypatch.setattr(certificates, "_rollout_positions", positions)
         monkeypatch.setattr(certificates, "_wrapped_error", error)
-        monkeypatch.setattr(certificates, "_SCAN_BLOCK", block)
+        monkeypatch.setattr(certificates, "_error_rate_bound", lambda p: (3.0 * omega, 0.0))
         _, times = dg.rollout_clearance_oracle(state, paper, grid=90, return_times=True)
 
-        headings = np.linspace(0.0, TWO_PI, 90, endpoint=False)
+        cos_e = np.cos(np.linspace(0.0, TWO_PI, 90, endpoint=False))
         ts = np.arange(1201) * dt
-        err = np.vstack([np.full(90, err0), field(ts[1:, None], headings)])
+        err = np.vstack([np.full(90, err0), field(ts[1:, None], cos_e)])
         hit = (np.sign(err[1:]) != np.sign(err[:-1])) & (np.abs(err[1:]) + np.abs(err[:-1]) < math.pi)
         k = np.argmax(hit, axis=0)
         assert hit.any(axis=0).all() and len(set(k)) > 20 and k.max() > 64
         assert np.all((ts[k] <= times) & (times <= ts[k + 1]))
+        # the scan's passes (all but the bisection's 61 and the clearance's
+        # one) are far fewer than the steps of a per-step scan
+        assert len(passes) - 62 < k.max() / 4
