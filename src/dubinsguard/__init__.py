@@ -32,7 +32,6 @@ from .geometry import (
     InterceptionData,
     heading_error,
     interception,
-    separation_holds,
     turn_direction,
 )
 from .matching import Assignment, WinGraph, assign, build_graph, max_matching
@@ -62,17 +61,14 @@ from .sim import (
 )
 from .strategies import (
     ClampDiagnostics,
-    InterceptGains,
     Phase,
     TwoStepState,
     evader_constant,
     evader_optimal,
     evader_random_goal,
     heading_adjust,
-    intercept_gains,
     pursuit_intercept,
     pursuit_simple,
-    two_step,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

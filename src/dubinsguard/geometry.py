@@ -1,5 +1,5 @@
-"""Evasion-region geometry: the interception point, the separation
-predicate, the heading error and the turn rule that closes it.
+"""Evasion-region geometry: the interception point, the separation gap,
+the heading error and the turn rule that closes it.
 
 For a pursuer-evader pair with speed ratio alpha > 1 the set of points the
 evader reaches strictly first (under simple motion on both sides) is an open
@@ -9,11 +9,11 @@ point is the interception angle.
 
 ``lowest_point`` is the one copy of that formula, on floats or arrays.
 ``aim_point`` (checked, one pair) and ``aim_bearing`` are the aim-point
-kernel: the separation predicate and the heading error here, the
-strategies, the simulator's heading snaps and ``certify_win`` all read the
-point through them.  ``interception``
-packages the same point as an ``InterceptionData`` for callers that want
-every derived quantity at once.
+kernel: the heading error here, the strategies, the simulator's heading
+snaps and ``certify_win`` all read the point through them, and a pair has
+separation when its aim height is at least 0.  ``interception`` packages
+the same point as an ``InterceptionData`` for callers that want every
+derived quantity at once.
 
 ``turn_direction`` is the one rule that maps a heading error to the
 direction of the full-rate heading adjustment: the strategies steer by it,
@@ -115,12 +115,6 @@ def goal_gap(clearance: float) -> float:
     it marks "separation lost", not a length.
     """
     return clearance if clearance >= 0.0 else -math.inf
-
-
-def separation_holds(state: JointState, p: GameParams) -> bool:
-    """True iff the closed evasion disk keeps a non-negative distance to the
-    goal half-plane."""
-    return aim_point(state.pursuer.pos, state.evader.pos, p.alpha)[1] >= 0.0
 
 
 def bearing_error(x_p, theta: float, x_e, alpha: float) -> float:

@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .certificates import Certificate, CertificateKind, certify_win
 from .geometry import aim_point
 from .model import GameParams, JointState
@@ -55,10 +53,10 @@ def build_graph(
 
     Pairs without separation are screened out first: every certificate
     requires it, so ``certify_win`` would return NONE for them.  The screen
-    is the test of ``separation_holds`` and of ``certify_win``, an aim
-    height of at least 0; each pair's aim point is computed once, here, and
-    handed to ``certify_win``.  The graph reports the aim height of every
-    pair screened out.
+    is ``certify_win``'s own separation test, an aim height of at least 0;
+    each pair's aim point is computed once, here, and handed to
+    ``certify_win``.  The graph reports the aim height of every pair
+    screened out.
     """
     edges = {}
     screened = {}
@@ -128,8 +126,8 @@ def _augment(root: int, adjacency: dict[int, list[int]], evader_owner: dict[int,
 def assign(
     graph: WinGraph,
     matching: dict[int, int],
-    pursuer_positions: list[np.ndarray],
-    evader_positions: dict[int, np.ndarray],
+    pursuer_positions: list[tuple[float, float]],
+    evader_positions: dict[int, tuple[float, float]],
 ) -> Assignment:
     """Complete a matching with opportunistic targets.
 

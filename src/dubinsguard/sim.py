@@ -22,11 +22,10 @@ reached:
   interpolation inside the step.
 
 Agent state is plain floats, stepped by the float kernels of ``model`` and
-``strategies``; validated state objects are built only for the win graph
-(once per refresh, for agents with a pair outside its window) and for
-``optimal`` evaders.  The pair distances are one ``(n_p, n_e)`` array per
-step, shared by the capture screen and by the nearest-pursuer choice of
-``optimal`` evaders.  A ``dt`` long enough for a pursuer and an evader to
+``strategies``; validated state objects are built only for the win graph,
+once per refresh, for agents with a pair outside its window.  The pair
+distances are one ``(n_p, n_e)`` array per step, shared by the capture
+screen and by the nearest-pursuer choice of ``optimal`` evaders.  A ``dt`` long enough for a pursuer and an evader to
 close a capture radius in one step is refused.
 """
 
@@ -245,9 +244,6 @@ class _Game:
         self.e_pos = np.array(self.e_xy)
         self.dist = pair_distances(np.array(self.p_xy), self.e_pos)
 
-    def pursuer_state(self, i: int) -> PursuerState:
-        return PursuerState(pos=self.p_xy[i], theta=self.theta[i])
-
     def assign(self):
         """Rebuild the win graph over the active pairs outside their
         separation windows, re-match, and retarget the pursuers.  A car with
@@ -257,7 +253,7 @@ class _Game:
         active = [j for j in range(n_e) if self.status[j] == ACTIVE]
         until = self.unseparated_until
         keys = [(i, j) for i in range(n_p) for j in active if until.get((i, j), t) <= t]
-        pursuers = {i: self.pursuer_state(i) for i in {i for i, _ in keys}}
+        pursuers = {i: PursuerState(self.p_xy[i], self.theta[i]) for i in {i for i, _ in keys}}
         evaders = {j: EvaderState(pos=self.e_xy[j]) for j in {j for _, j in keys}}
         pair_states = {(i, j): JointState(pursuers[i], evaders[j]) for i, j in keys}
         graph = build_graph(pair_states, self.params, n_p, n_e, self.motion)
@@ -325,8 +321,7 @@ class _Game:
                 i = assigned_to.get(j)
                 if i is None:
                     i = int(np.argmin(self.dist[:, j]))
-                evader = EvaderState(pos=self.e_xy[j])
-                u = evader_optimal(JointState(self.pursuer_state(i), evader), self.params[(i, j)])
+                u = evader_optimal(self.p_xy[i], self.e_xy[j], self.params[(i, j)].alpha)
                 controls.append(_with_heading(u))
         return controls
 

@@ -7,7 +7,7 @@ the interception angle at full turn rate (alignment not yet established),
 turning the way ``geometry.turn_direction`` picks, the same rule the
 certificates bound.  ``two_step_command`` composes the last two into the
 car's adjust-then-intercept phase machine on float pairs, the one the
-simulator runs for every car; ``two_step`` is its ``JointState`` form.
+simulator runs for every car.
 Evader side: head for the interception point (the unique best response), or
 hold a constant heading.
 """
@@ -48,14 +48,6 @@ class TwoStepState:
     last_error: float | None = None
 
 
-@dataclass(frozen=True)
-class InterceptGains:
-    """Affine turn-command gains: u = vec . u_e + bias."""
-
-    vec: np.ndarray
-    bias: float
-
-
 class ClampDiagnostics:
     """Counts turn commands that had to be clamped beyond float noise."""
 
@@ -83,11 +75,12 @@ def pursuit_simple(x_p, x_e, alpha: float) -> np.ndarray:
     return _unit(np.array([x, y]) - x_p)
 
 
-def evader_optimal(state: JointState, p: GameParams) -> np.ndarray:
-    """Unit vector from the evader toward the interception point (the
-    evader's unique best response to the interception strategies)."""
-    x_e = state.evader.pos
-    x, y, _ = aim_point(state.pursuer.pos, x_e, p.alpha)
+def evader_optimal(x_p, x_e, alpha: float) -> np.ndarray:
+    """Unit vector from the evader at ``x_e`` toward the interception point
+    of the pursuer at ``x_p`` (the evader's unique best response to the
+    interception strategies)."""
+    x_e = np.asarray(x_e, dtype=float)
+    x, y, _ = aim_point(x_p, x_e, alpha)
     return _unit(np.array([x, y]) - x_e)
 
 
@@ -110,7 +103,11 @@ def _xy(v) -> tuple[float, float]:
 
 
 def _gains(x_p, x_e, alpha: float, kappa: float) -> tuple[float, float, float]:
-    """Tracking gains (vec_x, vec_y, bias) of a car at ``x_p``, evader at ``x_e``."""
+    """Gains (vec_x, vec_y, bias) of the turn command u = vec . u_e + bias
+    that keeps a car at ``x_p`` tracking the interception point of an evader
+    at ``x_e``.  Finite whenever the positions are distinct: the denominator
+    factor (alpha^2 + 1) * d + 2 * alpha * (y_p - y_e) is at least
+    (alpha - 1)^2 * d."""
     dx = x_p[0] - x_e[0]
     dy = x_p[1] - x_e[1]
     dist = math.hypot(dx, dy)
@@ -123,17 +120,6 @@ def _gains(x_p, x_e, alpha: float, kappa: float) -> tuple[float, float, float]:
         -shared * dx / (dist * dist * denom),
         -alpha * shared * dx / (dist**1.5 * denom**1.5),
     )
-
-
-def intercept_gains(state: JointState, p: GameParams) -> InterceptGains:
-    """Gains of the turn-rate command that keeps the car tracking the
-    interception point.
-
-    Finite whenever the pair positions are distinct: the denominator factor
-    (alpha^2 + 1) * d + 2 * alpha * (y_p - y_e) is at least (alpha - 1)^2 * d.
-    """
-    vx, vy, bias = _gains(_xy(state.pursuer.pos), _xy(state.evader.pos), p.alpha, p.kappa)
-    return InterceptGains(vec=np.array([vx, vy]), bias=bias)
 
 
 def intercept_command(x_p, x_e, u_e, p: GameParams, diag=None) -> float:
@@ -175,8 +161,19 @@ def heading_adjust(state: JointState, p: GameParams) -> float:
 def two_step_command(
     x_p, theta: float, x_e, u_e, p: GameParams, mode: TwoStepState, diag=None
 ) -> tuple[float, TwoStepState]:
-    """``two_step`` on float pairs (see ``intercept_command``) and the car's
-    heading ``theta``: the one copy of the phase machine."""
+    """Two-step pursuit on float pairs (see ``intercept_command``): the car
+    at ``x_p`` with heading ``theta`` adjusts until alignment, then
+    intercepts.  Returns the turn command and the updated phase state.
+
+    The transition fires once, when the wrapped heading error first enters
+    the ``IO_TOL`` band or crosses zero between consecutive calls, and only
+    if the parameters pass ``intercept_feasible`` (r >= kappa * h(alpha));
+    while they fail it the car keeps adjusting.  Clamped tracking commands
+    are recorded on ``diag``.  On transition the caller should snap the
+    stored heading to the interception angle (the error at the detected
+    instant is below the step resolution); the tracking command reads only
+    positions, so it does not change with the snap.
+    """
     if mode.phase is Phase.INTERCEPTING:
         return intercept_command(x_p, x_e, u_e, p, diag), mode
 
@@ -191,26 +188,3 @@ def two_step_command(
     if aligned and intercept_feasible(p.r, p.kappa, p.alpha):
         return intercept_command(x_p, x_e, u_e, p, diag), TwoStepState(Phase.INTERCEPTING)
     return turn_direction(err), TwoStepState(mode.phase, err)
-
-
-def two_step(
-    state: JointState,
-    u_e,
-    p: GameParams,
-    mode: TwoStepState,
-    diag: ClampDiagnostics | None = None,
-) -> tuple[float, TwoStepState]:
-    """Two-step pursuit: adjust the heading until alignment, then intercept.
-
-    Returns the turn command and the updated phase state.  The transition
-    fires once, when the wrapped heading error first enters the ``IO_TOL``
-    band or crosses zero between consecutive calls, and only if the
-    parameters pass ``intercept_feasible`` (r >= kappa * h(alpha)); while
-    they fail it the car keeps adjusting.  Clamped tracking commands are
-    recorded on ``diag``.  On transition the caller should snap the stored
-    heading to the interception angle (the error at the detected instant is
-    below the step resolution); the tracking command reads only positions,
-    so it does not change with the snap.
-    """
-    car = state.pursuer
-    return two_step_command(_xy(car.pos), car.theta, _xy(state.evader.pos), _xy(u_e), p, mode, diag)

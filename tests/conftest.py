@@ -57,26 +57,20 @@ def bare_intercept_run(
     evader control law; mirrors the simulator's per-step snap protocol.
 
     ``evader_control`` is either the evader's fixed control (x, y) or a map
-    from the pair's ``JointState`` to its control.  The pair is stepped on
-    floats, through ``strategies.intercept_command`` and the model's step
-    kernels, as the simulator steps it.
+    from the pair's positions ``(x_p, x_e)`` to its control.  The pair is
+    stepped on floats, through ``strategies.intercept_command`` and the
+    model's step kernels, as the simulator steps it.
 
     Returns (clearances, controls, heading_errors, capture_time).
     """
-    x_p, theta = _xy(state.pursuer.pos), state.pursuer.theta
-    x_e = _xy(state.evader.pos)
+    x_p, theta, x_e = pair_floats(state)
     fixed = None if callable(evader_control) else _xy(evader_control)
     clearances = [er_goal_distance(x_p, x_e, p.alpha)]
     controls = []
     errors = [abs(bearing_error(x_p, theta, x_e, p.alpha))]
     captured = None
     for k in range(steps):
-        u_e = fixed
-        if u_e is None:
-            pair = dg.JointState(
-                pursuer=dg.PursuerState(pos=x_p, theta=theta), evader=dg.EvaderState(pos=x_e)
-            )
-            u_e = _xy(evader_control(pair))
+        u_e = fixed if fixed is not None else _xy(evader_control(x_p, x_e))
         u_p = intercept_command(x_p, x_e, u_e, p)
         controls.append(u_p)
         px, py, theta = dg.step_pursuer(*x_p, theta, u_p, dt, p.v_p, p.kappa)
@@ -96,6 +90,11 @@ def bare_intercept_run(
 
 def _xy(v) -> tuple[float, float]:
     return float(v[0]), float(v[1])
+
+
+def pair_floats(state: dg.JointState):
+    """A pair state as the float kernels take it: (x_p, theta, x_e)."""
+    return _xy(state.pursuer.pos), state.pursuer.theta, _xy(state.evader.pos)
 
 
 def reference_step_pursuer(
@@ -162,6 +161,13 @@ def reference_pursuit_intercept(state: dg.JointState, u_e, p: dg.GameParams, dia
             diag.record(abs(u) - 1.0)
         u = max(-1.0, min(1.0, u))
     return u
+
+
+def reference_evader_optimal(state: dg.JointState, p: dg.GameParams) -> np.ndarray:
+    """``strategies.evader_optimal`` as it was on validated states."""
+    x, y, _ = aim_point(state.pursuer.pos, state.evader.pos, p.alpha)
+    vec = np.array([x, y]) - state.evader.pos
+    return vec / math.hypot(vec[0], vec[1])
 
 
 def reference_two_step(state: dg.JointState, u_e, p: dg.GameParams, mode, diag=None):

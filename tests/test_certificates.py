@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 import dubinsguard as dg
-from conftest import aligned_state, make_state
+from conftest import aligned_state, make_state, pair_floats
 from dubinsguard.certificates import _rollout_positions, _wrapped_error
 from dubinsguard.geometry import lowest_point
+from dubinsguard.strategies import two_step_command
 
 
 def _reference_relaxed_oracle(x_c, x_e, alpha, kappa, grid):
@@ -652,6 +653,18 @@ class TestCertifyWin:
         assert cert.kind is dg.CertificateKind.NONE
         assert cert.evidence.separation == -math.inf
 
+    def test_pair_at_exactly_the_capture_radius_is_not_beyond_capture(self, paper):
+        # dist == r holds exactly in floats.  The two-step route needs the
+        # pair strictly beyond capture range; a pair on the capture circle
+        # counts as captured (``detect_crossing`` takes a value sitting on
+        # the threshold as crossed), so it is no two-step certificate
+        state = make_state(0.0, 0.5, 1.0, 0.1, 0.5)
+        cert = dg.certify_win(state, paper)
+        assert cert.evidence.dist == paper.r
+        assert cert.evidence.sc and not cert.evidence.io
+        assert cert.evidence.beyond_capture is False
+        assert cert.kind is dg.CertificateKind.NONE
+
     def test_simple_motion_needs_separation_only(self):
         p = dg.GameParams(2.0, 1.0, 1.0, 0.1)
         good = dg.certify_win(make_state(0, 2, 0.0, 0, 1), p, motion="simple")
@@ -697,7 +710,9 @@ class TestTurnRule:
             state = make_state(x_p[0], x_p[1], theta, x_e[0], x_e[1])
             sign = dg.adjust_time_bound(state, paper).turn_sign
             assert dg.heading_adjust(state, paper) == sign
-            command, mode = dg.two_step(state, u_e, paper, dg.TwoStepState())
+            command, mode = two_step_command(
+                *pair_floats(state), tuple(u_e.tolist()), paper, dg.TwoStepState()
+            )
             assert mode.phase is dg.Phase.ADJUSTING
             assert command == sign
 

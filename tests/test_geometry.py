@@ -149,10 +149,9 @@ def test_er_goal_distance_matches_center_minus_radius():
 
 
 def test_separation_predicate():
-    assert dg.separation_holds(make_state(0, 2, 0.0, 0, 1), dg.GameParams(2, 1, 1, 0.1))
-    assert not dg.separation_holds(
-        make_state(0, 3, 0.0, 0, 1), dg.GameParams(2, 1, 1, 0.1)
-    )
+    # separation holds iff the pair's aim height is at least 0
+    assert aim_point((0, 2), (0, 1), dg.GameParams(2, 1, 1, 0.1).alpha)[1] >= 0.0
+    assert not aim_point((0, 3), (0, 1), dg.GameParams(2, 1, 1, 0.1).alpha)[1] >= 0.0
 
 
 def test_orientation_predicate():
@@ -181,6 +180,9 @@ def test_turn_direction_takes_the_shorter_sweep():
     # float noise, and the car turns clockwise
     for err in (math.pi, -math.pi, math.pi - 5e-10, -math.pi + 5e-10):
         assert dg.turn_direction(err) == -1.0
+    # at exactly 0 the heading is aligned and no sweep is shorter: the
+    # same clockwise tie-break
+    assert dg.turn_direction(0.0) == -1.0
 
 
 def test_horizontal_translation_equivariance():
@@ -220,11 +222,11 @@ def test_aim_point_readers_equal_their_interception_definitions():
         data = dg.interception(x_p, x_e, p.alpha)
 
         assert dg.heading_error(state, p) == dg.wrap_to_pi(data.angle - theta)
-        separated = dg.separation_holds(state, p)
+        separated = er_goal_distance(x_p, x_e, p.alpha) >= 0.0
         assert separated == (data.clearance >= 0.0)
         seen_separated.add(separated)
         assert np.array_equal(
             dg.pursuit_simple(x_p, x_e, p.alpha), unit(data.point - x_p)
         )
-        assert np.array_equal(dg.evader_optimal(state, p), unit(data.point - x_e))
+        assert np.array_equal(dg.evader_optimal(x_p, x_e, p.alpha), unit(data.point - x_e))
     assert seen_separated == {True, False}

@@ -5,6 +5,7 @@ import pytest
 
 import dubinsguard as dg
 from conftest import adjacency, brute_force_matching_size, make_state
+from dubinsguard.geometry import aim_point
 
 
 def _dummy_cert():
@@ -150,7 +151,10 @@ class TestSeparationScreen:
 
         monkeypatch.setattr(matching, "certify_win", counting)
         dg.build_graph(states, params, 6, 6, motions)
-        separated = sum(dg.separation_holds(states[k], params[k]) for k in states)
+        separated = sum(
+            aim_point(states[k].pursuer.pos, states[k].evader.pos, params[k].alpha)[1] >= 0.0
+            for k in states
+        )
         assert 0 < len(calls) == separated < len(states)
 
 

@@ -7,6 +7,7 @@ import pytest
 import dubinsguard as dg
 from conftest import aligned_state, er_goal_distance
 from dubinsguard import sim
+from dubinsguard.geometry import aim_point
 
 
 def test_detect_crossing_examples():
@@ -214,7 +215,8 @@ class TestGoldenNarrative:
 
 #: Events of the bundled 5v5 at dt=1e-3, max_time=8, matching_period=20, as
 #: (kind, pursuer, evader, t), recorded before the simulator drove its cars
-#: through ``strategies.two_step``.
+#: through the strategies' shared phase machine (now
+#: ``strategies.two_step_command``).
 GOLDEN_5V5_P20_EVENTS = [
     ("matching_changed", None, None, 0.0),
     ("io_achieved", 4, 0, 0.1520000000000001),
@@ -400,6 +402,25 @@ class TestStepSizeGuard:
         with pytest.raises(ValueError, match=f"dt={dt:g}"):
             dg.run(_head_on_duel(), dg.SimConfig(dt=dt, max_time=20.0))
 
+    def test_dt_closing_exactly_one_capture_radius_is_refused(self):
+        # (0.3 + 0.1) * 0.25 == 0.1 exactly in floats.  The guard refuses a
+        # closing of at least one capture radius per step, the limit
+        # included; one ulp of dt below it is accepted
+        v_p, v_e, r, dt = 0.3, 0.1, 0.1, 0.25
+        assert (v_p + v_e) * dt == r
+        sc = dg.Scenario(
+            pursuers=(
+                dg.PursuerSpec(
+                    state=dg.PursuerState(pos=(0.0, 2.0), theta=0.0), v=v_p, kappa=0.0625, r=r
+                ),
+            ),
+            evaders=(dg.EvaderSpec(state=dg.EvaderState(pos=(1.0, 1.0)), v=v_e),),
+            seed=0,
+        )
+        with pytest.raises(ValueError, match="too large"):
+            sim._validate(sc, dg.SimConfig(dt=dt, max_time=1.0))
+        sim._validate(sc, dg.SimConfig(dt=math.nextafter(dt, 0.0), max_time=1.0))
+
     def test_accepted_dt_captures_head_on(self):
         result = dg.run(_head_on_duel(), dg.SimConfig(dt=0.01, max_time=20.0))
         captures = [e for e in result.events if e.kind == "capture"]
@@ -517,6 +538,34 @@ def test_every_step_moves_each_car_and_each_active_evader_once(monkeypatch):
     assert "".join(calls) == expected
 
 
+def test_optimal_evaders_build_no_pair_state_outside_assign(monkeypatch):
+    # the evaders' best response runs on the float positions: the only
+    # JointState objects a game builds are the win graph's, in assign
+    built = {"assign": 0, "elsewhere": 0}
+    where = ["elsewhere"]
+    assign, joint_state = sim._Game.assign, sim.JointState
+
+    def tracked_assign(self):
+        where[0] = "assign"
+        try:
+            assign(self)
+        finally:
+            where[0] = "elsewhere"
+
+    def counted(*args, **kwargs):
+        built[where[0]] += 1
+        return joint_state(*args, **kwargs)
+
+    monkeypatch.setattr(sim._Game, "assign", tracked_assign)
+    monkeypatch.setattr(sim, "JointState", counted)
+    sc = _mixed_team()
+    result = dg.run(sc, dg.SimConfig(dt=1e-3, max_time=0.5, matching_period=10))
+    optimal = [j for j, spec in enumerate(sc.evaders) if spec.strategy == "optimal"]
+    assert all(result.trajectories[f"E{j + 1}"][-2][6] == "active" for j in optimal)
+    assert built["assign"] > 0
+    assert built["elsewhere"] == 0
+
+
 def _bundled_5v5():
     from dubinsguard.cli import load_scenario
 
@@ -590,10 +639,8 @@ def _replay_windows(monkeypatch, sc, cfg):
             for j in range(g.n_e):
                 if g.status[j] != sim.ACTIVE or (i, j) in pair_states:
                     continue
-                state = dg.JointState(
-                    pursuer=g.pursuer_state(i), evader=dg.EvaderState(pos=g.e_xy[j])
-                )
-                assert not dg.separation_holds(state, g.params[(i, j)]), (g.t, i, j)
+                height = aim_point(g.p_xy[i], g.e_xy[j], g.params[(i, j)].alpha)[1]
+                assert height < 0.0, (g.t, i, j)
                 counts["skipped"] += 1
         graph = build_graph(pair_states, *args)
         counts["screened"] += len(graph.screened)

@@ -8,11 +8,13 @@ from conftest import (
     aligned_state,
     bare_intercept_run,
     make_state,
+    pair_floats,
+    reference_evader_optimal,
     reference_pursuit_intercept,
     reference_two_step,
 )
 from dubinsguard.geometry import aim_bearing, aim_point
-from dubinsguard.strategies import intercept_command, two_step_command
+from dubinsguard.strategies import _gains, intercept_command, two_step_command
 
 
 class TestPursuitSimple:
@@ -36,26 +38,26 @@ class TestPursuitSimple:
 class TestInterceptGains:
     def test_vertical_offset(self):
         p = dg.GameParams(v_p=2.0, v_e=1.0, kappa=0.5, r=0.1)
-        g = dg.intercept_gains(make_state(0, 1, 0.0, 0, 0), p)
-        assert g.vec == pytest.approx([1 / 6, 0.0], abs=1e-15)
-        assert g.bias == pytest.approx(0.0, abs=1e-15)
+        vx, vy, bias = _gains((0.0, 1.0), (0.0, 0.0), p.alpha, p.kappa)
+        assert [vx, vy] == pytest.approx([1 / 6, 0.0], abs=1e-15)
+        assert bias == pytest.approx(0.0, abs=1e-15)
 
     def test_horizontal_offset(self):
         p = dg.GameParams(v_p=2.0, v_e=1.0, kappa=0.5, r=0.1)
-        g = dg.intercept_gains(make_state(1, 0, 0.0, 0, 0), p)
-        assert g.vec == pytest.approx([0.0, -0.2], abs=1e-15)
-        assert g.bias == pytest.approx(-2 / 5**1.5, abs=1e-15)
+        vx, vy, bias = _gains((1.0, 0.0), (0.0, 0.0), p.alpha, p.kappa)
+        assert [vx, vy] == pytest.approx([0.0, -0.2], abs=1e-15)
+        assert bias == pytest.approx(-2 / 5**1.5, abs=1e-15)
 
     def test_pursuer_below_evader(self):
         p = dg.GameParams(v_p=2.0, v_e=1.0, kappa=0.5, r=0.1)
-        g = dg.intercept_gains(make_state(0, 0, 0.0, 0, 1), p)
-        assert g.vec == pytest.approx([-0.5, 0.0], abs=1e-15)
-        assert g.bias == pytest.approx(0.0, abs=1e-15)
+        vx, vy, bias = _gains((0.0, 0.0), (0.0, 1.0), p.alpha, p.kappa)
+        assert [vx, vy] == pytest.approx([-0.5, 0.0], abs=1e-15)
+        assert bias == pytest.approx(0.0, abs=1e-15)
 
     def test_rejects_coincident(self):
         p = dg.GameParams(v_p=2.0, v_e=1.0, kappa=0.5, r=0.1)
         with pytest.raises(ValueError):
-            dg.intercept_gains(make_state(1, 1, 0.0, 1, 1), p)
+            _gains((1.0, 1.0), (1.0, 1.0), p.alpha, p.kappa)
 
     def test_magnitude_bound_under_feasible_parameters(self, paper):
         # worst-case |turn command| over all unit evader controls is
@@ -68,10 +70,8 @@ class TestInterceptGains:
             bearing = rng.uniform(0, 2 * math.pi)
             dist = rng.uniform(paper.r, 2.0)
             x_e = x_p + dist * np.array([math.cos(bearing), math.sin(bearing)])
-            g = dg.intercept_gains(
-                make_state(x_p[0], x_p[1], 0.0, x_e[0], x_e[1]), paper
-            )
-            worst = max(worst, float(np.linalg.norm(g.vec)) + abs(g.bias))
+            vx, vy, bias = _gains(tuple(x_p), tuple(x_e), paper.alpha, paper.kappa)
+            worst = max(worst, float(np.linalg.norm([vx, vy])) + abs(bias))
         assert worst <= 1.0 + 1e-9
 
 
@@ -112,9 +112,9 @@ class TestHeadingAdjust:
 class TestTwoStep:
     def test_already_aligned_goes_straight_to_intercept(self, paper):
         state = aligned_state(0, 0.95, 0.35, 0.40, paper.alpha)
-        u_e = dg.evader_optimal(state, paper)
+        u_e = tuple(dg.evader_optimal(state.pursuer.pos, state.evader.pos, paper.alpha).tolist())
         mode = dg.TwoStepState()
-        u, mode = dg.two_step(state, u_e, paper, mode)
+        u, mode = two_step_command(*pair_floats(state), u_e, paper, mode)
         assert mode.phase is dg.Phase.INTERCEPTING
         assert u == pytest.approx(dg.pursuit_intercept(state, u_e, paper))
 
@@ -122,7 +122,7 @@ class TestTwoStep:
         data = dg.interception((0, 0.9), (0.3, 0.4), paper.alpha)
         state = make_state(0, 0.9, dg.wrap_angle(data.angle + 1.0), 0.3, 0.4)
         mode = dg.TwoStepState()
-        u, mode = dg.two_step(state, (0, -1), paper, mode)
+        u, mode = two_step_command(*pair_floats(state), (0, -1), paper, mode)
         assert u in (-1.0, 1.0)
         assert mode.phase is dg.Phase.ADJUSTING
         assert mode.last_error is not None
@@ -132,16 +132,16 @@ class TestTwoStep:
         before = make_state(0, 0.9, dg.wrap_angle(data.angle - 1e-4), 0.3, 0.4)
         after = make_state(0, 0.9, dg.wrap_angle(data.angle + 1e-4), 0.3, 0.4)
         mode = dg.TwoStepState()
-        _, mode = dg.two_step(before, (0, -1), paper, mode)
+        _, mode = two_step_command(*pair_floats(before), (0, -1), paper, mode)
         assert mode.phase is dg.Phase.ADJUSTING
-        _, mode = dg.two_step(after, (0, -1), paper, mode)
+        _, mode = two_step_command(*pair_floats(after), (0, -1), paper, mode)
         assert mode.phase is dg.Phase.INTERCEPTING
 
     def test_transition_happens_once(self, paper):
         state = aligned_state(0, 0.95, 0.35, 0.40, paper.alpha)
-        u_e = dg.evader_optimal(state, paper)
+        u_e = tuple(dg.evader_optimal(state.pursuer.pos, state.evader.pos, paper.alpha).tolist())
         mode = dg.TwoStepState(phase=dg.Phase.INTERCEPTING)
-        _, mode2 = dg.two_step(state, u_e, paper, mode)
+        _, mode2 = two_step_command(*pair_floats(state), u_e, paper, mode)
         assert mode2 is mode
 
     def test_infeasible_parameters_keep_adjusting(self, paper):
@@ -152,7 +152,7 @@ class TestTwoStep:
         )
         assert not dg.intercept_feasible(tiny_r.r, tiny_r.kappa, tiny_r.alpha)
         state = aligned_state(0, 0.95, 0.35, 0.40, paper.alpha)
-        u, mode = dg.two_step(state, (0, -1), tiny_r, dg.TwoStepState())
+        u, mode = two_step_command(*pair_floats(state), (0, -1), tiny_r, dg.TwoStepState())
         assert mode.phase is dg.Phase.ADJUSTING
         assert mode.last_error is not None
         assert abs(mode.last_error) <= dg.IO_TOL
@@ -162,7 +162,7 @@ class TestTwoStep:
         p = dg.GameParams(v_p=2.0, v_e=1.0, kappa=50.0, r=0.1)
         diag = dg.ClampDiagnostics()
         mode = dg.TwoStepState(phase=dg.Phase.INTERCEPTING)
-        u, _ = dg.two_step(make_state(0, 1, 0.0, 0, 0), (1, 0), p, mode, diag)
+        u, _ = two_step_command((0.0, 1.0), 0.0, (0.0, 0.0), (1, 0), p, mode, diag)
         assert abs(u) <= 1.0
         assert diag.events == 1
         assert diag.max_excess > 1e-9
@@ -173,7 +173,7 @@ class TestTwoStep:
             x_p = rng.uniform(-1, 1, size=2)
             x_e = x_p + rng.uniform(0.2, 1.0) * rng.normal(size=2)
             state = make_state(x_p[0], x_p[1], rng.uniform(0, 2 * math.pi), x_e[0], x_e[1])
-            u, mode = dg.two_step(state, (0, -1), paper, dg.TwoStepState())
+            u, mode = two_step_command(*pair_floats(state), (0, -1), paper, dg.TwoStepState())
             if mode.phase is dg.Phase.ADJUSTING:
                 assert u == dg.heading_adjust(state, paper)
                 assert mode.last_error == dg.heading_error(state, paper)
@@ -182,18 +182,14 @@ class TestTwoStep:
 class TestEvaderStrategies:
     def test_optimal_examples(self):
         p2 = dg.GameParams(2.0, 1.0, 1.0, 0.1)
-        assert dg.evader_optimal(make_state(0, 2, 0.0, 0, 1), p2) == pytest.approx(
-            [0, -1]
-        )
+        assert dg.evader_optimal((0, 2), (0, 1), p2.alpha) == pytest.approx([0, -1])
         p63 = dg.GameParams.from_alpha(0.3, 6.3, 0.0625, 0.1)
-        assert dg.evader_optimal(make_state(0, 0, 0.0, 0, 3), p63) == pytest.approx(
-            [0, -1]
-        )
+        assert dg.evader_optimal((0, 0), (0, 3), p63.alpha) == pytest.approx([0, -1])
 
     def test_optimal_mirror_symmetry(self):
         p = dg.GameParams(2.0, 1.0, 1.0, 0.1)
-        u = dg.evader_optimal(make_state(0.5, 2, 0.0, 0.2, 1), p)
-        m = dg.evader_optimal(make_state(-0.5, 2, 0.0, -0.2, 1), p)
+        u = dg.evader_optimal((0.5, 2), (0.2, 1), p.alpha)
+        m = dg.evader_optimal((-0.5, 2), (-0.2, 1), p.alpha)
         assert m == pytest.approx(u * [-1, 1], abs=1e-12)
 
     def test_constant_examples(self):
@@ -222,7 +218,7 @@ class TestInterceptDynamics:
         state = aligned_state(0, 0.95, 0.35, 0.40, paper.alpha)
         dt = 1e-4
         rhos, us, errs, captured = bare_intercept_run(
-            state, paper, dt, 10_000, lambda s: dg.evader_optimal(s, paper)
+            state, paper, dt, 10_000, lambda x_p, x_e: dg.evader_optimal(x_p, x_e, paper.alpha)
         )
         assert captured is None
         drift = max(abs(r - rhos[0]) for r in rhos)
@@ -295,9 +291,9 @@ class TestInterceptDynamics:
 
 
 class TestFloatCoreMatchesReference:
-    # the float-level phase machine and intercept command, and their
-    # JointState wrappers, give the pre-float strategies' commands, phase
-    # states and clamp records bit for bit
+    # the float-level phase machine, intercept command and evader best
+    # response give the pre-float strategies' commands, phase states and
+    # clamp records bit for bit
     @staticmethod
     def _corpus(paper):
         rng = np.random.default_rng(73)
@@ -321,7 +317,7 @@ class TestFloatCoreMatchesReference:
                     yield make_state(*x_p, theta, *x_e), u_e, p, mode
 
     def test_two_step(self, paper):
-        diags = [dg.ClampDiagnostics() for _ in range(3)]
+        diags = [dg.ClampDiagnostics() for _ in range(2)]
         phases = set()
         for state, u_e, p, mode in self._corpus(paper):
             want = reference_two_step(state, u_e, p, mode, diags[0])
@@ -332,12 +328,11 @@ class TestFloatCoreMatchesReference:
             )
             assert type(got[0]) is float
             assert repr(got) == repr(want)
-            assert repr(dg.two_step(state, u_e, p, mode, diags[2])) == repr(want)
             phases.add((mode.phase, want[1].phase))
         assert len(phases) == 3
         assert diags[0].events > 0
         clamps = [(d.events, d.max_excess) for d in diags]
-        assert clamps[1:] == clamps[:1] * 2
+        assert clamps[1] == clamps[0]
 
     def test_pursuit_intercept(self, paper):
         for state, u_e, p, mode in self._corpus(paper):
@@ -350,3 +345,18 @@ class TestFloatCoreMatchesReference:
             )
             assert type(got) is float and repr(got) == repr(want)
             assert repr(dg.pursuit_intercept(state, u_e, p)) == repr(want)
+
+    def test_evader_optimal(self):
+        # float tuples, as the simulator passes them, and arrays alike
+        rng = np.random.default_rng(74)
+        for k in range(2000):
+            x_p = rng.uniform(-2, 2, size=2)
+            x_e = x_p + rng.normal(scale=1.0 if k % 3 else 1e-3, size=2)
+            p = dg.GameParams.from_alpha(
+                v_p=0.3, alpha=float(rng.uniform(1.05, 12.0)), kappa=0.0625, r=0.1
+            )
+            state = make_state(*x_p, 0.0, *x_e)
+            want = repr(reference_evader_optimal(state, p).tolist())
+            x_p_f, _, x_e_f = pair_floats(state)
+            assert repr(dg.evader_optimal(x_p_f, x_e_f, p.alpha).tolist()) == want
+            assert repr(dg.evader_optimal(x_p, x_e, p.alpha).tolist()) == want
