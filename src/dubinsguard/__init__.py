@@ -43,7 +43,6 @@ from .model import (
     PursuerSpec,
     PursuerState,
     Scenario,
-    goal_value,
     step_evader,
     step_pursuer,
     wrap_angle,

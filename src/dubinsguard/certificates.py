@@ -40,6 +40,7 @@ from .model import (
     GameParams,
     JointState,
     PursuerState,
+    _as_point,
     wrap_angle,
     wrap_to_pi,
 )
@@ -164,7 +165,7 @@ class AdjustBound:
     period.
     """
 
-    turn_center: np.ndarray
+    turn_center: tuple[float, float]
     center_bearing: float
     evader_bearing: float
     wraps: int
@@ -186,13 +187,11 @@ def adjust_time_bound(
     if err == 0.0:
         raise ValueError("state is already aligned; no adjustment to bound")
     sign = turn_direction(err)
-    theta_p = state.pursuer.theta
-    center_bearing = wrap_angle(theta_p + sign * 0.5 * math.pi)
-    center = state.pursuer.pos + p.kappa * np.array(
-        [math.cos(center_bearing), math.sin(center_bearing)]
-    )
-    rel = state.evader.pos - center
-    evader_bearing = wrap_angle(math.atan2(rel[1], rel[0]))
+    (xp, yp), (xe, ye) = state.pursuer.pos, state.evader.pos
+    center_bearing = wrap_angle(state.pursuer.theta + sign * 0.5 * math.pi)
+    cx = xp + p.kappa * math.cos(center_bearing)
+    cy = yp + p.kappa * math.sin(center_bearing)
+    evader_bearing = wrap_angle(math.atan2(ye - cy, xe - cx))
     swept = (wrap_angle(evader_bearing - center_bearing) - math.pi) * sign
     if swept > 0.0:
         wraps = 0
@@ -200,7 +199,7 @@ def adjust_time_bound(
         swept += 2.0 * math.pi
         wraps = 1
     return AdjustBound(
-        turn_center=center,
+        turn_center=(cx, cy),
         center_bearing=center_bearing,
         evader_bearing=evader_bearing,
         wraps=wraps,
@@ -219,7 +218,7 @@ def adjust_scope_holds(
     ``adjust_time_bound``, when the caller already has it."""
     if bound is None:
         bound = adjust_time_bound(state, p)
-    gap = float(np.linalg.norm(bound.turn_center - state.evader.pos))
+    gap = float(np.linalg.norm(np.subtract(bound.turn_center, state.evader.pos)))
     return gap > p.kappa + p.v_p * bound.duration / math.sqrt(p.alpha**2 - 1.0)
 
 
@@ -228,11 +227,9 @@ def relaxation_sextic(x_c, x_e, alpha: float, kappa: float) -> Polynomial:
     the relaxed worst-case clearance problem; coefficients ascending."""
     if alpha <= 1.0 or kappa <= 0.0:
         raise ValueError("need alpha > 1 and kappa > 0")
-    x_c = np.asarray(x_c, dtype=float)
-    x_e = np.asarray(x_e, dtype=float)
     dx2 = (x_e[0] - x_c[0]) ** 2
     dy = x_c[1] - x_e[1]
-    sep2 = float(dx2 + dy * dy)
+    sep2 = dx2 + dy * dy
     a2 = alpha * alpha
     one_m = (1.0 - a2) ** 2
     b = (2.0 * math.pi + 1.0) * kappa
@@ -258,8 +255,8 @@ class RelaxedSolution:
     horizontal displacements."""
 
     clearance: float
-    pursuer_point: np.ndarray
-    evader_point: np.ndarray
+    pursuer_point: tuple[float, float]
+    evader_point: tuple[float, float]
     multiplier: float
     sigma: int
 
@@ -309,8 +306,8 @@ def relaxed_clearance_from_centers(
     clearance has always been computed from.
     """
     a2 = alpha * alpha
-    cx, cy = float(x_c[0]), float(x_c[1])
-    ex, ey = float(x_e[0]), float(x_e[1])
+    cx, cy = _as_point(x_c)
+    ex, ey = _as_point(x_e)
     sigma = 0
     if cx > ex:
         sigma = 1
@@ -351,13 +348,13 @@ def relaxed_clearance_from_centers(
             >= KKT_RESIDUAL_TOL
         ):
             continue
-        dist = float(np.linalg.norm(np.array([gap_x, pys - eys])))
+        dist = float(np.linalg.norm((gap_x, pys - eys)))
         _, clearance, _ = lowest_point(pxs, pys, exs, eys, dist, alpha)
         if best is None or clearance < best.clearance:
             best = RelaxedSolution(
                 clearance=clearance,
-                pursuer_point=np.array([pxs, pys]),
-                evader_point=np.array([exs, eys]),
+                pursuer_point=(pxs, pys),
+                evader_point=(exs, eys),
                 multiplier=lam,
                 sigma=sigma,
             )
@@ -436,8 +433,8 @@ def relaxed_oracle_from_centers(
     search's fixed boundary point built once.  Returns the clearance on the
     closed form's scale."""
     _check_grid(grid)
-    cx, cy = map(float, x_c)
-    ex, ey = map(float, x_e)
+    cx, cy = _as_point(x_c)
+    ex, ey = _as_point(x_e)
     reach = 2.0 * math.pi * kappa / alpha
 
     # the polish works on Python floats, which round as numpy scalars do;
@@ -615,7 +612,7 @@ def rollout_clearance_oracle(
     event clearance.
     """
     _check_grid(grid)
-    dist0 = float(np.linalg.norm(state.pursuer.pos - state.evader.pos))
+    dist0 = float(np.linalg.norm(np.subtract(state.pursuer.pos, state.evader.pos)))
     if dist0 <= p.r or abs(err0 := heading_error(state, p)) <= 1e-12:
         return (math.inf, np.full(grid, np.nan)) if return_times else math.inf
     bound = adjust_time_bound(state, p, err0)
@@ -716,7 +713,7 @@ def certify_win(
     if aim is None:
         aim = aim_point(x_p, x_e, p.alpha)
     aim_x, aim_y, _ = aim
-    separation = goal_gap(float(aim_y))
+    separation = goal_gap(aim_y)
     sc = separation >= 0.0
     dist = math.hypot(x_p[0] - x_e[0], x_p[1] - x_e[1])
     io = err = intercept_ok = adjust_ok = two_ok = None
@@ -786,16 +783,16 @@ def sample_adjust_feasible_state(
     if lo <= p.r:
         raise ValueError("d_range must start above the capture radius")
     for _ in range(10_000):
-        x_p = np.array([rng.uniform(-1.0, 1.0), rng.uniform(0.1, 1.2)])
+        xp, yp = rng.uniform(-1.0, 1.0), rng.uniform(0.1, 1.2)
         theta_p = rng.uniform(0.0, 2.0 * math.pi)
         bearing = rng.uniform(0.0, 2.0 * math.pi)
         dist = rng.uniform(lo, hi)
-        x_e = x_p + dist * np.array([math.cos(bearing), math.sin(bearing)])
-        if x_e[1] <= 0.05:
+        ye = yp + dist * math.sin(bearing)
+        if ye <= 0.05:
             continue
         state = JointState(
-            pursuer=PursuerState(pos=x_p, theta=theta_p),
-            evader=EvaderState(pos=x_e),
+            pursuer=PursuerState(pos=(xp, yp), theta=theta_p),
+            evader=EvaderState(pos=(xp + dist * math.cos(bearing), ye)),
         )
         if abs(heading_error(state, p)) <= 1e-3:
             continue

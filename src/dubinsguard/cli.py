@@ -50,7 +50,7 @@ def _number(entry: dict, key: str) -> float:
 def _pursuer(entry: dict) -> PursuerSpec:
     return PursuerSpec(
         state=PursuerState(
-            pos=np.array([_number(entry, "x"), _number(entry, "y")]),
+            pos=(_number(entry, "x"), _number(entry, "y")),
             theta=_number(entry, "theta"),
         ),
         motion=entry.get("model", "dubins"),
@@ -62,7 +62,7 @@ def _pursuer(entry: dict) -> PursuerSpec:
 
 def _evader(entry: dict) -> EvaderSpec:
     return EvaderSpec(
-        state=EvaderState(pos=np.array([_number(entry, "x"), _number(entry, "y")])),
+        state=EvaderState(pos=(_number(entry, "x"), _number(entry, "y"))),
         v=_number(entry, "speed"),
         strategy=entry.get("strategy", "random_goal"),
         heading=_number(entry, "heading") if "heading" in entry else None,
@@ -119,8 +119,8 @@ def scenario_to_doc(sc: Scenario) -> dict:
     for spec in sc.pursuers:
         doc["pursuers"].append(
             {
-                "x": float(spec.state.pos[0]),
-                "y": float(spec.state.pos[1]),
+                "x": spec.state.pos[0],
+                "y": spec.state.pos[1],
                 "theta": spec.state.theta,
                 "speed": spec.v,
                 "kappa": spec.kappa,
@@ -130,8 +130,8 @@ def scenario_to_doc(sc: Scenario) -> dict:
         )
     for spec in sc.evaders:
         entry = {
-            "x": float(spec.state.pos[0]),
-            "y": float(spec.state.pos[1]),
+            "x": spec.state.pos[0],
+            "y": spec.state.pos[1],
             "speed": spec.v,
             "strategy": spec.strategy,
         }

@@ -15,6 +15,11 @@ separation when its aim height is at least 0.  ``interception`` packages
 the same point as an ``InterceptionData`` for callers that want every
 derived quantity at once.
 
+Positions are ``(x, y)`` pairs, as ``model`` builds them: the kernels only
+index them, so a numpy array or a list is read as well, and
+``interception`` turns its inputs into float pairs through
+``model._as_point``, so every point it returns is a pair of Python floats.
+
 ``turn_direction`` is the one rule that maps a heading error to the
 direction of the full-rate heading adjustment: the strategies steer by it,
 and the adjustment-time bound, the clearance certificate and both of its
@@ -26,9 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .model import GameParams, JointState, wrap_angle, wrap_to_pi
+from .model import GameParams, JointState, _as_point, wrap_angle, wrap_to_pi
 
 #: Width of the heading-alignment band.  Exact equality is unreachable in
 #: floating point; the simulator snaps the heading once the wrapped
@@ -51,13 +54,13 @@ class InterceptionData:
     point (zero x-component, minus the radius in y).
     """
 
-    point: np.ndarray
+    point: tuple[float, float]
     angle: float
     clearance: float
-    offset: np.ndarray
+    offset: tuple[float, float]
 
 
-def _check_pair(x_p: np.ndarray, x_e: np.ndarray, alpha: float) -> float:
+def _check_pair(x_p, x_e, alpha: float) -> float:
     if alpha <= 1.0:
         raise ValueError(f"speed ratio must exceed 1, got {alpha}")
     dist = math.hypot(x_p[0] - x_e[0], x_p[1] - x_e[1])
@@ -94,14 +97,10 @@ def aim_bearing(x_p, x: float, y: float) -> float:
 
 def interception(x_p, x_e, alpha: float) -> InterceptionData:
     """Aim point: the lowest point of the closed evasion disk."""
-    x_p = np.asarray(x_p, dtype=float)
-    x_e = np.asarray(x_e, dtype=float)
-    x, y, radius = aim_point(x_p, x_e, alpha)
+    x_p = _as_point(x_p)
+    x, y, radius = aim_point(x_p, _as_point(x_e), alpha)
     return InterceptionData(
-        point=np.array([x, y]),
-        angle=aim_bearing(x_p, x, y),
-        clearance=float(y),
-        offset=np.array([0.0, -radius]),
+        point=(x, y), angle=aim_bearing(x_p, x, y), clearance=y, offset=(0.0, -radius)
     )
 
 

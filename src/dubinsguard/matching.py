@@ -64,7 +64,7 @@ def build_graph(
         state, params = pair_states[key], pair_params[key]
         aim = aim_point(state.pursuer.pos, state.evader.pos, params.alpha)
         if aim[1] < 0.0:
-            screened[key] = float(aim[1])
+            screened[key] = aim[1]
             continue
         cert = certify_win(state, params, motion=motion[key[0]], aim=aim)
         if cert.kind is not CertificateKind.NONE:

@@ -45,13 +45,18 @@ def wrap_to_pi(theta: float) -> float:
     return theta
 
 
-def _as_point(x) -> np.ndarray:
-    p = np.asarray(x, dtype=float)
-    if p.shape != (2,):
-        raise ValueError(f"expected a 2-D point, got shape {p.shape}")
-    if not (math.isfinite(p[0]) and math.isfinite(p[1])):
+def _as_point(x) -> tuple[float, float]:
+    """``x`` as a point: a tuple of two finite Python floats.  A tuple of
+    two floats is checked as it is; any other input goes through
+    ``np.asarray(x, dtype=float)`` and must have shape (2,)."""
+    if not (type(x) is tuple and len(x) == 2 and type(x[0]) is type(x[1]) is float):
+        p = np.asarray(x, dtype=float)
+        if p.shape != (2,):
+            raise ValueError(f"expected a 2-D point, got shape {p.shape}")
+        x = tuple(p.tolist())
+    if not (math.isfinite(x[0]) and math.isfinite(x[1])):
         raise ValueError("point has non-finite coordinates")
-    return p
+    return x
 
 
 @dataclass(frozen=True)
@@ -93,7 +98,7 @@ class GameParams:
 class PursuerState:
     """Car position and heading; heading is kept in [0, 2*pi)."""
 
-    pos: np.ndarray
+    pos: tuple[float, float]
     theta: float
 
     def __post_init__(self):
@@ -105,7 +110,7 @@ class PursuerState:
 
 @dataclass(frozen=True)
 class EvaderState:
-    pos: np.ndarray
+    pos: tuple[float, float]
 
     def __post_init__(self):
         object.__setattr__(self, "pos", _as_point(self.pos))
@@ -177,12 +182,6 @@ class Scenario:
         return GameParams(v_p=p.v, v_e=self.evaders[j].v, kappa=p.kappa, r=p.r)
 
 
-def goal_value(x) -> float:
-    """Signed goal coordinate: the point is in the goal region iff the value
-    is <= 0, on its boundary iff it is 0."""
-    return float(_as_point(x)[1])
-
-
 def _finite_step(x: float, y: float, *rest: float) -> tuple[float, ...]:
     """A step's result (x, y, *rest), refused unless x and y are finite."""
     if not (math.isfinite(x) and math.isfinite(y)):
@@ -221,9 +220,7 @@ def step_evader(x: float, y: float, u_e, dt: float, v_e: float) -> tuple[float, 
     (x, y).  Its control must be a finite point of the closed unit disk."""
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be finite and positive, got {dt}")
-    if not (type(u_e) is tuple and len(u_e) == 2 and type(u_e[0]) is type(u_e[1]) is float):
-        u_e = tuple(_as_point(u_e).tolist())
-    ux, uy = u_e
+    ux, uy = _as_point(u_e)
     step = v_e * dt
     out = _finite_step(x + step * ux, y + step * uy)
     norm = math.hypot(ux, uy)
@@ -257,7 +254,7 @@ def _violations(sc: Scenario) -> list[str]:
                         f"{team}[{k}]: {name} must be finite and positive, got {value}"
                     )
         for a, b in itertools.combinations(range(len(specs)), 2):
-            if np.array_equal(specs[a].state.pos, specs[b].state.pos):
+            if specs[a].state.pos == specs[b].state.pos:
                 violations.append(f"{team}[{a}] and {team}[{b}] coincide")
     seed = sc.seed
     if isinstance(seed, bool) or not (isinstance(seed, (int, np.integer)) and seed >= 0):
@@ -265,10 +262,10 @@ def _violations(sc: Scenario) -> list[str]:
     for j, ev in enumerate(sc.evaders):
         if ev.strategy == "constant" and not math.isfinite(ev.heading):
             violations.append(f"evaders[{j}]: heading must be finite, got {ev.heading}")
-        if goal_value(ev.state.pos) <= 0.0:
+        if ev.state.pos[1] <= 0.0:
             violations.append(f"evaders[{j}]: not in play region (y <= 0)")
         for i, pu in enumerate(sc.pursuers):
-            dist = float(np.linalg.norm(ev.state.pos - pu.state.pos))
+            dist = float(np.linalg.norm(np.subtract(ev.state.pos, pu.state.pos)))
             if dist <= pu.r:
                 violations.append(
                     f"evaders[{j}]: inside capture disk of pursuers[{i}] "

@@ -21,11 +21,15 @@ reached:
 - detect: capture and goal-arrival crossings are located by linear
   interpolation inside the step.
 
-Agent state is plain floats, stepped by the float kernels of ``model`` and
-``strategies``; validated state objects are built only for the win graph,
-once per refresh, for agents with a pair outside its window.  The pair
-distances are one ``(n_p, n_e)`` array per step, shared by the capture
-screen and by the nearest-pursuer choice of ``optimal`` evaders.  A ``dt`` long enough for a pursuer and an evader to
+Agent state is plain floats: positions and controls are ``(x, y)`` float
+pairs, the library's one point type, stepped by the float kernels of
+``model`` and ``strategies``.  A scenario's state positions are such pairs
+already, so they are read as they are, and the validated state objects of
+the win graph, built once per refresh for agents with a pair outside its
+window, take the pairs without conversion.  Arrays appear only where all
+pairs are batched: the pair distances are one ``(n_p, n_e)`` array per
+step, shared by the capture screen and by the nearest-pursuer choice of
+``optimal`` evaders.  A ``dt`` long enough for a pursuer and an evader to
 close a capture radius in one step is refused.
 """
 
@@ -170,10 +174,9 @@ def detect_captures(
     return found
 
 
-def _with_heading(u: np.ndarray) -> tuple[tuple[float, float], float]:
-    """A simple-motion control as (unit control, heading), in floats."""
-    ux, uy = u.tolist()
-    return (ux, uy), math.atan2(uy, ux)
+def _with_heading(u: tuple[float, float]) -> tuple[tuple[float, float], float]:
+    """A simple-motion control as (unit control, heading)."""
+    return u, math.atan2(u[1], u[0])
 
 
 def _validate(sc: Scenario, cfg: SimConfig):
@@ -203,9 +206,9 @@ class _Game:
         self.n_e = n_e = len(sc.evaders)
         rng = np.random.default_rng(sc.seed)
 
-        self.p_xy = [tuple(spec.state.pos.tolist()) for spec in sc.pursuers]
+        self.p_xy = [spec.state.pos for spec in sc.pursuers]
         self.theta = [spec.state.theta for spec in sc.pursuers]
-        self.e_xy = [tuple(spec.state.pos.tolist()) for spec in sc.evaders]
+        self.e_xy = [spec.state.pos for spec in sc.evaders]
         self.status = [ACTIVE] * n_e
         # Per game, the (unit control, recorded heading) of every evader
         # that holds a constant heading; None for an ``optimal`` one.
@@ -215,8 +218,8 @@ class _Game:
                 self.e_fixed.append(None)
                 continue
             constant = spec.strategy == "constant"
-            heading = spec.heading if constant else evader_random_goal(spec.state.pos, rng)
-            self.e_fixed.append(_with_heading(evader_constant(float(heading))))
+            heading = spec.heading if constant else evader_random_goal(rng)
+            self.e_fixed.append(_with_heading(evader_constant(heading)))
 
         self.params = {(i, j): sc.pair_params(i, j) for i in range(n_p) for j in range(n_e)}
         # Game time until which each screened-out pair provably stays
@@ -241,8 +244,9 @@ class _Game:
         # each step's integration and heading re-snap.  Evaders leaving play
         # are then moved to their event points, but their columns are never
         # read again.
-        self.e_pos = np.array(self.e_xy)
-        self.dist = pair_distances(np.array(self.p_xy), self.e_pos)
+        self.dist = pair_distances(np.array(self.p_xy), np.array(self.e_xy))
+        # Evader positions at the start of the step, set by ``integrate``.
+        self.e_start = self.e_xy
 
     def assign(self):
         """Rebuild the win graph over the active pairs outside their
@@ -343,8 +347,7 @@ class _Game:
                 continue
             pr = self.params[(i, j)]
             if phase is None:
-                u = pursuit_simple(self.p_xy[i], self.e_xy[j], pr.alpha)
-                controls.append(tuple(u.tolist()))
+                controls.append(pursuit_simple(self.p_xy[i], self.e_xy[j], pr.alpha))
                 continue
             u, self.phases[i] = two_step_command(
                 self.p_xy[i], self.theta[i], self.e_xy[j], e_controls[j][0], pr, phase, self.diag
@@ -384,6 +387,7 @@ class _Game:
                 step = spec.v * dt
                 self.p_xy[i] = (x + step * u[0], y + step * u[1])
                 self.theta[i] = wrap_angle(math.atan2(u[1], u[0]))
+        self.e_start = self.e_xy[:]
         for j, (spec, c) in enumerate(zip(self.sc.evaders, e_controls)):
             if c is not None:
                 self.e_xy[j] = step_evader(*self.e_xy[j], c[0], dt, spec.v)
@@ -401,16 +405,15 @@ class _Game:
         was captured or reached the goal during the step: capture before
         goal arrival, earlier fraction wins.  The evader is moved to its
         event point."""
-        prev_dist, prev_e_pos = self.dist, self.e_pos
-        self.e_pos = np.array(self.e_xy)
-        self.dist = pair_distances(np.array(self.p_xy), self.e_pos)
+        prev_dist = self.dist
+        self.dist = pair_distances(np.array(self.p_xy), np.array(self.e_xy))
         active = np.array([status == ACTIVE for status in self.status])
         captures = detect_captures(prev_dist, self.dist, self.radii, active)
         for j in range(self.n_e):
             if self.status[j] != ACTIVE:
                 continue
             cap_frac, cap_by = captures.get(j, (None, None))
-            goal_frac = detect_crossing(float(prev_e_pos[j, 1]), self.e_xy[j][1], 0.0)
+            goal_frac = detect_crossing(self.e_start[j][1], self.e_xy[j][1], 0.0)
             if cap_frac is not None and (goal_frac is None or cap_frac <= goal_frac):
                 frac, status, kind, by = cap_frac, CAPTURED, "capture", cap_by
             elif goal_frac is not None:
@@ -418,7 +421,7 @@ class _Game:
             else:
                 continue
             self.status[j] = status
-            (sx, sy), (ex, ey) = prev_e_pos[j].tolist(), self.e_xy[j]
+            (sx, sy), (ex, ey) = self.e_start[j], self.e_xy[j]
             self.e_xy[j] = (sx + frac * (ex - sx), sy + frac * (ey - sy))
             self.events.append(
                 Event(t=self.t + frac * self.cfg.dt, kind=kind, pursuer=by, evader=j)

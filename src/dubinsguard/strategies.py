@@ -9,7 +9,8 @@ certificates bound.  ``two_step_command`` composes the last two into the
 car's adjust-then-intercept phase machine on float pairs, the one the
 simulator runs for every car.
 Evader side: head for the interception point (the unique best response), or
-hold a constant heading.
+hold a constant heading.  Positions and controls are ``(x, y)`` float pairs;
+the maps that return a control also accept arrays as positions.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .certificates import intercept_feasible
 from .geometry import IO_TOL, aim_point, bearing_error, heading_error, turn_direction
-from .model import GameParams, JointState
+from .model import GameParams, JointState, _as_point
 
 #: Turn commands may exceed 1 in magnitude by rounding; excess above this is
 #: counted as a genuine precondition violation rather than float noise.
@@ -61,45 +62,41 @@ class ClampDiagnostics:
             self.events += 1
 
 
-def _unit(vec: np.ndarray) -> np.ndarray:
-    norm = math.hypot(vec[0], vec[1])
+def _unit(x: float, y: float) -> tuple[float, float]:
+    norm = math.hypot(x, y)
     if norm == 0.0:
         raise ValueError("zero-length direction")
-    return vec / norm
+    return x / norm, y / norm
 
 
-def pursuit_simple(x_p, x_e, alpha: float) -> np.ndarray:
+def pursuit_simple(x_p, x_e, alpha: float) -> tuple[float, float]:
     """Unit vector from the pursuer toward the interception point."""
-    x_p = np.asarray(x_p, dtype=float)
-    x, y, _ = aim_point(x_p, x_e, alpha)
-    return _unit(np.array([x, y]) - x_p)
+    x_p = _as_point(x_p)
+    x, y, _ = aim_point(x_p, _as_point(x_e), alpha)
+    return _unit(x - x_p[0], y - x_p[1])
 
 
-def evader_optimal(x_p, x_e, alpha: float) -> np.ndarray:
+def evader_optimal(x_p, x_e, alpha: float) -> tuple[float, float]:
     """Unit vector from the evader at ``x_e`` toward the interception point
     of the pursuer at ``x_p`` (the evader's unique best response to the
     interception strategies)."""
-    x_e = np.asarray(x_e, dtype=float)
-    x, y, _ = aim_point(x_p, x_e, alpha)
-    return _unit(np.array([x, y]) - x_e)
+    x_e = _as_point(x_e)
+    x, y, _ = aim_point(_as_point(x_p), x_e, alpha)
+    return _unit(x - x_e[0], y - x_e[1])
 
 
-def evader_constant(theta_e: float) -> np.ndarray:
+def evader_constant(theta_e: float) -> tuple[float, float]:
     """Time-invariant unit control at heading ``theta_e``."""
-    return np.array([math.cos(theta_e), math.sin(theta_e)])
+    return math.cos(theta_e), math.sin(theta_e)
 
 
-def evader_random_goal(x_e, rng: np.random.Generator) -> float:
+def evader_random_goal(rng: np.random.Generator) -> float:
     """Draw a constant heading pointing strictly downward (closer to the
     goal region), uniform on (pi, 2*pi).  Deterministic given ``rng``."""
     while True:
         theta = float(rng.uniform(math.pi, 2.0 * math.pi))
         if math.sin(theta) < 0.0:
             return theta
-
-
-def _xy(v) -> tuple[float, float]:
-    return float(v[0]), float(v[1])
 
 
 def _gains(x_p, x_e, alpha: float, kappa: float) -> tuple[float, float, float]:
@@ -148,7 +145,7 @@ def pursuit_intercept(
     clamping is applied (and recorded on ``diag``) as a diagnostic for
     precondition violations, never as an error.
     """
-    return intercept_command(_xy(state.pursuer.pos), _xy(state.evader.pos), _xy(u_e), p, diag)
+    return intercept_command(state.pursuer.pos, state.evader.pos, _as_point(u_e), p, diag)
 
 
 def heading_adjust(state: JointState, p: GameParams) -> float:

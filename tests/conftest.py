@@ -64,13 +64,13 @@ def bare_intercept_run(
     Returns (clearances, controls, heading_errors, capture_time).
     """
     x_p, theta, x_e = pair_floats(state)
-    fixed = None if callable(evader_control) else _xy(evader_control)
+    fixed = None if callable(evader_control) else _as_point(evader_control)
     clearances = [er_goal_distance(x_p, x_e, p.alpha)]
     controls = []
     errors = [abs(bearing_error(x_p, theta, x_e, p.alpha))]
     captured = None
     for k in range(steps):
-        u_e = fixed if fixed is not None else _xy(evader_control(x_p, x_e))
+        u_e = fixed if fixed is not None else _as_point(evader_control(x_p, x_e))
         u_p = intercept_command(x_p, x_e, u_e, p)
         controls.append(u_p)
         px, py, theta = dg.step_pursuer(*x_p, theta, u_p, dt, p.v_p, p.kappa)
@@ -88,13 +88,9 @@ def bare_intercept_run(
     return clearances, controls, errors, captured
 
 
-def _xy(v) -> tuple[float, float]:
-    return float(v[0]), float(v[1])
-
-
 def pair_floats(state: dg.JointState):
     """A pair state as the float kernels take it: (x_p, theta, x_e)."""
-    return _xy(state.pursuer.pos), state.pursuer.theta, _xy(state.evader.pos)
+    return state.pursuer.pos, state.pursuer.theta, state.evader.pos
 
 
 def reference_step_pursuer(
@@ -132,11 +128,11 @@ def reference_step_evader(s: dg.EvaderState, u_e, dt: float, p: dg.GameParams) -
     """``model.step_evader`` as it was on validated states."""
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    u = _as_point(u_e)
+    u = np.array(_as_point(u_e))
     norm = math.hypot(u[0], u[1])
     if norm > 1.0 + 1e-12:
         raise ValueError(f"evader control must lie in the unit disk, |u| = {norm}")
-    return dg.EvaderState(pos=s.pos + p.v_e * dt * u)
+    return dg.EvaderState(pos=np.asarray(s.pos) + p.v_e * dt * u)
 
 
 def reference_pursuit_intercept(state: dg.JointState, u_e, p: dg.GameParams, diag=None) -> float:

@@ -151,7 +151,7 @@ def test_criterion_05_heading_adjustment_reaches_alignment_in_time():
                 q_prev = q
                 last_err = err
                 assert (
-                    float(np.linalg.norm(ps.pos - es.pos)) > REFERENCE.r
+                    float(np.linalg.norm(np.subtract(ps.pos, es.pos))) > REFERENCE.r
                 ), "captured before alignment"
                 command = dg.heading_adjust(pair, REFERENCE)
                 x, y, theta = dg.step_pursuer(
@@ -176,10 +176,10 @@ def test_criterion_06_closed_form_matches_relaxed_oracle():
             # solution invariants: active constraints, sign law, multiplier
             # bracket, stationarity residual
             assert float(
-                np.linalg.norm(sol.evader_point - state.evader.pos)
+                np.linalg.norm(np.subtract(sol.evader_point, state.evader.pos))
             ) == pytest.approx(reach, rel=1e-9)
             assert float(
-                np.linalg.norm(sol.pursuer_point - bound.turn_center)
+                np.linalg.norm(np.subtract(sol.pursuer_point, bound.turn_center))
             ) == pytest.approx(REFERENCE.kappa, rel=1e-9)
             assert REFERENCE.alpha - 1 <= sol.multiplier <= REFERENCE.alpha + 1
             sigma = int(np.sign(bound.turn_center[0] - state.evader.pos[0]))
@@ -190,10 +190,10 @@ def test_criterion_06_closed_form_matches_relaxed_oracle():
                 assert sigma * (sol.pursuer_point[0] - sol.evader_point[0]) > 0
             lam2 = sol.multiplier
             lam1 = REFERENCE.alpha * lam2
-            diff = sol.pursuer_point - sol.evader_point
+            diff = np.subtract(sol.pursuer_point, sol.evader_point)
             dist = float(np.linalg.norm(diff))
-            u_e = (sol.evader_point - state.evader.pos) / reach
-            u_p = (sol.pursuer_point - bound.turn_center) / REFERENCE.kappa
+            u_e = np.subtract(sol.evader_point, state.evader.pos) / reach
+            u_p = np.subtract(sol.pursuer_point, bound.turn_center) / REFERENCE.kappa
             residual = max(
                 abs(REFERENCE.alpha * diff[0] / dist + lam1 * u_e[0]),
                 abs(

@@ -48,7 +48,7 @@ def _reference_rollout_oracle(state, p, grid):
     test, and each event's clearance on floats.  Returns the value, the
     event times, the number of capture brackets and the number of headings
     on which both tests fired in the same step."""
-    dist0 = float(np.linalg.norm(state.pursuer.pos - state.evader.pos))
+    dist0 = float(np.linalg.norm(np.subtract(state.pursuer.pos, state.evader.pos)))
     err0 = dg.heading_error(state, p)
     bound = dg.adjust_time_bound(state, p)
     sign = bound.turn_sign
@@ -200,6 +200,14 @@ class TestParameterCurves:
         assert dg.intercept_feasible(r, kappa, alpha)  # non-strict
         assert not dg.two_step_feasible(r, kappa, alpha)  # strict
 
+    def test_adjust_check_is_strict_on_the_ratio(self):
+        # r / kappa equals the ratio exactly in floats, so only a strict
+        # comparison refuses it
+        r = dg.heading_adjust_ratio(3.0)
+        assert r / 1.0 == 2.6666666666666665 == dg.heading_adjust_ratio(3.0)
+        assert not dg.adjust_feasible(r, 1.0, 3.0)
+        assert dg.adjust_feasible(math.nextafter(r, math.inf), 1.0, 3.0)
+
 
 class TestClassifyRegion:
     def test_reference_parameters_above_all_curves(self):
@@ -326,7 +334,7 @@ class TestAdjustTimeBound:
             bound = dg.adjust_time_bound(state, paper)
             assert 0.0 < bound.duration <= 2 * math.pi * paper.kappa / paper.v_p + 1e-15
             assert bound.wraps in (0, 1)
-            center_dist = float(np.linalg.norm(bound.turn_center - state.pursuer.pos))
+            center_dist = float(np.linalg.norm(np.subtract(bound.turn_center, state.pursuer.pos)))
             assert center_dist == pytest.approx(paper.kappa, rel=1e-12)
 
     def test_rejects_aligned_state(self, paper):
@@ -387,6 +395,19 @@ class TestRelaxationSextic:
 
 
 class TestRelaxedClearance:
+    @pytest.mark.parametrize(
+        "solve", [dg.relaxed_clearance_from_centers, dg.relaxed_oracle_from_centers]
+    )
+    def test_centers_must_be_finite_points(self, solve):
+        # a NaN center used to reach the eigenvalue solver or give a NaN
+        # clearance, and a third coordinate was dropped
+        with pytest.raises(ValueError, match="non-finite"):
+            solve((math.nan, 0.5), (0.0, 1.0), 3.0, 0.1)
+        with pytest.raises(ValueError, match="non-finite"):
+            solve((0.0, 0.5), (0.0, math.inf), 3.0, 0.1)
+        with pytest.raises(ValueError, match="shape"):
+            solve((0.0, 0.5, 7.0), (0.0, 1.0), 3.0, 0.1)
+
     def test_axisymmetric_case_stays_on_axis(self):
         sol = dg.relaxed_clearance_from_centers((0, 5), (0, 0), 2.0, 1.0)
         assert sol.sigma == 0
@@ -422,10 +443,10 @@ class TestRelaxedClearance:
             sol = dg.solve_relaxed_clearance(state, paper)
             # active constraints
             assert float(
-                np.linalg.norm(sol.evader_point - state.evader.pos)
+                np.linalg.norm(np.subtract(sol.evader_point, state.evader.pos))
             ) == pytest.approx(reach, rel=1e-9)
             assert float(
-                np.linalg.norm(sol.pursuer_point - bound.turn_center)
+                np.linalg.norm(np.subtract(sol.pursuer_point, bound.turn_center))
             ) == pytest.approx(paper.kappa, rel=1e-9)
             # common-sign law
             sigma = sol.sigma
@@ -437,10 +458,10 @@ class TestRelaxedClearance:
             # stationarity residual, recomputed here with both multipliers
             lam2 = sol.multiplier
             lam1 = paper.alpha * lam2
-            diff = sol.pursuer_point - sol.evader_point
+            diff = np.subtract(sol.pursuer_point, sol.evader_point)
             dist = float(np.linalg.norm(diff))
-            u_e = (sol.evader_point - state.evader.pos) / reach
-            u_p = (sol.pursuer_point - bound.turn_center) / paper.kappa
+            u_e = np.subtract(sol.evader_point, state.evader.pos) / reach
+            u_p = np.subtract(sol.pursuer_point, bound.turn_center) / paper.kappa
             res = np.array(
                 [
                     paper.alpha * diff[0] / dist + lam1 * u_e[0],
@@ -751,7 +772,7 @@ class TestCertifyInvariance:
         kinds = set()
         for state, p in _certify_corpus(np.random.default_rng(59), 800):
             scaled_p = dg.GameParams(v_p=p.v_p, v_e=p.v_e, kappa=2 * p.kappa, r=2 * p.r)
-            (px, py), (ex, ey) = 2 * state.pursuer.pos, 2 * state.evader.pos
+            (px, py), (ex, ey) = 2 * np.asarray(state.pursuer.pos), 2 * np.asarray(state.evader.pos)
             scaled = make_state(px, py, state.pursuer.theta, ex, ey)
             kind = dg.certify_win(state, p).kind
             assert dg.certify_win(scaled, scaled_p).kind is kind

@@ -74,6 +74,40 @@ def test_evasion_region_examples():
     assert center == pytest.approx([0, 0], abs=2e-4)
 
 
+def test_aim_point_refuses_a_unit_speed_ratio():
+    # at alpha = 1 the evasion disk is unbounded; the refusal comes before
+    # the division by alpha^2 - 1
+    with pytest.raises(ValueError, match="speed ratio must exceed 1"):
+        aim_point((0.0, 1.0), (0.0, 2.0), 1.0)
+
+
+def test_every_returned_point_is_a_float_pair():
+    # array and int inputs alike: each point the library returns is a tuple
+    # of two Python floats
+    p = dg.GameParams.from_alpha(v_p=0.3, alpha=6.3, kappa=0.0625, r=0.1)
+    x_p, x_e = np.array([0.1, 0.9]), [0, 1]
+    state = dg.JointState(dg.PursuerState(pos=x_p, theta=2.0), dg.EvaderState(pos=x_e))
+    data = dg.interception(x_p, x_e, p.alpha)
+    bound = dg.adjust_time_bound(state, p)
+    sol = dg.solve_relaxed_clearance(state, p)
+    points = [
+        state.pursuer.pos,
+        state.evader.pos,
+        dg.pursuit_simple(x_p, x_e, p.alpha),
+        dg.evader_optimal(x_p, x_e, p.alpha),
+        dg.evader_constant(np.float64(4.0)),
+        data.point,
+        data.offset,
+        bound.turn_center,
+        sol.pursuer_point,
+        sol.evader_point,
+    ]
+    for point in points:
+        assert type(point) is tuple and len(point) == 2
+        assert all(type(v) is float for v in point), point
+    assert data.point == aim_point(x_p, x_e, p.alpha)[:2]
+
+
 def test_aim_point_and_interception_reject_coincident():
     with pytest.raises(ValueError, match="coincide"):
         aim_point(np.array([1.0, 1.0]), np.array([1.0, 1.0]), 2.0)
@@ -122,7 +156,7 @@ def test_interception_point_is_argmin_over_closed_region():
         t = rng.uniform(0, 2 * math.pi)
         rad = radius * math.sqrt(rng.uniform(0, 1))
         z = center + rad * np.array([math.cos(t), math.sin(t)])
-        assert dg.goal_value(z) >= target.clearance - 1e-9
+        assert z[1] >= target.clearance - 1e-9
 
 
 def test_er_goal_distance_examples():

@@ -1,17 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 import dubinsguard as dg
 from conftest import reference_step_evader, reference_step_pursuer
-from dubinsguard.model import STRAIGHT_EPS, TWO_PI
-
-
-def test_goal_value_examples():
-    assert dg.goal_value((3, 0)) == 0.0
-    assert dg.goal_value((-1, 2.5)) == 2.5
-    assert dg.goal_value((0, -4)) == -4.0
+from dubinsguard.model import STRAIGHT_EPS, TWO_PI, _as_point
 
 
 def test_game_params_ratio_exact():
@@ -155,6 +150,32 @@ class TestPointChecks:
         with pytest.raises(ValueError, match="shape"):
             dg.step_evader(0.0, 1.0, tuple(pt), 0.1, 1.0)
 
+    @pytest.mark.parametrize(
+        "pt", [[1.0, 2.0, 3.0], np.zeros(3), (1, 2, 3)], ids=["list", "ndarray", "int tuple"]
+    )
+    def test_as_point_refuses_three_coordinates(self, pt):
+        with pytest.raises(ValueError, match=re.escape("expected a 2-D point, got shape (3,)")):
+            _as_point(pt)
+
+    @pytest.mark.parametrize(
+        "pt",
+        [[math.nan, 1.0], np.array([1.0, math.inf]), (1, -math.inf), (math.nan, 0.5)],
+        ids=["list", "ndarray", "mixed tuple", "float tuple"],
+    )
+    def test_as_point_refuses_non_finite_coordinates(self, pt):
+        with pytest.raises(ValueError, match="^point has non-finite coordinates$"):
+            _as_point(pt)
+
+    @pytest.mark.parametrize(
+        "pt",
+        [[0.0, 1.5], np.array([0.0, 1.5]), (0, 1.5), (np.float64(0.0), 1.5), (0.0, 1.5)],
+        ids=["list", "ndarray", "int tuple", "numpy scalar", "float tuple"],
+    )
+    def test_as_point_gives_a_float_pair(self, pt):
+        point = _as_point(pt)
+        assert type(point) is tuple and point == (0.0, 1.5)
+        assert type(point[0]) is float and type(point[1]) is float
+
     @pytest.mark.parametrize("pt", _NON_FINITE_POINTS)
     def test_non_finite_results_rejected(self, pt):
         x, y = pt
@@ -169,6 +190,36 @@ class TestPointChecks:
             dg.step_evader(1.7e308, 0.5, (1.0, 0.0), 1.0, 1e308)
         with pytest.raises(ValueError, match="non-finite"):
             dg.step_pursuer(1.7e308, 0.5, 0.0, 0.0, 1.0, 1e308, 1.0)
+
+
+class TestStateValues:
+    # states are immutable values: equal coordinates give equal, equally
+    # hashed states, whatever the input type
+    def test_states_compare_and_hash_by_value(self):
+        a = dg.PursuerState(pos=np.array([0.0, 1.0]), theta=0.5)
+        b = dg.PursuerState(pos=(0.0, 1.0), theta=0.5)
+        assert a == b and hash(a) == hash(b)
+        assert a != dg.PursuerState(pos=(0.0, 1.0), theta=0.25)
+        assert dg.EvaderState(pos=[2, 3]) == dg.EvaderState(pos=(2.0, 3.0))
+
+    def test_joint_states_are_set_members(self):
+        car = dg.PursuerState(pos=(0.0, 1.0), theta=0.5)
+        pairs = {
+            dg.JointState(car, dg.EvaderState(pos=(1.0, 1.0))),
+            dg.JointState(dg.PursuerState(pos=[0, 1], theta=0.5), dg.EvaderState(pos=[1, 1])),
+            dg.JointState(car, dg.EvaderState(pos=(1.0, 2.0))),
+        }
+        assert len(pairs) == 2
+        assert dg.JointState(car, dg.EvaderState(pos=np.array([1.0, 2.0]))) in pairs
+
+    def test_positions_cannot_be_written(self):
+        car = dg.PursuerState(pos=np.array([0.0, 1.0]), theta=0.5)
+        with pytest.raises(TypeError):
+            car.pos[0] = 1.0
+        evader = dg.EvaderState(pos=[0.0, 1.0])
+        with pytest.raises(TypeError):
+            evader.pos[1] = -1.0
+        assert car.pos == evader.pos == (0.0, 1.0)
 
 
 def _scenario(pursuers, evaders, seed=0):
@@ -306,7 +357,7 @@ class TestStepKernelsMatchReference:
             ref = reference_step_pursuer(dg.PursuerState(pos=(x, y), theta=theta), u, dt, p)
             out = dg.step_pursuer(x, y, theta, u, dt, v_p, kappa)
             assert all(type(v) is float for v in out)
-            assert repr(out) == repr((*ref.pos.tolist(), ref.theta)), (u, theta)
+            assert repr(out) == repr((*ref.pos, ref.theta)), (u, theta)
 
     def test_step_evader(self):
         rng = np.random.default_rng(72)
@@ -319,7 +370,7 @@ class TestStepKernelsMatchReference:
             dt, v_e = float(rng.uniform(1e-4, 1.0)), float(rng.uniform(0.01, 1.0))
             p = dg.GameParams(v_p=2.0 * v_e, v_e=v_e, kappa=1.0, r=0.1)
             state = dg.EvaderState(pos=(x, y))
-            ref = _outcome(lambda: reference_step_evader(state, (ux, uy), dt, p).pos.tolist())
+            ref = _outcome(lambda: reference_step_evader(state, (ux, uy), dt, p).pos)
             assert _outcome(dg.step_evader, x, y, (ux, uy), dt, v_e) == ref
             assert _outcome(dg.step_evader, x, y, np.array([ux, uy]), dt, v_e) == ref
         refused = [_outcome(dg.step_evader, 0.0, 1.0, u, 0.1, 1.0) == "ValueError" for u in controls]
