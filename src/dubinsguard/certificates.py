@@ -29,7 +29,6 @@ from .geometry import (
     IO_TOL,
     aim_bearing,
     aim_point,
-    goal_gap,
     heading_error,
     lowest_point,
     turn_direction,
@@ -91,8 +90,9 @@ def heading_adjust_ratio(alpha: float) -> float:
 def intercept_feasible(r: float, kappa: float, alpha: float) -> bool:
     """Non-strict check r/kappa >= h(alpha) (admissibility of the
     interception-tracking command under separation and alignment).  The
-    one place this comparison is made: ``two_step_feasible`` and
-    ``classify_region`` call it."""
+    one place this comparison is made: ``two_step_feasible``,
+    ``classify_region``, ``certify_win`` and
+    ``strategies.two_step_command`` call it."""
     return r / kappa >= curvature_demand(alpha)
 
 
@@ -183,7 +183,7 @@ def adjust_time_bound(
     ``geometry.turn_direction(err)``, so every bound built on this one
     (scope, clearance, both oracles) is a bound on the executed maneuver."""
     if err is None:
-        err = heading_error(state, p)
+        err = heading_error(state.pursuer.pos, state.pursuer.theta, state.evader.pos, p.alpha)
     if err == 0.0:
         raise ValueError("state is already aligned; no adjustment to bound")
     sign = turn_direction(err)
@@ -227,8 +227,9 @@ def relaxation_sextic(x_c, x_e, alpha: float, kappa: float) -> Polynomial:
     the relaxed worst-case clearance problem; coefficients ascending."""
     if alpha <= 1.0 or kappa <= 0.0:
         raise ValueError("need alpha > 1 and kappa > 0")
-    dx2 = (x_e[0] - x_c[0]) ** 2
-    dy = x_c[1] - x_e[1]
+    (cx, cy), (ex, ey) = _as_point(x_c), _as_point(x_e)
+    dx2 = (ex - cx) ** 2
+    dy = cy - ey
     sep2 = dx2 + dy * dy
     a2 = alpha * alpha
     one_m = (1.0 - a2) ** 2
@@ -612,8 +613,9 @@ def rollout_clearance_oracle(
     event clearance.
     """
     _check_grid(grid)
-    dist0 = float(np.linalg.norm(np.subtract(state.pursuer.pos, state.evader.pos)))
-    if dist0 <= p.r or abs(err0 := heading_error(state, p)) <= 1e-12:
+    x_p, x_e = state.pursuer.pos, state.evader.pos
+    dist0 = float(np.linalg.norm(np.subtract(x_p, x_e)))
+    if dist0 <= p.r or abs(err0 := heading_error(x_p, state.pursuer.theta, x_e, p.alpha)) <= 1e-12:
         return (math.inf, np.full(grid, np.nan)) if return_times else math.inf
     bound = adjust_time_bound(state, p, err0)
     sign = bound.turn_sign
@@ -689,12 +691,7 @@ class Certificate:
     evidence: CertificateEvidence
 
 
-def certify_win(
-    state: JointState,
-    p: GameParams,
-    motion: str = "dubins",
-    aim: tuple[float, float, float] | None = None,
-) -> Certificate:
+def certify_win(state: JointState, p: GameParams, motion: str = "dubins") -> Certificate:
     """Decide whether the pursuer has a guaranteed win against the evader
     from this state, and record the predicate values that decided it.
 
@@ -705,16 +702,14 @@ def certify_win(
     pass the two-step check and the worst-case clearance bound is
     non-negative.  A simple-motion pursuer needs separation only.
 
-    The aim point, the heading error and the adjustment-time bound are each
-    computed once and handed to the predicates that use them.  ``aim`` is
-    the pair's ``aim_point``, when the caller already has it.
+    Separation is the one test of the aim height: ``evidence.separation``
+    is that signed height, and ``sc`` holds when it is at least 0.  The aim
+    point, the heading error and the adjustment-time bound are each computed
+    once and handed to the predicates that use them.
     """
     x_p, x_e = state.pursuer.pos, state.evader.pos
-    if aim is None:
-        aim = aim_point(x_p, x_e, p.alpha)
-    aim_x, aim_y, _ = aim
-    separation = goal_gap(aim_y)
-    sc = separation >= 0.0
+    aim_x, aim_y, _ = aim_point(x_p, x_e, p.alpha)
+    sc = aim_y >= 0.0
     dist = math.hypot(x_p[0] - x_e[0], x_p[1] - x_e[1])
     io = err = intercept_ok = adjust_ok = two_ok = None
     beyond_capture = scope_ok = duration = clearance = None
@@ -752,7 +747,7 @@ def certify_win(
     return Certificate(
         kind=kind,
         evidence=CertificateEvidence(
-            separation=separation,
+            separation=aim_y,
             sc=sc,
             io=io,
             heading_err=err,
@@ -790,12 +785,13 @@ def sample_adjust_feasible_state(
         ye = yp + dist * math.sin(bearing)
         if ye <= 0.05:
             continue
-        state = JointState(
-            pursuer=PursuerState(pos=(xp, yp), theta=theta_p),
-            evader=EvaderState(pos=(xp + dist * math.cos(bearing), ye)),
-        )
-        if abs(heading_error(state, p)) <= 1e-3:
+        x_e = (xp + dist * math.cos(bearing), ye)
+        err = heading_error((xp, yp), theta_p, x_e, p.alpha)
+        if abs(err) <= 1e-3:
             continue
-        if adjust_scope_holds(state, p):
+        state = JointState(
+            pursuer=PursuerState(pos=(xp, yp), theta=theta_p), evader=EvaderState(pos=x_e)
+        )
+        if adjust_scope_holds(state, p, adjust_time_bound(state, p, err)):
             return state
     raise RuntimeError("failed to sample a feasible state")

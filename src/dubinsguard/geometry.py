@@ -1,5 +1,5 @@
-"""Evasion-region geometry: the interception point, the separation gap,
-the heading error and the turn rule that closes it.
+"""Evasion-region geometry: the interception point, the heading error and
+the turn rule that closes it.
 
 For a pursuer-evader pair with speed ratio alpha > 1 the set of points the
 evader reaches strictly first (under simple motion on both sides) is an open
@@ -9,8 +9,8 @@ point is the interception angle.
 
 ``lowest_point`` is the one copy of that formula, on floats or arrays.
 ``aim_point`` (checked, one pair) and ``aim_bearing`` are the aim-point
-kernel: the heading error here, the strategies, the simulator's heading
-snaps and ``certify_win`` all read the point through them, and a pair has
+kernel: ``heading_error``, the strategies, the simulator's heading snaps
+and ``certify_win`` all read the point through them, and a pair has
 separation when its aim height is at least 0.  ``interception`` packages
 the same point as an ``InterceptionData`` for callers that want every
 derived quantity at once.
@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import GameParams, JointState, _as_point, wrap_angle, wrap_to_pi
+from .model import _as_point, wrap_angle, wrap_to_pi
 
 #: Width of the heading-alignment band.  Exact equality is unreachable in
 #: floating point; the simulator snaps the heading once the wrapped
@@ -104,28 +104,11 @@ def interception(x_p, x_e, alpha: float) -> InterceptionData:
     )
 
 
-def goal_gap(clearance: float) -> float:
-    """Distance between the goal half-plane and a closed evasion disk whose
-    aim point sits at height ``clearance``.
-
-    Returns the (non-negative) gap when the interiors are disjoint and -inf
-    when the open disk dips into the open half-plane, i.e. the two interiors
-    intersect.  The value is -inf rather than the geometric overlap depth:
-    it marks "separation lost", not a length.
-    """
-    return clearance if clearance >= 0.0 else -math.inf
-
-
-def bearing_error(x_p, theta: float, x_e, alpha: float) -> float:
+def heading_error(x_p, theta: float, x_e, alpha: float) -> float:
     """Wrapped difference interception-angle minus the heading ``theta`` of
     a pursuer at ``x_p``, against an evader at ``x_e``, in (-pi, pi]."""
     x, y, _ = aim_point(x_p, x_e, alpha)
     return wrap_to_pi(aim_bearing(x_p, x, y) - theta)
-
-
-def heading_error(state: JointState, p: GameParams) -> float:
-    """``bearing_error`` of a pair state."""
-    return bearing_error(state.pursuer.pos, state.pursuer.theta, state.evader.pos, p.alpha)
 
 
 def turn_direction(err: float) -> float:

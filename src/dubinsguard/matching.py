@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass, field
 
 from .certificates import Certificate, CertificateKind, certify_win
-from .geometry import aim_point
 from .model import GameParams, JointState
 
 
@@ -19,7 +18,7 @@ from .model import GameParams, JointState
 class WinGraph:
     """Bipartite graph over pursuer and evader indices; every edge carries
     the certificate that justifies it.  ``screened`` holds the aim height,
-    below 0, of every pair the separation screen left out."""
+    below 0, of every pair certified without separation."""
 
     n_pursuers: int
     n_evaders: int
@@ -51,22 +50,15 @@ def build_graph(
     is not NONE.  Inactive players are simply absent from ``pair_states``.
     ``motion`` maps each pursuer index to its ``certify_win`` motion model.
 
-    Pairs without separation are screened out first: every certificate
-    requires it, so ``certify_win`` would return NONE for them.  The screen
-    is ``certify_win``'s own separation test, an aim height of at least 0;
-    each pair's aim point is computed once, here, and handed to
-    ``certify_win``.  The graph reports the aim height of every pair
-    screened out.
+    The graph reports the aim height (``evidence.separation``) of every
+    pair whose certificate lacks separation.
     """
     edges = {}
     screened = {}
     for key in sorted(pair_states):
-        state, params = pair_states[key], pair_params[key]
-        aim = aim_point(state.pursuer.pos, state.evader.pos, params.alpha)
-        if aim[1] < 0.0:
-            screened[key] = aim[1]
-            continue
-        cert = certify_win(state, params, motion=motion[key[0]], aim=aim)
+        cert = certify_win(pair_states[key], pair_params[key], motion=motion[key[0]])
+        if not cert.evidence.sc:
+            screened[key] = cert.evidence.separation
         if cert.kind is not CertificateKind.NONE:
             edges[key] = cert
     return WinGraph(

@@ -7,8 +7,8 @@ reached:
 - assign: every step (or every ``matching_period`` steps) the win graph over
   the active pairs is rebuilt, a maximum matching assigns pursuers to
   evaders, and leftover pursuers chase the nearest unmatched evader.  A
-  pair the graph's separation screen left out is not offered again while
-  its separation window is open (see ``WINDOW_MARGIN``): no pair in a window
+  pair the graph reports without separation is not offered again while its
+  separation window is open (see ``WINDOW_MARGIN``): no pair in a window
   could be an edge, so the graph is the one a full rebuild would give;
 - controls: evader controls first, then the pursuers', which observe them.
   Every car runs ``strategies.two_step_command``, the one adjust-then-
@@ -80,7 +80,7 @@ SNAP_FACTOR = 10.0
 #: aim height y = (a^2 y_e - y_p - a d) / (a^2 - 1) moves at most
 #: 2 v_p / (a - 1) per unit of game time, for cars and simple-motion
 #: pursuers alike (|dy_e/dt| <= v_e = v_p / a, |dy_p/dt| <= v_p and
-#: |dd/dt| <= v_p + v_e).  So a pair screened out at aim height y < 0 still
+#: |dd/dt| <= v_p + v_e).  So a pair reported at aim height y < 0 still
 #: lacks separation, with an aim height below -WINDOW_MARGIN, until
 #: (-y - WINDOW_MARGIN) (a - 1) / (2 v_p) of game time has passed: its
 #: window.  The margin absorbs the rounding of the computed heights.
@@ -222,8 +222,8 @@ class _Game:
             self.e_fixed.append(_with_heading(evader_constant(heading)))
 
         self.params = {(i, j): sc.pair_params(i, j) for i in range(n_p) for j in range(n_e)}
-        # Game time until which each screened-out pair provably stays
-        # without separation.
+        # Game time until which each pair the graph reported without
+        # separation provably stays so.
         self.unseparated_until: dict[tuple[int, int], float] = {}
         self.motion = {i: spec.motion for i, spec in enumerate(sc.pursuers)}
         self.radii = np.array([spec.r for spec in sc.pursuers])

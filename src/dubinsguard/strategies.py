@@ -6,8 +6,8 @@ it with a turn-rate command synthesized from the evader's current control
 the interception angle at full turn rate (alignment not yet established),
 turning the way ``geometry.turn_direction`` picks, the same rule the
 certificates bound.  ``two_step_command`` composes the last two into the
-car's adjust-then-intercept phase machine on float pairs, the one the
-simulator runs for every car.
+car's adjust-then-intercept phase machine, the one the simulator runs for
+every car.
 Evader side: head for the interception point (the unique best response), or
 hold a constant heading.  Positions and controls are ``(x, y)`` float pairs;
 the maps that return a control also accept arrays as positions.
@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certificates import intercept_feasible
-from .geometry import IO_TOL, aim_point, bearing_error, heading_error, turn_direction
-from .model import GameParams, JointState, _as_point
+from .geometry import IO_TOL, aim_point, heading_error, turn_direction
+from .model import GameParams, _as_point
 
 #: Turn commands may exceed 1 in magnitude by rounding; excess above this is
 #: counted as a genuine precondition violation rather than float noise.
@@ -119,9 +119,19 @@ def _gains(x_p, x_e, alpha: float, kappa: float) -> tuple[float, float, float]:
     )
 
 
-def intercept_command(x_p, x_e, u_e, p: GameParams, diag=None) -> float:
-    """``pursuit_intercept`` on float pairs: the car at ``x_p``, the evader
-    at ``x_e`` and its control ``u_e``, each an (x, y) of Python floats."""
+def pursuit_intercept(
+    x_p, x_e, u_e, p: GameParams, diag: ClampDiagnostics | None = None
+) -> float:
+    """Turn command for a car at ``x_p`` with separation and alignment
+    established, given the evader at ``x_e`` and its current control
+    ``u_e``.
+
+    Guaranteed to lie in [-1, 1] while the pair distance is at least the
+    capture radius and the parameters pass the curvature-feasibility check;
+    clamping is applied (and recorded on ``diag``) as a diagnostic for
+    precondition violations, never as an error.
+    """
+    u_e = _as_point(u_e)
     vx, vy, bias = _gains(x_p, x_e, p.alpha, p.kappa)
     u = vx * u_e[0] + vy * u_e[1] + bias
     if u > 1.0 or u < -1.0:
@@ -131,36 +141,20 @@ def intercept_command(x_p, x_e, u_e, p: GameParams, diag=None) -> float:
     return u
 
 
-def pursuit_intercept(
-    state: JointState,
-    u_e,
-    p: GameParams,
-    diag: ClampDiagnostics | None = None,
-) -> float:
-    """Turn command for a car with separation and alignment established,
-    given the evader's current control.
-
-    Guaranteed to lie in [-1, 1] while the pair distance is at least the
-    capture radius and the parameters pass the curvature-feasibility check;
-    clamping is applied (and recorded on ``diag``) as a diagnostic for
-    precondition violations, never as an error.
-    """
-    return intercept_command(state.pursuer.pos, state.evader.pos, _as_point(u_e), p, diag)
-
-
-def heading_adjust(state: JointState, p: GameParams) -> float:
+def heading_adjust(x_p, theta: float, x_e, p: GameParams) -> float:
     """Full turn command toward the interception angle, in the direction
     ``geometry.turn_direction`` picks: the shorter angular sweep, clockwise
     when the error is exactly opposite up to float noise."""
-    return turn_direction(heading_error(state, p))
+    return turn_direction(heading_error(x_p, theta, x_e, p.alpha))
 
 
 def two_step_command(
     x_p, theta: float, x_e, u_e, p: GameParams, mode: TwoStepState, diag=None
 ) -> tuple[float, TwoStepState]:
-    """Two-step pursuit on float pairs (see ``intercept_command``): the car
-    at ``x_p`` with heading ``theta`` adjusts until alignment, then
-    intercepts.  Returns the turn command and the updated phase state.
+    """Two-step pursuit: the car at ``x_p`` with heading ``theta`` adjusts
+    until alignment, then tracks the evader at ``x_e`` with control ``u_e``
+    (``pursuit_intercept``).  Returns the turn command and the updated
+    phase state.
 
     The transition fires once, when the wrapped heading error first enters
     the ``IO_TOL`` band or crosses zero between consecutive calls, and only
@@ -172,9 +166,9 @@ def two_step_command(
     positions, so it does not change with the snap.
     """
     if mode.phase is Phase.INTERCEPTING:
-        return intercept_command(x_p, x_e, u_e, p, diag), mode
+        return pursuit_intercept(x_p, x_e, u_e, p, diag), mode
 
-    err = bearing_error(x_p, theta, x_e, p.alpha)
+    err = heading_error(x_p, theta, x_e, p.alpha)
     aligned = abs(err) <= IO_TOL
     if not aligned and mode.last_error is not None:
         aligned = (
@@ -183,5 +177,5 @@ def two_step_command(
             and abs(mode.last_error) < 0.5 * math.pi
         )
     if aligned and intercept_feasible(p.r, p.kappa, p.alpha):
-        return intercept_command(x_p, x_e, u_e, p, diag), TwoStepState(Phase.INTERCEPTING)
+        return pursuit_intercept(x_p, x_e, u_e, p, diag), TwoStepState(Phase.INTERCEPTING)
     return turn_direction(err), TwoStepState(mode.phase, err)

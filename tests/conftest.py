@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 import dubinsguard as dg
-from dubinsguard.geometry import aim_bearing, aim_point, bearing_error, goal_gap
+from dubinsguard.geometry import aim_bearing, aim_point
 from dubinsguard.model import STRAIGHT_EPS, _as_point
-from dubinsguard.strategies import intercept_command
 
 
 @pytest.fixture(scope="session")
@@ -31,10 +30,15 @@ def aligned_state(px, py, ex, ey, alpha) -> dg.JointState:
     return make_state(px, py, data.angle, ex, ey)
 
 
+def goal_gap(height: float) -> float:
+    """Reference: distance between the goal half-plane and a closed evasion
+    disk whose aim point sits at ``height``; -inf once the interiors
+    intersect, a marker of lost separation rather than a length."""
+    return height if height >= 0.0 else -math.inf
+
+
 def er_goal_distance(x_p, x_e, alpha: float) -> float:
-    """Reference: distance between the closed evasion disk and the goal
-    half-plane, -inf once the interiors intersect (``geometry.goal_gap`` of
-    the pair's aim height)."""
+    """Reference: ``goal_gap`` of the pair's aim height."""
     return goal_gap(float(aim_point(x_p, x_e, alpha)[1]))
 
 
@@ -58,7 +62,7 @@ def bare_intercept_run(
 
     ``evader_control`` is either the evader's fixed control (x, y) or a map
     from the pair's positions ``(x_p, x_e)`` to its control.  The pair is
-    stepped on floats, through ``strategies.intercept_command`` and the
+    stepped on floats, through ``strategies.pursuit_intercept`` and the
     model's step kernels, as the simulator steps it.
 
     Returns (clearances, controls, heading_errors, capture_time).
@@ -67,11 +71,11 @@ def bare_intercept_run(
     fixed = None if callable(evader_control) else _as_point(evader_control)
     clearances = [er_goal_distance(x_p, x_e, p.alpha)]
     controls = []
-    errors = [abs(bearing_error(x_p, theta, x_e, p.alpha))]
+    errors = [abs(dg.heading_error(x_p, theta, x_e, p.alpha))]
     captured = None
     for k in range(steps):
         u_e = fixed if fixed is not None else _as_point(evader_control(x_p, x_e))
-        u_p = intercept_command(x_p, x_e, u_e, p)
+        u_p = dg.pursuit_intercept(x_p, x_e, u_e, p)
         controls.append(u_p)
         px, py, theta = dg.step_pursuer(*x_p, theta, u_p, dt, p.v_p, p.kappa)
         x_p = (px, py)

@@ -134,8 +134,7 @@ def test_criterion_05_heading_adjustment_reaches_alignment_in_time():
             last_err = None
             t_aligned = None
             for step in range(int(bound.duration / dt) + 3):
-                pair = dg.JointState(pursuer=ps, evader=es)
-                err = dg.heading_error(pair, REFERENCE)
+                err = dg.heading_error(ps.pos, ps.theta, es.pos, REFERENCE.alpha)
                 crossed = (
                     last_err is not None
                     and (err > 0) != (last_err > 0)
@@ -153,7 +152,7 @@ def test_criterion_05_heading_adjustment_reaches_alignment_in_time():
                 assert (
                     float(np.linalg.norm(np.subtract(ps.pos, es.pos))) > REFERENCE.r
                 ), "captured before alignment"
-                command = dg.heading_adjust(pair, REFERENCE)
+                command = dg.heading_adjust(ps.pos, ps.theta, es.pos, REFERENCE)
                 x, y, theta = dg.step_pursuer(
                     *ps.pos, ps.theta, command, dt, REFERENCE.v_p, REFERENCE.kappa
                 )

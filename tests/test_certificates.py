@@ -7,7 +7,7 @@ import pytest
 import dubinsguard as dg
 from conftest import aligned_state, make_state, pair_floats
 from dubinsguard.certificates import _rollout_positions, _wrapped_error
-from dubinsguard.geometry import lowest_point
+from dubinsguard.geometry import aim_point, lowest_point
 from dubinsguard.strategies import two_step_command
 
 
@@ -49,7 +49,7 @@ def _reference_rollout_oracle(state, p, grid):
     event times, the number of capture brackets and the number of headings
     on which both tests fired in the same step."""
     dist0 = float(np.linalg.norm(np.subtract(state.pursuer.pos, state.evader.pos)))
-    err0 = dg.heading_error(state, p)
+    err0 = dg.heading_error(*pair_floats(state), p.alpha)
     bound = dg.adjust_time_bound(state, p)
     sign = bound.turn_sign
     dt = bound.duration / 2000.0
@@ -342,6 +342,21 @@ class TestAdjustTimeBound:
         with pytest.raises(ValueError):
             dg.adjust_time_bound(state, paper)
 
+    def test_zero_sweep_bounds_a_full_turn(self):
+        # the evader level with the turn centre, to its right, and the car
+        # turning counter-clockwise from heading pi/2: swept == 0.0 in
+        # floats, so the car already sits on the point of its circle
+        # nearest the evader without being aligned.  Alignment is then only
+        # guaranteed on the next pass there, one full turning period later,
+        # not at once
+        p = dg.GameParams.from_alpha(v_p=1.0, alpha=2.0, kappa=1.0, r=0.1)
+        cy = 1.0 + p.kappa * math.sin(math.pi)
+        bound = dg.adjust_time_bound(make_state(0.0, 1.0, 0.5 * math.pi, -0.5, cy), p)
+        assert bound.turn_sign == 1.0 and bound.turn_center == (-1.0, cy)
+        assert bound.center_bearing == math.pi and bound.evader_bearing == 0.0
+        assert bound.wraps == 1
+        assert bound.duration == 2 * math.pi * p.kappa / p.v_p
+
 
 class TestAdjustScope:
     def test_hand_worked_examples(self):
@@ -355,6 +370,25 @@ class TestAdjustScope:
         bound = dg.adjust_time_bound(make_state(0, 0, 0.0, 0, 3), p)
         threshold = p.kappa + p.v_p * bound.duration / math.sqrt(p.alpha**2 - 1)
         assert threshold == pytest.approx(1.5051, abs=1e-4)
+
+    def test_scope_is_strict_at_equality(self):
+        # a hand-built bound whose centre-to-evader distance 5 equals the
+        # scope radius kappa + v_p * duration / sqrt(alpha^2 - 1) =
+        # 1 + 5 * 0.6 / 0.75 in floats: the evader must lie strictly
+        # outside the scope ball, so only a strict comparison refuses it
+        p = dg.GameParams(v_p=5.0, v_e=4.0, kappa=1.0, r=0.1)
+        bound = dg.AdjustBound(
+            turn_center=(0.0, 0.0),
+            center_bearing=0.0,
+            evader_bearing=0.0,
+            wraps=0,
+            duration=0.6,
+            turn_sign=1.0,
+        )
+        assert p.kappa + p.v_p * bound.duration / math.sqrt(p.alpha**2 - 1.0) == 5.0
+        assert not dg.adjust_scope_holds(make_state(0.0, 1.0, 0.0, 3.0, 4.0), p, bound)
+        beyond = make_state(0.0, 1.0, 0.0, 3.0, math.nextafter(4.0, math.inf))
+        assert dg.adjust_scope_holds(beyond, p, bound)
 
 
 class TestRelaxationSextic:
@@ -396,7 +430,8 @@ class TestRelaxationSextic:
 
 class TestRelaxedClearance:
     @pytest.mark.parametrize(
-        "solve", [dg.relaxed_clearance_from_centers, dg.relaxed_oracle_from_centers]
+        "solve",
+        [dg.relaxed_clearance_from_centers, dg.relaxed_oracle_from_centers, dg.relaxation_sextic],
     )
     def test_centers_must_be_finite_points(self, solve):
         # a NaN center used to reach the eigenvalue solver or give a NaN
@@ -670,9 +705,53 @@ class TestCertifyWin:
 
     def test_separation_failure_is_none(self):
         p = dg.GameParams(2.0, 1.0, 1.0, 0.1)
-        cert = dg.certify_win(make_state(0, 3, 0.0, 0, 1), p)
+        state = make_state(0, 3, 0.0, 0, 1)
+        cert = dg.certify_win(state, p)
         assert cert.kind is dg.CertificateKind.NONE
-        assert cert.evidence.separation == -math.inf
+        height = aim_point(state.pursuer.pos, state.evader.pos, p.alpha)[1]
+        assert cert.evidence.separation == height < 0.0
+
+    def test_separation_is_the_signed_aim_height(self):
+        signs = set()
+        for state, p in _certify_corpus(np.random.default_rng(93), 300):
+            height = aim_point(state.pursuer.pos, state.evader.pos, p.alpha)[1]
+            for motion in ("dubins", "simple"):
+                ev = dg.certify_win(state, p, motion=motion).evidence
+                assert ev.separation == height
+                assert ev.sc == (height >= 0.0)
+            signs.add(height >= 0.0)
+        assert signs == {True, False}
+
+    def test_zero_clearance_is_a_two_step_certificate(self, paper, monkeypatch):
+        # the clearance test is non-strict: a worst-case aim point exactly
+        # on the goal line keeps the open evasion region out of the open
+        # goal half-plane
+        from dataclasses import replace
+
+        from dubinsguard import certificates
+
+        solve = certificates.relaxed_clearance_from_centers
+        monkeypatch.setattr(
+            certificates,
+            "relaxed_clearance_from_centers",
+            lambda *args: replace(solve(*args), clearance=0.0),
+        )
+        cert = dg.certify_win(make_state(4.7, 0.65, 0.0, 5.2, 0.32), paper)
+        assert cert.evidence.clearance == 0.0
+        assert cert.kind is dg.CertificateKind.TWO_STEP
+
+    def test_error_of_exactly_io_tol_is_aligned(self, paper):
+        # the alignment band is closed.  The bearing is about 2.5e-6, so
+        # theta = bearing - IO_TOL is exact and the heading error is IO_TOL
+        # exactly: an aligned intercept certificate, and the phase machine
+        # switches to intercepting
+        x_p, x_e = (0.0, 0.5), (0.5, 0.580385472229)
+        theta = dg.interception(x_p, x_e, paper.alpha).angle - dg.IO_TOL
+        assert dg.heading_error(x_p, theta, x_e, paper.alpha) == dg.IO_TOL
+        cert = dg.certify_win(make_state(*x_p, theta, *x_e), paper)
+        assert cert.evidence.io and cert.kind is dg.CertificateKind.INTERCEPT
+        _, mode = two_step_command(x_p, theta, x_e, (0.0, -1.0), paper, dg.TwoStepState())
+        assert mode.phase is dg.Phase.INTERCEPTING
 
     def test_pair_at_exactly_the_capture_radius_is_not_beyond_capture(self, paper):
         # dist == r holds exactly in floats.  The two-step route needs the
@@ -710,8 +789,8 @@ class TestTurnRule:
             -0.12676656193627223,
             0.16656105340535715,
         )
-        assert dg.heading_error(state, paper) == math.pi
-        assert dg.heading_adjust(state, paper) == -1.0
+        assert dg.heading_error(*pair_floats(state), paper.alpha) == math.pi
+        assert dg.heading_adjust(*pair_floats(state), paper) == -1.0
         assert dg.adjust_time_bound(state, paper).turn_sign == -1.0
         cert = dg.certify_win(state, paper)
         assert cert.kind is dg.CertificateKind.NONE
@@ -730,7 +809,7 @@ class TestTurnRule:
             theta = dg.wrap_angle(bearing + math.pi - delta)
             state = make_state(x_p[0], x_p[1], theta, x_e[0], x_e[1])
             sign = dg.adjust_time_bound(state, paper).turn_sign
-            assert dg.heading_adjust(state, paper) == sign
+            assert dg.heading_adjust(*pair_floats(state), paper) == sign
             command, mode = two_step_command(
                 *pair_floats(state), tuple(u_e.tolist()), paper, dg.TwoStepState()
             )

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import dubinsguard as dg
-from conftest import er_goal_distance, make_state
+from conftest import er_goal_distance, make_state, pair_floats
 from dubinsguard.geometry import aim_point
 
 
@@ -33,7 +33,7 @@ def _evasion_region(x_p, x_e, alpha):
 
 def _orientation_holds(state, p, tol):
     """The pursuer heading matches the interception angle within ``tol``."""
-    return abs(dg.heading_error(state, p)) <= tol
+    return abs(dg.heading_error(*pair_floats(state), p.alpha)) <= tol
 
 
 def test_potential_examples():
@@ -255,7 +255,7 @@ def test_aim_point_readers_equal_their_interception_definitions():
         state = make_state(x_p[0], x_p[1], theta, x_e[0], x_e[1])
         data = dg.interception(x_p, x_e, p.alpha)
 
-        assert dg.heading_error(state, p) == dg.wrap_to_pi(data.angle - theta)
+        assert dg.heading_error(*pair_floats(state), p.alpha) == dg.wrap_to_pi(data.angle - theta)
         separated = er_goal_distance(x_p, x_e, p.alpha) >= 0.0
         assert separated == (data.clearance >= 0.0)
         seen_separated.add(separated)

@@ -5,7 +5,6 @@ import pytest
 
 import dubinsguard as dg
 from conftest import adjacency, brute_force_matching_size, make_state
-from dubinsguard.geometry import aim_point
 
 
 def _dummy_cert():
@@ -139,29 +138,36 @@ class TestSeparationScreen:
         assert kinds == {dg.CertificateKind.INTERCEPT, dg.CertificateKind.TWO_STEP}
         assert near_boundary > 100
 
-    def test_screened_pairs_are_not_certified(self, monkeypatch):
+    def test_every_offered_pair_is_certified_once(self, monkeypatch):
+        # certify_win is the one separation test: every pair is certified
+        # once, and the graph reports the aim height of each certificate
+        # without separation
         from dubinsguard import matching
 
         states, params, motions = _screen_corpus(np.random.default_rng(65), 6)
         calls = []
 
-        def counting(state, p, motion="dubins", aim=None):
-            calls.append(state)
-            return dg.certify_win(state, p, motion=motion, aim=aim)
+        def counting(state, p, motion="dubins"):
+            cert = dg.certify_win(state, p, motion=motion)
+            calls.append((state, cert))
+            return cert
 
         monkeypatch.setattr(matching, "certify_win", counting)
-        dg.build_graph(states, params, 6, 6, motions)
-        separated = sum(
-            aim_point(states[k].pursuer.pos, states[k].evader.pos, params[k].alpha)[1] >= 0.0
-            for k in states
-        )
-        assert 0 < len(calls) == separated < len(states)
-
+        graph = dg.build_graph(states, params, 6, 6, motions)
+        assert len(calls) == len(states)
+        assert all(state is states[key] for (state, _), key in zip(calls, sorted(states)))
+        unseparated = {
+            key: cert.evidence.separation
+            for (_, cert), key in zip(calls, sorted(states))
+            if not cert.evidence.sc
+        }
+        assert graph.screened == unseparated
+        assert 0 < len(unseparated) < len(states)
 
     def test_each_pair_aim_point_computed_once(self, monkeypatch):
-        # the screen's aim point is the one certify_win reads: one
-        # aim_point call per pair, wherever it is made from
-        from dubinsguard import certificates, geometry, matching
+        # certify_win computes each pair's aim point once: one aim_point
+        # call per pair, wherever it is made from
+        from dubinsguard import certificates, geometry
 
         calls = []
         aim_point = geometry.aim_point
@@ -171,7 +177,7 @@ class TestSeparationScreen:
             return aim_point(x_p, x_e, alpha)
 
         rng = np.random.default_rng(66)
-        for module in (matching, certificates, geometry):
+        for module in (certificates, geometry):
             monkeypatch.setattr(module, "aim_point", counting)
         for _ in range(4):
             states, params, motions = _screen_corpus(rng, 6)

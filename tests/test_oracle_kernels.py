@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import dubinsguard as dg
-from conftest import aligned_state
+from conftest import aligned_state, pair_floats
 from dubinsguard import certificates
 from dubinsguard.certificates import _lowest_cell, _shifted_mod, _wrapped_error
 from dubinsguard.geometry import lowest_point
@@ -161,7 +161,7 @@ class TestScanCarry:
         # jumped over carrying the wrong error), would fire some headings in
         # another step.
         state = dg.sample_adjust_feasible_state(np.random.default_rng(seed), paper)
-        err0 = dg.heading_error(state, paper)
+        err0 = dg.heading_error(*pair_floats(state), paper.alpha)
         dt = dg.adjust_time_bound(state, paper).duration / 2000.0
         omega = math.pi / (300.0 * dt)
         passes = []

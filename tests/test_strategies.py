@@ -14,7 +14,7 @@ from conftest import (
     reference_two_step,
 )
 from dubinsguard.geometry import aim_bearing, aim_point
-from dubinsguard.strategies import _gains, intercept_command, two_step_command
+from dubinsguard.strategies import _gains, two_step_command
 
 
 class TestPursuitSimple:
@@ -78,17 +78,15 @@ class TestInterceptGains:
 class TestPursuitIntercept:
     def test_vertical_config_responses(self):
         p = dg.GameParams(v_p=2.0, v_e=1.0, kappa=0.5, r=0.1)
-        state = make_state(0, 1, 0.0, 0, 0)
-        assert dg.pursuit_intercept(state, (1, 0), p) == pytest.approx(1 / 6)
+        assert dg.pursuit_intercept((0, 1), (0, 0), (1, 0), p) == pytest.approx(1 / 6)
         # evader running straight down the common axis: pure pursuit line
-        assert dg.pursuit_intercept(state, (0, -1), p) == pytest.approx(0.0)
+        assert dg.pursuit_intercept((0, 1), (0, 0), (0, -1), p) == pytest.approx(0.0)
 
     def test_clamp_diagnostics(self):
         # grossly infeasible parameters force |command| > 1
         p = dg.GameParams(v_p=2.0, v_e=1.0, kappa=50.0, r=0.1)
         diag = dg.ClampDiagnostics()
-        state = make_state(0, 1, 0.0, 0, 0)
-        u = dg.pursuit_intercept(state, (1, 0), p, diag)
+        u = dg.pursuit_intercept((0, 1), (0, 0), (1, 0), p, diag)
         assert abs(u) <= 1.0
         assert diag.events == 1
         assert diag.max_excess > 1e-9
@@ -97,16 +95,16 @@ class TestPursuitIntercept:
 class TestHeadingAdjust:
     def _state_with_error(self, delta):
         data = dg.interception((0, 2), (1, 1), 3.0)
-        return make_state(0, 2, dg.wrap_angle(data.angle - delta), 1, 1)
+        return pair_floats(make_state(0, 2, dg.wrap_angle(data.angle - delta), 1, 1))
 
     def test_turns_toward_shorter_sweep(self):
         p = dg.GameParams(3.0, 1.0, 1.0, 0.1)
-        assert dg.heading_adjust(self._state_with_error(math.pi / 4), p) == 1.0
-        assert dg.heading_adjust(self._state_with_error(-math.pi / 4), p) == -1.0
+        assert dg.heading_adjust(*self._state_with_error(math.pi / 4), p) == 1.0
+        assert dg.heading_adjust(*self._state_with_error(-math.pi / 4), p) == -1.0
 
     def test_opposite_heading_turns_clockwise(self):
         p = dg.GameParams(3.0, 1.0, 1.0, 0.1)
-        assert dg.heading_adjust(self._state_with_error(math.pi), p) == -1.0
+        assert dg.heading_adjust(*self._state_with_error(math.pi), p) == -1.0
 
 
 class TestTwoStep:
@@ -116,7 +114,9 @@ class TestTwoStep:
         mode = dg.TwoStepState()
         u, mode = two_step_command(*pair_floats(state), u_e, paper, mode)
         assert mode.phase is dg.Phase.INTERCEPTING
-        assert u == pytest.approx(dg.pursuit_intercept(state, u_e, paper))
+        assert u == pytest.approx(
+            dg.pursuit_intercept(state.pursuer.pos, state.evader.pos, u_e, paper)
+        )
 
     def test_unaligned_returns_bang_command(self, paper):
         data = dg.interception((0, 0.9), (0.3, 0.4), paper.alpha)
@@ -175,8 +175,8 @@ class TestTwoStep:
             state = make_state(x_p[0], x_p[1], rng.uniform(0, 2 * math.pi), x_e[0], x_e[1])
             u, mode = two_step_command(*pair_floats(state), (0, -1), paper, dg.TwoStepState())
             if mode.phase is dg.Phase.ADJUSTING:
-                assert u == dg.heading_adjust(state, paper)
-                assert mode.last_error == dg.heading_error(state, paper)
+                assert u == dg.heading_adjust(*pair_floats(state), paper)
+                assert mode.last_error == dg.heading_error(*pair_floats(state), paper.alpha)
 
 
 class TestEvaderStrategies:
@@ -267,8 +267,7 @@ class TestInterceptDynamics:
             q_prev = None
             last_err = None
             for _step in range(2000):
-                pair = dg.JointState(pursuer=ps, evader=es)
-                err = dg.heading_error(pair, paper)
+                err = dg.heading_error(ps.pos, ps.theta, es.pos, paper.alpha)
                 crossed = (
                     last_err is not None
                     and (err > 0) != (last_err > 0)
@@ -282,7 +281,7 @@ class TestInterceptDynamics:
                     assert q >= q_prev - 1e-12
                 q_prev = q
                 last_err = err
-                u = dg.heading_adjust(pair, paper)
+                u = dg.heading_adjust(ps.pos, ps.theta, es.pos, paper)
                 x, y, theta = dg.step_pursuer(*ps.pos, ps.theta, u, dt, paper.v_p, paper.kappa)
                 ps = dg.PursuerState(pos=(x, y), theta=theta)
                 es = dg.EvaderState(pos=dg.step_evader(*es.pos, u_e, dt, paper.v_e))
@@ -338,11 +337,10 @@ class TestFloatCoreMatchesReference:
             if mode != dg.TwoStepState():
                 continue
             want = reference_pursuit_intercept(state, u_e, p)
-            got = intercept_command(
-                state.pursuer.pos, state.evader.pos, tuple(u_e.tolist()), p
-            )
+            x_p, x_e = state.pursuer.pos, state.evader.pos
+            got = dg.pursuit_intercept(x_p, x_e, tuple(u_e.tolist()), p)
             assert type(got) is float and repr(got) == repr(want)
-            assert repr(dg.pursuit_intercept(state, u_e, p)) == repr(want)
+            assert repr(dg.pursuit_intercept(x_p, x_e, u_e, p)) == repr(want)
 
     def test_evader_optimal(self):
         # float tuples, as the simulator passes them, and arrays alike
