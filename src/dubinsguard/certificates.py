@@ -9,8 +9,10 @@ already hold) or through the two-step route, whose safety is decided by a
 worst-case clearance bound: the minimum signed distance the interception
 point can be forced to during one turning period.  That bound has a KKT
 closed form driven by a degree-six polynomial; two brute-force oracles
-(a boundary scan of the relaxed problem and a trajectory rollout of the
-original one, which skips the time steps where no event can fire)
+(a boundary scan of the relaxed problem, which computes exact distances only
+for the cells a cheaper screen cannot rule out, and a trajectory rollout of
+the original one, which skips the time steps where no event can fire and
+locates events only for the headings that can hold the minimum)
 cross-check it.  All of them bound the turn the car makes:
 ``adjust_time_bound`` takes its direction from ``geometry.turn_direction``,
 the rule the strategies steer by.
@@ -384,40 +386,67 @@ def _check_grid(grid: int) -> None:
         raise ValueError("grid must be >= 1")
 
 
+#: Margin of the relaxed lattice's screen, in units of (a^2 + 1 + 4 a) M /
+#: |a^2 - 1|, with M the largest coordinate magnitude.  A cell's exact
+#: height (a^2 ye - yp)/(a^2 - 1) - a hypot(dx, dy)/(a^2 - 1) and its screen
+#: height a^2 ye/(a^2 - 1) - (yp/(a^2 - 1) + a/(a^2 - 1) sqrt(dx dx + dy dy))
+#: compute one real number from the same dx and dy, with at most ten
+#: roundings each (``np.hypot``'s error counted as two), each of relative
+#: size eps/2 (eps = 2^-52) on a term no larger than one unit (the distance
+#: is at most |dx| + |dy| <= 4 M).  So the two differ by at most 10 eps, and
+#: the screen height of a lowest exact cell lies within 20 eps of the
+#: block's lowest screen height; the margin keeps three times that.  A floor
+#: of 2^-400 on M covers squares that underflow; coordinates from 1e150 up,
+#: whose squares could overflow, and coordinates that are not finite get an
+#: infinite margin.
+_SCREEN_MARGIN = 64.0 * math.ulp(1.0)
+
+
 def _lowest_cell(xp, yp, xe, ye, alpha: float) -> tuple[int, int, float]:
     """Lowest interception point over the lattice of pursuer points (``xp``,
     ``yp``; one per row) and evader points (``xe``, ``ye``; one per column):
     (row, column, height) of the first lowest cell in row-major order, the
     cell ``np.argmin`` picks on the whole lattice (a NaN cell wins).
 
-    Scans ``_LATTICE_BLOCK`` rows at a time in two reused buffers and
-    computes only the height of ``lowest_point``, in place and in its order
-    of operations: ``(a2*ye - yp)/(a2 - 1) - alpha*dist/(a2 - 1)``."""
+    Scans ``_LATTICE_BLOCK`` rows at a time in two reused buffers.  Each
+    block ranks its cells by a screen height, a column term minus a row term
+    and a distance ``sqrt(dx*dx + dy*dy)``, then computes the height of
+    ``lowest_point`` in its order of operations, ``(a2*ye - yp)/(a2 - 1) -
+    alpha*np.hypot(dx, dy)/(a2 - 1)``, only for the cells whose screen height
+    is within ``_SCREEN_MARGIN`` of the block's lowest."""
     a2 = alpha * alpha
     a2_ye = a2 * ye
-    xp, yp = xp[:, None], yp[:, None]
-    radius_buf, height_buf = np.empty((2, min(_LATTICE_BLOCK, len(xp)), len(xe)))
+    big = float(np.max(np.abs(np.concatenate((xp, yp, xe, ye)))))
+    unit = (a2 + 1.0 + 4.0 * alpha) * (big + 2.0**-400) / abs(a2 - 1.0)
+    margin = _SCREEN_MARGIN * unit if big < 1e150 else math.inf
+    xp_col, yp_col = xp[:, None], yp[:, None]
+    col, row, rate = a2_ye / (a2 - 1.0), yp_col / (a2 - 1.0), alpha / (a2 - 1.0)
+    dist_buf, screen_buf = np.empty((2, min(_LATTICE_BLOCK, len(xp)), len(xe)))
     best, cell = math.inf, (0, 0)
     for i0 in range(0, len(xp), _LATTICE_BLOCK):
         rows = slice(i0, i0 + _LATTICE_BLOCK)
         n = len(xp[rows])
-        radius, height = radius_buf[:n], height_buf[:n]
-        np.hypot(
-            np.subtract(xp[rows], xe, out=radius),
-            np.subtract(yp[rows], ye, out=height),
-            out=radius,
-        )
-        np.multiply(alpha, radius, out=radius)
-        np.divide(radius, a2 - 1.0, out=radius)
-        np.subtract(a2_ye, yp[rows], out=height)
-        np.divide(height, a2 - 1.0, out=height)
-        np.subtract(height, radius, out=height)
+        dist, screen = dist_buf[:n], screen_buf[:n]
+        np.subtract(xp_col[rows], xe, out=dist)
+        np.multiply(dist, dist, out=dist)
+        np.subtract(yp_col[rows], ye, out=screen)
+        np.multiply(screen, screen, out=screen)
+        np.add(dist, screen, out=dist)
+        np.sqrt(dist, out=dist)
+        np.multiply(dist, rate, out=dist)
+        np.add(dist, row[rows], out=dist)
+        np.subtract(col, dist, out=screen)
+        # row-major order is kept; a NaN threshold keeps every cell
+        near = np.flatnonzero(~(screen > np.min(screen) + margin))
+        i, j = near // len(xe) + i0, near % len(xe)
+        radius = alpha * np.hypot(xp[i] - xe[j], yp[i] - ye[j]) / (a2 - 1.0)
+        height = (a2_ye[j] - yp[i]) / (a2 - 1.0) - radius
         k = int(np.argmin(height))
-        value = float(height.flat[k])
+        value = float(height[k])
         # a later block wins only with a strictly lower value, or with the
         # first NaN
         if best == best and not value >= best:
-            best, cell = value, (i0 + k // len(xe), k % len(xe))
+            best, cell = value, (int(i[k]), int(j[k]))
     return (*cell, best)
 
 
@@ -521,11 +550,14 @@ def _wrapped_error(xp, yp, theta_p, xe, ye, alpha: float, dist=None):
 
 def _bisect_events(state, p, sign, cos_e, sin_e, t_lo, t_hi, capture: bool):
     """Event time in each bracket [t_lo, t_hi] of the evader headings of
-    cosines ``cos_e``, sines ``sin_e``: 60 joint halvings of the capture gap
-    or the wrapped heading error.  A zero at a midpoint collapses that
-    bracket onto it for good.  Only the sign of the value at ``t_lo`` is
+    cosines ``cos_e``, sines ``sin_e``: at most 60 joint halvings of the
+    capture gap or the wrapped heading error.  A zero at a midpoint collapses
+    that bracket onto it for good.  Only the sign of the value at ``t_lo`` is
     kept: ``t_lo`` moves only to a midpoint on the same side of zero, so that
-    sign never changes."""
+    sign never changes.  A midpoint that repeats the last one bit for bit
+    gets the last one's value and so its decision again, which moves that
+    bracket's end to where it already is; once every midpoint repeats, so
+    does every later halving, and the loop stops before evaluating it."""
 
     def event(s):
         xp, yp, tp, xe, ye = _rollout_positions(state, p, sign, s, cos_e, sin_e)
@@ -534,8 +566,11 @@ def _bisect_events(state, p, sign, cos_e, sin_e, t_lo, t_hi, capture: bool):
         return _wrapped_error(xp, yp, tp, xe, ye, p.alpha)
 
     lo_positive = event(t_lo) > 0.0
+    mid = None
     for _ in range(60):
-        mid = 0.5 * (t_lo + t_hi)
+        last, mid = mid, 0.5 * (t_lo + t_hi)
+        if last is not None and mid.tobytes() == last.tobytes():
+            break
         f_mid = event(mid)
         zero = f_mid == 0.0
         lo_moves = (f_mid > 0.0) == lo_positive
@@ -589,6 +624,24 @@ def _quiet_steps(err, gap, p: GameParams, dt: float):
     return np.floor(np.minimum(x, (gap - _JUMP_MARGIN) / close) / dt)
 
 
+#: Rounding margin, in lengths of aim height, of the rollout oracle's
+#: pruning.  A heading fired in the bracket [t_lo, t_hi] pays the aim height
+#: y(t) at its event time t in that bracket, and y moves at most
+#: 2 v_p / (alpha - 1) per unit of time (the bound at
+#: ``sim.WINDOW_MARGIN``: the car moves at v_p, the evader at v_e and
+#: their distance at most v_p + v_e).  So with y_hi its height at t_hi and
+#: s = 2 v_p / (alpha - 1) (t_hi - t_lo) + margin, its payoff lies in
+#: [y_hi - s, y_hi + s].  A heading with y_hi - s > min(y_hi + s) over the
+#: fired headings pays more than the heading that attains that minimum, so
+#: it cannot hold the oracle's value and is neither bisected nor
+#: evaluated.  Elementwise array work does not depend on a value's position
+#: in the array, so the kept headings' payoffs, and so their minimum, are
+#: those of a run that bisects every heading, bit for bit.  A NaN height
+#: keeps every heading.  The margin absorbs the rounding of the computed
+#: heights and of alpha = v_p / v_e at the oracle's length scales.
+_PRUNE_MARGIN = 1e-9
+
+
 def rollout_clearance_oracle(
     state: JointState, p: GameParams, grid: int = 720, return_times: bool = False
 ):
@@ -608,9 +661,12 @@ def rollout_clearance_oracle(
     and gap; in one array pass per round, all of them jump over the steps
     where neither can reach zero (``_quiet_steps``) or take one step under
     the hit test, so the brackets are a per-step scan's (``_JUMP_MARGIN``).
-    Then one array bisection locates all heading-error events and one all
+    Then one array bisection locates the heading-error events and one the
     captures (the earlier wins), and one ``lowest_point`` call gives every
-    event clearance.
+    event clearance.  Without ``return_times`` only the headings whose
+    payoff can be the minimum are bisected and evaluated: the aim height at
+    each bracket's end, widened by its rate bound over the bracket, rules out
+    the rest (``_PRUNE_MARGIN``).
     """
     _check_grid(grid)
     x_p, x_e = state.pursuer.pos, state.evader.pos
@@ -647,6 +703,16 @@ def rollout_clearance_oracle(
         keep = ~fired & (t_next < horizon)
         idx, k, t, err, gap = idx[keep], k[keep], t_next[keep], err_next[keep], gap_next[keep]
 
+    if not return_times:
+        # bisect only the headings whose payoff can be the minimum
+        fired = io_fired | cap_fired
+        t_end = t_hi[fired]
+        xp, yp, _, xe, ye = _rollout_positions(state, p, sign, t_end, cos_e[fired], sin_e[fired])
+        height = lowest_point(xp, yp, xe, ye, np.hypot(xp - xe, yp - ye), p.alpha)[1]
+        slack = 2.0 * p.v_p / (p.alpha - 1.0) * (t_end - t_lo[fired]) + _PRUNE_MARGIN
+        fired[fired] = ~(height - slack > np.min(height + slack, initial=math.inf))
+        io_fired &= fired
+        cap_fired &= fired
     times = np.full(grid, math.inf)
     for fired, capture in ((io_fired, False), (cap_fired, True)):
         if fired.any():

@@ -114,6 +114,27 @@ def _reference_rollout_oracle(state, p, grid):
     return best, event_times, captures, both
 
 
+def _sixty_halvings(state, p, sign, cos_e, sin_e, t_lo, t_hi, capture):
+    """``_bisect_events`` without its stop at the fixed point: always 60
+    joint halvings."""
+
+    def event(s):
+        xp, yp, tp, xe, ye = _rollout_positions(state, p, sign, s, cos_e, sin_e)
+        if capture:
+            return np.hypot(xp - xe, yp - ye) - p.r
+        return _wrapped_error(xp, yp, tp, xe, ye, p.alpha)
+
+    lo_positive = event(t_lo) > 0.0
+    for _ in range(60):
+        mid = 0.5 * (t_lo + t_hi)
+        f_mid = event(mid)
+        zero = f_mid == 0.0
+        lo_moves = (f_mid > 0.0) == lo_positive
+        t_lo = np.where(lo_moves | zero, mid, t_lo)
+        t_hi = np.where(lo_moves & ~zero, t_hi, mid)
+    return 0.5 * (t_lo + t_hi)
+
+
 def _oracle_corpora(paper):
     """Trial states as ``oracle-compare --trials 1 --seed S`` draws them for
     S = 0..15, and near-capture states from one seeded stream."""
@@ -614,6 +635,112 @@ class TestRolloutOracle:
         found = certificates._bisect_events(None, paper, 1.0, roots, roots, t_lo, t_hi, False)
         assert found[0] == 0.0 and found[1] == 0.0
         assert abs(found[2] - 1.0 / 3.0) < 1e-15
+
+    def test_bisection_stops_at_its_fixed_point(self, paper, monkeypatch):
+        # bit for bit the 60 halvings on every bracket the oracle bisects
+        # over the jump corpus, capture brackets included; on the
+        # oracle-compare trial states no bracket changes after halving 41-45,
+        # so no call evaluates more than 47 times
+        from dubinsguard import certificates
+
+        bisect = certificates._bisect_events
+        calls, evaluations, per_call = [], [0], []
+
+        def recorded(*args):
+            calls.append(args)
+            return bisect(*args)
+
+        monkeypatch.setattr(certificates, "_bisect_events", recorded)
+        for state, p, _ in _jump_corpus(paper, 180):
+            dg.rollout_clearance_oracle(state, p, grid=180, return_times=True)
+        assert any(args[-1] for args in calls) and not all(args[-1] for args in calls)
+        for args in calls:
+            assert np.array_equal(_bits(bisect(*args)), _bits(_sixty_halvings(*args)))
+
+        def positions(*args):
+            evaluations[0] += 1
+            return _rollout_positions(*args)
+
+        def counted(*args):
+            before = evaluations[0]
+            found = bisect(*args)
+            per_call.append(evaluations[0] - before)
+            return found
+
+        monkeypatch.setattr(certificates, "_rollout_positions", positions)
+        monkeypatch.setattr(certificates, "_bisect_events", counted)
+        for seed in range(12):
+            state = dg.sample_adjust_feasible_state(np.random.default_rng(seed), paper)
+            for return_times in (False, True):
+                dg.rollout_clearance_oracle(state, paper, grid=360, return_times=return_times)
+        assert len(per_call) == 24 and max(per_call) <= 47
+
+    @pytest.mark.parametrize("grid", [180, 360])
+    def test_pruned_value_equals_the_reference(self, paper, grid):
+        # without return_times only the headings that can hold the minimum
+        # are bisected; the value stays the one every heading's event gives
+        for state, p, (want, _, _, _) in _jump_corpus(paper, grid):
+            assert _bits(dg.rollout_clearance_oracle(state, p, grid=grid)) == _bits(want)
+
+    def test_pruned_value_on_the_trial_states(self, paper, monkeypatch):
+        # the states oracle-compare --trials 1 --seed S draws for S < 200;
+        # under a tenth of their headings are bisected
+        from dubinsguard import certificates
+
+        bisect = certificates._bisect_events
+        bisected = []
+
+        def recorded(state, p, sign, cos_e, *rest):
+            bisected.append(cos_e.size)
+            return bisect(state, p, sign, cos_e, *rest)
+
+        for seed in range(200):
+            state = dg.sample_adjust_feasible_state(np.random.default_rng(seed), paper)
+            full, _ = dg.rollout_clearance_oracle(state, paper, grid=360, return_times=True)
+            with monkeypatch.context() as m:
+                m.setattr(certificates, "_bisect_events", recorded)
+                value = dg.rollout_clearance_oracle(state, paper, grid=360)
+            assert _bits(value) == _bits(full)
+        assert len(bisected) == 200 and sum(bisected) <= 0.1 * 200 * 360
+
+    def test_pruning_keeps_headings_that_are_not_lowest_at_the_bracket_end(
+        self, paper, monkeypatch
+    ):
+        # a synthetic rollout: on every heading the heading error crosses
+        # zero at the same instant, inside the scan step [300 dt, 301 dt],
+        # and the evader sits straight above the car at a height y whose aim
+        # height moves at 0.9 times its bound 2 v_p / (alpha - 1): falling
+        # where cos_e > 0, rising where cos_e < 0.  At the step's end
+        # heading 0 is lowest, at the event the opposite heading: without
+        # the slack the pruning keeps heading 0 alone and misses the minimum
+        from dubinsguard import certificates
+
+        state = dg.sample_adjust_feasible_state(np.random.default_rng(0), paper)
+        err0 = dg.heading_error(*pair_floats(state), paper.alpha)
+        dt = dg.adjust_time_bound(state, paper).duration / 2000.0
+        t_hi, omega = 301.0 * dt, abs(err0) / (300.37 * dt)
+        # the aim height of the evader at height y above the car is
+        # y alpha / (alpha + 1)
+        rate = 2.0 * paper.v_p / (paper.alpha - 1.0) * (paper.alpha + 1.0) / paper.alpha
+
+        def y(s, cos_e):
+            return 0.5 - 0.9 * rate * cos_e * (s - t_hi) + 0.1 * rate * dt * (1.0 - cos_e)
+
+        def positions(state, p, sign, s, cos_e, sin_e):
+            zeros = np.zeros(np.broadcast(s, cos_e).shape)
+            return zeros, zeros, s + zeros, zeros, y(s, cos_e) + zeros
+
+        def error(xp, yp, tp, xe, ye, alpha, dist=None):
+            return math.copysign(1.0, err0) * (abs(err0) - omega * tp)
+
+        monkeypatch.setattr(certificates, "_rollout_positions", positions)
+        monkeypatch.setattr(certificates, "_wrapped_error", error)
+        monkeypatch.setattr(certificates, "_error_rate_bound", lambda p: (2.0 * omega, 0.0))
+        full, times = dg.rollout_clearance_oracle(state, paper, grid=90, return_times=True)
+        cos_e = np.cos(np.linspace(0.0, 2.0 * math.pi, 90, endpoint=False))
+        assert np.all(times == times[0]) and 300.0 * dt < times[0] < t_hi
+        assert np.argmin(y(t_hi, cos_e)) == 0 and np.argmin(y(times, cos_e)) == 45
+        assert _bits(dg.rollout_clearance_oracle(state, paper, grid=90)) == _bits(full)
 
     @pytest.mark.parametrize("grid", [180, 360])
     def test_jump_scan_equals_the_per_step_reference(self, paper, grid):

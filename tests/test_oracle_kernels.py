@@ -60,10 +60,44 @@ class TestShiftedMod:
             assert _bits(got) == _bits(want)
 
 
+def _screen_heights(xp, yp, xe, ye, alpha):
+    """The heights ``_lowest_cell`` ranks a lattice's cells by before it
+    computes exact ones."""
+    a2 = alpha * alpha
+    dx, dy = xp[:, None] - xe, yp[:, None] - ye
+    rate = alpha / (a2 - 1.0)
+    return a2 * ye / (a2 - 1.0) - (yp[:, None] / (a2 - 1.0) + rate * np.sqrt(dx * dx + dy * dy))
+
+
+def _exact_heights(xp, yp, xe, ye, alpha):
+    xp, yp = xp[:, None], yp[:, None]
+    return lowest_point(xp, yp, xe, ye, np.hypot(xp - xe, yp - ye), alpha)[1]
+
+
+def _misordered_pair(alpha):
+    """A one-row lattice of two cells, from a seeded search over cells a
+    rounding apart, whose exact heights and screen heights are ordered
+    oppositely."""
+    rng = np.random.default_rng(1)
+    while True:
+        xp, yp, xe, ye = rng.uniform(-1.0, 1.0, 4)
+        lattice = (
+            np.array([xp]),
+            np.array([yp]),
+            xe + np.array([0.0, rng.normal() * 1e-15]),
+            ye + np.array([0.0, rng.normal() * 1e-15]),
+        )
+        exact = _exact_heights(*lattice, alpha)[0]
+        screen = _screen_heights(*lattice, alpha)[0]
+        if (exact[0] - exact[1]) * (screen[0] - screen[1]) < 0.0:
+            return lattice
+
+
 def _lattices(paper):
     """Boundary-point lattices (xp, yp, xe, ye) at grid 180: the oracle
-    corpora's, one whose rows all tie, one whose last row is lowest, and
-    one with a NaN column."""
+    corpora's, the first of them at coordinate scales 1e6 and 1e-6, one whose
+    rows all tie, one whose last row is lowest, one with a NaN column, and
+    the one-row pair the screen misorders."""
     trials, near = _oracle_corpora(paper)
     angles = np.linspace(0.0, TWO_PI, 180, endpoint=False)
     reach = TWO_PI * paper.kappa / paper.alpha
@@ -82,20 +116,19 @@ def _lattices(paper):
     tied = (np.full(180, xp[0]), np.full(180, yp[0]), xe, ye)
     last_lowest = (xp, np.where(np.arange(180) == 179, yp + 1.0, yp), xe, ye)
     with_nan = (xp, yp, np.where(np.arange(180) == 40, np.nan, xe), ye)
-    return lattices + [tied, last_lowest, with_nan]
+    scaled = [tuple(scale * v for v in lattices[0]) for scale in (1e6, 1e-6)]
+    return lattices + scaled + [tied, last_lowest, with_nan, _misordered_pair(paper.alpha)]
 
 
 class TestLatticeBlocks:
     @pytest.mark.parametrize("block", [1, 7, 64])
     def test_lowest_cell_is_the_first_minimum(self, paper, monkeypatch, block):
         # the cell np.argmin picks on the whole lattice, in any row blocks:
-        # a wrong tie rule, a dropped partial block or a lost row offset
-        # picks another cell
+        # a wrong tie rule, a dropped partial block, a lost row offset or a
+        # screen margin too thin for the misordered pair picks another cell
         monkeypatch.setattr(certificates, "_LATTICE_BLOCK", block)
         for xp, yp, xe, ye in _lattices(paper):
-            xp_col, yp_col = xp[:, None], yp[:, None]
-            dist = np.hypot(xp_col - xe, yp_col - ye)
-            full = lowest_point(xp_col, yp_col, xe, ye, dist, paper.alpha)[1]
+            full = _exact_heights(xp, yp, xe, ye, paper.alpha)
             i, j = np.unravel_index(int(np.argmin(full)), full.shape)
             row, col, value = _lowest_cell(xp, yp, xe, ye, paper.alpha)
             assert (row, col) == (i, j)
@@ -190,6 +223,6 @@ class TestScanCarry:
         k = np.argmax(hit, axis=0)
         assert hit.any(axis=0).all() and len(set(k)) > 20 and k.max() > 64
         assert np.all((ts[k] <= times) & (times <= ts[k + 1]))
-        # the scan's passes (all but the bisection's 61 and the clearance's
-        # one) are far fewer than the steps of a per-step scan
+        # the scan's passes (all but the bisection's at most 61 and the
+        # clearance's one) are far fewer than the steps of a per-step scan
         assert len(passes) - 62 < k.max() / 4
