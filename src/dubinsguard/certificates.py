@@ -467,13 +467,21 @@ def relaxed_oracle_from_centers(
     ex, ey = _as_point(x_e)
     reach = 2.0 * math.pi * kappa / alpha
 
-    # the polish works on Python floats, which round as numpy scalars do;
-    # the trig and the distance stay numpy's
+    # the polish works on Python floats, which round as numpy scalars do.
+    # The trig stays numpy's (it may use its own SIMD loops); the distance is
+    # the complex magnitude, which calls the C library's ``hypot`` as numpy's
+    # does but raises on overflow; the height is ``lowest_point``'s y.
+    a2 = alpha * alpha
+
     def circle(x0, y0, radius, theta):
         return x0 + radius * float(np.cos(theta)), y0 + radius * float(np.sin(theta))
 
     def height(xp, yp, xe, ye):
-        return lowest_point(xp, yp, xe, ye, float(np.hypot(xp - xe, yp - ye)), alpha)[1]
+        try:
+            dist = abs(complex(xp - xe, yp - ye))
+        except OverflowError:
+            dist = math.inf
+        return (a2 * ye - yp) / (a2 - 1.0) - alpha * dist / (a2 - 1.0)
 
     angles = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
     cos, sin = np.cos(angles), np.sin(angles)

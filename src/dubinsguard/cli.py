@@ -12,6 +12,7 @@ Exit codes: 0 clean, 1 input error or a violating ``oracle-compare`` trial,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -361,10 +362,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
     """Run one command; an input or output error (``ValueError`` or
-    ``OSError``) is one ``error:`` line on stderr and exit code 1."""
-    args = build_parser().parse_args(argv)
+    ``OSError``) is one ``error:`` line on stderr and exit code 1.
+
+    Every call parses with one parser, built on the first call: parsing
+    leaves it unchanged, but each subcommand's handler (``cmd_*``) is bound
+    then, so rebinding a ``cmd_*`` name later does not reach ``main``."""
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -180,11 +180,19 @@ def _newton_polish(coeffs: tuple[float, ...], slope: tuple[float, ...], x: float
 
 def golden_max(f, a: float, b: float, tol: float = 1e-12) -> tuple[float, float]:
     """Golden-section maximization of a unimodal ``f`` on [a, b]; returns
-    (argmax, value)."""
+    (argmax, value).
+
+    Stops once the bracket is no wider than ``tol`` (which must be
+    positive), or once a step leaves it no narrower: below the float
+    spacing of ``a`` and ``b`` the inner points round onto the bracket's
+    ends and the bracket stops shrinking."""
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
     c = b - _INV_GOLDEN * (b - a)
     d = a + _INV_GOLDEN * (b - a)
     fc, fd = f(c), f(d)
     while b - a > tol:
+        width = b - a
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _INV_GOLDEN * (b - a)
@@ -193,6 +201,8 @@ def golden_max(f, a: float, b: float, tol: float = 1e-12) -> tuple[float, float]
             a, c, fc = c, d, fd
             d = a + _INV_GOLDEN * (b - a)
             fd = f(d)
+        if not b - a < width:
+            break
     x = 0.5 * (a + b)
     return x, f(x)
 

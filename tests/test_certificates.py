@@ -571,12 +571,14 @@ class TestRelaxedOracle:
 
 
     def test_broadcast_grid_matches_meshgrid_reference(self, paper):
-        trials, near = _oracle_corpora(paper)
-        for state in trials + near:
-            center = dg.adjust_time_bound(state, paper).turn_center
-            args = (center, state.evader.pos, paper.alpha, paper.kappa)
-            want = _reference_relaxed_oracle(*args, grid=180)
-            assert dg.relaxed_oracle_from_centers(*args, grid=180) == want
+        # the oracle corpora, then the horizon case and the states at three
+        # parameter sets away from the paper's; grid 360 is oracle-compare's
+        for grid in (180, 360):
+            for state, p, _ in _jump_corpus(paper, 180):
+                center = dg.adjust_time_bound(state, p).turn_center
+                args = (center, state.evader.pos, p.alpha, p.kappa)
+                want = _reference_relaxed_oracle(*args, grid=grid)
+                assert _bits(dg.relaxed_oracle_from_centers(*args, grid=grid)) == _bits(want)
 
 
 class TestRolloutOracle:

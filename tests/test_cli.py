@@ -1,7 +1,11 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -462,6 +466,42 @@ class TestCmdOracleCompare:
                 ]
             )
         assert paths[0].read_text() == paths[1].read_text()
+
+
+class TestSharedParser:
+    """``main`` parses every call with one parser: no call's options may
+    reach the next one."""
+
+    def test_oracle_grid_does_not_carry_over(self, tmp_path):
+        first, second, fresh = (tmp_path / name for name in ("90.csv", "360.csv", "fresh.csv"))
+        assert cli.main(["oracle-compare", "--trials", "1", "--grid", "90", "--out", str(first)]) == 0
+        assert cli.main(["oracle-compare", "--trials", "1", "--out", str(second)]) == 0
+        env = dict(os.environ, PYTHONPATH=str(Path(dg.__file__).resolve().parent.parent))
+        argv = ["oracle-compare", "--trials", "1", "--out", str(fresh)]
+        subprocess.run([sys.executable, "-m", "dubinsguard.cli", *argv], env=env, check=True)
+        assert second.read_bytes() == fresh.read_bytes()
+        assert first.read_bytes() != fresh.read_bytes()
+
+    def test_sticky_does_not_carry_over(self, golden_path, monkeypatch):
+        configs = []
+        real_run = cli.run
+        monkeypatch.setattr(cli, "run", lambda sc, cfg: configs.append(cfg) or real_run(sc, cfg))
+        argv = ["run", "--scenario", golden_path, "--max-time", "0.01"]
+        assert cli.main([*argv, "--sticky"]) == 2
+        assert cli.main(argv) == 2
+        assert [cfg.sticky for cfg in configs] == [True, False]
+
+    def test_usage_errors_still_exit_two(self, golden_path, capsys):
+        assert cli.main(["certify", "--scenario", golden_path, "--all"]) == 0
+        both = ["certify", "--scenario", golden_path, "--pair", "1,1", "--all"]
+        for argv in (both, ["oracle-compare"], ["no-such-command"]):
+            with pytest.raises(SystemExit) as info:
+                cli.main(argv)
+            assert info.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
 
 
 @pytest.mark.parametrize(

@@ -306,3 +306,33 @@ def test_golden_max_on_parabola():
     x, value = dg.golden_max(lambda t: -(t - 0.3) ** 2, -1.0, 1.0)
     assert x == pytest.approx(0.3, abs=1e-9)
     assert value == pytest.approx(0.0, abs=1e-15)
+
+
+def _counted(f, limit=1000):
+    """``f`` that fails once called more than ``limit`` times, so that a
+    search that stops shrinking fails instead of hanging."""
+    calls = []
+
+    def g(t):
+        calls.append(t)
+        assert len(calls) <= limit, "golden_max did not stop"
+        return f(t)
+
+    return g, calls
+
+
+def test_golden_max_stops_below_the_float_spacing():
+    # the default tol of 1e-12 is below the float spacing near 1e5
+    # (1.46e-11): the bracket stops shrinking a few spacings wide
+    f, calls = _counted(lambda t: -(t - 1e5 - 0.3) ** 2)
+    x, _ = dg.golden_max(f, 1e5, 1e5 + 1.0)
+    assert abs(x - (1e5 + 0.3)) <= 1e-10
+    assert len(calls) < 100
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-12, math.nan])
+def test_golden_max_refuses_a_non_positive_tol(tol):
+    f, calls = _counted(lambda t: -(t - 0.3) ** 2)
+    with pytest.raises(ValueError, match="tol must be positive"):
+        dg.golden_max(f, 0.0, 1.0, tol=tol)
+    assert calls == []

@@ -1,6 +1,6 @@
 """The brute-force oracles' array kernels: the exact wrap, the row-blocked
-relaxed lattice, their memory and their refusal of an empty lattice, and
-the rollout scan's jumps."""
+relaxed lattice, their memory and their refusal of an empty lattice, the
+polish's pair distance, and the rollout scan's jumps."""
 
 import math
 import tracemalloc
@@ -178,6 +178,45 @@ def test_an_empty_lattice_is_refused(paper, grid):
     for s in (state, aligned):
         with pytest.raises(ValueError, match="grid must be >= 1"):
             dg.rollout_clearance_oracle(s, paper, grid=grid)
+
+
+def _distance_corpus():
+    """Seeded (dx, dy) pairs: magnitudes from 1e-300 to 1e300 with both
+    signs, equal and very unequal parts, signed zeros and subnormals."""
+    rng = np.random.default_rng(23)
+    n = 20000
+    signs = rng.choice([-1.0, 1.0], size=(2, n))
+    dx, dy = signs * 10.0 ** rng.uniform(-300.0, 300.0, (2, n))
+    near = dx * (1.0 + rng.uniform(-1e-6, 1e-6, n))
+    tiny = 5e-324 * rng.integers(0, 2**52, (2, 2000)).astype(float)
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, 1e300, 1e-300]
+    pairs = [(a, b) for a in special for b in special]
+    pairs += zip(dx, dy)  # mostly unequal by hundreds of orders
+    pairs += zip(dx, signs[1] * dx)  # equal parts
+    pairs += zip(dx, near)  # parts equal to six digits
+    pairs += zip(*tiny)  # subnormal parts
+    pairs += zip(dx[:2000], tiny[0])  # a normal and a subnormal part
+    return [(float(a), float(b)) for a, b in pairs]
+
+
+class TestPolishDistance:
+    def test_complex_magnitude_is_np_hypot_bit_for_bit(self):
+        # the relaxed oracle's polish takes the pair distance as the
+        # complex magnitude, where the lattice and the references use
+        # ``np.hypot``
+        pairs = _distance_corpus()
+        got = [abs(complex(dx, dy)) for dx, dy in pairs]
+        want = [float(np.hypot(dx, dy)) for dx, dy in pairs]
+        assert np.array_equal(_bits(got), _bits(want))
+
+    def test_an_overflowing_distance_is_infinite(self):
+        # the pair's distance overflows to inf, as ``np.hypot``'s does,
+        # where the complex magnitude would raise
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = dg.relaxed_oracle_from_centers(
+                (0.75e308, 0.75e308), (-0.75e308, -0.75e308), 6.3, 0.0625, grid=8
+            )
+        assert value == -math.inf
 
 
 class TestScanCarry:
