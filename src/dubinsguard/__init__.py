@@ -43,6 +43,7 @@ from .model import (
     PursuerSpec,
     PursuerState,
     Scenario,
+    pair_distances,
     step_evader,
     step_pursuer,
     wrap_angle,
@@ -55,7 +56,6 @@ from .sim import (
     SimResult,
     detect_captures,
     detect_crossing,
-    pair_distances,
     run,
 )
 from .strategies import (

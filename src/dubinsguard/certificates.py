@@ -413,7 +413,8 @@ def _lowest_cell(xp, yp, xe, ye, alpha: float) -> tuple[int, int, float]:
     and a distance ``sqrt(dx*dx + dy*dy)``, then computes the height of
     ``lowest_point`` in its order of operations, ``(a2*ye - yp)/(a2 - 1) -
     alpha*np.hypot(dx, dy)/(a2 - 1)``, only for the cells whose screen height
-    is within ``_SCREEN_MARGIN`` of the block's lowest."""
+    is within ``_SCREEN_MARGIN`` of the block's lowest; an infinite margin
+    skips the screen."""
     a2 = alpha * alpha
     a2_ye = a2 * ye
     big = float(np.max(np.abs(np.concatenate((xp, yp, xe, ye)))))
@@ -426,18 +427,22 @@ def _lowest_cell(xp, yp, xe, ye, alpha: float) -> tuple[int, int, float]:
     for i0 in range(0, len(xp), _LATTICE_BLOCK):
         rows = slice(i0, i0 + _LATTICE_BLOCK)
         n = len(xp[rows])
-        dist, screen = dist_buf[:n], screen_buf[:n]
-        np.subtract(xp_col[rows], xe, out=dist)
-        np.multiply(dist, dist, out=dist)
-        np.subtract(yp_col[rows], ye, out=screen)
-        np.multiply(screen, screen, out=screen)
-        np.add(dist, screen, out=dist)
-        np.sqrt(dist, out=dist)
-        np.multiply(dist, rate, out=dist)
-        np.add(dist, row[rows], out=dist)
-        np.subtract(col, dist, out=screen)
-        # row-major order is kept; a NaN threshold keeps every cell
-        near = np.flatnonzero(~(screen > np.min(screen) + margin))
+        if margin == math.inf:
+            # the screen could overflow and would rule out no cell
+            near = np.arange(n * len(xe))
+        else:
+            dist, screen = dist_buf[:n], screen_buf[:n]
+            np.subtract(xp_col[rows], xe, out=dist)
+            np.multiply(dist, dist, out=dist)
+            np.subtract(yp_col[rows], ye, out=screen)
+            np.multiply(screen, screen, out=screen)
+            np.add(dist, screen, out=dist)
+            np.sqrt(dist, out=dist)
+            np.multiply(dist, rate, out=dist)
+            np.add(dist, row[rows], out=dist)
+            np.subtract(col, dist, out=screen)
+            # row-major order is kept; a NaN threshold keeps every cell
+            near = np.flatnonzero(~(screen > np.min(screen) + margin))
         i, j = near // len(xe) + i0, near % len(xe)
         radius = alpha * np.hypot(xp[i] - xe[j], yp[i] - ye[j]) / (a2 - 1.0)
         height = (a2_ye[j] - yp[i]) / (a2 - 1.0) - radius

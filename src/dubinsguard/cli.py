@@ -12,9 +12,12 @@ Exit codes: 0 clean, 1 input error or a violating ``oracle-compare`` trial,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
+import os
+import stat
 import sys
 from pathlib import Path
 
@@ -161,43 +164,49 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_trajectory_csv(result, path: str | Path):
-    """CSV rows in step order, each step's evaders then pursuers by numeric
-    index (E2 before E10); floats at 9 significant digits; theta and target
-    are empty for evaders.  Series of unequal length raise ``ValueError``."""
+def write_trajectory_csv(result, fh):
+    """CSV rows to the open file ``fh`` in step order, each step's evaders
+    then pursuers by numeric index (E2 before E10); floats at 9 significant
+    digits; theta and target are empty for evaders.  Series of unequal
+    length raise ``ValueError``."""
     agents = sorted(result.trajectories, key=lambda name: (name[0] == "P", int(name[1:])))
     labels = [f"{agent},{'pursuer' if agent[0] == 'P' else 'evader'}" for agent in agents]
-    with open(path, "w") as fh:
-        fh.write("t,agent,kind,x,y,theta,u,status,target\n")
-        for step in zip(*(result.trajectories[agent] for agent in agents), strict=True):
-            for label, (t, x, y, theta, u, _mode, status, target) in zip(labels, step):
-                target_name = "" if target is None else f"E{target + 1}"
-                fh.write(
-                    f"{_fmt(t)},{label},{_fmt(x)},{_fmt(y)},"
-                    f"{_fmt(theta)},{_fmt(u)},{status},{target_name}\n"
-                )
+    fh.write("t,agent,kind,x,y,theta,u,status,target\n")
+    for step in zip(*(result.trajectories[agent] for agent in agents), strict=True):
+        for label, (t, x, y, theta, u, _mode, status, target) in zip(labels, step):
+            target_name = "" if target is None else f"E{target + 1}"
+            fh.write(
+                f"{_fmt(t)},{label},{_fmt(x)},{_fmt(y)},"
+                f"{_fmt(theta)},{_fmt(u)},{status},{target_name}\n"
+            )
 
 
-def write_events(result, path: str | Path):
-    with open(path, "w") as fh:
-        for event in result.events:
-            record = {
-                "t": event.t,
-                "kind": event.kind,
-                "pursuer": None if event.pursuer is None else f"P{event.pursuer + 1}",
-                "evader": None if event.evader is None else f"E{event.evader + 1}",
-            }
-            if event.detail:
-                record["detail"] = [[f"P{i + 1}", f"E{j + 1}"] for i, j in event.detail]
-            fh.write(json.dumps(record) + "\n")
+def write_events(result, fh):
+    for event in result.events:
+        record = {
+            "t": event.t,
+            "kind": event.kind,
+            "pursuer": None if event.pursuer is None else f"P{event.pursuer + 1}",
+            "evader": None if event.evader is None else f"E{event.evader + 1}",
+        }
+        if event.detail:
+            record["detail"] = [[f"P{i + 1}", f"E{j + 1}"] for i, j in event.detail]
+        fh.write(json.dumps(record) + "\n")
 
 
-def _check_writable(*paths):
-    """Raise the ``OSError`` that writing each given path would raise, before
-    any work is done; the files are created but not truncated."""
-    for path in paths:
-        if path:
-            open(path, "a").close()
+def _open_output(path):
+    """``path`` opened before any work, so that a bad one fails at once, and
+    to append, so that a file keeps its content until ``_emptied``; a null
+    context for no path."""
+    return open(path, "a") if path else contextlib.nullcontext()
+
+
+def _emptied(fh):
+    """``fh`` emptied as opening it to write would: a regular file is
+    truncated (appending then writes from its start), a device is not."""
+    if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+        fh.truncate(0)
+    return fh
 
 
 def cmd_run(args) -> int:
@@ -208,12 +217,12 @@ def cmd_run(args) -> int:
         matching_period=args.matching_period,
         sticky=args.sticky,
     )
-    _check_writable(args.out, args.events_out)
-    result = run(sc, cfg)
-    if args.out:
-        write_trajectory_csv(result, args.out)
-    if args.events_out:
-        write_events(result, args.events_out)
+    with _open_output(args.out) as out, _open_output(args.events_out) as events:
+        result = run(sc, cfg)
+        for fh, write in ((out, write_trajectory_csv), (events, write_events)):
+            if fh is not None:
+                write(result, _emptied(fh))
+                fh.flush()  # complete before the next file, were it the same
     captures = sum(1 for e in result.events if e.kind == "capture")
     arrivals = sum(1 for e in result.events if e.kind == "goal_arrival")
     print(f"captures={captures} goal_arrivals={arrivals} horizon_exceeded={result.horizon_exceeded}")
@@ -289,29 +298,29 @@ def cmd_sweep_regions(args) -> int:
 def cmd_oracle_compare(args) -> int:
     if args.trials < 1 or args.grid < 1:
         raise ValueError("trials and grid must be >= 1")
-    _check_writable(args.out)
-    p = GameParams.from_alpha(v_p=0.3, alpha=6.3, kappa=0.0625, r=0.1)
-    rng = np.random.default_rng(args.seed)
-    violations = 0
-    lines = ["trial,clearance_closed,oracle_relaxed,oracle_rollout,abs_err,ok"]
-    for trial in range(args.trials):
-        state = certs.sample_adjust_feasible_state(rng, p)
-        try:
-            closed = certs.solve_relaxed_clearance(state, p).clearance
-        except certs.KKTReconstructionError:
-            # a solver failure is a violation row, not a crash
-            closed = math.nan
-        relaxed = certs.relaxed_clearance_oracle(state, p, grid=args.grid)
-        rollout = certs.rollout_clearance_oracle(state, p, grid=args.grid)
-        err = abs(closed - relaxed)
-        ok = err <= 1e-3 * (1.0 + abs(closed)) and closed <= rollout + 1e-3
-        if not ok:
-            violations += 1
-        lines.append(
-            f"{trial},{closed:.9g},{relaxed:.9g},{rollout:.9g},{err:.9g},{int(ok)}"
-        )
-    if args.out:
-        Path(args.out).write_text("\n".join(lines) + "\n")
+    with _open_output(args.out) as fh:
+        p = GameParams.from_alpha(v_p=0.3, alpha=6.3, kappa=0.0625, r=0.1)
+        rng = np.random.default_rng(args.seed)
+        violations = 0
+        lines = ["trial,clearance_closed,oracle_relaxed,oracle_rollout,abs_err,ok"]
+        for trial in range(args.trials):
+            state = certs.sample_adjust_feasible_state(rng, p)
+            try:
+                closed = certs.solve_relaxed_clearance(state, p).clearance
+            except certs.KKTReconstructionError:
+                # a solver failure is a violation row, not a crash
+                closed = math.nan
+            relaxed = certs.relaxed_clearance_oracle(state, p, grid=args.grid)
+            rollout = certs.rollout_clearance_oracle(state, p, grid=args.grid)
+            err = abs(closed - relaxed)
+            ok = err <= 1e-3 * (1.0 + abs(closed)) and closed <= rollout + 1e-3
+            if not ok:
+                violations += 1
+            lines.append(
+                f"{trial},{closed:.9g},{relaxed:.9g},{rollout:.9g},{err:.9g},{int(ok)}"
+            )
+        if fh is not None:
+            _emptied(fh).write("\n".join(lines) + "\n")
     print(f"trials={args.trials} violations={violations}")
     return 0 if violations == 0 else 1
 

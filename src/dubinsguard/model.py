@@ -216,8 +216,9 @@ def step_pursuer(
 
 
 def step_evader(x: float, y: float, u_e, dt: float, v_e: float) -> tuple[float, float]:
-    """Advance a simple-motion evader at (x, y) at speed ``v_e``; returns
-    (x, y).  Its control must be a finite point of the closed unit disk."""
+    """Advance any simple-motion agent, evader or pursuer, at (x, y) at speed
+    ``v_e``; returns (x, y).  Its control must be a finite point of the
+    closed unit disk, and the result finite."""
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be finite and positive, got {dt}")
     ux, uy = _as_point(u_e)
@@ -227,6 +228,19 @@ def step_evader(x: float, y: float, u_e, dt: float, v_e: float) -> tuple[float, 
     if norm > 1.0 + 1e-12:
         raise ValueError(f"evader control must lie in the unit disk, |u| = {norm}")
     return out
+
+
+def pair_distances(p_pos: np.ndarray, e_pos: np.ndarray) -> np.ndarray:
+    """Distance of every pursuer to every evader, an ``(n_p, n_e)`` array:
+    the one pair-distance kernel of the admissibility rules and the game.
+
+    Each entry is ``sqrt(d . d)`` through the same dot product that
+    ``np.linalg.norm`` takes for a 1-D vector, so it equals
+    ``np.linalg.norm(p - e)`` bit for bit; ``np.hypot`` and
+    ``sqrt(dx*dx + dy*dy)`` can differ from it in the last place.
+    """
+    d = p_pos[:, None, :] - e_pos[None, :, :]
+    return np.sqrt((d[..., None, :] @ d[..., :, None])[..., 0, 0])
 
 
 def _violations(sc: Scenario) -> list[str]:
@@ -259,19 +273,23 @@ def _violations(sc: Scenario) -> list[str]:
     seed = sc.seed
     if isinstance(seed, bool) or not (isinstance(seed, (int, np.integer)) and seed >= 0):
         violations.append(f"seed: must be a non-negative integer, got {seed!r}")
+    p_pos, e_pos = ([s.state.pos for s in specs] for specs in (sc.pursuers, sc.evaders))
+    dist = pair_distances(np.reshape(p_pos, (-1, 2)), np.reshape(e_pos, (-1, 2)))
+    inside = dist <= np.array([pu.r for pu in sc.pursuers], dtype=float)[:, None]
+    slow = np.less_equal.outer([pu.v for pu in sc.pursuers], [ev.v for ev in sc.evaders])
     for j, ev in enumerate(sc.evaders):
         if ev.strategy == "constant" and not math.isfinite(ev.heading):
             violations.append(f"evaders[{j}]: heading must be finite, got {ev.heading}")
         if ev.state.pos[1] <= 0.0:
             violations.append(f"evaders[{j}]: not in play region (y <= 0)")
-        for i, pu in enumerate(sc.pursuers):
-            dist = float(np.linalg.norm(np.subtract(ev.state.pos, pu.state.pos)))
-            if dist <= pu.r:
+        for i in np.flatnonzero(inside[:, j] | slow[:, j]).tolist():
+            pu = sc.pursuers[i]
+            if inside[i, j]:
                 violations.append(
                     f"evaders[{j}]: inside capture disk of pursuers[{i}] "
-                    f"(distance {dist:.6g} <= r = {pu.r:.6g})"
+                    f"(distance {float(dist[i, j]):.6g} <= r = {pu.r:.6g})"
                 )
-            if pu.v <= ev.v:
+            if slow[i, j]:
                 violations.append(
                     f"pursuers[{i}]: not faster than evaders[{j}] "
                     f"(speed {pu.v:.6g} <= {ev.v:.6g})"

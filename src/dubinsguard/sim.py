@@ -5,7 +5,8 @@ over one per-game state object until no evader is in play or the horizon is
 reached:
 
 - assign: every step (or every ``matching_period`` steps) the win graph over
-  the active pairs is rebuilt, a maximum matching assigns pursuers to
+  the active pairs is rebuilt, a maximum matching of what its kept pairs
+  leave (``sticky``: the previous pairs still edges) assigns pursuers to
   evaders, and leftover pursuers chase the nearest unmatched evader.  A
   pair the graph reports without separation is not offered again while its
   separation window is open (see ``WINDOW_MARGIN``): no pair in a window
@@ -15,9 +16,9 @@ reached:
   intercept phase machine; the simulator snaps a car's heading onto the
   interception angle when its phase switches, and logs ``io_achieved``;
 - record: one trajectory row per agent;
-- integrate: each car and each active evader moves exactly under its
-  zero-order-hold control, one ``model.step_pursuer`` or ``step_evader``
-  call each, and intercepting cars are re-snapped against integration drift;
+- integrate: each car, and each active simple-motion agent, moves exactly
+  under its zero-order-hold control, one ``model.step_pursuer`` or
+  ``step_evader`` call each, and intercepting cars are re-snapped against drift;
 - detect: capture and goal-arrival crossings are located by linear
   interpolation inside the step.
 
@@ -28,9 +29,9 @@ already, so they are read as they are, and the validated state objects of
 the win graph, built once per refresh for agents with a pair outside its
 window, take the pairs without conversion.  Arrays appear only where all
 pairs are batched: the pair distances are one ``(n_p, n_e)`` array per
-step, shared by the capture screen and by the nearest-pursuer choice of
-``optimal`` evaders.  A ``dt`` long enough for a pursuer and an evader to
-close a capture radius in one step is refused.
+step, from ``model.pair_distances``, shared by the capture screen and by
+the nearest-pursuer choice of ``optimal`` evaders.  A ``dt`` long enough
+for a pursuer and an evader to close a capture radius in one step is refused.
 """
 
 from __future__ import annotations
@@ -43,13 +44,14 @@ import numpy as np
 
 from .certificates import CertificateKind
 from .geometry import IO_TOL, aim_bearing, aim_point
-from .matching import assign, build_graph, max_matching
+from .matching import WinGraph, assign, build_graph, max_matching
 from .model import (
     DUBINS,
     EvaderState,
     JointState,
     PursuerState,
     Scenario,
+    pair_distances,
     step_evader,
     step_pursuer,
     wrap_angle,
@@ -136,18 +138,6 @@ def detect_crossing(prev: float, nxt: float, threshold: float) -> float | None:
     if prev == nxt:
         return 0.0
     return (prev - threshold) / (prev - nxt)
-
-
-def pair_distances(p_pos: np.ndarray, e_pos: np.ndarray) -> np.ndarray:
-    """Distance of every pursuer to every evader, an ``(n_p, n_e)`` array.
-
-    Each entry is ``sqrt(d . d)`` through the same dot product that
-    ``np.linalg.norm`` takes for a 1-D vector, so it equals
-    ``np.linalg.norm(p - e)`` bit for bit; ``np.hypot`` and
-    ``sqrt(dx*dx + dy*dy)`` can differ from it in the last place.
-    """
-    d = p_pos[:, None, :] - e_pos[None, :, :]
-    return np.sqrt((d[..., None, :] @ d[..., :, None])[..., 0, 0])
 
 
 def detect_captures(
@@ -264,32 +254,24 @@ class _Game:
         for key, height in graph.screened.items():
             p = self.params[key]
             until[key] = t + (-height - WINDOW_MARGIN) * (p.alpha - 1.0) / (2.0 * p.v_p)
-        if self.cfg.sticky:
-            kept = {
-                i: j
-                for i, j in self.matched.items()
-                if (i, j) in graph.edges and self.status[j] == ACTIVE
-            }
+        kept, residual = {}, graph
+        if self.cfg.sticky:  # the graph holds active evaders only
+            kept = {i: j for i, j in self.matched.items() if (i, j) in graph.edges}
+        if kept:
             residual_edges = {
                 (i, j): c
                 for (i, j), c in graph.edges.items()
                 if i not in kept and j not in kept.values()
             }
-            residual = type(graph)(n_pursuers=n_p, n_evaders=n_e, edges=residual_edges)
-            new_matched = dict(kept)
-            new_matched.update(max_matching(residual))
-        else:
-            new_matched = max_matching(graph)
-        assignment = assign(graph, new_matched, self.p_xy, {j: self.e_xy[j] for j in active})
+            residual = WinGraph(n_pursuers=n_p, n_evaders=n_e, edges=residual_edges)
+        kept.update(max_matching(residual))
+        assignment = assign(graph, kept, self.p_xy, {j: self.e_xy[j] for j in active})
         matched, opportunistic = assignment.matched, assignment.opportunistic
+        pairs = tuple(sorted(matched.items()))
         if matched != self.matched:
-            self.events.append(
-                Event(t=self.t, kind="matching_changed", detail=tuple(sorted(matched.items())))
-            )
-            self.matched = dict(matched)
-        self.matching_history.append(
-            (self.t, tuple(sorted(matched.items())), tuple(sorted(opportunistic.items())))
-        )
+            self.events.append(Event(t=t, kind="matching_changed", detail=pairs))
+            self.matched = matched
+        self.matching_history.append((t, pairs, tuple(sorted(opportunistic.items()))))
         for i in range(n_p):
             new_target = matched.get(i, opportunistic.get(i))
             if new_target == self.target[i]:
@@ -337,8 +319,8 @@ class _Game:
         return aim_bearing(x_p, x, y)
 
     def pursuer_controls(self, e_controls) -> list[float | tuple | None]:
-        """Turn commands of the cars (0.0 without a live target) and unit
-        controls of the simple-motion pursuers (None without one)."""
+        """Turn commands of the cars (0.0 without a live target) and, as for
+        evaders, (unit control, heading) of the others (None without one)."""
         controls: list[float | tuple | None] = []
         for i, phase in enumerate(self.phases):
             j = self.live_target(i)
@@ -347,7 +329,8 @@ class _Game:
                 continue
             pr = self.params[(i, j)]
             if phase is None:
-                controls.append(pursuit_simple(self.p_xy[i], self.e_xy[j], pr.alpha))
+                u = pursuit_simple(self.p_xy[i], self.e_xy[j], pr.alpha)
+                controls.append(_with_heading(u))
                 continue
             u, self.phases[i] = two_step_command(
                 self.p_xy[i], self.theta[i], self.e_xy[j], e_controls[j][0], pr, phase, self.diag
@@ -364,7 +347,7 @@ class _Game:
         for i, (x, y) in enumerate(self.p_xy):
             phase, u = self.phases[i], p_controls[i]
             if phase is None:
-                u, mode = None if u is None else math.atan2(u[1], u[0]), "simple"
+                u, mode = None if u is None else u[1], "simple"
             else:
                 mode = "intercept" if phase.phase is Phase.INTERCEPTING else "adjust"
             self.p_rows[i].append((t, x, y, self.theta[i], u, mode, ACTIVE, self.target[i]))
@@ -384,9 +367,8 @@ class _Game:
                 x, y, self.theta[i] = step_pursuer(x, y, self.theta[i], u, dt, spec.v, spec.kappa)
                 self.p_xy[i] = (x, y)
             elif u is not None:
-                step = spec.v * dt
-                self.p_xy[i] = (x + step * u[0], y + step * u[1])
-                self.theta[i] = wrap_angle(math.atan2(u[1], u[0]))
+                self.p_xy[i] = step_evader(x, y, u[0], dt, spec.v)
+                self.theta[i] = wrap_angle(u[1])
         self.e_start = self.e_xy[:]
         for j, (spec, c) in enumerate(zip(self.sc.evaders, e_controls)):
             if c is not None:

@@ -252,7 +252,8 @@ class TestTrajectoryCsv:
     def test_rows_follow_steps_and_numeric_index(self, played, tmp_path):
         n, result = played
         out = tmp_path / "traj.csv"
-        cli.write_trajectory_csv(result, out)
+        with open(out, "w") as fh:
+            cli.write_trajectory_csv(result, fh)
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         steps = len(result.trajectories["P1"])
         assert steps > 10 and len(rows) == 2 * n * steps
@@ -269,15 +270,16 @@ class TestTrajectoryCsv:
     def test_bytes_equal_the_sorted_reference(self, played, tmp_path):
         _, result = played
         out = tmp_path / "traj.csv"
-        cli.write_trajectory_csv(result, out)
+        with open(out, "w") as fh:
+            cli.write_trajectory_csv(result, fh)
         assert out.read_text() == _reference_csv(result)
 
     def test_series_of_unequal_length_is_refused(self, played, tmp_path):
         _, result = played
         trajectories = dict(result.trajectories, E10=result.trajectories["E10"][:-1])
         short = dataclasses.replace(result, trajectories=trajectories)
-        with pytest.raises(ValueError):
-            cli.write_trajectory_csv(short, tmp_path / "traj.csv")
+        with open(tmp_path / "traj.csv", "w") as fh, pytest.raises(ValueError):
+            cli.write_trajectory_csv(short, fh)
 
 
 class TestCmdCertify:
@@ -527,3 +529,65 @@ def test_unwritable_output_is_one_error_line(golden_path, tmp_path, capsys, monk
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert str(target) in captured.err
     assert played == []  # a game is not played before the path is refused
+
+
+def _count_opens(monkeypatch) -> dict[str, int]:
+    """Count the opens of each path through ``open`` and ``io.open`` (the
+    one ``pathlib`` uses) from here on."""
+    import builtins
+    import io
+
+    counts: dict[str, int] = {}
+    real_open = builtins.open
+
+    def counted(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)):
+            key = os.fspath(file)
+            counts[key] = counts.get(key, 0) + 1
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counted)
+    monkeypatch.setattr(io, "open", counted)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "argv, outputs",
+    [
+        (["run", "--max-time", "0.05", "--out", "{a}", "--events-out", "{b}"], ("a", "b")),
+        (["oracle-compare", "--trials", "1", "--grid", "90", "--out", "{a}"], ("a",)),
+    ],
+    ids=["run", "oracle_compare"],
+)
+def test_each_output_file_is_opened_once(golden_path, tmp_path, monkeypatch, argv, outputs):
+    paths = {name: str(tmp_path / f"{name}.out") for name in ("a", "b")}
+    if argv[0] == "run":
+        argv = [argv[0], "--scenario", golden_path, *argv[1:]]
+    argv = [arg.format(**paths) for arg in argv]
+    for name in outputs:
+        Path(paths[name]).write_text("stale content that is longer than a short result\n" * 9999)
+    counts = _count_opens(monkeypatch)
+    assert cli.main(argv) in (0, 2)
+    for name in outputs:
+        assert counts[paths[name]] == 1
+        text = Path(paths[name]).read_text()
+        assert "stale" not in text and text.startswith(("t,agent", '{"t"', "trial,"))
+
+
+def test_failed_run_keeps_existing_outputs(golden_path, tmp_path, capsys):
+    # the game is refused before it has a result: the files stay as they were
+    out, events = tmp_path / "traj.csv", tmp_path / "events.jsonl"
+    out.write_text("old trajectory\n")
+    events.write_text("old events\n")
+    argv = ["run", "--scenario", golden_path, "--dt", "0.5", "--max-time", "1"]
+    assert cli.main([*argv, "--out", str(out), "--events-out", str(events)]) == 1
+    assert capsys.readouterr().err.startswith("error: dt=0.5")
+    assert out.read_text() == "old trajectory\n"
+    assert events.read_text() == "old events\n"
+
+
+def test_a_device_output_is_written_without_truncation(capsys):
+    # opening a device to write does not truncate it, and truncating one fails
+    argv = ["oracle-compare", "--trials", "1", "--grid", "90", "--out", os.devnull]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().err == ""

@@ -327,6 +327,108 @@ class TestValidateScenario:
         assert built >= 50
 
 
+
+def _reference_violations(pursuers, evaders, seed) -> list[str]:
+    """The admissibility rules with one ``np.linalg.norm`` call per
+    pursuer-evader pair, the form the batched distance kernel replaced."""
+    violations = []
+    for team, specs in (("pursuers", pursuers), ("evaders", evaders)):
+        if not specs:
+            violations.append(f"{team}: at least one required")
+        for k, spec in enumerate(specs):
+            values = {"speed": spec.v}
+            if team == "pursuers":
+                values.update(kappa=spec.kappa, capture_radius=spec.r)
+            for name, value in values.items():
+                if not (math.isfinite(value) and value > 0.0):
+                    violations.append(
+                        f"{team}[{k}]: {name} must be finite and positive, got {value}"
+                    )
+        for a in range(len(specs)):
+            for b in range(a + 1, len(specs)):
+                if specs[a].state.pos == specs[b].state.pos:
+                    violations.append(f"{team}[{a}] and {team}[{b}] coincide")
+    if isinstance(seed, bool) or not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        violations.append(f"seed: must be a non-negative integer, got {seed!r}")
+    for j, ev in enumerate(evaders):
+        if ev.strategy == "constant" and not math.isfinite(ev.heading):
+            violations.append(f"evaders[{j}]: heading must be finite, got {ev.heading}")
+        if ev.state.pos[1] <= 0.0:
+            violations.append(f"evaders[{j}]: not in play region (y <= 0)")
+        for i, pu in enumerate(pursuers):
+            dist = float(np.linalg.norm(np.subtract(ev.state.pos, pu.state.pos)))
+            if dist <= pu.r:
+                violations.append(
+                    f"evaders[{j}]: inside capture disk of pursuers[{i}] "
+                    f"(distance {dist:.6g} <= r = {pu.r:.6g})"
+                )
+            if pu.v <= ev.v:
+                violations.append(
+                    f"pursuers[{i}]: not faster than evaders[{j}] "
+                    f"(speed {pu.v:.6g} <= {ev.v:.6g})"
+                )
+    return violations
+
+
+class TestPairRulesMatchPerPairNorm:
+    """The capture-disk and speed rules read one batched distance array;
+    their messages must equal the per-pair ``np.linalg.norm`` reference
+    byte for byte, at and around equality too."""
+
+    @staticmethod
+    def _teams(seed, n=30):
+        rng = np.random.default_rng(seed)
+        p_pos = [tuple(rng.uniform((0.0, 0.5), (6.0, 3.0)).tolist()) for _ in range(n)]
+        e_pos = [tuple(rng.uniform((0.0, 0.1), (6.0, 3.0)).tolist()) for _ in range(n)]
+        radii = [0.1] * n
+        speeds = [0.3] * n
+        # evaders next to pursuers, each pursuer's radius set to the
+        # reference distance, one rounding above it, or one below it
+        for k, i in enumerate(rng.choice(n, 6, replace=False).tolist()):
+            j = int(rng.integers(n))
+            offset = rng.uniform(-0.08, 0.08, 2)
+            e_pos[j] = (p_pos[i][0] + float(offset[0]), max(p_pos[i][1] + float(offset[1]), 0.05))
+            dist = float(np.linalg.norm(np.subtract(e_pos[j], p_pos[i])))
+            radii[i] = dist * (1.0, 1.0 + 1e-15, 1.0 - 1e-15)[k % 3]
+        # coincident agents: an evader on a pursuer, two evaders, two pursuers
+        a, b, c, d = rng.choice(n, 4, replace=False).tolist()
+        e_pos[a] = p_pos[b]
+        e_pos[c] = e_pos[d]
+        p_pos[a] = p_pos[c]
+        # slow pursuers: slower than every evader, and as fast as them
+        speeds[b], speeds[d] = 0.01, 0.3 / 6.3
+        pursuers = [
+            dg.PursuerSpec(
+                state=dg.PursuerState(pos=pos, theta=0.0), v=v, kappa=0.0625, r=r
+            )
+            for pos, v, r in zip(p_pos, speeds, radii)
+        ]
+        evaders = [dg.EvaderSpec(state=dg.EvaderState(pos=pos), v=0.3 / 6.3) for pos in e_pos]
+        return pursuers, evaders
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_messages_equal_the_reference(self, seed):
+        pursuers, evaders = self._teams(seed)
+        expected = _reference_violations(pursuers, evaders, seed)
+        assert any("inside capture disk" in v for v in expected)
+        assert any("not faster" in v for v in expected)
+        assert "invalid scenario: " + "; ".join(expected) == _violation(pursuers, evaders, seed)
+
+    def test_radius_at_the_distance_is_inside_and_one_rounding_below_is_not(self):
+        p, e = (0.3, 1.7), (0.37, 1.61)
+        dist = float(np.linalg.norm(np.subtract(e, p)))
+        evaders = [dg.EvaderSpec(state=dg.EvaderState(pos=e), v=0.1)]
+        message = "evaders[0]: inside capture disk of pursuers[0] (distance {:.6g} <= r = {:.6g})"
+        for factor, inside in ((1.0, True), (1.0 + 1e-15, True), (1.0 - 1e-15, False)):
+            r = dist * factor
+            pursuers = [_pursuer(*p, r=r)]
+            expected = [message.format(dist, r)] if inside else []
+            assert _reference_violations(pursuers, evaders, 0) == expected
+            if inside:
+                assert _violation(pursuers, evaders).endswith(f"<= r = {r:.6g})")
+            else:
+                _scenario(pursuers, evaders)
+
 def _outcome(step, *args):
     """The result of one step as the repr of a tuple, or the error type it
     raised."""

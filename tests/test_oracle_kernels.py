@@ -4,6 +4,7 @@ polish's pair distance, and the rollout scan's jumps."""
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -217,6 +218,16 @@ class TestPolishDistance:
                 (0.75e308, 0.75e308), (-0.75e308, -0.75e308), 6.3, 0.0625, grid=8
             )
         assert value == -math.inf
+
+    def test_huge_centers_skip_the_screen_without_warnings(self):
+        # with an infinite margin every cell gets the exact height, and the
+        # screen, whose squares would overflow, is not computed
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = dg.relaxed_oracle_from_centers(
+                (1e200, 1e200), (-1e200, -1e200), 6.3, 0.0625, grid=8
+            )
+        assert _bits(value) == _bits(-1.5122535767873092e200)
 
 
 class TestScanCarry:

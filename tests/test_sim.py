@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from importlib import resources
 
@@ -683,3 +684,88 @@ class TestSeparationWindows:
         assert counts["skipped"] == 0
         assert unwindowed == windowed
         assert sum(e.kind == "capture" for e in windowed.events) >= 2
+
+
+def _mixed_5v5():
+    """The bundled 5v5 with evaders 1 and 2 optimal, evader 3 constant at
+    heading 4.5 and pursuer 5 on simple motion."""
+    sc = _bundled_5v5()
+    evaders = list(sc.evaders)
+    for j in (0, 1):
+        evaders[j] = dataclasses.replace(evaders[j], strategy="optimal")
+    evaders[2] = dataclasses.replace(evaders[2], strategy="constant", heading=4.5)
+    pursuers = list(sc.pursuers)
+    pursuers[4] = dataclasses.replace(pursuers[4], motion="simple")
+    return dataclasses.replace(sc, pursuers=tuple(pursuers), evaders=tuple(evaders))
+
+
+def test_simple_motion_pursuer_steps_along_its_recorded_heading():
+    # a simple-motion pursuer moves by the evaders' step: each step goes
+    # v dt along the recorded heading u, and the next row's heading is u
+    sc = _mixed_5v5()
+    dt, v = 1e-3, sc.pursuers[4].v
+    result = dg.run(sc, dg.SimConfig(dt=dt, max_time=8.0))
+    assert sum(e.kind == "capture" for e in result.events) == 5
+    rows = result.trajectories["P5"]
+    stepped = 0
+    for (_, x, y, _, u, mode, _, _), (_, x1, y1, theta1, *_) in zip(rows, rows[1:]):
+        assert mode == "simple"
+        if u is None:
+            assert (x1, y1) == (x, y)
+            continue
+        stepped += 1
+        assert theta1 == dg.wrap_angle(u)
+        assert abs(x1 - x - v * dt * math.cos(u)) <= 1e-12
+        assert abs(y1 - y - v * dt * math.sin(u)) <= 1e-12
+    assert stepped > 1000
+
+
+class TestOneRematchingPass:
+    """Every refresh matches once: a plain refresh matches the whole graph,
+    a sticky one first keeps each previously matched pair that is still an
+    edge."""
+
+    @staticmethod
+    def _refreshes(monkeypatch, sc, cfg):
+        """Play the game; returns, per refresh, the built graph, the graph
+        matched and the refresh's matching."""
+        built, matched = [], []
+        build_graph, max_matching = sim.build_graph, sim.max_matching
+
+        def recording_build(*args):
+            built.append(build_graph(*args))
+            return built[-1]
+
+        def recording_match(graph):
+            matched.append(graph)
+            return max_matching(graph)
+
+        monkeypatch.setattr(sim, "build_graph", recording_build)
+        monkeypatch.setattr(sim, "max_matching", recording_match)
+        result = dg.run(sc, cfg)
+        history = [dict(pairs) for _, pairs, _ in result.matching_history]
+        assert len(built) == len(matched) == len(history)
+        return list(zip(built, matched, history))
+
+    @pytest.mark.parametrize("seed, n", [(11, 5), (13, 8)])
+    def test_plain_refresh_matches_the_whole_graph(self, monkeypatch, seed, n):
+        cfg = dg.SimConfig(dt=1e-3, max_time=10.0, matching_period=5)
+        refreshes = self._refreshes(monkeypatch, _contested_team(seed, n), cfg)
+        for graph, matched_graph, matching in refreshes:
+            assert matched_graph is graph
+            assert matching == dg.max_matching(graph)
+
+    @pytest.mark.parametrize("seed, n", [(11, 5), (13, 8)])
+    def test_sticky_refresh_keeps_the_pairs_still_edges(self, monkeypatch, seed, n):
+        cfg = dg.SimConfig(dt=1e-3, max_time=10.0, matching_period=5, sticky=True)
+        previous, kept_some, differs = {}, 0, 0
+        refreshes = self._refreshes(monkeypatch, _contested_team(seed, n), cfg)
+        for graph, matched_graph, matching in refreshes:
+            kept = {i: j for i, j in previous.items() if (i, j) in graph.edges}
+            assert kept.items() <= matching.items()
+            assert (matched_graph is graph) == (not kept)
+            assert all(i not in kept and j not in kept.values() for i, j in matched_graph.edges)
+            kept_some += bool(kept)
+            differs += matching != dg.max_matching(graph)
+            previous = matching
+        assert kept_some > 0 and differs > 0
