@@ -34,7 +34,7 @@ from .geometry import (
     interception,
     turn_direction,
 )
-from .matching import Assignment, WinGraph, assign, build_graph, max_matching
+from .matching import WinGraph, assign, build_graph, max_matching
 from .model import (
     EvaderSpec,
     EvaderState,

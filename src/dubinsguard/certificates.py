@@ -535,21 +535,6 @@ def _rollout_positions(state: JointState, p: GameParams, sign: float, s, cos_e, 
     return xp, yp, theta_p, xe, ye
 
 
-def _shifted_mod(x, out=None):
-    """``np.mod(x, 2*pi) - pi`` bit for bit, written into ``out`` when given
-    (which may be ``x``).
-
-    ``fmod`` is exact, and ``np.mod`` is ``fmod`` plus ``2*pi`` where the
-    remainder is negative; the two differ only in the sign of a zero
-    remainder, which the ``- pi`` turns into -pi either way."""
-    r = np.fmod(x, TWO_PI, out=out)
-    if r.ndim == 0:
-        return (r + TWO_PI if r < 0.0 else r) - math.pi
-    np.add(r, TWO_PI, out=r, where=r < 0.0)
-    r -= math.pi
-    return r
-
-
 def _wrapped_error(xp, yp, theta_p, xe, ye, alpha: float, dist=None):
     """Wrapped heading error of the rollout positions, in [-pi, pi); ``dist``
     is their pair distance ``np.hypot(xp - xe, yp - ye)``, when the caller
@@ -558,7 +543,7 @@ def _wrapped_error(xp, yp, theta_p, xe, ye, alpha: float, dist=None):
         dist = np.hypot(xp - xe, yp - ye)
     cx, cy, _ = lowest_point(xp, yp, xe, ye, dist, alpha)
     err = np.arctan2(cy - yp, cx - xp) - theta_p + math.pi
-    return _shifted_mod(err, out=err if np.ndim(err) else None)
+    return np.mod(err, TWO_PI) - math.pi
 
 
 def _bisect_events(state, p, sign, cos_e, sin_e, t_lo, t_hi, capture: bool):

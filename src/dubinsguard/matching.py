@@ -2,13 +2,15 @@
 
 Each certified pair becomes an edge of a bipartite graph; a maximum-
 cardinality matching picks the guaranteed assignments, and leftover pursuers
-chase the nearest unmatched evader opportunistically.
+chase the nearest unmatched evader opportunistically (the nearest evader
+when every one is held), read from the game's pair-distance array.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .certificates import Certificate, CertificateKind, certify_win
 from .model import GameParams, JointState
@@ -24,19 +26,6 @@ class WinGraph:
     n_evaders: int
     edges: dict[tuple[int, int], Certificate] = field(default_factory=dict)
     screened: dict[tuple[int, int], float] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class Assignment:
-    """Matched pairs plus opportunistic targets for unmatched pursuers.
-
-    ``fallback`` flags assignments made with no unmatched evader left, in
-    which case unmatched pursuers double up on the nearest matched evader.
-    """
-
-    matched: dict[int, int]
-    opportunistic: dict[int, int]
-    fallback: bool = False
 
 
 def build_graph(
@@ -115,40 +104,18 @@ def _augment(root: int, adjacency: dict[int, list[int]], evader_owner: dict[int,
     return False
 
 
-def assign(
-    graph: WinGraph,
-    matching: dict[int, int],
-    pursuer_positions: list[tuple[float, float]],
-    evader_positions: dict[int, tuple[float, float]],
-) -> Assignment:
-    """Complete a matching with opportunistic targets.
+def assign(matched: dict[int, int], dist: np.ndarray, active: list[int]) -> dict[int, int]:
+    """Opportunistic targets of the pursuers outside ``matched``.
 
-    Every unmatched pursuer takes the nearest unmatched evader (ties broken
-    by lowest evader index); when no unmatched evader remains they fall back
-    to the nearest evader of any kind.  ``evader_positions`` holds active
-    evaders only, keyed by index.
+    ``dist`` is the ``(n_p, n_e)`` pair-distance array and ``active`` the
+    ascending indices of the evaders in play.  Each pursuer outside
+    ``matched`` takes the nearest active evader that no pair holds, or the
+    nearest active evader when every one is held; ties go to the lowest
+    evader index.
     """
-    taken = set(matching.values())
-    unmatched_evaders = sorted(j for j in evader_positions if j not in taken)
-    opportunistic: dict[int, int] = {}
-    fallback = False
-    for i in range(graph.n_pursuers):
-        if i in matching:
-            continue
-        pool = unmatched_evaders if unmatched_evaders else sorted(evader_positions)
-        if not pool:
-            continue
-        if not unmatched_evaders:
-            fallback = True
-        pos = pursuer_positions[i]
-        best = min(
-            pool,
-            key=lambda j: (
-                math.hypot(
-                    evader_positions[j][0] - pos[0], evader_positions[j][1] - pos[1]
-                ),
-                j,
-            ),
-        )
-        opportunistic[i] = best
-    return Assignment(matched=dict(matching), opportunistic=opportunistic, fallback=fallback)
+    taken = set(matched.values())
+    pool = [j for j in active if j not in taken] or active
+    if not pool:
+        return {}
+    nearest = np.argmin(dist[:, pool], axis=1).tolist()
+    return {i: pool[k] for i, k in enumerate(nearest) if i not in matched}

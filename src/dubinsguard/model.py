@@ -258,7 +258,10 @@ def _violations(sc: Scenario) -> list[str]:
         specs = getattr(sc, team)
         if not specs:
             violations.append(f"{team}: at least one required")
+        # indices by position; 0.0 and -0.0 compare and hash equal
+        at: dict[tuple[float, float], list[int]] = {}
         for k, spec in enumerate(specs):
+            at.setdefault(spec.state.pos, []).append(k)
             values = {"speed": spec.v}
             if team == "pursuers":
                 values.update(kappa=spec.kappa, capture_radius=spec.r)
@@ -267,9 +270,9 @@ def _violations(sc: Scenario) -> list[str]:
                     violations.append(
                         f"{team}[{k}]: {name} must be finite and positive, got {value}"
                     )
-        for a, b in itertools.combinations(range(len(specs)), 2):
-            if specs[a].state.pos == specs[b].state.pos:
-                violations.append(f"{team}[{a}] and {team}[{b}] coincide")
+        coincide = (pair for group in at.values() for pair in itertools.combinations(group, 2))
+        for a, b in sorted(coincide):
+            violations.append(f"{team}[{a}] and {team}[{b}] coincide")
     seed = sc.seed
     if isinstance(seed, bool) or not (isinstance(seed, (int, np.integer)) and seed >= 0):
         violations.append(f"seed: must be a non-negative integer, got {seed!r}")

@@ -7,10 +7,11 @@ reached:
 - assign: every step (or every ``matching_period`` steps) the win graph over
   the active pairs is rebuilt, a maximum matching of what its kept pairs
   leave (``sticky``: the previous pairs still edges) assigns pursuers to
-  evaders, and leftover pursuers chase the nearest unmatched evader.  A
-  pair the graph reports without separation is not offered again while its
-  separation window is open (see ``WINDOW_MARGIN``): no pair in a window
-  could be an edge, so the graph is the one a full rebuild would give;
+  evaders, and leftover pursuers chase the nearest unmatched evader (the
+  nearest evader when every one is held).  A pair the graph reports
+  without separation is not offered again while its separation window is
+  open (see ``WINDOW_MARGIN``): no pair in a window could be an edge, so
+  the graph is the one a full rebuild would give;
 - controls: evader controls first, then the pursuers', which observe them.
   Every car runs ``strategies.two_step_command``, the one adjust-then-
   intercept phase machine; the simulator snaps a car's heading onto the
@@ -29,9 +30,10 @@ already, so they are read as they are, and the validated state objects of
 the win graph, built once per refresh for agents with a pair outside its
 window, take the pairs without conversion.  Arrays appear only where all
 pairs are batched: the pair distances are one ``(n_p, n_e)`` array per
-step, from ``model.pair_distances``, shared by the capture screen and by
-the nearest-pursuer choice of ``optimal`` evaders.  A ``dt`` long enough
-for a pursuer and an evader to close a capture radius in one step is refused.
+step, from ``model.pair_distances``, shared by the capture screen, the
+nearest-pursuer choice of ``optimal`` evaders and the leftover pursuers'
+nearest evader.  A ``dt`` long enough for a pursuer and an evader to close
+a capture radius in one step is refused.
 """
 
 from __future__ import annotations
@@ -265,15 +267,14 @@ class _Game:
             }
             residual = WinGraph(n_pursuers=n_p, n_evaders=n_e, edges=residual_edges)
         kept.update(max_matching(residual))
-        assignment = assign(graph, kept, self.p_xy, {j: self.e_xy[j] for j in active})
-        matched, opportunistic = assignment.matched, assignment.opportunistic
-        pairs = tuple(sorted(matched.items()))
-        if matched != self.matched:
+        opportunistic = assign(kept, self.dist, active)
+        pairs = tuple(sorted(kept.items()))
+        if kept != self.matched:
             self.events.append(Event(t=t, kind="matching_changed", detail=pairs))
-            self.matched = matched
+            self.matched = kept
         self.matching_history.append((t, pairs, tuple(sorted(opportunistic.items()))))
         for i in range(n_p):
-            new_target = matched.get(i, opportunistic.get(i))
+            new_target = kept.get(i, opportunistic.get(i))
             if new_target == self.target[i]:
                 continue
             self.target[i] = new_target

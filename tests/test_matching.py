@@ -283,37 +283,43 @@ class TestMaxMatching:
         assert a == b
 
 
+def _reference_assign(matched, p_xy, e_xy, active):
+    """The opportunistic rule on ``math.hypot`` distances: each pursuer
+    outside ``matched`` takes the (distance, index)-least of the active
+    evaders no pair holds, or of all active evaders when every one is held."""
+    taken = set(matched.values())
+    pool = [j for j in active if j not in taken] or active
+    if not pool:
+        return {}
+    return {
+        i: min(pool, key=lambda j: (math.hypot(e_xy[j][0] - x, e_xy[j][1] - y), j))
+        for i, (x, y) in enumerate(p_xy)
+        if i not in matched
+    }
+
+
+def _dist(p_xy, e_xy):
+    return dg.pair_distances(np.array(p_xy, dtype=float), np.array(e_xy, dtype=float))
+
+
 class TestAssign:
     def test_nearest_unmatched_evader(self):
-        g = _graph(2, 3, [(0, 0)])
-        matching = {0: 0}
-        positions = [np.array([0.0, 0.0]), np.array([0.0, 0.0])]
-        evaders = {
-            0: np.array([10.0, 0.0]),
-            1: np.array([3.0, 0.0]),
-            2: np.array([5.0, 0.0]),
-        }
-        out = dg.assign(g, matching, positions, evaders)
-        assert out.opportunistic == {1: 1}
-        assert not out.fallback
+        p_xy = [(0.0, 0.0), (0.0, 0.0)]
+        e_xy = [(10.0, 0.0), (3.0, 0.0), (5.0, 0.0)]
+        assert dg.assign({0: 0}, _dist(p_xy, e_xy), [0, 1, 2]) == {1: 1}
 
     def test_tie_break_lowest_index(self):
-        g = _graph(1, 5, [])
-        positions = [np.array([0.0, 0.0])]
-        evaders = {
-            2: np.array([4.0, 0.0]),
-            4: np.array([-4.0, 0.0]),
-        }
-        out = dg.assign(g, {}, positions, evaders)
-        assert out.opportunistic == {0: 2}
+        p_xy = [(0.0, 0.0)]
+        e_xy = [(1.0, 0.0), (0.5, 0.0), (4.0, 0.0), (0.1, 0.0), (-4.0, 0.0)]
+        assert dg.assign({}, _dist(p_xy, e_xy), [2, 4]) == {0: 2}
 
     def test_fallback_targets_matched_evader(self):
-        g = _graph(2, 1, [(0, 0)])
-        positions = [np.array([0.0, 0.0]), np.array([1.0, 0.0])]
-        evaders = {0: np.array([2.0, 0.0])}
-        out = dg.assign(g, {0: 0}, positions, evaders)
-        assert out.opportunistic == {1: 0}
-        assert out.fallback
+        p_xy = [(0.0, 0.0), (1.0, 0.0)]
+        e_xy = [(2.0, 0.0)]
+        matched = {0: 0}
+        out = dg.assign(matched, _dist(p_xy, e_xy), [0])
+        assert out == {1: 0}
+        assert out[1] in matched.values()
 
     def test_matched_evaders_never_duplicated(self):
         rng = np.random.default_rng(62)
@@ -326,13 +332,47 @@ class TestAssign:
                 for j in range(n_e)
                 if rng.uniform() < 0.5
             ]
-            g = _graph(n_p, n_e, pairs)
-            m = dg.max_matching(g)
-            positions = [rng.normal(size=2) for _ in range(n_p)]
-            evaders = {j: rng.normal(size=2) for j in range(n_e)}
-            out = dg.assign(g, m, positions, evaders)
-            assert len(set(out.matched.values())) == len(out.matched)
-            for i, j in out.opportunistic.items():
-                assert i not in out.matched
-                if not out.fallback:
-                    assert j not in out.matched.values()
+            m = dg.max_matching(_graph(n_p, n_e, pairs))
+            p_xy = rng.normal(size=(n_p, 2))
+            e_xy = rng.normal(size=(n_e, 2))
+            out = dg.assign(m, dg.pair_distances(p_xy, e_xy), list(range(n_e)))
+            assert len(set(m.values())) == len(m)
+            fallback = len(m) == n_e
+            for i, j in out.items():
+                assert i not in m
+                if fallback:
+                    assert j in m.values()
+                else:
+                    assert j not in m.values()
+
+    def test_equals_the_hypot_reference(self):
+        rng = np.random.default_rng(22)
+        kinds = dict.fromkeys(("inactive_nearest", "tie", "all_matched", "all_held"), 0)
+        for case in range(500):
+            n_p, n_e = (int(v) for v in rng.integers(1, 9, 2))
+            if case % 2:
+                # on a lattice, with every odd evader the mirror image of
+                # the one before it in pursuer 0's vertical: exact ties
+                p_xy = rng.integers(-3, 4, (n_p, 2)).astype(float)
+                e_xy = rng.integers(-3, 4, (n_e, 2)).astype(float)
+                e_xy[1::2, 0] = 2.0 * p_xy[0, 0] - e_xy[0 : n_e - 1 : 2, 0]
+                e_xy[1::2, 1] = e_xy[0 : n_e - 1 : 2, 1]
+            else:
+                p_xy = rng.normal(size=(n_p, 2))
+                e_xy = rng.normal(size=(n_e, 2))
+            active = [j for j in range(n_e) if rng.uniform() < 0.7]
+            pairs = [(i, j) for i in range(n_p) for j in active if rng.uniform() < 0.4]
+            matched = dg.max_matching(_graph(n_p, n_e, pairs))
+            dist = _dist(p_xy, e_xy)
+            # an inactive evader's column is never read: make it the nearest
+            dist[:, [j for j in range(n_e) if j not in active]] = -1.0
+            got = dg.assign(matched, dist, active)
+            p_pts = [tuple(v) for v in p_xy.tolist()]
+            e_pts = [tuple(v) for v in e_xy.tolist()]
+            assert got == _reference_assign(matched, p_pts, e_pts, active), case
+            kinds["inactive_nearest"] += len(active) < n_e and len(got) > 0
+            kinds["all_matched"] += len(matched) == n_p
+            kinds["all_held"] += bool(active) and len(matched) == len(active) < n_p
+            pool = [j for j in active if j not in matched.values()] or active
+            kinds["tie"] += any(np.sum(dist[i, pool] == dist[i, j]) > 1 for i, j in got.items())
+        assert all(count >= 20 for count in kinds.values()), kinds

@@ -376,7 +376,9 @@ class TestPairRulesMatchPerPairNorm:
     byte for byte, at and around equality too."""
 
     @staticmethod
-    def _teams(seed, n=30):
+    def _teams(seed, n=30, moved=0):
+        """Seeded teams of ``n``; ``moved`` agents of each team are then put
+        on others of their team, so coincident groups of two and more form."""
         rng = np.random.default_rng(seed)
         p_pos = [tuple(rng.uniform((0.0, 0.5), (6.0, 3.0)).tolist()) for _ in range(n)]
         e_pos = [tuple(rng.uniform((0.0, 0.1), (6.0, 3.0)).tolist()) for _ in range(n)]
@@ -397,6 +399,9 @@ class TestPairRulesMatchPerPairNorm:
         p_pos[a] = p_pos[c]
         # slow pursuers: slower than every evader, and as fast as them
         speeds[b], speeds[d] = 0.01, 0.3 / 6.3
+        for team in (p_pos, e_pos):
+            for k, m in rng.integers(n, size=(moved, 2)).tolist():
+                team[k] = team[m]
         pursuers = [
             dg.PursuerSpec(
                 state=dg.PursuerState(pos=pos, theta=0.0), v=v, kappa=0.0625, r=r
@@ -413,6 +418,29 @@ class TestPairRulesMatchPerPairNorm:
         assert any("inside capture disk" in v for v in expected)
         assert any("not faster" in v for v in expected)
         assert "invalid scenario: " + "; ".join(expected) == _violation(pursuers, evaders, seed)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_moved_agents_equal_the_reference(self, seed):
+        pursuers, evaders = self._teams(seed, n=40, moved=10)
+        expected = _reference_violations(pursuers, evaders, seed)
+        assert sum("coincide" in v for v in expected) > 10
+        assert "invalid scenario: " + "; ".join(expected) == _violation(pursuers, evaders, seed)
+
+    def test_coincident_groups_equal_the_reference(self):
+        # three coincident evaders in a group interleaved with a pair, and
+        # two pursuers at (0.0, y) and (-0.0, y), which compare equal
+        e_xy = [(1.0, 0.5), (2.0, 0.7), (1.0, 0.5), (3.0, 0.4), (2.0, 0.7), (1.0, 0.5), (4.0, 0.9)]
+        evaders = [_evader(x, y) for x, y in e_xy]
+        pursuers = [_pursuer(0.0, 2.0), _pursuer(5.0, 2.0), _pursuer(-0.0, 2.0)]
+        expected = _reference_violations(pursuers, evaders, 0)
+        assert expected == [
+            "pursuers[0] and pursuers[2] coincide",
+            "evaders[0] and evaders[2] coincide",
+            "evaders[0] and evaders[5] coincide",
+            "evaders[1] and evaders[4] coincide",
+            "evaders[2] and evaders[5] coincide",
+        ]
+        assert "invalid scenario: " + "; ".join(expected) == _violation(pursuers, evaders)
 
     def test_radius_at_the_distance_is_inside_and_one_rounding_below_is_not(self):
         p, e = (0.3, 1.7), (0.37, 1.61)

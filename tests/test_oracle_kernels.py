@@ -1,4 +1,4 @@
-"""The brute-force oracles' array kernels: the exact wrap, the row-blocked
+"""The brute-force oracles' array kernels: the ``np.mod`` wrap, the row-blocked
 relaxed lattice, their memory and their refusal of an empty lattice, the
 polish's pair distance, and the rollout scan's jumps."""
 
@@ -12,7 +12,7 @@ import pytest
 import dubinsguard as dg
 from conftest import aligned_state, pair_floats
 from dubinsguard import certificates
-from dubinsguard.certificates import _lowest_cell, _shifted_mod, _wrapped_error
+from dubinsguard.certificates import _lowest_cell, _wrapped_error
 from dubinsguard.geometry import lowest_point
 from test_certificates import _bits, _oracle_corpora
 
@@ -24,29 +24,8 @@ def _np_mod_wrap(x):
     return np.mod(x, TWO_PI) - math.pi
 
 
-def _wrap_edge_values():
-    """+-0, +-pi, +-2pi and +-4pi with both ``nextafter`` neighbours of each,
-    +-1e300 and NaN."""
-    values = []
-    for v in (0.0, math.pi, TWO_PI, 2.0 * TWO_PI):
-        for x in (v, -v):
-            values += [x, np.nextafter(x, math.inf), np.nextafter(x, -math.inf)]
-    return np.array(values + [1e300, -1e300, math.nan])
-
-
 class TestShiftedMod:
-    def test_edge_values_match_np_mod_bit_for_bit(self):
-        x = _wrap_edge_values()
-        want = _bits(_np_mod_wrap(x))
-        assert np.array_equal(_bits(_shifted_mod(x)), want)
-        assert np.array_equal(_bits([_shifted_mod(float(v)) for v in x]), want)
-        buf = x.copy()
-        assert _shifted_mod(buf, out=buf) is buf
-        assert np.array_equal(_bits(buf), want)
-
-    def test_seeded_values_match_np_mod_bit_for_bit(self):
-        x = np.random.default_rng(2024).uniform(-4.0 * math.pi, 4.0 * math.pi, 10**6)
-        assert np.array_equal(_bits(_shifted_mod(x)), _bits(_np_mod_wrap(x)))
+    """The rollout's wrap, the shifted mod ``np.mod(x, 2*pi) - pi``."""
 
     def test_wrapped_error_on_floats_keeps_the_np_mod_value(self):
         # the rollout reference calls the wrapped error on scalars

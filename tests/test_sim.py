@@ -769,3 +769,32 @@ class TestOneRematchingPass:
             differs += matching != dg.max_matching(graph)
             previous = matching
         assert kept_some > 0 and differs > 0
+
+
+@pytest.mark.parametrize(
+    "scenario, period",
+    [(_bundled_5v5, 1), (lambda: _contested_team(13, 8), 5)],
+    ids=["bundled_5v5_p1", "contested_13_8_p5"],
+)
+def test_leftover_pursuers_read_the_current_pair_distances(monkeypatch, scenario, period):
+    # the distances ``assign`` picks from are those of the positions at the
+    # refresh, on every column of an evader in play
+    game, doubled = {}, []
+    game_assign, assign = sim._Game.assign, sim.assign
+
+    def recording_game_assign(self):
+        game["now"] = self
+        game_assign(self)
+
+    def checked_assign(matched, dist, active):
+        g = game["now"]
+        want = sim.pair_distances(np.array(g.p_xy), np.array(g.e_xy))
+        assert np.array_equal(dist[:, active], want[:, active]), g.t
+        out = assign(matched, dist, active)
+        doubled.append(any(j in matched.values() for j in out.values()))
+        return out
+
+    monkeypatch.setattr(sim._Game, "assign", recording_game_assign)
+    monkeypatch.setattr(sim, "assign", checked_assign)
+    dg.run(scenario(), dg.SimConfig(dt=1e-3, max_time=10.0, matching_period=period))
+    assert len(doubled) > 100 and any(doubled)
