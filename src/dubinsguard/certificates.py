@@ -30,12 +30,15 @@ import numpy as np
 from .geometry import (
     IO_TOL,
     aim_bearing,
+    aim_height_rate,
     aim_point,
     heading_error,
     lowest_point,
     turn_direction,
 )
 from .model import (
+    DUBINS,
+    SIMPLE,
     TWO_PI,
     EvaderState,
     GameParams,
@@ -579,7 +582,7 @@ def _bisect_events(state, p, sign, cos_e, sin_e, t_lo, t_hi, capture: bool):
 
 def _error_rate_bound(p: GameParams) -> tuple[float, float]:
     """(a, b) of the heading error's rate bound a + b / d (``_JUMP_MARGIN``)."""
-    return p.v_p / p.kappa, p.v_p * (p.alpha + 1.0) ** 2 / (p.alpha * (p.alpha - 1.0))
+    return p.v_p / p.kappa, p.v_p * heading_adjust_ratio(p.alpha)
 
 
 #: Rounding margin of the rollout scan's jumps, in radians of heading error
@@ -593,8 +596,8 @@ def _error_rate_bound(p: GameParams) -> tuple[float, float]:
 #: point A minus the heading, then moves at most R x with R = a + b / d_min
 #: (``_error_rate_bound``): the heading turns at a = v_p / kappa, |dA/dt| <=
 #: 2 v_p / (alpha - 1), the car moves at v_p and |A - x_p| >= alpha d /
-#: (alpha + 1), so the bearing turns at most b / d with b = v_p (alpha + 1)^2
-#: / (alpha (alpha - 1)).  As R x < |e| - margin, u stays strictly between
+#: (alpha + 1), so the bearing turns at most b / d with b = v_p times
+#: ``heading_adjust_ratio``.  As R x < |e| - margin, u stays strictly between
 #: the two multiples of 2 pi around its value at step k: no skipped step
 #: computes an error of 0.  A sign change between two skipped steps is then a
 #: wrap across +-pi, with |e0| + |e1| = 2 pi - |du| > pi because the change
@@ -625,11 +628,9 @@ def _quiet_steps(err, gap, p: GameParams, dt: float):
 #: Rounding margin, in lengths of aim height, of the rollout oracle's
 #: pruning.  A heading fired in the bracket [t_lo, t_hi] pays the aim height
 #: y(t) at its event time t in that bracket, and y moves at most
-#: 2 v_p / (alpha - 1) per unit of time (the bound at
-#: ``sim.WINDOW_MARGIN``: the car moves at v_p, the evader at v_e and
-#: their distance at most v_p + v_e).  So with y_hi its height at t_hi and
-#: s = 2 v_p / (alpha - 1) (t_hi - t_lo) + margin, its payoff lies in
-#: [y_hi - s, y_hi + s].  A heading with y_hi - s > min(y_hi + s) over the
+#: w = ``geometry.aim_height_rate(v_p, alpha)`` per unit of time.  So with
+#: y_hi its height at t_hi and s = w (t_hi - t_lo) + margin, its payoff lies
+#: in [y_hi - s, y_hi + s].  A heading with y_hi - s > min(y_hi + s) over the
 #: fired headings pays more than the heading that attains that minimum, so
 #: it cannot hold the oracle's value and is neither bisected nor
 #: evaluated.  Elementwise array work does not depend on a value's position
@@ -707,7 +708,7 @@ def rollout_clearance_oracle(
         t_end = t_hi[fired]
         xp, yp, _, xe, ye = _rollout_positions(state, p, sign, t_end, cos_e[fired], sin_e[fired])
         height = lowest_point(xp, yp, xe, ye, np.hypot(xp - xe, yp - ye), p.alpha)[1]
-        slack = 2.0 * p.v_p / (p.alpha - 1.0) * (t_end - t_lo[fired]) + _PRUNE_MARGIN
+        slack = aim_height_rate(p.v_p, p.alpha) * (t_end - t_lo[fired]) + _PRUNE_MARGIN
         fired[fired] = ~(height - slack > np.min(height + slack, initial=math.inf))
         io_fired &= fired
         cap_fired &= fired
@@ -755,7 +756,7 @@ class Certificate:
     evidence: CertificateEvidence
 
 
-def certify_win(state: JointState, p: GameParams, motion: str = "dubins") -> Certificate:
+def certify_win(state: JointState, p: GameParams, motion: str = DUBINS) -> Certificate:
     """Decide whether the pursuer has a guaranteed win against the evader
     from this state, and record the predicate values that decided it.
 
@@ -764,13 +765,16 @@ def certify_win(state: JointState, p: GameParams, motion: str = "dubins") -> Cer
     when separation holds without alignment, the pair is beyond capture
     range, the evader is outside the adjustment scope ball, the parameters
     pass the two-step check and the worst-case clearance bound is
-    non-negative.  A simple-motion pursuer needs separation only.
+    non-negative.  A simple-motion pursuer needs separation only; a
+    ``motion`` other than ``model.DUBINS`` or ``SIMPLE`` is a ``ValueError``.
 
     Separation is the one test of the aim height: ``evidence.separation``
     is that signed height, and ``sc`` holds when it is at least 0.  The aim
     point, the heading error and the adjustment-time bound are each computed
     once and handed to the predicates that use them.
     """
+    if motion not in (DUBINS, SIMPLE):
+        raise ValueError(f"unknown motion kind {motion!r}")
     x_p, x_e = state.pursuer.pos, state.evader.pos
     aim_x, aim_y, _ = aim_point(x_p, x_e, p.alpha)
     sc = aim_y >= 0.0
@@ -780,7 +784,7 @@ def certify_win(state: JointState, p: GameParams, motion: str = "dubins") -> Cer
     solver_failed = False
     kind = CertificateKind.NONE
 
-    if motion == "simple":
+    if motion == SIMPLE:
         if sc:
             kind = CertificateKind.INTERCEPT
     else:

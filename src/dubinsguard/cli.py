@@ -316,9 +316,8 @@ def cmd_oracle_compare(args) -> int:
             ok = err <= 1e-3 * (1.0 + abs(closed)) and closed <= rollout + 1e-3
             if not ok:
                 violations += 1
-            lines.append(
-                f"{trial},{closed:.9g},{relaxed:.9g},{rollout:.9g},{err:.9g},{int(ok)}"
-            )
+            values = ",".join(repr(float(v)) for v in (closed, relaxed, rollout, err))
+            lines.append(f"{trial},{values},{int(ok)}")
         if fh is not None:
             _emptied(fh).write("\n".join(lines) + "\n")
     print(f"trials={args.trials} violations={violations}")

@@ -11,7 +11,8 @@ point is the interception angle.
 ``aim_point`` (checked, one pair) and ``aim_bearing`` are the aim-point
 kernel: ``heading_error``, the strategies, the simulator's heading snaps
 and ``certify_win`` all read the point through them, and a pair has
-separation when its aim height is at least 0.  ``interception`` packages
+separation when its aim height is at least 0; ``aim_height_rate`` bounds
+how fast that height moves.  ``interception`` packages
 the same point as an ``InterceptionData`` for callers that want every
 derived quantity at once.
 
@@ -87,6 +88,14 @@ def aim_point(x_p, x_e, alpha: float) -> tuple[float, float, float]:
     """Checked ``lowest_point`` of one pair: (x, y, radius)."""
     dist = _check_pair(x_p, x_e, alpha)
     return lowest_point(x_p[0], x_p[1], x_e[0], x_e[1], dist, alpha)
+
+
+def aim_height_rate(v_p: float, alpha: float) -> float:
+    """Bound 2 v_p / (alpha - 1) on how fast the aim height y = (a^2 y_e -
+    y_p - a d) / (a^2 - 1), a = alpha, of a pair d apart moves per unit of
+    game time, for cars and simple-motion pursuers alike: |dy_e/dt| <= v_e
+    = v_p / a, |dy_p/dt| <= v_p and |dd/dt| <= v_p + v_e."""
+    return 2.0 * v_p / (alpha - 1.0)
 
 
 def aim_bearing(x_p, x: float, y: float) -> float:

@@ -3,7 +3,8 @@
 Each certified pair becomes an edge of a bipartite graph; a maximum-
 cardinality matching picks the guaranteed assignments, and leftover pursuers
 chase the nearest unmatched evader opportunistically (the nearest evader
-when every one is held), read from the game's pair-distance array.
+when every one is held), read from the game's pair-distance array.  The
+simulator reads a certificate only as the edge it makes, never its kind.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ class WinGraph:
     below 0, of every pair certified without separation."""
 
     n_pursuers: int
-    n_evaders: int
     edges: dict[tuple[int, int], Certificate] = field(default_factory=dict)
     screened: dict[tuple[int, int], float] = field(default_factory=dict)
 
@@ -32,7 +32,6 @@ def build_graph(
     pair_states: dict[tuple[int, int], JointState],
     pair_params: dict[tuple[int, int], GameParams],
     n_pursuers: int,
-    n_evaders: int,
     motion: dict[int, str],
 ) -> WinGraph:
     """Certify every provided pair; an edge is present iff the certificate
@@ -50,9 +49,7 @@ def build_graph(
             screened[key] = cert.evidence.separation
         if cert.kind is not CertificateKind.NONE:
             edges[key] = cert
-    return WinGraph(
-        n_pursuers=n_pursuers, n_evaders=n_evaders, edges=edges, screened=screened
-    )
+    return WinGraph(n_pursuers=n_pursuers, edges=edges, screened=screened)
 
 
 def max_matching(graph: WinGraph) -> dict[int, int]:

@@ -8,14 +8,14 @@ reached:
   the active pairs is rebuilt, a maximum matching of what its kept pairs
   leave (``sticky``: the previous pairs still edges) assigns pursuers to
   evaders, and leftover pursuers chase the nearest unmatched evader (the
-  nearest evader when every one is held).  A pair the graph reports
-  without separation is not offered again while its separation window is
-  open (see ``WINDOW_MARGIN``): no pair in a window could be an edge, so
-  the graph is the one a full rebuild would give;
+  nearest evader when every one is held); certificates are read only as
+  edges.  A pair the graph reports without separation is not offered again
+  while its separation window is open (see ``WINDOW_MARGIN``): no pair in a
+  window could be an edge, so the graph is the one a full rebuild would give;
 - controls: evader controls first, then the pursuers', which observe them.
   Every car runs ``strategies.two_step_command``, the one adjust-then-
-  intercept phase machine; the simulator snaps a car's heading onto the
-  interception angle when its phase switches, and logs ``io_achieved``;
+  intercept phase machine and the only way into interception; the simulator
+  snaps a car's heading when its phase switches, and logs ``io_achieved``;
 - record: one trajectory row per agent;
 - integrate: each car, and each active simple-motion agent, moves exactly
   under its zero-order-hold control, one ``model.step_pursuer`` or
@@ -44,8 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certificates import CertificateKind
-from .geometry import IO_TOL, aim_bearing, aim_point
+from .geometry import IO_TOL, aim_bearing, aim_height_rate, aim_point
 from .matching import WinGraph, assign, build_graph, max_matching
 from .model import (
     DUBINS,
@@ -80,14 +79,10 @@ REACHED_GOAL = "reached_goal"
 #: snap removes the O(dt^2) integration noise that would otherwise accumulate.
 SNAP_FACTOR = 10.0
 
-#: Margin, in units of aim height, that a separation window keeps.  A pair's
-#: aim height y = (a^2 y_e - y_p - a d) / (a^2 - 1) moves at most
-#: 2 v_p / (a - 1) per unit of game time, for cars and simple-motion
-#: pursuers alike (|dy_e/dt| <= v_e = v_p / a, |dy_p/dt| <= v_p and
-#: |dd/dt| <= v_p + v_e).  So a pair reported at aim height y < 0 still
-#: lacks separation, with an aim height below -WINDOW_MARGIN, until
-#: (-y - WINDOW_MARGIN) (a - 1) / (2 v_p) of game time has passed: its
-#: window.  The margin absorbs the rounding of the computed heights.
+#: Margin, in units of aim height, that a separation window keeps.  A pair
+#: reported at aim height y < 0 still lacks separation, with an aim height
+#: below -WINDOW_MARGIN, for (-y - WINDOW_MARGIN) / ``aim_height_rate`` of
+#: game time: its window.  The margin absorbs the rounding of the heights.
 WINDOW_MARGIN = 1e-12
 
 
@@ -103,8 +98,9 @@ class SimConfig:
             raise ValueError(f"dt must be finite and positive, got {self.dt}")
         if not (math.isfinite(self.max_time) and self.max_time >= self.dt):
             raise ValueError(f"max_time must be finite and at least dt, got {self.max_time}")
-        if self.matching_period < 1:
-            raise ValueError("matching_period must be >= 1")
+        period = self.matching_period
+        if isinstance(period, bool) or not (isinstance(period, (int, np.integer)) and period >= 1):
+            raise ValueError(f"matching_period must be an integer >= 1, got {period!r}")
 
 
 @dataclass(frozen=True)
@@ -243,8 +239,8 @@ class _Game:
     def assign(self):
         """Rebuild the win graph over the active pairs outside their
         separation windows, re-match, and retarget the pursuers.  A car with
-        a new target starts intercepting if its edge is an ``INTERCEPT``
-        certificate and adjusting otherwise."""
+        a new target restarts its phase machine, which enters interception
+        in this step already when the new pair is aligned and feasible."""
         n_p, n_e, t = self.n_p, self.n_e, self.t
         active = [j for j in range(n_e) if self.status[j] == ACTIVE]
         until = self.unseparated_until
@@ -252,20 +248,17 @@ class _Game:
         pursuers = {i: PursuerState(self.p_xy[i], self.theta[i]) for i in {i for i, _ in keys}}
         evaders = {j: EvaderState(pos=self.e_xy[j]) for j in {j for _, j in keys}}
         pair_states = {(i, j): JointState(pursuers[i], evaders[j]) for i, j in keys}
-        graph = build_graph(pair_states, self.params, n_p, n_e, self.motion)
+        graph = build_graph(pair_states, self.params, n_p, self.motion)
         for key, height in graph.screened.items():
             p = self.params[key]
-            until[key] = t + (-height - WINDOW_MARGIN) * (p.alpha - 1.0) / (2.0 * p.v_p)
+            until[key] = t + (-height - WINDOW_MARGIN) / aim_height_rate(p.v_p, p.alpha)
         kept, residual = {}, graph
         if self.cfg.sticky:  # the graph holds active evaders only
             kept = {i: j for i, j in self.matched.items() if (i, j) in graph.edges}
         if kept:
-            residual_edges = {
-                (i, j): c
-                for (i, j), c in graph.edges.items()
-                if i not in kept and j not in kept.values()
-            }
-            residual = WinGraph(n_pursuers=n_p, n_evaders=n_e, edges=residual_edges)
+            held = set(kept.values())
+            edges = {k: c for k, c in graph.edges.items() if k[0] not in kept and k[1] not in held}
+            residual = WinGraph(n_pursuers=n_p, edges=edges)
         kept.update(max_matching(residual))
         opportunistic = assign(kept, self.dist, active)
         pairs = tuple(sorted(kept.items()))
@@ -279,11 +272,7 @@ class _Game:
                 continue
             self.target[i] = new_target
             if self.phases[i] is not None:
-                edge = graph.edges.get((i, new_target))
-                if edge is not None and edge.kind is CertificateKind.INTERCEPT:
-                    self.phases[i] = TwoStepState(Phase.INTERCEPTING)
-                else:
-                    self.phases[i] = TwoStepState()
+                self.phases[i] = TwoStepState()
 
     def live_target(self, i: int) -> int | None:
         """Pursuer ``i``'s target, if that evader is still in play."""

@@ -237,7 +237,7 @@ def test_criterion_08_matching_optimality():
                 for j in range(n_e)
                 if rng.uniform() < density
             }
-            graph = dg.WinGraph(n_pursuers=n_p, n_evaders=n_e, edges=edges)
+            graph = dg.WinGraph(n_pursuers=n_p, edges=edges)
             matching = dg.max_matching(graph)
             assert len(set(matching.values())) == len(matching)
             for i, j in matching.items():

@@ -901,6 +901,13 @@ class TestCertifyWin:
         bad = dg.certify_win(make_state(0, 3, 0.0, 0, 1), p, motion="simple")
         assert bad.kind is dg.CertificateKind.NONE
 
+    @pytest.mark.parametrize("motion", ["simpel", "Dubins", "", None])
+    def test_unknown_motion_is_refused(self, motion):
+        # a misspelt motion must not certify the pair as a car
+        p = dg.GameParams(2.0, 1.0, 1.0, 0.1)
+        with pytest.raises(ValueError, match=f"unknown motion kind {motion!r}"):
+            dg.certify_win(make_state(0, 2, 0.0, 0, 1), p, motion=motion)
+
 
 class TestTurnRule:
     """The certificates bound the turn the car makes: near-opposite

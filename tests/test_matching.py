@@ -13,10 +13,8 @@ def _dummy_cert():
     )
 
 
-def _graph(n_p, n_e, pairs):
-    return dg.WinGraph(
-        n_pursuers=n_p, n_evaders=n_e, edges={pair: _dummy_cert() for pair in pairs}
-    )
+def _graph(n_p, pairs):
+    return dg.WinGraph(n_pursuers=n_p, edges={pair: _dummy_cert() for pair in pairs})
 
 
 class TestBuildGraph:
@@ -36,7 +34,7 @@ class TestBuildGraph:
         states, params, motions = self._pair_inputs(
             [(0, 1), (3, 1)], [(0, 5), (3, 5)]
         )
-        g = dg.build_graph(states, params, 2, 2, motions)
+        g = dg.build_graph(states, params, 2, motions)
         assert set(g.edges) == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
     def test_no_pairs_certified_gives_empty_graph(self):
@@ -44,7 +42,7 @@ class TestBuildGraph:
         states, params, motions = self._pair_inputs(
             [(0, 5), (3, 5)], [(0, 0.1), (3, 0.1)]
         )
-        g = dg.build_graph(states, params, 2, 2, motions)
+        g = dg.build_graph(states, params, 2, motions)
         assert g.edges == {}
 
     def test_golden_scenario_initial_edges(self):
@@ -66,17 +64,17 @@ class TestBuildGraph:
             (i, j): sc.pair_params(i, j) for i in range(5) for j in range(5)
         }
         motions = {i: sc.pursuers[i].motion for i in range(5)}
-        g = dg.build_graph(states, params, 5, 5, motions)
+        g = dg.build_graph(states, params, 5, motions)
         assert set(g.edges) == {(0, 3), (2, 2), (3, 1), (4, 0)}
 
     def test_removing_a_pair_never_adds_edges(self):
         states, params, motions = self._pair_inputs(
             [(0, 1), (3, 1)], [(0, 5), (3, 5)]
         )
-        full = dg.build_graph(states, params, 2, 2, motions)
+        full = dg.build_graph(states, params, 2, motions)
         states.pop((0, 1))
         params.pop((0, 1))
-        reduced = dg.build_graph(states, params, 2, 2, motions)
+        reduced = dg.build_graph(states, params, 2, motions)
         assert set(reduced.edges) <= set(full.edges)
 
 
@@ -119,7 +117,7 @@ class TestSeparationScreen:
         near_boundary = 0
         for _ in range(12):
             states, params, motions = _screen_corpus(rng, 8)
-            graph = dg.build_graph(states, params, 8, 8, motions)
+            graph = dg.build_graph(states, params, 8, motions)
             expected = {}
             for key in sorted(states):
                 cert = dg.certify_win(states[key], params[key], motion=motions[key[0]])
@@ -153,7 +151,7 @@ class TestSeparationScreen:
             return cert
 
         monkeypatch.setattr(matching, "certify_win", counting)
-        graph = dg.build_graph(states, params, 6, 6, motions)
+        graph = dg.build_graph(states, params, 6, motions)
         assert len(calls) == len(states)
         assert all(state is states[key] for (state, _), key in zip(calls, sorted(states)))
         unseparated = {
@@ -182,7 +180,7 @@ class TestSeparationScreen:
         for _ in range(4):
             states, params, motions = _screen_corpus(rng, 6)
             calls.clear()
-            graph = dg.build_graph(states, params, 6, 6, motions)
+            graph = dg.build_graph(states, params, 6, motions)
             assert len(calls) == len(states)
             assert 0 < len(graph.screened) < len(states)
             assert any(c.kind is dg.CertificateKind.TWO_STEP for c in graph.edges.values())
@@ -191,7 +189,7 @@ class TestSeparationScreen:
         from dubinsguard.geometry import aim_point
 
         states, params, motions = _screen_corpus(np.random.default_rng(67), 6)
-        graph = dg.build_graph(states, params, 6, 6, motions)
+        graph = dg.build_graph(states, params, 6, motions)
         expected = {}
         for key, st in states.items():
             y = aim_point(st.pursuer.pos, st.evader.pos, params[key].alpha)[1]
@@ -224,16 +222,16 @@ def _recursive_matching(graph):
 
 class TestMaxMatching:
     def test_single_edge(self):
-        assert dg.max_matching(_graph(2, 2, [(0, 0)])) == {0: 0}
+        assert dg.max_matching(_graph(2, [(0, 0)])) == {0: 0}
 
     def test_complete_two_by_two(self):
-        m = dg.max_matching(_graph(2, 2, [(0, 0), (0, 1), (1, 0), (1, 1)]))
+        m = dg.max_matching(_graph(2, [(0, 0), (0, 1), (1, 0), (1, 1)]))
         assert len(m) == 2
         assert sorted(m.values()) == [0, 1]
 
     def test_requires_augmenting_path(self):
         # 0 prefers evader 0, but 1 can only take evader 0
-        m = dg.max_matching(_graph(2, 2, [(0, 0), (0, 1), (1, 0)]))
+        m = dg.max_matching(_graph(2, [(0, 0), (0, 1), (1, 0)]))
         assert m == {0: 1, 1: 0}
 
     def test_matches_exhaustive_search_on_random_graphs(self):
@@ -247,7 +245,7 @@ class TestMaxMatching:
                 for j in range(n_e)
                 if rng.uniform() < 0.35
             ]
-            g = _graph(n_p, n_e, pairs)
+            g = _graph(n_p, pairs)
             m = dg.max_matching(g)
             # must be a valid matching
             assert len(set(m.values())) == len(m)
@@ -264,7 +262,7 @@ class TestMaxMatching:
             pairs = [
                 (i, j) for i in range(n_p) for j in range(n_e) if rng.uniform() < density
             ]
-            g = _graph(n_p, n_e, pairs)
+            g = _graph(n_p, pairs)
             assert dg.max_matching(g) == _recursive_matching(g)
 
     def test_long_chain_has_no_recursion_limit(self):
@@ -273,13 +271,13 @@ class TestMaxMatching:
         n = 1500
         cert = _dummy_cert()
         edges = {(i, j): cert for i in range(n) for j in (i - 1, i) if j >= 0}
-        m = dg.max_matching(dg.WinGraph(n_pursuers=n, n_evaders=n, edges=edges))
+        m = dg.max_matching(dg.WinGraph(n_pursuers=n, edges=edges))
         assert m == {i: i for i in range(n)}
 
     def test_deterministic(self):
         pairs = [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0)]
-        a = dg.max_matching(_graph(3, 3, pairs))
-        b = dg.max_matching(_graph(3, 3, pairs))
+        a = dg.max_matching(_graph(3, pairs))
+        b = dg.max_matching(_graph(3, pairs))
         assert a == b
 
 
@@ -332,7 +330,7 @@ class TestAssign:
                 for j in range(n_e)
                 if rng.uniform() < 0.5
             ]
-            m = dg.max_matching(_graph(n_p, n_e, pairs))
+            m = dg.max_matching(_graph(n_p, pairs))
             p_xy = rng.normal(size=(n_p, 2))
             e_xy = rng.normal(size=(n_e, 2))
             out = dg.assign(m, dg.pair_distances(p_xy, e_xy), list(range(n_e)))
@@ -362,7 +360,7 @@ class TestAssign:
                 e_xy = rng.normal(size=(n_e, 2))
             active = [j for j in range(n_e) if rng.uniform() < 0.7]
             pairs = [(i, j) for i in range(n_p) for j in active if rng.uniform() < 0.4]
-            matched = dg.max_matching(_graph(n_p, n_e, pairs))
+            matched = dg.max_matching(_graph(n_p, pairs))
             dist = _dist(p_xy, e_xy)
             # an inactive evader's column is never read: make it the nearest
             dist[:, [j for j in range(n_e) if j not in active]] = -1.0

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 from importlib import resources
 
 import numpy as np
@@ -217,9 +218,12 @@ class TestGoldenNarrative:
 #: Events of the bundled 5v5 at dt=1e-3, max_time=8, matching_period=20, as
 #: (kind, pursuer, evader, t), recorded before the simulator drove its cars
 #: through the strategies' shared phase machine (now
-#: ``strategies.two_step_command``).
+#: ``strategies.two_step_command``).  P3 and P4 start aligned on certified
+#: pairs, so their entries into interception are logged at t = 0.
 GOLDEN_5V5_P20_EVENTS = [
     ("matching_changed", None, None, 0.0),
+    ("io_achieved", 2, 2, 0.0),
+    ("io_achieved", 3, 1, 0.0),
     ("io_achieved", 4, 0, 0.1520000000000001),
     ("io_achieved", 0, 3, 0.1530000000000001),
     ("io_achieved", 1, 4, 0.6400000000000005),
@@ -393,6 +397,21 @@ def _head_on_duel():
         ),
         seed=0,
     )
+
+
+class TestMatchingPeriod:
+    @pytest.mark.parametrize("period", [0, -3, 1.5, 2.0, True, "2", None])
+    def test_anything_but_a_positive_integer_is_refused(self, period):
+        # a period of 1.5 would refresh at steps 0, 3, 6, ...
+        with pytest.raises(ValueError, match=re.escape(f"got {period!r}")):
+            dg.SimConfig(matching_period=period)
+
+    def test_a_numpy_integer_is_accepted(self):
+        sc = _aligned_duel()
+        plain = dg.run(sc, dg.SimConfig(dt=1e-3, max_time=0.2, matching_period=3))
+        numpy = dg.run(sc, dg.SimConfig(dt=1e-3, max_time=0.2, matching_period=np.int64(3)))
+        assert numpy == plain
+        assert len(plain.matching_history) == 67
 
 
 class TestStepSizeGuard:
@@ -653,6 +672,15 @@ def _replay_windows(monkeypatch, sc, cfg):
 
 
 class TestSeparationWindows:
+    def test_windows_read_the_shared_rate_bound_and_it_is_tight(self, monkeypatch):
+        # a bound 1 % below ``geometry.aim_height_rate`` keeps the climbing
+        # pairs out of a refresh at which they already have separation
+        rate = sim.aim_height_rate
+        monkeypatch.setattr(sim, "aim_height_rate", lambda v_p, alpha: 0.99 * rate(v_p, alpha))
+        cfg = dg.SimConfig(dt=1e-3, max_time=10.0)
+        with pytest.raises(AssertionError):
+            _replay_windows(monkeypatch, _climbing_duels(), cfg)
+
     @pytest.mark.parametrize(
         "scenario, period, sticky",
         [
@@ -798,3 +826,52 @@ def test_leftover_pursuers_read_the_current_pair_distances(monkeypatch, scenario
     monkeypatch.setattr(sim, "assign", checked_assign)
     dg.run(scenario(), dg.SimConfig(dt=1e-3, max_time=10.0, matching_period=period))
     assert len(doubled) > 100 and any(doubled)
+
+
+def _interception_entries(monkeypatch, sc, cfg):
+    """Play the game recording, as (t, pursuer, evader), every car that
+    enters interception at a refresh or at its controls: its phase is
+    intercepting after the stage, and was not, or was against another
+    target, before it."""
+    entries = []
+
+    def watched(stage):
+        def wrapper(self, *args):
+            before = [(ph.phase if ph else None, j) for ph, j in zip(self.phases, self.target)]
+            out = stage(self, *args)
+            for i, (phase, target) in enumerate(before):
+                now = self.phases[i]
+                entered = phase is not dg.Phase.INTERCEPTING or target != self.target[i]
+                if now is not None and now.phase is dg.Phase.INTERCEPTING and entered:
+                    entries.append((self.t, i, self.target[i]))
+            return out
+
+        return wrapper
+
+    monkeypatch.setattr(sim._Game, "assign", watched(sim._Game.assign))
+    monkeypatch.setattr(sim._Game, "pursuer_controls", watched(sim._Game.pursuer_controls))
+    return dg.run(sc, cfg), entries
+
+
+@pytest.mark.parametrize(
+    "scenario, period, sticky",
+    [
+        (_bundled_5v5, 1, False),
+        (_bundled_5v5, 20, False),
+        (_bundled_5v5, 1, True),
+        (_mixed_5v5, 1, False),
+        (lambda: _contested_team(13, 8), 5, False),
+        (lambda: _contested_team(13, 8), 5, True),
+    ],
+    ids=["5v5-p1", "5v5-p20", "5v5-p1-sticky", "mixed-p1", "contested-p5", "contested-p5-sticky"],
+)
+def test_every_entry_into_interception_is_an_io_achieved_event(
+    monkeypatch, scenario, period, sticky
+):
+    # the phase machine is the one way in, so each entry snaps and logs,
+    # a retargeted car's entry included
+    cfg = dg.SimConfig(dt=1e-3, max_time=10.0, matching_period=period, sticky=sticky)
+    result, entries = _interception_entries(monkeypatch, scenario(), cfg)
+    logged = [(e.t, e.pursuer, e.evader) for e in result.events if e.kind == "io_achieved"]
+    assert entries == logged
+    assert len(entries) >= 2
