@@ -49,7 +49,7 @@ from .model import (
     wrap_angle,
     wrap_to_pi,
 )
-from .numerics import BracketedMax, Polynomial, golden_max, max_on_circle, real_roots
+from .numerics import Polynomial, golden_max, max_on_circle, real_roots
 from .sim import (
     Event,
     SimConfig,

@@ -45,6 +45,8 @@ from .model import (
     JointState,
     PursuerState,
     _as_point,
+    _positive,
+    _speed_ratio,
     wrap_angle,
     wrap_to_pi,
 )
@@ -75,20 +77,21 @@ def curvature_demand(alpha: float) -> float:
     256 most recently used alphas: a game asks for the same few speed
     ratios on every certificate, while a sweep uses each of its alphas once.
     """
-    if alpha <= 1.0:
-        raise ValueError(f"speed ratio must exceed 1, got {alpha}")
-    return max_on_circle(lambda x, y: _demand_objective(x, y, alpha)).max_value
+    _speed_ratio(alpha)
+    return max_on_circle(lambda x, y: _demand_objective(x, y, alpha))[1]
 
 
 def curvature_demand_bound(alpha: float) -> float:
     """Closed-form upper bound (2*alpha - 1) / (alpha - 1)^2 on the
     curvature demand; cheap to check and sufficient."""
+    _speed_ratio(alpha)
     return (2.0 * alpha - 1.0) / (alpha - 1.0) ** 2
 
 
 def heading_adjust_ratio(alpha: float) -> float:
     """Ratio (alpha + 1)^2 / (alpha * (alpha - 1)); r/kappa above it makes
     the full-rate heading adjustment reach alignment in finite time."""
+    _speed_ratio(alpha)
     return (alpha + 1.0) ** 2 / (alpha * (alpha - 1.0))
 
 
@@ -141,8 +144,9 @@ def classify_region(r: float, kappa: float, alpha: float) -> ParamRegion:
     ratio only.  III: above the demand curve only.  So ``intercept_feasible``
     holds exactly outside V and ``two_step_feasible`` exactly in II and IV.
     """
-    if min(r, kappa) <= 0.0 or alpha <= 1.0:
-        raise ValueError("need positive r, kappa and alpha > 1")
+    _positive("r", r)
+    _positive("kappa", kappa)
+    _speed_ratio(alpha)
     bound = curvature_demand_bound(alpha)
     above_ratio = adjust_feasible(r, kappa, alpha)
     if not intercept_feasible(r, kappa, alpha):
@@ -230,8 +234,8 @@ def adjust_scope_holds(
 def relaxation_sextic(x_c, x_e, alpha: float, kappa: float) -> Polynomial:
     """Degree-six polynomial whose positive roots carry the multipliers of
     the relaxed worst-case clearance problem; coefficients ascending."""
-    if alpha <= 1.0 or kappa <= 0.0:
-        raise ValueError("need alpha > 1 and kappa > 0")
+    _speed_ratio(alpha)
+    _positive("kappa", kappa)
     (cx, cy), (ex, ey) = _as_point(x_c), _as_point(x_e)
     dx2 = (ex - cx) ** 2
     dy = cy - ey
@@ -470,6 +474,8 @@ def relaxed_oracle_from_centers(
     polish the lowest cell by alternating golden-section descent, each
     search's fixed boundary point built once.  Returns the clearance on the
     closed form's scale."""
+    _speed_ratio(alpha)
+    _positive("kappa", kappa)
     _check_grid(grid)
     cx, cy = _as_point(x_c)
     ex, ey = _as_point(x_e)

@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import _as_point, wrap_angle, wrap_to_pi
+from .model import _as_point, _speed_ratio, wrap_angle, wrap_to_pi
 
 #: Width of the heading-alignment band.  Exact equality is unreachable in
 #: floating point; the simulator snaps the heading once the wrapped
@@ -62,8 +62,7 @@ class InterceptionData:
 
 
 def _check_pair(x_p, x_e, alpha: float) -> float:
-    if alpha <= 1.0:
-        raise ValueError(f"speed ratio must exceed 1, got {alpha}")
+    _speed_ratio(alpha)
     dist = math.hypot(x_p[0] - x_e[0], x_p[1] - x_e[1])
     if dist == 0.0:
         raise ValueError("pursuer and evader positions coincide")
@@ -76,7 +75,7 @@ def lowest_point(xp, yp, xe, ye, dist, alpha: float):
     radius, as a tuple (x, y, radius).
 
     Plain arithmetic: the arguments may be floats or numpy arrays that
-    broadcast together.  Callers check the pair (``alpha > 1``,
+    broadcast together.  Callers check the pair (``model._speed_ratio``,
     ``dist > 0``) first.
     """
     a2 = alpha * alpha
@@ -95,6 +94,7 @@ def aim_height_rate(v_p: float, alpha: float) -> float:
     y_p - a d) / (a^2 - 1), a = alpha, of a pair d apart moves per unit of
     game time, for cars and simple-motion pursuers alike: |dy_e/dt| <= v_e
     = v_p / a, |dy_p/dt| <= v_p and |dd/dt| <= v_p + v_e."""
+    _speed_ratio(alpha)
     return 2.0 * v_p / (alpha - 1.0)
 
 

@@ -45,6 +45,18 @@ def wrap_to_pi(theta: float) -> float:
     return theta
 
 
+def _speed_ratio(alpha: float) -> None:
+    """The speed-ratio rule: a finite ``alpha`` > 1, the paper's domain."""
+    if not 1.0 < alpha < math.inf:
+        raise ValueError(f"speed ratio must exceed 1 and be finite, got {alpha}")
+
+
+def _positive(name: str, value: float) -> None:
+    """The length and speed rule: ``value`` finite and positive."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
 def _as_point(x) -> tuple[float, float]:
     """``x`` as a point: a tuple of two finite Python floats.  A tuple of
     two floats is checked as it is; any other input goes through
@@ -75,9 +87,7 @@ class GameParams:
 
     def __post_init__(self):
         for name in ("v_p", "v_e", "kappa", "r"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be finite and positive, got {value}")
+            _positive(name, getattr(self, name))
         if self.v_p <= self.v_e:
             raise ValueError(
                 f"pursuer must be strictly faster (v_p={self.v_p}, v_e={self.v_e})"
@@ -89,8 +99,7 @@ class GameParams:
 
     @classmethod
     def from_alpha(cls, v_p: float, alpha: float, kappa: float, r: float) -> "GameParams":
-        if alpha <= 1.0:
-            raise ValueError(f"speed ratio must exceed 1, got {alpha}")
+        _speed_ratio(alpha)
         return cls(v_p=v_p, v_e=v_p / alpha, kappa=kappa, r=r)
 
 
@@ -266,10 +275,10 @@ def _violations(sc: Scenario) -> list[str]:
             if team == "pursuers":
                 values.update(kappa=spec.kappa, capture_radius=spec.r)
             for name, value in values.items():
-                if not (math.isfinite(value) and value > 0.0):
-                    violations.append(
-                        f"{team}[{k}]: {name} must be finite and positive, got {value}"
-                    )
+                try:
+                    _positive(name, value)
+                except ValueError as exc:
+                    violations.append(f"{team}[{k}]: {exc}")
         coincide = (pair for group in at.values() for pair in itertools.combinations(group, 2))
         for a, b in sorted(coincide):
             violations.append(f"{team}[{a}] and {team}[{b}] coincide")

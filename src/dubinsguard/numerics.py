@@ -60,19 +60,6 @@ class Polynomial:
     def __call__(self, x):
         return _horner(self.coeffs, x)
 
-    def derivative(self) -> "Polynomial":
-        if self.degree == 0:
-            return Polynomial((0.0,))
-        return Polynomial(tuple(k * c for k, c in enumerate(self.coeffs) if k > 0))
-
-
-@dataclass(frozen=True)
-class BracketedMax:
-    """Result of a scan-plus-refine maximization."""
-
-    argmax: float
-    max_value: float
-
 
 def real_roots(poly: Polynomial, lo: float, hi: float, tol: float = 1e-12) -> list[float]:
     """All real roots of ``poly`` in [lo, hi], sorted, deduplicated at
@@ -87,8 +74,8 @@ def real_roots(poly: Polynomial, lo: float, hi: float, tol: float = 1e-12) -> li
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
 
     coeffs = poly.coeffs
     scale = max(abs(lo), abs(hi), 1.0)
@@ -182,12 +169,12 @@ def golden_max(f, a: float, b: float, tol: float = 1e-12) -> tuple[float, float]
     """Golden-section maximization of a unimodal ``f`` on [a, b]; returns
     (argmax, value).
 
-    Stops once the bracket is no wider than ``tol`` (which must be
-    positive), or once a step leaves it no narrower: below the float
-    spacing of ``a`` and ``b`` the inner points round onto the bracket's
-    ends and the bracket stops shrinking."""
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
+    Stops once the bracket is no wider than ``tol``, or once a step
+    leaves it no narrower: below the float spacing of ``a`` and ``b`` the
+    inner points round onto the bracket's ends and the bracket stops
+    shrinking."""
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     c = b - _INV_GOLDEN * (b - a)
     d = a + _INV_GOLDEN * (b - a)
     fc, fd = f(c), f(d)
@@ -207,13 +194,12 @@ def golden_max(f, a: float, b: float, tol: float = 1e-12) -> tuple[float, float]
     return x, f(x)
 
 
-def max_on_circle(f, resolution: int = SCAN_SAMPLES) -> BracketedMax:
-    """Global maximum of ``f(x, y)`` on the unit circle x^2 + y^2 = 1.
-
-    The circle is parameterized as (cos t, sin t); ``f`` is sampled on
-    ``resolution`` uniform angles (it must accept numpy arrays) and the best
-    bracket is refined by golden section to 1e-12 in t.  Maxima narrower than
-    one grid cell (``2*pi / resolution``) can be missed.
+def max_on_circle(f, resolution: int = SCAN_SAMPLES) -> tuple[float, float]:
+    """Global maximum of ``f(x, y)`` on the unit circle x^2 + y^2 = 1, as
+    (t, value) on its parameterization (cos t, sin t).  ``f`` is sampled
+    on ``resolution`` uniform angles (it must accept numpy arrays) and the
+    best bracket is refined by golden section to 1e-12 in t.  Maxima
+    narrower than one grid cell (``2*pi / resolution``) can be missed.
     """
     if resolution < 360:
         raise ValueError(f"resolution must be >= 360, got {resolution}")
@@ -230,4 +216,4 @@ def max_on_circle(f, resolution: int = SCAN_SAMPLES) -> BracketedMax:
     t_star, v_star = golden_max(on_circle, t_lo, t_hi, tol=1e-12)
     if v_star < vals[best]:
         t_star, v_star = float(ts[best]), float(vals[best])
-    return BracketedMax(argmax=t_star, max_value=v_star)
+    return t_star, v_star

@@ -194,9 +194,9 @@ class TestParameterCurves:
         values = [dg.curvature_demand(alpha) for alpha in alphas]
         assert dg.curvature_demand.cache_info().currsize <= 256
         for alpha, value in zip(alphas[::37], values[::37]):
-            uncached = dg.max_on_circle(
+            _, uncached = dg.max_on_circle(
                 lambda x, y: certificates._demand_objective(x, y, alpha)
-            ).max_value
+            )
             assert value == uncached
 
     def test_demand_rejects_unit_ratio(self):
