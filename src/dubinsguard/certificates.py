@@ -37,7 +37,6 @@ from .geometry import (
     turn_direction,
 )
 from .model import (
-    DUBINS,
     SIMPLE,
     TWO_PI,
     EvaderState,
@@ -417,18 +416,16 @@ def _lowest_cell(xp, yp, xe, ye, alpha: float) -> tuple[int, int, float]:
 
     Scans ``_LATTICE_BLOCK`` rows at a time in two reused buffers.  Each
     block ranks its cells by a screen height, a column term minus a row term
-    and a distance ``sqrt(dx*dx + dy*dy)``, then computes the height of
-    ``lowest_point`` in its order of operations, ``(a2*ye - yp)/(a2 - 1) -
-    alpha*np.hypot(dx, dy)/(a2 - 1)``, only for the cells whose screen height
-    is within ``_SCREEN_MARGIN`` of the block's lowest; an infinite margin
-    skips the screen."""
+    and a distance ``sqrt(dx*dx + dy*dy)``, then computes the height with
+    ``lowest_point`` at the distance ``np.hypot(dx, dy)``, only for the cells
+    whose screen height is within ``_SCREEN_MARGIN`` of the block's lowest;
+    an infinite margin skips the screen."""
     a2 = alpha * alpha
-    a2_ye = a2 * ye
     big = float(np.max(np.abs(np.concatenate((xp, yp, xe, ye)))))
     unit = (a2 + 1.0 + 4.0 * alpha) * (big + 2.0**-400) / abs(a2 - 1.0)
     margin = _SCREEN_MARGIN * unit if big < 1e150 else math.inf
     xp_col, yp_col = xp[:, None], yp[:, None]
-    col, row, rate = a2_ye / (a2 - 1.0), yp_col / (a2 - 1.0), alpha / (a2 - 1.0)
+    col, row, rate = a2 * ye / (a2 - 1.0), yp_col / (a2 - 1.0), alpha / (a2 - 1.0)
     dist_buf, screen_buf = np.empty((2, min(_LATTICE_BLOCK, len(xp)), len(xe)))
     best, cell = math.inf, (0, 0)
     for i0 in range(0, len(xp), _LATTICE_BLOCK):
@@ -451,8 +448,8 @@ def _lowest_cell(xp, yp, xe, ye, alpha: float) -> tuple[int, int, float]:
             # row-major order is kept; a NaN threshold keeps every cell
             near = np.flatnonzero(~(screen > np.min(screen) + margin))
         i, j = near // len(xe) + i0, near % len(xe)
-        radius = alpha * np.hypot(xp[i] - xe[j], yp[i] - ye[j]) / (a2 - 1.0)
-        height = (a2_ye[j] - yp[i]) / (a2 - 1.0) - radius
+        dist = np.hypot(xp[i] - xe[j], yp[i] - ye[j])
+        height = lowest_point(xp[i], yp[i], xe[j], ye[j], dist, alpha)[1]
         k = int(np.argmin(height))
         value = float(height[k])
         # a later block wins only with a strictly lower value, or with the
@@ -485,8 +482,6 @@ def relaxed_oracle_from_centers(
     # The trig stays numpy's (it may use its own SIMD loops); the distance is
     # the complex magnitude, which calls the C library's ``hypot`` as numpy's
     # does but raises on overflow; the height is ``lowest_point``'s y.
-    a2 = alpha * alpha
-
     def circle(x0, y0, radius, theta):
         return x0 + radius * float(np.cos(theta)), y0 + radius * float(np.sin(theta))
 
@@ -495,7 +490,7 @@ def relaxed_oracle_from_centers(
             dist = abs(complex(xp - xe, yp - ye))
         except OverflowError:
             dist = math.inf
-        return (a2 * ye - yp) / (a2 - 1.0) - alpha * dist / (a2 - 1.0)
+        return lowest_point(xp, yp, xe, ye, dist, alpha)[1]
 
     angles = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
     cos, sin = np.cos(angles), np.sin(angles)
@@ -762,7 +757,7 @@ class Certificate:
     evidence: CertificateEvidence
 
 
-def certify_win(state: JointState, p: GameParams, motion: str = DUBINS) -> Certificate:
+def certify_win(state: JointState, p: GameParams) -> Certificate:
     """Decide whether the pursuer has a guaranteed win against the evader
     from this state, and record the predicate values that decided it.
 
@@ -771,16 +766,14 @@ def certify_win(state: JointState, p: GameParams, motion: str = DUBINS) -> Certi
     when separation holds without alignment, the pair is beyond capture
     range, the evader is outside the adjustment scope ball, the parameters
     pass the two-step check and the worst-case clearance bound is
-    non-negative.  A simple-motion pursuer needs separation only; a
-    ``motion`` other than ``model.DUBINS`` or ``SIMPLE`` is a ``ValueError``.
+    non-negative.  A simple-motion pursuer (``p.motion`` is
+    ``model.SIMPLE``) needs separation only.
 
     Separation is the one test of the aim height: ``evidence.separation``
     is that signed height, and ``sc`` holds when it is at least 0.  The aim
     point, the heading error and the adjustment-time bound are each computed
     once and handed to the predicates that use them.
     """
-    if motion not in (DUBINS, SIMPLE):
-        raise ValueError(f"unknown motion kind {motion!r}")
     x_p, x_e = state.pursuer.pos, state.evader.pos
     aim_x, aim_y, _ = aim_point(x_p, x_e, p.alpha)
     sc = aim_y >= 0.0
@@ -790,7 +783,7 @@ def certify_win(state: JointState, p: GameParams, motion: str = DUBINS) -> Certi
     solver_failed = False
     kind = CertificateKind.NONE
 
-    if motion == SIMPLE:
+    if p.motion == SIMPLE:
         if sc:
             kind = CertificateKind.INTERCEPT
     else:

@@ -48,7 +48,10 @@ def _number(entry: dict, key: str) -> float:
     value = entry[key]
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ValueError(f"key {key!r} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the largest float
+        raise ValueError(f"key {key!r} is out of float range") from None
 
 
 def _pursuer(entry: dict) -> PursuerSpec:
@@ -84,10 +87,10 @@ def parse_scenario(doc: dict) -> Scenario:
     """Build a Scenario from a parsed JSON document, rejecting unknown keys
     and reporting the offending entry as ``pursuers[i]``/``evaders[j]``.
 
-    This checks the document's shape only; field values (motion kind,
-    strategy, heading) are checked by ``PursuerSpec``/``EvaderSpec``, and
-    ``Scenario`` refuses an inadmissible game (``ValueError`` starting
-    ``invalid scenario:``).
+    This checks the document's shape only: its keys and that every number
+    is one.  ``Scenario`` checks every value, motion kind, strategy and
+    heading included, and refuses an inadmissible game with one
+    ``ValueError`` (``invalid scenario: ...``) that names every violation.
     """
     if not isinstance(doc, dict):
         raise ScenarioFormatError("top level must be an object")
@@ -218,11 +221,15 @@ def cmd_run(args) -> int:
         sticky=args.sticky,
     )
     with _open_output(args.out) as out, _open_output(args.events_out) as events:
+        # emptying one regular file for both would erase the first output
+        stats = [os.fstat(fh.fileno()) for fh in (out, events) if fh is not None]
+        if len(stats) == 2 and stat.S_ISREG(stats[0].st_mode) and os.path.samestat(*stats):
+            raise ValueError(f"--out and --events-out are the same file: {args.out}")
         result = run(sc, cfg)
         for fh, write in ((out, write_trajectory_csv), (events, write_events)):
             if fh is not None:
                 write(result, _emptied(fh))
-                fh.flush()  # complete before the next file, were it the same
+                fh.flush()  # complete before the next file, were it the same device
     captures = sum(1 for e in result.events if e.kind == "capture")
     arrivals = sum(1 for e in result.events if e.kind == "goal_arrival")
     print(f"captures={captures} goal_arrivals={arrivals} horizon_exceeded={result.horizon_exceeded}")
@@ -232,7 +239,7 @@ def cmd_run(args) -> int:
 def _certificate_line(i: int, j: int, sc: Scenario) -> str:
     p = sc.pair_params(i, j)
     state = JointState(pursuer=sc.pursuers[i].state, evader=sc.evaders[j].state)
-    cert = certs.certify_win(state, p, motion=sc.pursuers[i].motion)
+    cert = certs.certify_win(state, p)
     ev = cert.evidence
     region = certs.classify_region(p.r, p.kappa, p.alpha)
     parts = [

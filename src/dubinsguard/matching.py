@@ -32,11 +32,9 @@ def build_graph(
     pair_states: dict[tuple[int, int], JointState],
     pair_params: dict[tuple[int, int], GameParams],
     n_pursuers: int,
-    motion: dict[int, str],
 ) -> WinGraph:
     """Certify every provided pair; an edge is present iff the certificate
     is not NONE.  Inactive players are simply absent from ``pair_states``.
-    ``motion`` maps each pursuer index to its ``certify_win`` motion model.
 
     The graph reports the aim height (``evidence.separation``) of every
     pair whose certificate lacks separation.
@@ -44,7 +42,7 @@ def build_graph(
     edges = {}
     screened = {}
     for key in sorted(pair_states):
-        cert = certify_win(pair_states[key], pair_params[key], motion=motion[key[0]])
+        cert = certify_win(pair_states[key], pair_params[key])
         if not cert.evidence.sc:
             screened[key] = cert.evidence.separation
         if cert.kind is not CertificateKind.NONE:

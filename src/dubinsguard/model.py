@@ -57,6 +57,12 @@ def _positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
+def _motion(kind: str) -> None:
+    """The motion rule: a pursuer is a Dubins car or a simple-motion point."""
+    if kind not in (DUBINS, SIMPLE):
+        raise ValueError(f"unknown motion kind {kind!r}")
+
+
 def _as_point(x) -> tuple[float, float]:
     """``x`` as a point: a tuple of two finite Python floats.  A tuple of
     two floats is checked as it is; any other input goes through
@@ -76,14 +82,16 @@ class GameParams:
     """Per pursuer-evader pair constants.
 
     ``v_p``/``v_e`` are the constant speeds, ``kappa`` the pursuer's minimum
-    turning radius and ``r`` its capture radius.  The speed ratio ``alpha``
-    is derived, never stored, so it always equals ``v_p / v_e`` exactly.
+    turning radius, ``r`` its capture radius and ``motion`` its motion model.
+    The speed ratio ``alpha`` is derived, never stored, so it always equals
+    ``v_p / v_e`` exactly.
     """
 
     v_p: float
     v_e: float
     kappa: float
     r: float
+    motion: str = DUBINS
 
     def __post_init__(self):
         for name in ("v_p", "v_e", "kappa", "r"):
@@ -92,6 +100,7 @@ class GameParams:
             raise ValueError(
                 f"pursuer must be strictly faster (v_p={self.v_p}, v_e={self.v_e})"
             )
+        _motion(self.motion)
 
     @property
     def alpha(self) -> float:
@@ -136,7 +145,7 @@ class JointState:
 @dataclass(frozen=True)
 class PursuerSpec:
     """A pursuer's initial state, motion model and its share of the pair
-    parameters."""
+    parameters, checked by ``Scenario``."""
 
     state: PursuerState
     motion: str = DUBINS
@@ -144,25 +153,15 @@ class PursuerSpec:
     kappa: float = 1.0
     r: float = 0.1
 
-    def __post_init__(self):
-        if self.motion not in (DUBINS, SIMPLE):
-            raise ValueError(f"unknown motion kind {self.motion!r}")
-
 
 @dataclass(frozen=True)
 class EvaderSpec:
-    """An evader's initial state, speed and strategy."""
+    """An evader's initial state, speed and strategy, checked by ``Scenario``."""
 
     state: EvaderState
     v: float = 1.0
     strategy: str = "random_goal"
     heading: float | None = None
-
-    def __post_init__(self):
-        if self.strategy not in ("optimal", "constant", "random_goal"):
-            raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.strategy == "constant" and self.heading is None:
-            raise ValueError("constant strategy requires a heading")
 
 
 @dataclass(frozen=True)
@@ -188,7 +187,7 @@ class Scenario:
 
     def pair_params(self, i: int, j: int) -> GameParams:
         p = self.pursuers[i]
-        return GameParams(v_p=p.v, v_e=self.evaders[j].v, kappa=p.kappa, r=p.r)
+        return GameParams(v_p=p.v, v_e=self.evaders[j].v, kappa=p.kappa, r=p.r, motion=p.motion)
 
 
 def _finite_step(x: float, y: float, *rest: float) -> tuple[float, ...]:
@@ -257,10 +256,11 @@ def _violations(sc: Scenario) -> list[str]:
     naming its agent as ``pursuers[i]``/``evaders[j]``.
 
     The rules: both teams non-empty; every speed, turning radius and capture
-    radius finite and positive; every constant evader's heading finite; the
-    seed a non-negative integer; pursuers pairwise distinct, evaders pairwise
-    distinct; every evader strictly outside every capture disk and strictly
-    inside the play region; every pursuer strictly faster than every evader.
+    radius finite and positive; every motion model and strategy known; every
+    constant evader's heading present and finite; the seed a non-negative
+    integer; pursuers pairwise distinct, evaders pairwise distinct; every
+    evader strictly outside every capture disk and strictly inside the play
+    region; every pursuer strictly faster than every evader.
     """
     violations = []
     for team in ("pursuers", "evaders"):
@@ -271,12 +271,13 @@ def _violations(sc: Scenario) -> list[str]:
         at: dict[tuple[float, float], list[int]] = {}
         for k, spec in enumerate(specs):
             at.setdefault(spec.state.pos, []).append(k)
-            values = {"speed": spec.v}
+            rules = [(_positive, "speed", spec.v)]
             if team == "pursuers":
-                values.update(kappa=spec.kappa, capture_radius=spec.r)
-            for name, value in values.items():
+                rules += [(_positive, "kappa", spec.kappa), (_positive, "capture_radius", spec.r)]
+                rules.append((_motion, spec.motion))
+            for rule, *args in rules:
                 try:
-                    _positive(name, value)
+                    rule(*args)
                 except ValueError as exc:
                     violations.append(f"{team}[{k}]: {exc}")
         coincide = (pair for group in at.values() for pair in itertools.combinations(group, 2))
@@ -290,8 +291,12 @@ def _violations(sc: Scenario) -> list[str]:
     inside = dist <= np.array([pu.r for pu in sc.pursuers], dtype=float)[:, None]
     slow = np.less_equal.outer([pu.v for pu in sc.pursuers], [ev.v for ev in sc.evaders])
     for j, ev in enumerate(sc.evaders):
-        if ev.strategy == "constant" and not math.isfinite(ev.heading):
-            violations.append(f"evaders[{j}]: heading must be finite, got {ev.heading}")
+        if ev.strategy not in ("optimal", "constant", "random_goal"):
+            violations.append(f"evaders[{j}]: unknown strategy {ev.strategy!r}")
+        elif ev.strategy == "constant" and (ev.heading is None or not math.isfinite(ev.heading)):
+            violations.append(
+                f"evaders[{j}]: constant strategy requires a finite heading, got {ev.heading}"
+            )
         if ev.state.pos[1] <= 0.0:
             violations.append(f"evaders[{j}]: not in play region (y <= 0)")
         for i in np.flatnonzero(inside[:, j] | slow[:, j]).tolist():

@@ -166,13 +166,15 @@ def _newton_polish(coeffs: tuple[float, ...], slope: tuple[float, ...], x: float
 
 
 def golden_max(f, a: float, b: float, tol: float = 1e-12) -> tuple[float, float]:
-    """Golden-section maximization of a unimodal ``f`` on [a, b]; returns
-    (argmax, value).
+    """Golden-section maximization of a unimodal ``f`` on the finite
+    bracket [a, b], a < b; returns (argmax, value).
 
     Stops once the bracket is no wider than ``tol``, or once a step
     leaves it no narrower: below the float spacing of ``a`` and ``b`` the
     inner points round onto the bracket's ends and the bracket stops
     shrinking."""
+    if not -math.inf < a < b < math.inf:
+        raise ValueError(f"need a < b, got [{a}, {b}]")
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     c = b - _INV_GOLDEN * (b - a)

@@ -52,6 +52,7 @@ from .model import (
     JointState,
     PursuerState,
     Scenario,
+    _positive,
     pair_distances,
     step_evader,
     step_pursuer,
@@ -94,8 +95,7 @@ class SimConfig:
     sticky: bool = False
 
     def __post_init__(self):
-        if not (math.isfinite(self.dt) and self.dt > 0.0):
-            raise ValueError(f"dt must be finite and positive, got {self.dt}")
+        _positive("dt", self.dt)
         if not (math.isfinite(self.max_time) and self.max_time >= self.dt):
             raise ValueError(f"max_time must be finite and at least dt, got {self.max_time}")
         period = self.matching_period
@@ -213,7 +213,6 @@ class _Game:
         # Game time until which each pair the graph reported without
         # separation provably stays so.
         self.unseparated_until: dict[tuple[int, int], float] = {}
-        self.motion = {i: spec.motion for i, spec in enumerate(sc.pursuers)}
         self.radii = np.array([spec.r for spec in sc.pursuers])
 
         self.target: list[int | None] = [None] * n_p
@@ -248,7 +247,7 @@ class _Game:
         pursuers = {i: PursuerState(self.p_xy[i], self.theta[i]) for i in {i for i, _ in keys}}
         evaders = {j: EvaderState(pos=self.e_xy[j]) for j in {j for _, j in keys}}
         pair_states = {(i, j): JointState(pursuers[i], evaders[j]) for i, j in keys}
-        graph = build_graph(pair_states, self.params, n_p, self.motion)
+        graph = build_graph(pair_states, self.params, n_p)
         for key, height in graph.screened.items():
             p = self.params[key]
             until[key] = t + (-height - WINDOW_MARGIN) / aim_height_rate(p.v_p, p.alpha)

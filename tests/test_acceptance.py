@@ -224,8 +224,7 @@ def test_criterion_08_matching_optimality():
                 pursuer=dg.PursuerState(pos=(0, 2), theta=0.0),
                 evader=dg.EvaderState(pos=(0, 1)),
             ),
-            dg.GameParams(2.0, 1.0, 1.0, 0.1),
-            motion="simple",
+            dg.GameParams(2.0, 1.0, 1.0, 0.1, motion="simple"),
         )
         for _ in range(200):
             n_p = int(rng.integers(1, 9))

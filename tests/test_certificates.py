@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 
@@ -845,7 +846,7 @@ class TestCertifyWin:
         for state, p in _certify_corpus(np.random.default_rng(93), 300):
             height = aim_point(state.pursuer.pos, state.evader.pos, p.alpha)[1]
             for motion in ("dubins", "simple"):
-                ev = dg.certify_win(state, p, motion=motion).evidence
+                ev = dg.certify_win(state, dataclasses.replace(p, motion=motion)).evidence
                 assert ev.separation == height
                 assert ev.sc == (height >= 0.0)
             signs.add(height >= 0.0)
@@ -895,18 +896,26 @@ class TestCertifyWin:
         assert cert.kind is dg.CertificateKind.NONE
 
     def test_simple_motion_needs_separation_only(self):
-        p = dg.GameParams(2.0, 1.0, 1.0, 0.1)
-        good = dg.certify_win(make_state(0, 2, 0.0, 0, 1), p, motion="simple")
+        p = dg.GameParams(2.0, 1.0, 1.0, 0.1, motion="simple")
+        good = dg.certify_win(make_state(0, 2, 0.0, 0, 1), p)
         assert good.kind is dg.CertificateKind.INTERCEPT
-        bad = dg.certify_win(make_state(0, 3, 0.0, 0, 1), p, motion="simple")
+        bad = dg.certify_win(make_state(0, 3, 0.0, 0, 1), p)
         assert bad.kind is dg.CertificateKind.NONE
 
     @pytest.mark.parametrize("motion", ["simpel", "Dubins", "", None])
     def test_unknown_motion_is_refused(self, motion):
-        # a misspelt motion must not certify the pair as a car
-        p = dg.GameParams(2.0, 1.0, 1.0, 0.1)
-        with pytest.raises(ValueError, match=f"unknown motion kind {motion!r}"):
-            dg.certify_win(make_state(0, 2, 0.0, 0, 1), p, motion=motion)
+        # a misspelt motion must not certify the pair as a car: neither a
+        # pair's constants nor a scenario's pursuer can carry it
+        message = f"unknown motion kind {motion!r}"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            dg.GameParams(2.0, 1.0, 1.0, 0.1, motion=motion)
+        pursuers = [
+            dg.PursuerSpec(state=dg.PursuerState(pos=(x, 2.0), theta=0.0), motion=m, v=2.0)
+            for x, m in ((0.0, "dubins"), (3.0, motion))
+        ]
+        evaders = [dg.EvaderSpec(state=dg.EvaderState(pos=(0.0, 1.0)))]
+        with pytest.raises(ValueError, match=rf"^invalid scenario: pursuers\[1\]: {message}$"):
+            dg.Scenario(pursuers=pursuers, evaders=evaders)
 
 
 class TestTurnRule:

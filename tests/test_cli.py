@@ -57,19 +57,27 @@ class TestScenarioFormat:
     def test_bad_strategy_rejected(self, golden_path):
         doc = json.load(open(golden_path))
         doc["evaders"][0]["strategy"] = "teleport"
-        with pytest.raises(cli.ScenarioFormatError, match="strategy"):
+        with pytest.raises(
+            ValueError, match=r"^invalid scenario: evaders\[0\]: unknown strategy 'teleport'$"
+        ):
             cli.parse_scenario(doc)
 
     def test_bad_model_names_the_location(self, golden_path):
         doc = json.loads(open(golden_path).read())
         doc["pursuers"][0]["model"] = "tank"
-        with pytest.raises(cli.ScenarioFormatError, match=r"pursuers\[0\].*motion kind"):
+        with pytest.raises(
+            ValueError, match=r"^invalid scenario: pursuers\[0\]: unknown motion kind 'tank'$"
+        ):
             cli.parse_scenario(doc)
 
     def test_constant_strategy_requires_heading(self, golden_path):
         doc = json.load(open(golden_path))
         doc["evaders"][0]["strategy"] = "constant"
-        with pytest.raises(cli.ScenarioFormatError):
+        with pytest.raises(
+            ValueError,
+            match=r"^invalid scenario: evaders\[0\]: constant strategy requires a finite "
+            r"heading, got None$",
+        ):
             cli.parse_scenario(doc)
 
     def test_team_must_be_a_list(self, golden_path):
@@ -92,6 +100,14 @@ def _set(team, k, **fields):
     return edit
 
 
+def _four_bad_attributes(doc):
+    """One bad motion, strategy, missing heading and NaN heading."""
+    doc["pursuers"][0]["model"] = "tank"
+    doc["evaders"][1]["strategy"] = "sneaky"
+    doc["evaders"][2]["strategy"] = "constant"
+    doc["evaders"][3].update(strategy="constant", heading=math.nan)
+
+
 @pytest.mark.parametrize(
     "command", [["run", "--max-time", "1"], ["certify", "--all"]], ids=["run", "certify"]
 )
@@ -101,11 +117,22 @@ def _set(team, k, **fields):
         (_set("evaders", 1, speed=1.0), "pursuers[0]: not faster than evaders[1] (speed"),
         (_set("pursuers", 2, kappa=-1), "pursuers[2]: kappa must be finite and positive"),
         (_set("pursuers", 3, capture_radius=0), "pursuers[3]: capture_radius must be"),
-        (_set("evaders", 4, strategy="constant", heading=math.nan), "evaders[4]: heading"),
+        (
+            _set("evaders", 4, strategy="constant", heading=math.nan),
+            "evaders[4]: constant strategy requires a finite heading, got nan",
+        ),
         (lambda doc: doc.update(seed=-1), "seed: must be a non-negative integer"),
         (lambda doc: doc.update(pursuers=[]), "pursuers: at least one required"),
+        (
+            _four_bad_attributes,
+            "pursuers[0]: unknown motion kind 'tank'; "
+            "evaders[1]: unknown strategy 'sneaky'; "
+            "evaders[2]: constant strategy requires a finite heading, got None; "
+            "evaders[3]: constant strategy requires a finite heading, got nan",
+        ),
     ],
-    ids=["evader_speed", "kappa", "capture_radius", "heading", "seed", "no_pursuers"],
+    ids=["evader_speed", "kappa", "capture_radius", "heading", "seed", "no_pursuers",
+         "four_attributes"],
 )
 def test_inadmissible_scenario_is_one_error_line(
     golden_path, tmp_path, capsys, command, edit, expected
@@ -591,3 +618,47 @@ def test_a_device_output_is_written_without_truncation(capsys):
     argv = ["oracle-compare", "--trials", "1", "--grid", "90", "--out", os.devnull]
     assert cli.main(argv) == 0
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("spelling", ["same", "hard_link"])
+def test_one_file_for_both_run_outputs_is_refused(
+    golden_path, tmp_path, capsys, monkeypatch, spelling
+):
+    # emptying the events file would erase the trajectory just written to it
+    played = []
+    real_run = cli.run
+    monkeypatch.setattr(cli, "run", lambda *args: played.append(args) or real_run(*args))
+    target = tmp_path / "both.out"
+    target.write_text("old content\n")
+    other = target
+    if spelling == "hard_link":
+        other = tmp_path / "link.out"
+        os.link(target, other)
+    argv = ["run", "--scenario", golden_path, "--max-time", "0.05"]
+    assert cli.main([*argv, "--out", str(target), "--events-out", str(other)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert str(target) in captured.err
+    assert target.read_text() == "old content\n"
+    assert played == []  # a game is not played before the outputs are refused
+
+
+def test_both_run_outputs_may_share_a_device(golden_path, capsys):
+    argv = ["run", "--scenario", golden_path, "--max-time", "0.05"]
+    assert cli.main([*argv, "--out", os.devnull, "--events-out", os.devnull]) == 2
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "command", [["run", "--max-time", "1"], ["certify", "--all"]], ids=["run", "certify"]
+)
+def test_integer_beyond_float_range_is_one_error_line(golden_path, tmp_path, capsys, command):
+    doc = json.loads(open(golden_path).read())
+    doc["pursuers"][0]["speed"] = 10**400
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main([command[0], "--scenario", str(path), *command[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: pursuers[0]: key 'speed' is out of float range\n"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ from conftest import adjacency, brute_force_matching_size, make_state
 
 def _dummy_cert():
     return dg.certify_win(
-        make_state(0, 2, 0.0, 0, 1), dg.GameParams(2, 1, 1, 0.1), motion="simple"
+        make_state(0, 2, 0.0, 0, 1), dg.GameParams(2, 1, 1, 0.1, motion="simple")
     )
 
 
@@ -19,30 +20,29 @@ def _graph(n_p, pairs):
 
 class TestBuildGraph:
     def _pair_inputs(self, pursuer_rows, evader_rows, motion="simple"):
-        p = dg.GameParams(2.0, 1.0, 1.0, 0.1)
+        p = dg.GameParams(2.0, 1.0, 1.0, 0.1, motion=motion)
         states = {}
         params = {}
         for i, (px, py) in enumerate(pursuer_rows):
             for j, (ex, ey) in enumerate(evader_rows):
                 states[(i, j)] = make_state(px, py, 0.0, ex, ey)
                 params[(i, j)] = p
-        motions = {i: motion for i in range(len(pursuer_rows))}
-        return states, params, motions
+        return states, params
 
     def test_all_pairs_certified_gives_complete_graph(self):
         # simple-motion pursuers win on separation alone; evaders placed high
-        states, params, motions = self._pair_inputs(
+        states, params = self._pair_inputs(
             [(0, 1), (3, 1)], [(0, 5), (3, 5)]
         )
-        g = dg.build_graph(states, params, 2, motions)
+        g = dg.build_graph(states, params, 2)
         assert set(g.edges) == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
     def test_no_pairs_certified_gives_empty_graph(self):
         # evaders hugging the goal line: separation fails everywhere
-        states, params, motions = self._pair_inputs(
+        states, params = self._pair_inputs(
             [(0, 5), (3, 5)], [(0, 0.1), (3, 0.1)]
         )
-        g = dg.build_graph(states, params, 2, motions)
+        g = dg.build_graph(states, params, 2)
         assert g.edges == {}
 
     def test_golden_scenario_initial_edges(self):
@@ -63,18 +63,17 @@ class TestBuildGraph:
         params = {
             (i, j): sc.pair_params(i, j) for i in range(5) for j in range(5)
         }
-        motions = {i: sc.pursuers[i].motion for i in range(5)}
-        g = dg.build_graph(states, params, 5, motions)
+        g = dg.build_graph(states, params, 5)
         assert set(g.edges) == {(0, 3), (2, 2), (3, 1), (4, 0)}
 
     def test_removing_a_pair_never_adds_edges(self):
-        states, params, motions = self._pair_inputs(
+        states, params = self._pair_inputs(
             [(0, 1), (3, 1)], [(0, 5), (3, 5)]
         )
-        full = dg.build_graph(states, params, 2, motions)
+        full = dg.build_graph(states, params, 2)
         states.pop((0, 1))
         params.pop((0, 1))
-        reduced = dg.build_graph(states, params, 2, motions)
+        reduced = dg.build_graph(states, params, 2)
         assert set(reduced.edges) <= set(full.edges)
 
 
@@ -82,11 +81,12 @@ def _screen_corpus(rng, n):
     """Seeded pair states and parameters for the separation screen: random
     pairs, pairs shifted to within 1e-12 of the separation boundary (a
     common vertical shift moves the aim point by the same amount), aligned
-    pairs, and a mix of car and simple-motion pursuers."""
+    pairs, and a mix of car and simple-motion pursuers, each pursuer's
+    motion in its pairs' parameters."""
     paper = dg.GameParams.from_alpha(v_p=0.3, alpha=6.3, kappa=0.0625, r=0.1)
-    states, params, motions = {}, {}, {}
+    states, params = {}, {}
     for i in range(n):
-        motions[i] = "simple" if rng.uniform() < 0.25 else "dubins"
+        motion = "simple" if rng.uniform() < 0.25 else "dubins"
         for j in range(n):
             if rng.uniform() < 0.5:
                 p = paper
@@ -106,8 +106,8 @@ def _screen_corpus(rng, n):
             if rng.uniform() < 0.3:
                 theta = dg.interception(x_p, x_e, p.alpha).angle
             states[(i, j)] = make_state(x_p[0], x_p[1], theta, x_e[0], x_e[1])
-            params[(i, j)] = p
-    return states, params, motions
+            params[(i, j)] = dataclasses.replace(p, motion=motion)
+    return states, params
 
 
 class TestSeparationScreen:
@@ -116,11 +116,11 @@ class TestSeparationScreen:
         kinds = set()
         near_boundary = 0
         for _ in range(12):
-            states, params, motions = _screen_corpus(rng, 8)
-            graph = dg.build_graph(states, params, 8, motions)
+            states, params = _screen_corpus(rng, 8)
+            graph = dg.build_graph(states, params, 8)
             expected = {}
             for key in sorted(states):
-                cert = dg.certify_win(states[key], params[key], motion=motions[key[0]])
+                cert = dg.certify_win(states[key], params[key])
                 if cert.kind is not dg.CertificateKind.NONE:
                     expected[key] = cert
             near_boundary += sum(
@@ -142,16 +142,16 @@ class TestSeparationScreen:
         # without separation
         from dubinsguard import matching
 
-        states, params, motions = _screen_corpus(np.random.default_rng(65), 6)
+        states, params = _screen_corpus(np.random.default_rng(65), 6)
         calls = []
 
-        def counting(state, p, motion="dubins"):
-            cert = dg.certify_win(state, p, motion=motion)
+        def counting(state, p):
+            cert = dg.certify_win(state, p)
             calls.append((state, cert))
             return cert
 
         monkeypatch.setattr(matching, "certify_win", counting)
-        graph = dg.build_graph(states, params, 6, motions)
+        graph = dg.build_graph(states, params, 6)
         assert len(calls) == len(states)
         assert all(state is states[key] for (state, _), key in zip(calls, sorted(states)))
         unseparated = {
@@ -178,9 +178,9 @@ class TestSeparationScreen:
         for module in (certificates, geometry):
             monkeypatch.setattr(module, "aim_point", counting)
         for _ in range(4):
-            states, params, motions = _screen_corpus(rng, 6)
+            states, params = _screen_corpus(rng, 6)
             calls.clear()
-            graph = dg.build_graph(states, params, 6, motions)
+            graph = dg.build_graph(states, params, 6)
             assert len(calls) == len(states)
             assert 0 < len(graph.screened) < len(states)
             assert any(c.kind is dg.CertificateKind.TWO_STEP for c in graph.edges.values())
@@ -188,8 +188,8 @@ class TestSeparationScreen:
     def test_screened_heights_are_the_aim_heights(self):
         from dubinsguard.geometry import aim_point
 
-        states, params, motions = _screen_corpus(np.random.default_rng(67), 6)
-        graph = dg.build_graph(states, params, 6, motions)
+        states, params = _screen_corpus(np.random.default_rng(67), 6)
+        graph = dg.build_graph(states, params, 6)
         expected = {}
         for key, st in states.items():
             y = aim_point(st.pursuer.pos, st.evader.pos, params[key].alpha)[1]

@@ -278,7 +278,8 @@ class TestValidateScenario:
             ([_pursuer(0, 1, r=math.inf)], [_evader(0, 2)], 0, "pursuers[0]: capture_radius"),
             ([_pursuer(0, 1, kappa=-1.0)], [_evader(0, 2)], 0, "pursuers[0]: kappa"),
             ([_pursuer(0, 1)], [_evader(0, 2, v=math.nan)], 0, "evaders[0]: speed"),
-            ([_pursuer(0, 1)], [_evader(0, 2, heading=math.nan)], 0, "evaders[0]: heading"),
+            ([_pursuer(0, 1)], [_evader(0, 2, heading=math.nan)], 0,
+             "evaders[0]: constant strategy requires a finite heading"),
             ([_pursuer(0, 1)], [_evader(0, 2)], -1, "seed: must be a non-negative integer"),
             ([_pursuer(0, 1)], [_evader(0, 2)], 1.5, "seed: must be a non-negative integer"),
         ],
@@ -291,6 +292,22 @@ class TestValidateScenario:
     def test_every_violation_is_reported(self):
         msg = _violation([_pursuer(0, 1, kappa=0.0), _pursuer(0, 1)], [_evader(0, 1)], -3)
         assert msg.count("; ") == 4
+
+    def test_every_agent_attribute_is_a_scenario_rule(self):
+        # the specs are plain records: a bad motion, strategy or heading is
+        # refused with every other violation when the scenario is built
+        tank = dg.PursuerSpec(
+            state=dg.PursuerState(pos=(0.0, 1.0), theta=0.0), motion="tank", v=0.3
+        )
+        sneaky = dg.EvaderSpec(state=dg.EvaderState(pos=(1.0, 2.0)), v=0.1, strategy="sneaky")
+        missing = dg.EvaderSpec(state=dg.EvaderState(pos=(2.0, 2.0)), v=0.1, strategy="constant")
+        msg = _violation([tank], [_evader(0, 2), sneaky, missing, _evader(3, 2, heading=math.nan)])
+        assert msg == (
+            "invalid scenario: pursuers[0]: unknown motion kind 'tank'; "
+            "evaders[1]: unknown strategy 'sneaky'; "
+            "evaders[2]: constant strategy requires a finite heading, got None; "
+            "evaders[3]: constant strategy requires a finite heading, got nan"
+        )
 
     def test_pair_params_never_raise_on_a_constructed_scenario(self):
         rng = np.random.default_rng(7)
@@ -344,6 +361,8 @@ def _reference_violations(pursuers, evaders, seed) -> list[str]:
                     violations.append(
                         f"{team}[{k}]: {name} must be finite and positive, got {value}"
                     )
+            if team == "pursuers" and spec.motion not in ("dubins", "simple"):
+                violations.append(f"{team}[{k}]: unknown motion kind {spec.motion!r}")
         for a in range(len(specs)):
             for b in range(a + 1, len(specs)):
                 if specs[a].state.pos == specs[b].state.pos:
@@ -351,8 +370,12 @@ def _reference_violations(pursuers, evaders, seed) -> list[str]:
     if isinstance(seed, bool) or not (isinstance(seed, (int, np.integer)) and seed >= 0):
         violations.append(f"seed: must be a non-negative integer, got {seed!r}")
     for j, ev in enumerate(evaders):
-        if ev.strategy == "constant" and not math.isfinite(ev.heading):
-            violations.append(f"evaders[{j}]: heading must be finite, got {ev.heading}")
+        if ev.strategy not in ("optimal", "constant", "random_goal"):
+            violations.append(f"evaders[{j}]: unknown strategy {ev.strategy!r}")
+        elif ev.strategy == "constant" and (ev.heading is None or not math.isfinite(ev.heading)):
+            violations.append(
+                f"evaders[{j}]: constant strategy requires a finite heading, got {ev.heading}"
+            )
         if ev.state.pos[1] <= 0.0:
             violations.append(f"evaders[{j}]: not in play region (y <= 0)")
         for i, pu in enumerate(pursuers):

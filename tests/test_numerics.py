@@ -341,6 +341,18 @@ def test_golden_max_refuses_a_non_positive_tol(tol):
     assert calls == []
 
 
+@pytest.mark.parametrize(
+    "a, b",
+    [(math.nan, 1.0), (0.0, math.nan), (0.0, math.inf), (-math.inf, 1.0), (1.0, 0.0), (0.5, 0.5)],
+)
+def test_golden_max_refuses_a_bad_bracket(a, b):
+    # these returned (nan, nan), or the midpoint without a search
+    f, calls = _counted(lambda t: -(t - 0.3) ** 2)
+    with pytest.raises(ValueError, match=r"^need a < b, got \["):
+        dg.golden_max(f, a, b)
+    assert calls == []
+
+
 @pytest.mark.parametrize("tol", [0.0, -1e-12, math.nan])
 def test_real_roots_refuses_a_non_positive_tol(tol):
     # a NaN tol used to pass the guard and lose the root at 1.0
