@@ -758,8 +758,15 @@ class Certificate:
 
 
 def certify_win(state: JointState, p: GameParams) -> Certificate:
-    """Decide whether the pursuer has a guaranteed win against the evader
-    from this state, and record the predicate values that decided it.
+    """``certify_pair`` on the state's floats: whether the pursuer has a
+    guaranteed win, with the predicate values that decided it."""
+    return certify_pair(state.pursuer.pos, state.pursuer.theta, state.evader.pos, p)
+
+
+def certify_pair(x_p, theta: float, x_e, p: GameParams, aim=None) -> Certificate:
+    """Whether the car at ``x_p`` with heading ``theta`` has a guaranteed win
+    against the evader at ``x_e``.  ``aim`` is the pair's (x, y, bearing), by
+    ``geometry.aim_point`` and ``aim_bearing``, when the caller has it.
 
     A car wins directly when separation and alignment hold and the
     parameters pass the curvature check; it wins through the two-step route
@@ -774,8 +781,10 @@ def certify_win(state: JointState, p: GameParams) -> Certificate:
     point, the heading error and the adjustment-time bound are each computed
     once and handed to the predicates that use them.
     """
-    x_p, x_e = state.pursuer.pos, state.evader.pos
-    aim_x, aim_y, _ = aim_point(x_p, x_e, p.alpha)
+    if aim is None:
+        aim_x, aim_y, _ = aim_point(x_p, x_e, p.alpha)
+        aim = aim_x, aim_y, aim_bearing(x_p, aim_x, aim_y)
+    aim_x, aim_y, bearing = aim
     sc = aim_y >= 0.0
     dist = math.hypot(x_p[0] - x_e[0], x_p[1] - x_e[1])
     io = err = intercept_ok = adjust_ok = two_ok = None
@@ -787,7 +796,7 @@ def certify_win(state: JointState, p: GameParams) -> Certificate:
         if sc:
             kind = CertificateKind.INTERCEPT
     else:
-        err = wrap_to_pi(aim_bearing(x_p, aim_x, aim_y) - state.pursuer.theta)
+        err = wrap_to_pi(bearing - theta)
         io = abs(err) <= IO_TOL
         intercept_ok = intercept_feasible(p.r, p.kappa, p.alpha)
         adjust_ok = adjust_feasible(p.r, p.kappa, p.alpha)
@@ -797,6 +806,7 @@ def certify_win(state: JointState, p: GameParams) -> Certificate:
         else:
             beyond_capture = dist > p.r
             if sc and not io and beyond_capture:
+                state = JointState(PursuerState(x_p, theta), EvaderState(x_e))
                 bound = adjust_time_bound(state, p, err)
                 duration = bound.duration
                 scope_ok = adjust_scope_holds(state, p, bound)

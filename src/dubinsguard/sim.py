@@ -11,7 +11,10 @@ reached:
   nearest evader when every one is held); certificates are read only as
   edges.  A pair the graph reports without separation is not offered again
   while its separation window is open (see ``WINDOW_MARGIN``): no pair in a
-  window could be an edge, so the graph is the one a full rebuild would give;
+  window could be an edge, so the graph is the one a full rebuild would give.
+  A re-snapped pair is carried, certified from its re-snap's aim, and an
+  unchanged edge-key set reuses its matching (bundled 5v5, period 1: 7,166
+  pairs carried, 980 through ``build_graph``, 6 ``max_matching`` calls);
 - controls: evader controls first, then the pursuers', which observe them.
   Every car runs ``strategies.two_step_command``, the one adjust-then-
   intercept phase machine and the only way into interception; the simulator
@@ -19,7 +22,8 @@ reached:
 - record: one trajectory row per agent;
 - integrate: each car, and each active simple-motion agent, moves exactly
   under its zero-order-hold control, one ``model.step_pursuer`` or
-  ``step_evader`` call each, and intercepting cars are re-snapped against drift;
+  ``step_evader`` call each, and intercepting cars are re-snapped against
+  drift, each re-snap's aim point kept for the next refresh only;
 - detect: capture and goal-arrival crossings are located by linear
   interpolation inside the step.
 
@@ -27,13 +31,13 @@ Agent state is plain floats: positions and controls are ``(x, y)`` float
 pairs, the library's one point type, stepped by the float kernels of
 ``model`` and ``strategies``.  A scenario's state positions are such pairs
 already, so they are read as they are, and the validated state objects of
-the win graph, built once per refresh for agents with a pair outside its
-window, take the pairs without conversion.  Arrays appear only where all
-pairs are batched: the pair distances are one ``(n_p, n_e)`` array per
-step, from ``model.pair_distances``, shared by the capture screen, the
-nearest-pursuer choice of ``optimal`` evaders and the leftover pursuers'
-nearest evader.  A ``dt`` long enough for a pursuer and an evader to close
-a capture radius in one step is refused.
+the win graph, built once per refresh for agents with a pair neither
+windowed nor carried, take the pairs without conversion.  Arrays appear
+only where all pairs are batched: the pair distances are one ``(n_p, n_e)``
+array per step, from ``model.pair_distances``, shared by the capture
+screen, the nearest-pursuer choice of ``optimal`` evaders and the leftover
+pursuers' nearest evader.  A ``dt`` long enough for a pursuer and an evader
+to close a capture radius in one step is refused.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import IO_TOL, aim_bearing, aim_height_rate, aim_point
-from .matching import WinGraph, assign, build_graph, max_matching
+from .matching import WinGraph, assign, build_graph, carried_edges, max_matching
 from .model import (
     DUBINS,
     EvaderState,
@@ -220,6 +224,8 @@ class _Game:
             TwoStepState() if spec.motion == DUBINS else None for spec in sc.pursuers
         ]
         self.matched: dict[int, int] = {}
+        self.aims: dict[tuple[int, int], tuple] = {}  # see ``integrate``
+        self.last_match: tuple = (None, {})  # edge-key set, its matching
 
         self.t = 0.0
         self.diag = ClampDiagnostics()
@@ -236,14 +242,16 @@ class _Game:
         self.e_start = self.e_xy
 
     def assign(self):
-        """Rebuild the win graph over the active pairs outside their
-        separation windows, re-match, and retarget the pursuers.  A car with
-        a new target restarts its phase machine, which enters interception
-        in this step already when the new pair is aligned and feasible."""
+        """Rebuild the win graph over the active pairs outside their windows,
+        carrying re-snapped pairs, re-match and retarget the pursuers.  A car
+        with a new target restarts its phase machine and enters interception
+        at once when the new pair is aligned and feasible."""
         n_p, n_e, t = self.n_p, self.n_e, self.t
         active = [j for j in range(n_e) if self.status[j] == ACTIVE]
-        until = self.unseparated_until
+        until, aims = self.unseparated_until, self.aims
         keys = [(i, j) for i in range(n_p) for j in active if until.get((i, j), t) <= t]
+        carried = carried_edges({key: aims[key] for key in keys if key in aims}, self.params)
+        keys = [key for key in keys if key not in carried]
         pursuers = {i: PursuerState(self.p_xy[i], self.theta[i]) for i in {i for i, _ in keys}}
         evaders = {j: EvaderState(pos=self.e_xy[j]) for j in {j for _, j in keys}}
         pair_states = {(i, j): JointState(pursuers[i], evaders[j]) for i, j in keys}
@@ -251,14 +259,13 @@ class _Game:
         for key, height in graph.screened.items():
             p = self.params[key]
             until[key] = t + (-height - WINDOW_MARGIN) / aim_height_rate(p.v_p, p.alpha)
-        kept, residual = {}, graph
+        edges, kept = {**graph.edges, **carried}, {}
         if self.cfg.sticky:  # the graph holds active evaders only
-            kept = {i: j for i, j in self.matched.items() if (i, j) in graph.edges}
+            kept = {i: j for i, j in self.matched.items() if (i, j) in edges}
         if kept:
             held = set(kept.values())
-            edges = {k: c for k, c in graph.edges.items() if k[0] not in kept and k[1] not in held}
-            residual = WinGraph(n_pursuers=n_p, edges=edges)
-        kept.update(max_matching(residual))
+            edges = {k: c for k, c in edges.items() if k[0] not in kept and k[1] not in held}
+        kept.update(self.match(WinGraph(n_pursuers=n_p, edges=edges)))
         opportunistic = assign(kept, self.dist, active)
         pairs = tuple(sorted(kept.items()))
         if kept != self.matched:
@@ -272,6 +279,12 @@ class _Game:
             self.target[i] = new_target
             if self.phases[i] is not None:
                 self.phases[i] = TwoStepState()
+
+    def match(self, graph: WinGraph) -> dict[int, int]:
+        """``max_matching(graph)``, reused while the edge-key set is unchanged."""
+        if graph.edges.keys() != self.last_match[0]:
+            self.last_match = set(graph.edges), max_matching(graph)
+        return self.last_match[1]
 
     def live_target(self, i: int) -> int | None:
         """Pursuer ``i``'s target, if that evader is still in play."""
@@ -300,12 +313,12 @@ class _Game:
                 controls.append(_with_heading(u))
         return controls
 
-    def snap_angle(self, i: int, j: int) -> float:
-        """Interception angle of car ``i`` against evader ``j``: the heading
-        both snaps set."""
+    def aim(self, i: int, j: int) -> tuple[float, float, float]:
+        """Aim point (x, y) of car ``i`` against evader ``j`` and the
+        interception angle toward it: the heading both snaps set."""
         x_p = self.p_xy[i]
         x, y, _ = aim_point(x_p, self.e_xy[j], self.params[(i, j)].alpha)
-        return aim_bearing(x_p, x, y)
+        return x, y, aim_bearing(x_p, x, y)
 
     def pursuer_controls(self, e_controls) -> list[float | tuple | None]:
         """Turn commands of the cars (0.0 without a live target) and, as for
@@ -325,7 +338,7 @@ class _Game:
                 self.p_xy[i], self.theta[i], self.e_xy[j], e_controls[j][0], pr, phase, self.diag
             )
             if self.phases[i].phase is not phase.phase:
-                self.theta[i] = self.snap_angle(i, j)
+                self.theta[i] = self.aim(i, j)[2]
                 self.events.append(Event(t=self.t, kind="io_achieved", pursuer=i, evader=j))
             controls.append(u)
         return controls
@@ -345,11 +358,12 @@ class _Game:
             u = None if c is None else c[1]
             self.e_rows[j].append((t, x, y, None, u, strategy, self.status[j], None))
 
-    def integrate(self, p_controls, e_controls):
-        """Advance both teams by one step under zero-order hold, then re-snap
-        the intercepting cars' alignment invariant against integration
-        drift."""
+    def integrate(self, p_controls, e_controls, keep_aims: bool):
+        """Advance both teams one step under zero-order hold, re-snap the
+        intercepting cars against drift, and clear ``aims``; with ``keep_aims``
+        (a refresh is next) record there each re-snapped pair's floats and aim."""
         dt = self.cfg.dt
+        self.aims = {}
         for i, (spec, u) in enumerate(zip(self.sc.pursuers, p_controls)):
             x, y = self.p_xy[i]
             if self.phases[i] is not None:
@@ -367,9 +381,11 @@ class _Game:
             j = self.live_target(i)
             if j is None or phase is None or phase.phase is not Phase.INTERCEPTING:
                 continue
-            angle = self.snap_angle(i, j)
-            if 0.0 < abs(wrap_to_pi(angle - self.theta[i])) <= SNAP_FACTOR * IO_TOL:
-                self.theta[i] = angle
+            aim = self.aim(i, j)
+            if 0.0 < abs(wrap_to_pi(aim[2] - self.theta[i])) <= SNAP_FACTOR * IO_TOL:
+                self.theta[i] = aim[2]
+            if keep_aims:
+                self.aims[i, j] = self.p_xy[i], self.theta[i], self.e_xy[j], aim
 
     def detect(self):
         """Refresh the pair distances and end the play of every evader that
@@ -422,7 +438,7 @@ def run(sc: Scenario, cfg: SimConfig) -> SimResult:
         e_controls = game.evader_controls()
         p_controls = game.pursuer_controls(e_controls)
         game.record(p_controls, e_controls)
-        game.integrate(p_controls, e_controls)
+        game.integrate(p_controls, e_controls, (step_index + 1) % cfg.matching_period == 0)
         game.detect()
         game.t += cfg.dt
         if ACTIVE not in game.status or game.t >= cfg.max_time - 1e-15:

@@ -185,6 +185,29 @@ class TestSeparationScreen:
             assert 0 < len(graph.screened) < len(states)
             assert any(c.kind is dg.CertificateKind.TWO_STEP for c in graph.edges.values())
 
+    def test_carried_edges_are_the_intercept_edges(self, monkeypatch):
+        # handed each pair's aim, carried_edges computes none and keeps
+        # exactly the INTERCEPT certificates that certify_win gives
+        from dubinsguard import certificates, matching
+        from dubinsguard.geometry import aim_bearing, aim_point
+
+        states, params = _screen_corpus(np.random.default_rng(68), 8)
+        pairs, expected = {}, {}
+        for key, st in states.items():
+            x_p, x_e = st.pursuer.pos, st.evader.pos
+            x, y, _ = aim_point(x_p, x_e, params[key].alpha)
+            pairs[key] = (x_p, st.pursuer.theta, x_e, (x, y, aim_bearing(x_p, x, y)))
+            cert = dg.certify_win(st, params[key])
+            if cert.kind is dg.CertificateKind.INTERCEPT:
+                expected[key] = cert
+
+        def unexpected(*args):
+            raise AssertionError("aim point recomputed")
+
+        monkeypatch.setattr(certificates, "aim_point", unexpected)
+        assert matching.carried_edges(pairs, params) == expected
+        assert 0 < len(expected) < len(pairs)
+
     def test_screened_heights_are_the_aim_heights(self):
         from dubinsguard.geometry import aim_point
 

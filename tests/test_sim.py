@@ -9,7 +9,7 @@ import pytest
 import dubinsguard as dg
 from conftest import aligned_state, er_goal_distance
 from dubinsguard import sim
-from dubinsguard.geometry import aim_point
+from dubinsguard.geometry import aim_point, lowest_point
 
 
 def test_detect_crossing_examples():
@@ -643,21 +643,26 @@ def _climbing_duels():
 
 def _replay_windows(monkeypatch, sc, cfg):
     """Play the game checking every pair the simulator leaves out of a
-    refresh: each must lack separation there.  Returns the result and the
-    counts of windowed (skipped) and screened-out pair evaluations."""
+    refresh, neither carried nor certified: each must lack separation
+    there.  Returns the result and the counts of windowed (skipped) and
+    screened-out pair evaluations."""
     counts = {"skipped": 0, "screened": 0}
     game = {}
-    assign, build_graph = sim._Game.assign, sim.build_graph
+    assign, build_graph, carried_edges = sim._Game.assign, sim.build_graph, sim.carried_edges
 
     def recording_assign(self):
         game["now"] = self
         assign(self)
 
+    def recording_carried_edges(*args):
+        game["carried"] = carried_edges(*args)
+        return game["carried"]
+
     def checked_build_graph(pair_states, *args):
         g = game["now"]
         for i in range(g.n_p):
             for j in range(g.n_e):
-                if g.status[j] != sim.ACTIVE or (i, j) in pair_states:
+                if g.status[j] != sim.ACTIVE or (i, j) in pair_states or (i, j) in game["carried"]:
                     continue
                 height = aim_point(g.p_xy[i], g.e_xy[j], g.params[(i, j)].alpha)[1]
                 assert height < 0.0, (g.t, i, j)
@@ -667,6 +672,7 @@ def _replay_windows(monkeypatch, sc, cfg):
         return graph
 
     monkeypatch.setattr(sim._Game, "assign", recording_assign)
+    monkeypatch.setattr(sim, "carried_edges", recording_carried_edges)
     monkeypatch.setattr(sim, "build_graph", checked_build_graph)
     return dg.run(sc, cfg), counts
 
@@ -755,32 +761,51 @@ class TestOneRematchingPass:
 
     @staticmethod
     def _refreshes(monkeypatch, sc, cfg):
-        """Play the game; returns, per refresh, the built graph, the graph
-        matched and the refresh's matching."""
+        """Play the game; returns, per refresh, the win graph (the carried
+        edges and the built graph's), the graph matched and the refresh's
+        matching."""
         built, matched = [], []
-        build_graph, max_matching = sim.build_graph, sim.max_matching
+        build_graph, carried_edges, match = sim.build_graph, sim.carried_edges, sim._Game.match
 
-        def recording_build(*args):
-            built.append(build_graph(*args))
+        def recording_carry(*args):
+            built.append(carried_edges(*args))
             return built[-1]
 
-        def recording_match(graph):
-            matched.append(graph)
-            return max_matching(graph)
+        def recording_build(*args):
+            graph = build_graph(*args)
+            built[-1] = dg.WinGraph(graph.n_pursuers, edges={**graph.edges, **built[-1]})
+            return graph
 
+        def recording_match(self, graph):
+            matched.append(graph)
+            return match(self, graph)
+
+        monkeypatch.setattr(sim, "carried_edges", recording_carry)
         monkeypatch.setattr(sim, "build_graph", recording_build)
-        monkeypatch.setattr(sim, "max_matching", recording_match)
+        monkeypatch.setattr(sim._Game, "match", recording_match)
         result = dg.run(sc, cfg)
         history = [dict(pairs) for _, pairs, _ in result.matching_history]
         assert len(built) == len(matched) == len(history)
         return list(zip(built, matched, history))
+
+    def test_only_an_equal_edge_key_set_reuses_its_matching(self, monkeypatch):
+        calls, max_matching = [], sim.max_matching
+        monkeypatch.setattr(sim, "max_matching", lambda g: calls.append(g) or max_matching(g))
+        game = sim._Game(_bundled_5v5(), dg.SimConfig())
+        straight, crossed = [(0, 0), (1, 1)], [(0, 1), (1, 0)]
+        assert game.match(dg.WinGraph(5, dict.fromkeys(straight))) == {0: 0, 1: 1}
+        assert game.match(dg.WinGraph(5, dict.fromkeys(straight[::-1]))) == {0: 0, 1: 1}
+        assert len(calls) == 1
+        assert game.match(dg.WinGraph(5, dict.fromkeys(crossed))) == {0: 1, 1: 0}
+        assert game.match(dg.WinGraph(5)) == {}
+        assert len(calls) == 3
 
     @pytest.mark.parametrize("seed, n", [(11, 5), (13, 8)])
     def test_plain_refresh_matches_the_whole_graph(self, monkeypatch, seed, n):
         cfg = dg.SimConfig(dt=1e-3, max_time=10.0, matching_period=5)
         refreshes = self._refreshes(monkeypatch, _contested_team(seed, n), cfg)
         for graph, matched_graph, matching in refreshes:
-            assert matched_graph is graph
+            assert matched_graph.edges == graph.edges
             assert matching == dg.max_matching(graph)
 
     @pytest.mark.parametrize("seed, n", [(11, 5), (13, 8)])
@@ -791,12 +816,96 @@ class TestOneRematchingPass:
         for graph, matched_graph, matching in refreshes:
             kept = {i: j for i, j in previous.items() if (i, j) in graph.edges}
             assert kept.items() <= matching.items()
-            assert (matched_graph is graph) == (not kept)
+            assert (matched_graph.edges == graph.edges) == (not kept)
             assert all(i not in kept and j not in kept.values() for i, j in matched_graph.edges)
             kept_some += bool(kept)
             differs += matching != dg.max_matching(graph)
             previous = matching
         assert kept_some > 0 and differs > 0
+
+
+def _replay_carried(monkeypatch, sc, cfg):
+    """Play the game certifying every pair handed to ``carried_edges``
+    anyway, by ``certify_win`` on a ``JointState`` of the same floats: a
+    carried edge's certificate must be equal, evidence included, and its aim
+    height, recomputed from the positions, at least 0; a pair left out must
+    not be INTERCEPT.  Returns the result and the number of carried edges."""
+    carried = [0]
+    carried_edges = sim.carried_edges
+
+    def checked(pairs, pair_params):
+        edges = carried_edges(pairs, pair_params)
+        for key, (x_p, theta, x_e, _) in pairs.items():
+            p = pair_params[key]
+            state = dg.JointState(dg.PursuerState(x_p, theta), dg.EvaderState(x_e))
+            cert = dg.certify_win(state, p)
+            if key not in edges:
+                assert cert.kind is not dg.CertificateKind.INTERCEPT
+                continue
+            assert edges[key] == cert
+            dist = math.hypot(x_p[0] - x_e[0], x_p[1] - x_e[1])
+            assert lowest_point(*x_p, *x_e, dist, p.alpha)[1] >= 0.0
+        carried[0] += len(edges)
+        return edges
+
+    monkeypatch.setattr(sim, "carried_edges", checked)
+    return dg.run(sc, cfg), carried[0]
+
+
+@pytest.mark.parametrize(
+    "scenario, period, sticky",
+    [
+        (_bundled_5v5, 1, False),
+        (_bundled_5v5, 20, False),
+        (_bundled_5v5, 1, True),
+        (_mixed_5v5, 1, False),
+        (_contested_team, 5, False),
+        (_contested_team, 1, True),
+    ],
+    ids=["5v5-p1", "5v5-p20", "5v5-p1-sticky", "mixed-p1", "contested-p5", "contested-p1-sticky"],
+)
+def test_carried_certificates_equal_certify_win_and_change_nothing(
+    monkeypatch, scenario, period, sticky
+):
+    # with no pair carried and every refresh matched afresh, the game is
+    # the one that certifies and matches everything, bit for bit
+    sc = scenario()
+    cfg = dg.SimConfig(dt=1e-3, max_time=10.0, matching_period=period, sticky=sticky)
+    played, carried = _replay_carried(monkeypatch, sc, cfg)
+    assert carried > 0
+    if scenario is _bundled_5v5 and period == 1:
+        assert carried >= 7000
+    monkeypatch.setattr(sim, "carried_edges", lambda pairs, pair_params: {})
+    monkeypatch.setattr(sim._Game, "match", lambda self, graph: sim.max_matching(graph))
+    assert dg.run(sc, cfg) == played
+
+
+def test_aims_are_those_of_the_last_step(monkeypatch):
+    # at period 20 targets are captured between refreshes; after every step
+    # the aim record is empty, or, before a refresh, holds exactly the aims
+    # of the cars intercepting a live target, at the step's end positions,
+    # so a refresh reads no older one
+    integrate, orphaned, kept = sim._Game.integrate, [0], []
+
+    def checked(self, p_controls, e_controls, keep_aims):
+        integrate(self, p_controls, e_controls, keep_aims)
+        aims = {}
+        for i, phase in enumerate(self.phases):
+            if phase is None or phase.phase is not dg.Phase.INTERCEPTING:
+                continue
+            j = self.live_target(i)
+            if j is None:
+                orphaned[0] += 1
+            elif keep_aims:
+                aims[i, j] = self.p_xy[i], self.theta[i], self.e_xy[j], self.aim(i, j)
+        assert self.aims == aims, self.t
+        kept.append(keep_aims)
+
+    monkeypatch.setattr(sim._Game, "integrate", checked)
+    result = dg.run(_bundled_5v5(), dg.SimConfig(dt=1e-3, max_time=10.0, matching_period=20))
+    assert sum(e.kind == "capture" for e in result.events) == 5
+    assert orphaned[0] > 0
+    assert kept == [(k + 1) % 20 == 0 for k in range(len(kept))]
 
 
 @pytest.mark.parametrize(
