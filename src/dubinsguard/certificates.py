@@ -15,7 +15,12 @@ the original one, which skips the time steps where no event can fire and
 locates events only for the headings that can hold the minimum)
 cross-check it.  All of them bound the turn the car makes:
 ``adjust_time_bound`` takes its direction from ``geometry.turn_direction``,
-the rule the strategies steer by.
+the rule the strategies steer by.  Before the polynomial is solved, the
+relaxed objective is evaluated at one feasible point (``_witness_clearance``):
+a minimum is never above a value it takes, so a value below minus the
+closed form's own tolerance margin (``_witness_margin``) refutes the pair
+without the root solve.  The screen only withholds certificates the closed
+form would withhold too.
 """
 
 from __future__ import annotations
@@ -370,6 +375,48 @@ def relaxed_clearance_from_centers(
     if best is None:
         raise KKTReconstructionError("KKT reconstruction failed")
     return best
+
+
+def _witness_clearance(x_c, x_e, alpha: float, kappa: float):
+    """The relaxed objective at one feasible point: (clearance, pursuer
+    point, evader point), an upper bound on the relaxed minimum.
+
+    One descent step from the two centers, with u the unit vector from the
+    evader toward the turn center: the pursuer point c + kappa n(y^ + alpha
+    u), the evader point x_e - reach n(alpha y^ + u), n normalizing.  Neither
+    direction vanishes, as alpha > 1; the caller keeps c and x_e apart."""
+    (cx, cy), (ex, ey) = x_c, x_e
+    reach = 2.0 * math.pi * kappa / alpha
+    gap = math.hypot(cx - ex, cy - ey)
+    ux, uy = (cx - ex) / gap, (cy - ey) / gap
+    dx, dy = alpha * ux, 1.0 + alpha * uy
+    norm = math.hypot(dx, dy)
+    px, py = cx + kappa * dx / norm, cy + kappa * dy / norm
+    dx, dy = ux, alpha + uy
+    norm = math.hypot(dx, dy)
+    qx, qy = ex - reach * dx / norm, ey - reach * dy / norm
+    clearance = lowest_point(px, py, qx, qy, math.hypot(px - qx, py - qy), alpha)[1]
+    return clearance, (px, py), (qx, qy)
+
+
+def _witness_margin(alpha: float, kappa: float) -> float:
+    """How far below 0 a witness clearance must lie to refute a pair.
+
+    The closed form keeps a candidate whose pursuer point lies within
+    d_p = 1e-9 (1 + kappa) of the turn circle and whose evader point lies
+    within d_e = 1e-9 (1 + reach) of the reach circle, reach = 2 pi kappa /
+    alpha: its value stands for the minimum only up to what moves of d_p and
+    d_e can change.  The objective, the aim height y = (a^2 y_e - y_p - a
+    |x_p - x_e|) / (a^2 - 1), a = alpha, has gradient norm at most (1 + a) /
+    (a^2 - 1) = 1 / (a - 1) in the pursuer point and (a^2 + a) / (a^2 - 1) =
+    a / (a - 1) in the evader point.  So a closed form sound to its own
+    tolerances is at most (d_p + a d_e) / (a - 1) above the objective at any
+    feasible point, the witness's included, and a witness below minus that
+    margin means the closed form is negative too: the pair gets no
+    certificate either way.  The 1 in each tolerance dwarfs the witness's own
+    rounding, a few ulps of its unit-scale coordinates."""
+    reach = 2.0 * math.pi * kappa / alpha
+    return 1e-9 * ((1.0 + kappa) + alpha * (1.0 + reach)) / (alpha - 1.0)
 
 
 def solve_relaxed_clearance(state: JointState, p: GameParams) -> RelaxedSolution:
@@ -736,6 +783,14 @@ class CertificateKind(enum.Enum):
 
 @dataclass(frozen=True)
 class CertificateEvidence:
+    """The predicate values that decided a certificate; a predicate the
+    route did not reach is None.  ``clearance`` is the relaxed worst-case
+    clearance of the two-step route: the closed form's minimum when the
+    sextic was solved, or, for a pair refuted before the solve, the relaxed
+    objective at one feasible point, below minus ``_witness_margin`` and an
+    upper bound on the closed form's value.  ``solver_failed`` is set when
+    no root reconstructed a KKT point."""
+
     separation: float
     sc: bool
     io: bool | None
@@ -773,8 +828,10 @@ def certify_pair(x_p, theta: float, x_e, p: GameParams, aim=None) -> Certificate
     when separation holds without alignment, the pair is beyond capture
     range, the evader is outside the adjustment scope ball, the parameters
     pass the two-step check and the worst-case clearance bound is
-    non-negative.  A simple-motion pursuer (``p.motion`` is
-    ``model.SIMPLE``) needs separation only.
+    non-negative; a pair whose relaxed objective is below
+    -``_witness_margin`` at the witness point (``_witness_clearance``) is
+    refused before the bound is solved.  A simple-motion pursuer
+    (``p.motion`` is ``model.SIMPLE``) needs separation only.
 
     Separation is the one test of the aim height: ``evidence.separation``
     is that signed height, and ``sc`` holds when it is at least 0.  The aim
@@ -811,15 +868,19 @@ def certify_pair(x_p, theta: float, x_e, p: GameParams, aim=None) -> Certificate
                 duration = bound.duration
                 scope_ok = adjust_scope_holds(state, p, bound)
         if scope_ok and two_ok:
-            try:
-                clearance = relaxed_clearance_from_centers(
-                    bound.turn_center, x_e, p.alpha, p.kappa
-                ).clearance
-            except KKTReconstructionError:
-                solver_failed = True
+            witness = _witness_clearance(bound.turn_center, x_e, p.alpha, p.kappa)[0]
+            if witness < -_witness_margin(p.alpha, p.kappa):
+                clearance = witness
             else:
-                if clearance >= 0.0:
-                    kind = CertificateKind.TWO_STEP
+                try:
+                    clearance = relaxed_clearance_from_centers(
+                        bound.turn_center, x_e, p.alpha, p.kappa
+                    ).clearance
+                except KKTReconstructionError:
+                    solver_failed = True
+                else:
+                    if clearance >= 0.0:
+                        kind = CertificateKind.TWO_STEP
 
     return Certificate(
         kind=kind,

@@ -7,7 +7,12 @@ import pytest
 
 import dubinsguard as dg
 from conftest import aligned_state, make_state, pair_floats
-from dubinsguard.certificates import _rollout_positions, _wrapped_error
+from dubinsguard.certificates import (
+    _rollout_positions,
+    _witness_clearance,
+    _witness_margin,
+    _wrapped_error,
+)
 from dubinsguard.geometry import aim_point, lowest_point
 from dubinsguard.strategies import two_step_command
 
@@ -926,7 +931,10 @@ class TestTurnRule:
     def test_exactly_opposite_state_bounds_the_clockwise_turn(self, paper):
         # heading error exactly pi: the car turns clockwise, and the
         # clearance of that turn is negative, so no certificate is issued
-        # (the counter-clockwise turn would have cleared by +6.557e-4)
+        # (the counter-clockwise turn would have cleared by +6.557e-4).  The
+        # screen refutes the pair at a feasible point of the clockwise turn,
+        # so the certificate's clearance is that point's, between the
+        # closed form and -margin
         state = make_state(
             -0.27057586891169283,
             0.5708685990021566,
@@ -940,8 +948,9 @@ class TestTurnRule:
         cert = dg.certify_win(state, paper)
         assert cert.kind is dg.CertificateKind.NONE
         assert cert.evidence.scope_ok and cert.evidence.two_step_ok
-        assert cert.evidence.clearance == pytest.approx(-2.2057e-4, abs=1e-8)
-        assert cert.evidence.clearance == dg.solve_relaxed_clearance(state, paper).clearance
+        solved = dg.solve_relaxed_clearance(state, paper).clearance
+        assert solved == pytest.approx(-2.2057e-4, abs=1e-8)
+        assert solved <= cert.evidence.clearance < -_witness_margin(paper.alpha, paper.kappa)
 
     @pytest.mark.parametrize("delta", [0.0, 5e-10, -5e-10, 2e-9])
     def test_bound_strategy_and_phase_machine_turn_alike(self, paper, delta):
@@ -1017,3 +1026,99 @@ class TestCertifyInvariance:
                 gained += now and not certified and r > 0.005
                 certified = now
         assert gained > 100
+
+
+#: Speed ratios of the screen's corpora, from near 1, where the witness
+#: refutes almost every pair, to 40, where almost every pair is certified.
+_SCREEN_ALPHAS = (1.05, 1.3, 2.0, 6.3, 15.0, 40.0)
+
+
+@functools.lru_cache(maxsize=None)
+def _screen_corpus(alpha):
+    """Seeded states for the two-step screen at speed ratio ``alpha``, with
+    r = 0.1 and r/kappa 1e-3 above max(h(alpha), heading-adjust ratio):
+    (params, sampled states, near-boundary states).  A near-boundary state
+    is a sampled one translated down by s, bisected until the closed-form
+    clearance, which falls by exactly s, lies in [0, 1e-9]; its heading,
+    turn and scope are the sampled state's."""
+    demand = max(dg.curvature_demand(alpha), dg.heading_adjust_ratio(alpha))
+    p = dg.GameParams.from_alpha(v_p=0.3, alpha=alpha, kappa=0.1 / (demand * 1.001), r=0.1)
+    rng = np.random.default_rng(int(alpha * 100))
+    states = [dg.sample_adjust_feasible_state(rng, p) for _ in range(200)]
+
+    def shifted(state, s):
+        (px, py), (ex, ey) = state.pursuer.pos, state.evader.pos
+        return make_state(px, py - s, state.pursuer.theta, ex, ey - s)
+
+    near = []
+    for state in states[:25]:
+        value = dg.solve_relaxed_clearance(state, p).clearance
+        lo, hi = value - 1e-6, value + 1e-6
+        while True:
+            mid = shifted(state, 0.5 * (lo + hi))
+            value = dg.solve_relaxed_clearance(mid, p).clearance
+            if 0.0 <= value <= 1e-9:
+                break
+            lo, hi = (0.5 * (lo + hi), hi) if value > 0.0 else (lo, 0.5 * (lo + hi))
+        near.append(mid)
+    return p, states, near
+
+
+class TestWitnessScreen:
+    """The two-step branch refutes a pair whose relaxed objective is below
+    -margin at one feasible point before it solves the sextic: a minimum is
+    never above a value it takes, so the screen can only withhold a
+    certificate the closed form would not issue."""
+
+    @pytest.mark.parametrize("alpha", _SCREEN_ALPHAS)
+    def test_witness_is_feasible_and_never_below_the_closed_form(self, alpha):
+        p, states, near = _screen_corpus(alpha)
+        reach = 2.0 * math.pi * p.kappa / alpha
+        refuted = 0
+        for state in states + near:
+            center = dg.adjust_time_bound(state, p).turn_center
+            witness, x_p, x_e = _witness_clearance(center, state.evader.pos, alpha, p.kappa)
+            assert math.dist(x_p, center) == pytest.approx(p.kappa, rel=0, abs=1e-14)
+            assert math.dist(x_e, state.evader.pos) == pytest.approx(reach, rel=0, abs=1e-14)
+            solved = dg.relaxed_clearance_from_centers(center, state.evader.pos, alpha, p.kappa)
+            assert witness >= solved.clearance
+            refuted += witness < -_witness_margin(alpha, p.kappa)
+        assert (refuted > 0) == (alpha < 40.0)
+
+    @pytest.mark.parametrize("alpha", _SCREEN_ALPHAS)
+    def test_screen_never_refutes_a_non_negative_closed_form(self, alpha):
+        p, _, near = _screen_corpus(alpha)
+        for state in near:
+            cert = dg.certify_win(state, p)
+            assert cert.evidence.scope_ok and cert.evidence.two_step_ok
+            assert cert.kind is dg.CertificateKind.TWO_STEP
+            assert cert.evidence.clearance == dg.solve_relaxed_clearance(state, p).clearance
+
+    def test_a_screen_that_never_refutes_changes_no_kind(self, monkeypatch):
+        corpus = _certify_corpus(np.random.default_rng(61), 800)
+        for alpha in _SCREEN_ALPHAS:
+            p, states, near = _screen_corpus(alpha)
+            corpus += [(state, p) for state in states + near]
+        screened = [dg.certify_win(s, p) for s, p in corpus]
+        monkeypatch.setattr(
+            "dubinsguard.certificates._witness_margin", lambda alpha, kappa: math.inf
+        )
+        solved = [dg.certify_win(s, p) for s, p in corpus]
+        assert [c.kind for c in screened] == [c.kind for c in solved]
+        refuted = 0
+        for (_, p), a, b in zip(corpus, screened, solved):
+            if a.evidence != b.evidence:
+                # only a refuted pair's clearance differs: a witness above the
+                # closed form, below -margin
+                refuted += 1
+                assert a.kind is dg.CertificateKind.NONE and not a.evidence.solver_failed
+                margin = _witness_margin(p.alpha, p.kappa)
+                assert b.evidence.clearance <= a.evidence.clearance < -margin
+                assert dataclasses.replace(a.evidence, clearance=b.evidence.clearance) == b.evidence
+        # every pair these corpora lose at the sextic is refuted before it
+        lost = sum(
+            c.kind is dg.CertificateKind.NONE and c.evidence.clearance is not None for c in solved
+        )
+        assert refuted == lost >= 40
+        # no pair of these corpora fails the solver, refuted or not
+        assert not any(c.evidence.solver_failed for c in solved)

@@ -8,7 +8,7 @@ import pytest
 
 import dubinsguard as dg
 from conftest import aligned_state, er_goal_distance
-from dubinsguard import sim
+from dubinsguard import certificates, sim
 from dubinsguard.geometry import aim_point, lowest_point
 
 
@@ -878,6 +878,49 @@ def test_carried_certificates_equal_certify_win_and_change_nothing(
     monkeypatch.setattr(sim, "carried_edges", lambda pairs, pair_params: {})
     monkeypatch.setattr(sim._Game, "match", lambda self, graph: sim.max_matching(graph))
     assert dg.run(sc, cfg) == played
+
+
+def _count_refutations(monkeypatch):
+    """Count, from now on, the two-step pairs whose witness refutes them:
+    the witness evaluations that no sextic solve follows."""
+    counts = {"_witness_clearance": 0, "relaxed_clearance_from_centers": 0}
+
+    def counted(name):
+        fn = getattr(certificates, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(certificates, name, counted(name))
+    return lambda: counts["_witness_clearance"] - counts["relaxed_clearance_from_centers"]
+
+
+@pytest.mark.parametrize(
+    "scenario, period, sticky",
+    [
+        (_bundled_5v5, 1, False),
+        (_bundled_5v5, 20, False),
+        (_bundled_5v5, 1, True),
+        (_contested_team, 5, False),
+    ],
+    ids=["5v5-p1", "5v5-p20", "5v5-p1-sticky", "contested-p5"],
+)
+def test_a_screen_that_never_refutes_plays_the_same_game(monkeypatch, scenario, period, sticky):
+    # the two-step screen withholds only certificates the sextic withholds
+    # too, so a game that solves every sextic is the same game, bit for bit
+    sc = scenario()
+    cfg = dg.SimConfig(dt=1e-3, max_time=10.0, matching_period=period, sticky=sticky)
+    refuted = _count_refutations(monkeypatch)
+    played = dg.run(sc, cfg)
+    assert refuted() >= (600 if scenario is _bundled_5v5 and period == 1 else 1)
+    monkeypatch.setattr(certificates, "_witness_margin", lambda alpha, kappa: math.inf)
+    before = refuted()
+    assert dg.run(sc, cfg) == played
+    assert refuted() == before
 
 
 def test_aims_are_those_of_the_last_step(monkeypatch):
