@@ -9,7 +9,6 @@ from .certificates import (
     ParamRegion,
     RegionLabel,
     RelaxedSolution,
-    adjust_scope_holds,
     adjust_time_bound,
     certify_win,
     classify_region,

@@ -175,7 +175,9 @@ class AdjustBound:
     ``turn_center``; by the time it has swept to the point of the circle
     nearest the evader (arc angle ``2*pi*wraps + signed sweep``) alignment
     must have occurred.  ``duration`` is that arc time, at most one turning
-    period.
+    period.  The bound is trustworthy only with the evader outside the scope
+    ball: ``scope_gap``, the center-to-evader distance minus the scope
+    radius kappa + v_p * duration / sqrt(alpha^2 - 1), must be above 0.
     """
 
     turn_center: tuple[float, float]
@@ -184,6 +186,7 @@ class AdjustBound:
     wraps: int
     duration: float
     turn_sign: float
+    scope_gap: float
 
 
 def adjust_time_bound(
@@ -211,28 +214,17 @@ def adjust_time_bound(
     else:
         swept += 2.0 * math.pi
         wraps = 1
+    duration = swept * p.kappa / p.v_p
+    gap = float(np.linalg.norm(np.subtract((cx, cy), state.evader.pos)))
     return AdjustBound(
         turn_center=(cx, cy),
         center_bearing=center_bearing,
         evader_bearing=evader_bearing,
         wraps=wraps,
-        duration=swept * p.kappa / p.v_p,
+        duration=duration,
         turn_sign=sign,
+        scope_gap=gap - (p.kappa + p.v_p * duration / math.sqrt(p.alpha**2 - 1.0)),
     )
-
-
-def adjust_scope_holds(
-    state: JointState, p: GameParams, bound: AdjustBound | None = None
-) -> bool:
-    """Strict check that the evader sits far enough from the turn circle for
-    the adjustment-time bound to be trustworthy: the center-to-evader
-    distance must exceed kappa plus the evader's reach over the bound,
-    shrunk by sqrt(alpha^2 - 1).  ``bound`` is the state's
-    ``adjust_time_bound``, when the caller already has it."""
-    if bound is None:
-        bound = adjust_time_bound(state, p)
-    gap = float(np.linalg.norm(np.subtract(bound.turn_center, state.evader.pos)))
-    return gap > p.kappa + p.v_p * bound.duration / math.sqrt(p.alpha**2 - 1.0)
 
 
 def relaxation_sextic(x_c, x_e, alpha: float, kappa: float) -> Polynomial:
@@ -266,7 +258,9 @@ class RelaxedSolution:
     extremal positions (on the turn circle and on the evader's reach circle
     respectively); ``multiplier`` is the pursuer-side KKT multiplier (the
     evader-side one is alpha times it) and ``sigma`` the common sign of the
-    horizontal displacements."""
+    horizontal displacements: -1 when the turn center lies left of the
+    evader, else 1 (a center straight above or below the evader is mirror
+    symmetric, so the +x side holds a minimizer)."""
 
     clearance: float
     pursuer_point: tuple[float, float]
@@ -311,9 +305,11 @@ def relaxed_clearance_from_centers(
 
     Builds the relaxation polynomial, gathers its real roots in the bracket
     [alpha-1, alpha+1] (outside it the reconstruction square root turns
-    imaginary), reconstructs the candidate extremal points for each root,
-    keeps those passing the active-constraint, sign-law and stationarity
-    checks, and returns the candidate with the smallest objective.  Squaring
+    imaginary) and both bracket ends, reconstructs the candidate extremal
+    points for each, keeps those passing the active-constraint, sign-law
+    and stationarity checks, and returns the candidate with the smallest
+    objective.  At a bracket end the horizontal displacements vanish, so an
+    on-axis minimizer of a vertical geometry is always a candidate.  Squaring
     steps in the derivation can introduce spurious roots; the residual
     filter removes them.  The candidates are reconstructed on floats; the
     kept candidate's distance is ``np.linalg.norm``'s, the one the
@@ -322,27 +318,18 @@ def relaxed_clearance_from_centers(
     a2 = alpha * alpha
     cx, cy = _as_point(x_c)
     ex, ey = _as_point(x_e)
-    sigma = 0
-    if cx > ex:
-        sigma = 1
-    elif cx < ex:
-        sigma = -1
+    sigma = -1 if cx < ex else 1
     poly = relaxation_sextic((cx, cy), (ex, ey), alpha, kappa)
-    candidates = real_roots(poly, alpha - 1.0, alpha + 1.0, tol=1e-12)
-    for endpoint in (alpha - 1.0, alpha + 1.0):
-        if all(abs(endpoint - c) > 1e-9 for c in candidates):
-            candidates.append(endpoint)
+    lo, hi = alpha - 1.0, alpha + 1.0
+    candidates = real_roots(poly, lo, hi, tol=1e-12) + [lo, hi]
 
     reach = 2.0 * math.pi * kappa / alpha
     side_tol = 1e-9 * (1.0 + math.hypot(cx - ex, cy - ey))
     best: RelaxedSolution | None = None
     for lam in candidates:
-        if lam <= 0.0:
-            continue
-        phi_sq = 2.0 * (1.0 + a2) * lam * lam - lam**4 - (1.0 - a2) ** 2
-        if phi_sq < -1e-9:
-            continue
-        phi = math.sqrt(max(phi_sq, 0.0))
+        # phi^2 = 2 (1 + a^2) lam^2 - lam^4 - (1 - a^2)^2, factored: never
+        # negative in the bracket and exactly 0 at its ends
+        phi = math.sqrt((hi - lam) * (hi + lam) * (lam - lo) * (lam + lo))
         pxs = cx + sigma * kappa * phi / (2.0 * lam)
         pys = cy + (1.0 - a2 + lam * lam) * kappa / (2.0 * lam)
         exs = ex - sigma * math.pi * kappa * phi / (a2 * lam)
@@ -352,10 +339,7 @@ def relaxed_clearance_from_centers(
         if abs(math.hypot(pxs - cx, pys - cy) - kappa) > 1e-9 * (1.0 + kappa):
             continue
         gap_x = pxs - exs
-        if sigma == 0:
-            if abs(gap_x) > side_tol:
-                continue
-        elif sigma * gap_x < -side_tol:
+        if sigma * gap_x < -side_tol:
             continue
         if (
             _kkt_residual(pxs, pys, exs, eys, cx, cy, ex, ey, lam, alpha, kappa, reach)
@@ -866,7 +850,7 @@ def certify_pair(x_p, theta: float, x_e, p: GameParams, aim=None) -> Certificate
                 state = JointState(PursuerState(x_p, theta), EvaderState(x_e))
                 bound = adjust_time_bound(state, p, err)
                 duration = bound.duration
-                scope_ok = adjust_scope_holds(state, p, bound)
+                scope_ok = bound.scope_gap > 0.0
         if scope_ok and two_ok:
             witness = _witness_clearance(bound.turn_center, x_e, p.alpha, p.kappa)[0]
             if witness < -_witness_margin(p.alpha, p.kappa):
@@ -930,6 +914,6 @@ def sample_adjust_feasible_state(
         state = JointState(
             pursuer=PursuerState(pos=(xp, yp), theta=theta_p), evader=EvaderState(pos=x_e)
         )
-        if adjust_scope_holds(state, p, adjust_time_bound(state, p, err)):
+        if adjust_time_bound(state, p, err).scope_gap > 0.0:
             return state
     raise RuntimeError("failed to sample a feasible state")

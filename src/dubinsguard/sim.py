@@ -12,9 +12,10 @@ reached:
   edges.  A pair the graph reports without separation is not offered again
   while its separation window is open (see ``WINDOW_MARGIN``): no pair in a
   window could be an edge, so the graph is the one a full rebuild would give.
-  A re-snapped pair is carried, certified from its re-snap's aim, and an
-  unchanged edge-key set reuses its matching (bundled 5v5, period 1: 7,166
-  pairs carried, 980 through ``build_graph``, 6 ``max_matching`` calls);
+  An intercepting car's pair is carried, certified from the car's last
+  re-snap aim, and an unchanged edge-key set reuses its matching (bundled
+  5v5, period 1: 7,166 pairs carried, 980 through ``build_graph``, 6
+  ``max_matching`` calls);
 - controls: evader controls first, then the pursuers', which observe them.
   Every car runs ``strategies.two_step_command``, the one adjust-then-
   intercept phase machine and the only way into interception; the simulator
@@ -23,7 +24,7 @@ reached:
 - integrate: each car, and each active simple-motion agent, moves exactly
   under its zero-order-hold control, one ``model.step_pursuer`` or
   ``step_evader`` call each, and intercepting cars are re-snapped against
-  drift, each re-snap's aim point kept for the next refresh only;
+  drift, each car keeping its last re-snap's aim;
 - detect: capture and goal-arrival crossings are located by linear
   interpolation inside the step.
 
@@ -224,7 +225,7 @@ class _Game:
             TwoStepState() if spec.motion == DUBINS else None for spec in sc.pursuers
         ]
         self.matched: dict[int, int] = {}
-        self.aims: dict[tuple[int, int], tuple] = {}  # see ``integrate``
+        self.snap_aim: list[tuple | None] = [None] * n_p  # see ``integrate``
         self.last_match: tuple = (None, {})  # edge-key set, its matching
 
         self.t = 0.0
@@ -243,14 +244,22 @@ class _Game:
 
     def assign(self):
         """Rebuild the win graph over the active pairs outside their windows,
-        carrying re-snapped pairs, re-match and retarget the pursuers.  A car
-        with a new target restarts its phase machine and enters interception
-        at once when the new pair is aligned and feasible."""
+        carrying the intercepting cars' pairs, re-match and retarget the
+        pursuers.  A car with a new target restarts its phase machine and
+        enters interception at once when the new pair is aligned and feasible."""
         n_p, n_e, t = self.n_p, self.n_e, self.t
         active = [j for j in range(n_e) if self.status[j] == ACTIVE]
-        until, aims = self.unseparated_until, self.aims
+        until = self.unseparated_until
         keys = [(i, j) for i in range(n_p) for j in active if until.get((i, j), t) <= t]
-        carried = carried_edges({key: aims[key] for key in keys if key in aims}, self.params)
+        offered = set(keys)
+        carried = carried_edges(
+            {
+                (i, j): (self.p_xy[i], self.theta[i], self.e_xy[j], self.snap_aim[i])
+                for i, (j, phase) in enumerate(zip(self.target, self.phases))
+                if (i, j) in offered and phase is not None and phase.phase is Phase.INTERCEPTING
+            },
+            self.params,
+        )
         keys = [key for key in keys if key not in carried]
         pursuers = {i: PursuerState(self.p_xy[i], self.theta[i]) for i in {i for i, _ in keys}}
         evaders = {j: EvaderState(pos=self.e_xy[j]) for j in {j for _, j in keys}}
@@ -358,12 +367,12 @@ class _Game:
             u = None if c is None else c[1]
             self.e_rows[j].append((t, x, y, None, u, strategy, self.status[j], None))
 
-    def integrate(self, p_controls, e_controls, keep_aims: bool):
-        """Advance both teams one step under zero-order hold, re-snap the
-        intercepting cars against drift, and clear ``aims``; with ``keep_aims``
-        (a refresh is next) record there each re-snapped pair's floats and aim."""
+    def integrate(self, p_controls, e_controls):
+        """Advance both teams one step under zero-order hold, and re-snap the
+        intercepting cars against drift, each keeping its re-snap's aim in
+        ``snap_aim``: nothing in play moves between the re-snap and the next
+        refresh, so that refresh reads the aim at the current floats."""
         dt = self.cfg.dt
-        self.aims = {}
         for i, (spec, u) in enumerate(zip(self.sc.pursuers, p_controls)):
             x, y = self.p_xy[i]
             if self.phases[i] is not None:
@@ -381,11 +390,9 @@ class _Game:
             j = self.live_target(i)
             if j is None or phase is None or phase.phase is not Phase.INTERCEPTING:
                 continue
-            aim = self.aim(i, j)
+            self.snap_aim[i] = aim = self.aim(i, j)
             if 0.0 < abs(wrap_to_pi(aim[2] - self.theta[i])) <= SNAP_FACTOR * IO_TOL:
                 self.theta[i] = aim[2]
-            if keep_aims:
-                self.aims[i, j] = self.p_xy[i], self.theta[i], self.e_xy[j], aim
 
     def detect(self):
         """Refresh the pair distances and end the play of every evader that
@@ -438,7 +445,7 @@ def run(sc: Scenario, cfg: SimConfig) -> SimResult:
         e_controls = game.evader_controls()
         p_controls = game.pursuer_controls(e_controls)
         game.record(p_controls, e_controls)
-        game.integrate(p_controls, e_controls, (step_index + 1) % cfg.matching_period == 0)
+        game.integrate(p_controls, e_controls)
         game.detect()
         game.t += cfg.dt
         if ACTIVE not in game.status or game.t >= cfg.max_time - 1e-15:

@@ -181,9 +181,9 @@ def test_criterion_06_closed_form_matches_relaxed_oracle():
                 np.linalg.norm(np.subtract(sol.pursuer_point, bound.turn_center))
             ) == pytest.approx(REFERENCE.kappa, rel=1e-9)
             assert REFERENCE.alpha - 1 <= sol.multiplier <= REFERENCE.alpha + 1
-            sigma = int(np.sign(bound.turn_center[0] - state.evader.pos[0]))
+            sigma = -1 if bound.turn_center[0] < state.evader.pos[0] else 1
             assert sol.sigma == sigma
-            if sigma != 0:
+            if bound.turn_center[0] != state.evader.pos[0]:
                 assert sigma * (sol.pursuer_point[0] - bound.turn_center[0]) > 0
                 assert sigma * (state.evader.pos[0] - sol.evader_point[0]) > 0
                 assert sigma * (sol.pursuer_point[0] - sol.evader_point[0]) > 0

@@ -12,6 +12,7 @@ from dubinsguard.certificates import (
     _witness_clearance,
     _witness_margin,
     _wrapped_error,
+    certify_pair,
 )
 from dubinsguard.geometry import aim_point, lowest_point
 from dubinsguard.strategies import two_step_command
@@ -388,34 +389,37 @@ class TestAdjustTimeBound:
 class TestAdjustScope:
     def test_hand_worked_examples(self):
         p = dg.GameParams.from_alpha(v_p=1.0, alpha=6.3, kappa=1.0, r=0.1)
-        assert dg.adjust_scope_holds(make_state(0, 0, 0.0, 0, 3), p)
-        assert not dg.adjust_scope_holds(make_state(0, 0, 0.0, 0, 2.4), p)
+        assert dg.adjust_time_bound(make_state(0, 0, 0.0, 0, 3), p).scope_gap > 0.0
+        assert dg.adjust_time_bound(make_state(0, 0, 0.0, 0, 2.4), p).scope_gap < 0.0
 
     def test_margin_value(self):
         # the pi-duration example: threshold is kappa + pi / sqrt(alpha^2-1)
         p = dg.GameParams.from_alpha(v_p=1.0, alpha=6.3, kappa=1.0, r=0.1)
-        bound = dg.adjust_time_bound(make_state(0, 0, 0.0, 0, 3), p)
+        state = make_state(0, 0, 0.0, 0, 3)
+        bound = dg.adjust_time_bound(state, p)
         threshold = p.kappa + p.v_p * bound.duration / math.sqrt(p.alpha**2 - 1)
         assert threshold == pytest.approx(1.5051, abs=1e-4)
+        gap = float(np.linalg.norm(np.subtract(bound.turn_center, state.evader.pos)))
+        assert bound.scope_gap == gap - threshold
 
     def test_scope_is_strict_at_equality(self):
-        # a hand-built bound whose centre-to-evader distance 5 equals the
-        # scope radius kappa + v_p * duration / sqrt(alpha^2 - 1) =
-        # 1 + 5 * 0.6 / 0.75 in floats: the evader must lie strictly
-        # outside the scope ball, so only a strict comparison refuses it
+        # an evader whose center distance equals the scope radius kappa +
+        # v_p * duration / sqrt(alpha^2 - 1) in floats: it must lie strictly
+        # outside the scope ball, so only a strict comparison refuses it.
+        # The pair is separated, unaligned and beyond capture, so the
+        # certificate reaches the scope test
         p = dg.GameParams(v_p=5.0, v_e=4.0, kappa=1.0, r=0.1)
-        bound = dg.AdjustBound(
-            turn_center=(0.0, 0.0),
-            center_bearing=0.0,
-            evader_bearing=0.0,
-            wraps=0,
-            duration=0.6,
-            turn_sign=1.0,
-        )
-        assert p.kappa + p.v_p * bound.duration / math.sqrt(p.alpha**2 - 1.0) == 5.0
-        assert not dg.adjust_scope_holds(make_state(0.0, 1.0, 0.0, 3.0, 4.0), p, bound)
-        beyond = make_state(0.0, 1.0, 0.0, 3.0, math.nextafter(4.0, math.inf))
-        assert dg.adjust_scope_holds(beyond, p, bound)
+        x_e = (2.0, 6.128327671926378)
+        bound = dg.adjust_time_bound(make_state(0.0, 1.0, 0.0, *x_e), p)
+        gap = float(np.linalg.norm(np.subtract(bound.turn_center, x_e)))
+        assert gap == p.kappa + p.v_p * bound.duration / math.sqrt(p.alpha**2 - 1.0)
+        assert bound.scope_gap == 0.0
+        evidence = certify_pair((0.0, 1.0), 0.0, x_e, p).evidence
+        assert evidence.sc and not evidence.io and evidence.beyond_capture
+        assert evidence.scope_ok is False
+        beyond = (2.0, math.nextafter(x_e[1], math.inf))
+        assert dg.adjust_time_bound(make_state(0.0, 1.0, 0.0, *beyond), p).scope_gap > 0.0
+        assert certify_pair((0.0, 1.0), 0.0, beyond, p).evidence.scope_ok is True
 
 
 class TestRelaxationSextic:
@@ -455,6 +459,40 @@ class TestRelaxationSextic:
         assert coeffs[1] == 0.0 and coeffs[3] == 0.0 and coeffs[5] == 0.0
 
 
+def _near_vertical_corpus(rng, n):
+    """Pair states whose turn center sits straight above or below the
+    evader, half of them exactly and the rest off by 1e-12 to 1e-3, with
+    the speed ratio in [1.2, 2] for every other state and in [2, 150] for
+    the rest, kappa in {1/16, 0.2, 1} and r/kappa 1% above the two-step
+    threshold.  ``certify_pair`` takes every state to the sextic: each is
+    separated, unaligned, beyond capture and in scope, and the witness does
+    not refute it.  Returns (x_p, theta, x_e, params) tuples."""
+    corpus = []
+    while len(corpus) < n:
+        lo, hi = (1.2, 2.0) if len(corpus) % 2 else (2.0, 150.0)
+        alpha = math.exp(rng.uniform(math.log(lo), math.log(hi)))
+        kappa = float(rng.choice([0.0625, 0.2, 1.0]))
+        ratio = max(dg.curvature_demand(alpha), dg.heading_adjust_ratio(alpha))
+        p = dg.GameParams.from_alpha(v_p=1.0, alpha=alpha, kappa=kappa, r=1.01 * kappa * ratio)
+        x_p, theta = (rng.uniform(-1.0, 1.0), rng.uniform(0.0, 2.0)), rng.uniform(0.0, 2 * math.pi)
+        dx = 0.0 if rng.integers(2) else rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-12, -3)
+        dy = rng.choice([-1.0, 1.0]) * (p.r + kappa) * rng.uniform(1.0, 4.0)
+        # place the evader from the turn center of a provisional state, and
+        # keep it only if its own turn is the same
+        center = dg.adjust_time_bound(make_state(*x_p, theta, x_p[0], x_p[1] + dy), p).turn_center
+        x_e = (center[0] + dx, center[1] + dy)
+        aim_y = aim_point(x_p, x_e, alpha)[1]
+        err = dg.heading_error(x_p, theta, x_e, alpha)
+        if aim_y < 0.0 or abs(err) <= dg.IO_TOL or math.dist(x_p, x_e) <= p.r:
+            continue
+        bound = dg.adjust_time_bound(make_state(*x_p, theta, *x_e), p, err)
+        witness = _witness_clearance(center, x_e, alpha, kappa)[0]
+        if bound.turn_center == center and bound.scope_gap > 0.0:
+            if witness >= -_witness_margin(alpha, kappa):
+                corpus.append((x_p, theta, x_e, p))
+    return corpus
+
+
 class TestRelaxedClearance:
     @pytest.mark.parametrize(
         "solve",
@@ -471,8 +509,11 @@ class TestRelaxedClearance:
             solve((0.0, 0.5, 7.0), (0.0, 1.0), 3.0, 0.1)
 
     def test_axisymmetric_case_stays_on_axis(self):
+        # a vertical center takes the side sign 1; its on-axis minimizer is
+        # the bracket end alpha + 1, where the horizontal displacements are 0
         sol = dg.relaxed_clearance_from_centers((0, 5), (0, 0), 2.0, 1.0)
-        assert sol.sigma == 0
+        assert sol.sigma == 1
+        assert sol.multiplier == 3.0
         assert sol.pursuer_point[0] == 0.0
         assert sol.evader_point[0] == 0.0
         oracle = dg.relaxed_oracle_from_centers((0, 5), (0, 0), 2.0, 1.0, grid=720)
@@ -512,8 +553,8 @@ class TestRelaxedClearance:
             ) == pytest.approx(paper.kappa, rel=1e-9)
             # common-sign law
             sigma = sol.sigma
-            assert sigma == int(np.sign(bound.turn_center[0] - state.evader.pos[0]))
-            if sigma != 0:
+            assert sigma == (-1 if bound.turn_center[0] < state.evader.pos[0] else 1)
+            if bound.turn_center[0] != state.evader.pos[0]:
                 assert sigma * (sol.pursuer_point[0] - bound.turn_center[0]) > 0
                 assert sigma * (state.evader.pos[0] - sol.evader_point[0]) > 0
                 assert sigma * (sol.pursuer_point[0] - sol.evader_point[0]) > 0
@@ -533,6 +574,37 @@ class TestRelaxedClearance:
                 ]
             )
             assert float(np.max(np.abs(res))) < 1e-6
+
+    def test_vertical_center_matches_the_oracle(self):
+        # the turn center straight below the evader, its minimum at an
+        # interior root off the axis: on one side sign, with both bracket
+        # ends as candidates, the closed form finds the oracle's value
+        args = (0.3267063158833985, 0.06492744446875265), (0.3267063158833985, 0.8473599249944499)
+        sol = dg.relaxed_clearance_from_centers(*args, 2.4, 0.2)
+        oracle = dg.relaxed_oracle_from_centers(*args, 2.4, 0.2, grid=720)
+        assert abs(sol.clearance - oracle) <= 1e-12
+        assert abs(sol.clearance - 0.171291934618373) <= 1e-12
+
+    def test_near_vertical_corpus_stays_at_or_below_the_oracle(self):
+        # a minimum is never above the objective at a feasible point, so no
+        # solved state may exceed the oracle; a vertical center always
+        # solves (one bracket end reconstructs an exact on-axis KKT point),
+        # and a pair whose sextic fails gets no certificate
+        solved = failed = 0
+        for x_p, theta, x_e, p in _near_vertical_corpus(np.random.default_rng(29), 80):
+            center = dg.adjust_time_bound(make_state(*x_p, theta, *x_e), p).turn_center
+            try:
+                sol = dg.relaxed_clearance_from_centers(center, x_e, p.alpha, p.kappa)
+            except dg.KKTReconstructionError:
+                assert center[0] != x_e[0]
+                cert = certify_pair(x_p, theta, x_e, p)
+                assert cert.kind is dg.CertificateKind.NONE and cert.evidence.solver_failed
+                failed += 1
+                continue
+            oracle = dg.relaxed_oracle_from_centers(center, x_e, p.alpha, p.kappa, grid=720)
+            assert sol.clearance <= oracle + 1e-9, (x_p, theta, x_e, p)
+            solved += 1
+        assert solved > failed
 
     def test_reconstruction_failure_raises(self, monkeypatch):
         # with no polynomial roots available, the endpoint fallbacks of a

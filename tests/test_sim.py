@@ -9,7 +9,7 @@ import pytest
 import dubinsguard as dg
 from conftest import aligned_state, er_goal_distance
 from dubinsguard import certificates, sim
-from dubinsguard.geometry import aim_point, lowest_point
+from dubinsguard.geometry import aim_bearing, aim_point, lowest_point
 
 
 def test_detect_crossing_examples():
@@ -923,32 +923,42 @@ def test_a_screen_that_never_refutes_plays_the_same_game(monkeypatch, scenario, 
     assert refuted() == before
 
 
-def test_aims_are_those_of_the_last_step(monkeypatch):
-    # at period 20 targets are captured between refreshes; after every step
-    # the aim record is empty, or, before a refresh, holds exactly the aims
-    # of the cars intercepting a live target, at the step's end positions,
-    # so a refresh reads no older one
-    integrate, orphaned, kept = sim._Game.integrate, [0], []
+@pytest.mark.parametrize("period", [1, 20])
+def test_carried_pairs_are_the_intercepting_cars_at_their_snap_aims(monkeypatch, period):
+    # every refresh carries exactly the offered pair of each intercepting
+    # car with its target, at the current floats and with the aim those
+    # floats give, bit for bit.  Targets are captured between refreshes:
+    # their cars still intercept an evader no longer in play, whose pair is
+    # not offered
+    assign, carried_edges = sim._Game.assign, sim.carried_edges
+    games, counts = [], {"carried": 0, "orphaned": 0}
 
-    def checked(self, p_controls, e_controls, keep_aims):
-        integrate(self, p_controls, e_controls, keep_aims)
-        aims = {}
-        for i, phase in enumerate(self.phases):
+    def recording_assign(self):
+        games.append(self)
+        assign(self)
+
+    def checked(pairs, pair_params):
+        g = games[-1]
+        expected = {}
+        for i, (j, phase) in enumerate(zip(g.target, g.phases)):
             if phase is None or phase.phase is not dg.Phase.INTERCEPTING:
                 continue
-            j = self.live_target(i)
-            if j is None:
-                orphaned[0] += 1
-            elif keep_aims:
-                aims[i, j] = self.p_xy[i], self.theta[i], self.e_xy[j], self.aim(i, j)
-        assert self.aims == aims, self.t
-        kept.append(keep_aims)
+            if g.status[j] != sim.ACTIVE:
+                counts["orphaned"] += 1
+            elif g.unseparated_until.get((i, j), g.t) <= g.t:
+                x_p, x_e = g.p_xy[i], g.e_xy[j]
+                x, y, _ = aim_point(x_p, x_e, pair_params[i, j].alpha)
+                expected[i, j] = x_p, g.theta[i], x_e, (x, y, aim_bearing(x_p, x, y))
+        assert pairs == expected, g.t
+        counts["carried"] += len(pairs)
+        return carried_edges(pairs, pair_params)
 
-    monkeypatch.setattr(sim._Game, "integrate", checked)
-    result = dg.run(_bundled_5v5(), dg.SimConfig(dt=1e-3, max_time=10.0, matching_period=20))
+    monkeypatch.setattr(sim._Game, "assign", recording_assign)
+    monkeypatch.setattr(sim, "carried_edges", checked)
+    cfg = dg.SimConfig(dt=1e-3, max_time=10.0, matching_period=period)
+    result = dg.run(_bundled_5v5(), cfg)
     assert sum(e.kind == "capture" for e in result.events) == 5
-    assert orphaned[0] > 0
-    assert kept == [(k + 1) % 20 == 0 for k in range(len(kept))]
+    assert counts["carried"] > 0 and counts["orphaned"] > 0
 
 
 @pytest.mark.parametrize(
