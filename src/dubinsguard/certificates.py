@@ -103,7 +103,7 @@ def intercept_feasible(r: float, kappa: float, alpha: float) -> bool:
     """Non-strict check r/kappa >= h(alpha) (admissibility of the
     interception-tracking command under separation and alignment).  The
     one place this comparison is made: ``two_step_feasible``,
-    ``classify_region``, ``certify_win`` and
+    ``classify_region``, ``intercepts``, ``certify_pair`` and
     ``strategies.two_step_command`` call it."""
     return r / kappa >= curvature_demand(alpha)
 
@@ -189,22 +189,27 @@ class AdjustBound:
     scope_gap: float
 
 
-def adjust_time_bound(
-    state: JointState, p: GameParams, err: float | None = None
-) -> AdjustBound:
-    """Upper bound on the heading-adjustment time; rejects aligned states.
-    ``err`` is the state's heading error, when the caller already has it.
+def adjust_time_bound(state: JointState, p: GameParams, err: float | None = None) -> AdjustBound:
+    """``adjust_bound`` on the state's floats; ``err`` is the state's
+    heading error, when the caller already has it."""
+    x_p, theta, x_e = state.pursuer.pos, state.pursuer.theta, state.evader.pos
+    err = heading_error(x_p, theta, x_e, p.alpha) if err is None else err
+    return adjust_bound(x_p, theta, x_e, p, err)
+
+
+def adjust_bound(x_p, theta: float, x_e, p: GameParams, err: float) -> AdjustBound:
+    """Upper bound on the heading-adjustment time of the car at ``x_p`` with
+    heading ``theta`` and heading error ``err`` against the evader at
+    ``x_e``; rejects aligned states.
 
     The turn is the one the car makes: ``turn_sign`` is
     ``geometry.turn_direction(err)``, so every bound built on this one
     (scope, clearance, both oracles) is a bound on the executed maneuver."""
-    if err is None:
-        err = heading_error(state.pursuer.pos, state.pursuer.theta, state.evader.pos, p.alpha)
     if err == 0.0:
         raise ValueError("state is already aligned; no adjustment to bound")
     sign = turn_direction(err)
-    (xp, yp), (xe, ye) = state.pursuer.pos, state.evader.pos
-    center_bearing = wrap_angle(state.pursuer.theta + sign * 0.5 * math.pi)
+    (xp, yp), (xe, ye) = x_p, x_e
+    center_bearing = wrap_angle(theta + sign * 0.5 * math.pi)
     cx = xp + p.kappa * math.cos(center_bearing)
     cy = yp + p.kappa * math.sin(center_bearing)
     evader_bearing = wrap_angle(math.atan2(ye - cy, xe - cx))
@@ -215,7 +220,7 @@ def adjust_time_bound(
         swept += 2.0 * math.pi
         wraps = 1
     duration = swept * p.kappa / p.v_p
-    gap = float(np.linalg.norm(np.subtract((cx, cy), state.evader.pos)))
+    gap = float(np.linalg.norm(np.subtract((cx, cy), x_e)))
     return AdjustBound(
         turn_center=(cx, cy),
         center_bearing=center_bearing,
@@ -802,17 +807,28 @@ def certify_win(state: JointState, p: GameParams) -> Certificate:
     return certify_pair(state.pursuer.pos, state.pursuer.theta, state.evader.pos, p)
 
 
+def intercepts(aim, theta: float, p: GameParams) -> bool:
+    """The one INTERCEPT test, of ``certify_pair`` and ``carried_edges``:
+    for the aim ``(x, y, bearing)`` (``aim_point``, ``aim_bearing``) and the
+    pursuer heading ``theta``, separation (aim height at least 0) and, for a
+    car, alignment (heading error within ``IO_TOL``) and the curvature check."""
+    sc = aim[1] >= 0.0
+    if not sc or p.motion == SIMPLE:
+        return sc
+    return abs(wrap_to_pi(aim[2] - theta)) <= IO_TOL and intercept_feasible(p.r, p.kappa, p.alpha)
+
+
 def certify_pair(x_p, theta: float, x_e, p: GameParams, aim=None) -> Certificate:
     """Whether the car at ``x_p`` with heading ``theta`` has a guaranteed win
     against the evader at ``x_e``.  ``aim`` is the pair's (x, y, bearing), by
     ``geometry.aim_point`` and ``aim_bearing``, when the caller has it.
 
-    A car wins directly when separation and alignment hold and the
-    parameters pass the curvature check; it wins through the two-step route
-    when separation holds without alignment, the pair is beyond capture
-    range, the evader is outside the adjustment scope ball, the parameters
-    pass the two-step check and the worst-case clearance bound is
-    non-negative; a pair whose relaxed objective is below
+    A car wins directly when ``intercepts`` holds: separation and alignment
+    hold and the parameters pass the curvature check; it wins through the
+    two-step route when separation holds without alignment, the pair is
+    beyond capture range, the evader is outside the adjustment scope ball,
+    the parameters pass the two-step check and the worst-case clearance
+    bound is non-negative; a pair whose relaxed objective is below
     -``_witness_margin`` at the witness point (``_witness_clearance``) is
     refused before the bound is solved.  A simple-motion pursuer
     (``p.motion`` is ``model.SIMPLE``) needs separation only.
@@ -831,24 +847,18 @@ def certify_pair(x_p, theta: float, x_e, p: GameParams, aim=None) -> Certificate
     io = err = intercept_ok = adjust_ok = two_ok = None
     beyond_capture = scope_ok = duration = clearance = None
     solver_failed = False
-    kind = CertificateKind.NONE
+    kind = CertificateKind.INTERCEPT if intercepts(aim, theta, p) else CertificateKind.NONE
 
-    if p.motion == SIMPLE:
-        if sc:
-            kind = CertificateKind.INTERCEPT
-    else:
+    if p.motion != SIMPLE:
         err = wrap_to_pi(bearing - theta)
         io = abs(err) <= IO_TOL
         intercept_ok = intercept_feasible(p.r, p.kappa, p.alpha)
         adjust_ok = adjust_feasible(p.r, p.kappa, p.alpha)
         two_ok = intercept_ok and adjust_ok
-        if sc and io and intercept_ok:
-            kind = CertificateKind.INTERCEPT
-        else:
+        if kind is CertificateKind.NONE:
             beyond_capture = dist > p.r
             if sc and not io and beyond_capture:
-                state = JointState(PursuerState(x_p, theta), EvaderState(x_e))
-                bound = adjust_time_bound(state, p, err)
+                bound = adjust_bound(x_p, theta, x_e, p, err)
                 duration = bound.duration
                 scope_ok = bound.scope_gap > 0.0
         if scope_ok and two_ok:
@@ -911,9 +921,6 @@ def sample_adjust_feasible_state(
         err = heading_error((xp, yp), theta_p, x_e, p.alpha)
         if abs(err) <= 1e-3:
             continue
-        state = JointState(
-            pursuer=PursuerState(pos=(xp, yp), theta=theta_p), evader=EvaderState(pos=x_e)
-        )
-        if adjust_time_bound(state, p, err).scope_gap > 0.0:
-            return state
+        if adjust_bound((xp, yp), theta_p, x_e, p, err).scope_gap > 0.0:
+            return JointState(PursuerState((xp, yp), theta_p), EvaderState(x_e))
     raise RuntimeError("failed to sample a feasible state")

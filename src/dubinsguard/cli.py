@@ -171,17 +171,18 @@ def write_trajectory_csv(result, fh):
     """CSV rows to the open file ``fh`` in step order, each step's evaders
     then pursuers by numeric index (E2 before E10); floats at 9 significant
     digits; theta and target are empty for evaders.  Series of unequal
-    length raise ``ValueError``."""
+    length raise ``ValueError``.  A step's rows share one ``t``
+    (``SimResult``), formatted once, and go out in one write."""
     agents = sorted(result.trajectories, key=lambda name: (name[0] == "P", int(name[1:])))
     labels = [f"{agent},{'pursuer' if agent[0] == 'P' else 'evader'}" for agent in agents]
     fh.write("t,agent,kind,x,y,theta,u,status,target\n")
     for step in zip(*(result.trajectories[agent] for agent in agents), strict=True):
-        for label, (t, x, y, theta, u, _mode, status, target) in zip(labels, step):
-            target_name = "" if target is None else f"E{target + 1}"
-            fh.write(
-                f"{_fmt(t)},{label},{_fmt(x)},{_fmt(y)},"
-                f"{_fmt(theta)},{_fmt(u)},{status},{target_name}\n"
-            )
+        t = _fmt(step[0][0])
+        fh.write("".join([
+            f"{t},{label},{_fmt(x)},{_fmt(y)},{_fmt(theta)},{_fmt(u)},{status},"
+            f"{'' if target is None else f'E{target + 1}'}\n"
+            for label, (_, x, y, theta, u, _mode, status, target) in zip(labels, step)
+        ]))
 
 
 def write_events(result, fh):

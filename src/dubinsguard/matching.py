@@ -4,7 +4,8 @@ Each certified pair becomes an edge of a bipartite graph; a maximum-
 cardinality matching picks the guaranteed assignments, and leftover pursuers
 chase the nearest unmatched evader opportunistically (the nearest evader
 when every one is held), read from the game's pair-distance array.  The
-simulator reads a certificate only as the edge it makes, never its kind.
+simulator reads a certificate only as the edge it makes: it merges edge
+keys, and the graph it matches maps each key to its ``CertificateKind``.
 """
 
 from __future__ import annotations
@@ -13,18 +14,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .certificates import Certificate, CertificateKind, certify_pair, certify_win
+from .certificates import Certificate, CertificateKind, certify_win, intercepts
 from .model import GameParams, JointState
 
 
 @dataclass(frozen=True)
 class WinGraph:
     """Bipartite graph over pursuer and evader indices; every edge carries
-    the certificate that justifies it.  ``screened`` holds the aim height,
-    below 0, of every pair certified without separation."""
+    the certificate that justifies it (``build_graph``) or its kind (the
+    graph the simulator matches, ``win_graph``).  ``screened`` holds the aim
+    height, below 0, of every pair certified without separation."""
 
     n_pursuers: int
-    edges: dict[tuple[int, int], Certificate] = field(default_factory=dict)
+    edges: dict[tuple[int, int], Certificate | CertificateKind] = field(default_factory=dict)
     screened: dict[tuple[int, int], float] = field(default_factory=dict)
 
 
@@ -50,16 +52,20 @@ def build_graph(
     return WinGraph(n_pursuers=n_pursuers, edges=edges, screened=screened)
 
 
-def carried_edges(pairs: dict[tuple[int, int], tuple], pair_params: dict) -> dict:
-    """The INTERCEPT edges among ``pairs``, each ``(x_p, theta, x_e, aim)``
-    with the aim its caller computed at these positions (``certify_pair``'s
-    ``aim``).  The other pairs are left out, for ``build_graph``."""
-    edges = {}
-    for key, (x_p, theta, x_e, aim) in pairs.items():
-        cert = certify_pair(x_p, theta, x_e, pair_params[key], aim)
-        if cert.kind is CertificateKind.INTERCEPT:
-            edges[key] = cert
-    return edges
+def carried_edges(pairs: dict[tuple[int, int], tuple], pair_params: dict) -> set:
+    """The keys of the INTERCEPT pairs among ``pairs``, each ``(theta, aim)``:
+    the pursuer's heading and the pair's (x, y, bearing) that its caller
+    computed at the current positions.  No certificate is built; the other
+    pairs are left for ``build_graph``."""
+    return {key for key, (theta, aim) in pairs.items() if intercepts(aim, theta, pair_params[key])}
+
+
+def win_graph(n_pursuers: int, keys, certified: dict) -> WinGraph:
+    """The graph over the edge keys ``keys``, each mapped to its kind: that
+    of its certificate in ``certified`` (``build_graph``'s edges), or
+    INTERCEPT for a pair ``carried_edges`` kept."""
+    kind = CertificateKind.INTERCEPT
+    return WinGraph(n_pursuers, {k: certified[k].kind if k in certified else kind for k in keys})
 
 
 def max_matching(graph: WinGraph) -> dict[int, int]:
@@ -122,6 +128,8 @@ def assign(matched: dict[int, int], dist: np.ndarray, active: list[int]) -> dict
     nearest active evader when every one is held; ties go to the lowest
     evader index.
     """
+    if len(matched) == len(dist):
+        return {}
     taken = set(matched.values())
     pool = [j for j in active if j not in taken] or active
     if not pool:

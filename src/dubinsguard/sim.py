@@ -9,12 +9,14 @@ reached:
   leave (``sticky``: the previous pairs still edges) assigns pursuers to
   evaders, and leftover pursuers chase the nearest unmatched evader (the
   nearest evader when every one is held); certificates are read only as
-  edges.  A pair the graph reports without separation is not offered again
-  while its separation window is open (see ``WINDOW_MARGIN``): no pair in a
-  window could be an edge, so the graph is the one a full rebuild would give.
-  An intercepting car's pair is carried, certified from the car's last
-  re-snap aim, and an unchanged edge-key set reuses its matching (bundled
-  5v5, period 1: 7,166 pairs carried, 980 through ``build_graph``, 6
+  edge keys.  One pass over the active pairs skips those whose separation
+  window is open (see ``WINDOW_MARGIN``): no pair in a window could be an
+  edge, so the graph is the one a full rebuild would give.  It carries an
+  intercepting car's own pair as a bare edge key when ``intercepts`` holds
+  at the car's last re-snap aim, and hands the rest to ``build_graph``,
+  which runs only when some pair is left.  An unchanged edge-key set
+  reuses its matching (bundled 5v5, period 1: 7,166 keys carried,
+  ``build_graph`` in 648 of 1,899 refreshes for 980 pairs, 6
   ``max_matching`` calls);
 - controls: evader controls first, then the pursuers', which observe them.
   Every car runs ``strategies.two_step_command``, the one adjust-then-
@@ -32,8 +34,8 @@ Agent state is plain floats: positions and controls are ``(x, y)`` float
 pairs, the library's one point type, stepped by the float kernels of
 ``model`` and ``strategies``.  A scenario's state positions are such pairs
 already, so they are read as they are, and the validated state objects of
-the win graph, built once per refresh for agents with a pair neither
-windowed nor carried, take the pairs without conversion.  Arrays appear
+the win graph, built only for agents with a pair neither windowed nor
+carried, take the pairs without conversion.  Arrays appear
 only where all pairs are batched: the pair distances are one ``(n_p, n_e)``
 array per step, from ``model.pair_distances``, shared by the capture
 screen, the nearest-pursuer choice of ``optimal`` evaders and the leftover
@@ -50,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import IO_TOL, aim_bearing, aim_height_rate, aim_point
-from .matching import WinGraph, assign, build_graph, carried_edges, max_matching
+from .matching import assign, build_graph, carried_edges, max_matching, win_graph
 from .model import (
     DUBINS,
     EvaderState,
@@ -247,34 +249,38 @@ class _Game:
         carrying the intercepting cars' pairs, re-match and retarget the
         pursuers.  A car with a new target restarts its phase machine and
         enters interception at once when the new pair is aligned and feasible."""
-        n_p, n_e, t = self.n_p, self.n_e, self.t
-        active = [j for j in range(n_e) if self.status[j] == ACTIVE]
-        until = self.unseparated_until
-        keys = [(i, j) for i in range(n_p) for j in active if until.get((i, j), t) <= t]
-        offered = set(keys)
-        carried = carried_edges(
-            {
-                (i, j): (self.p_xy[i], self.theta[i], self.e_xy[j], self.snap_aim[i])
-                for i, (j, phase) in enumerate(zip(self.target, self.phases))
-                if (i, j) in offered and phase is not None and phase.phase is Phase.INTERCEPTING
-            },
-            self.params,
-        )
-        keys = [key for key in keys if key not in carried]
-        pursuers = {i: PursuerState(self.p_xy[i], self.theta[i]) for i in {i for i, _ in keys}}
-        evaders = {j: EvaderState(pos=self.e_xy[j]) for j in {j for _, j in keys}}
-        pair_states = {(i, j): JointState(pursuers[i], evaders[j]) for i, j in keys}
-        graph = build_graph(pair_states, self.params, n_p)
-        for key, height in graph.screened.items():
-            p = self.params[key]
-            until[key] = t + (-height - WINDOW_MARGIN) / aim_height_rate(p.v_p, p.alpha)
-        edges, kept = {**graph.edges, **carried}, {}
+        n_p, t, until = self.n_p, self.t, self.unseparated_until
+        active = [j for j in range(self.n_e) if self.status[j] == ACTIVE]
+        carry, rest = {}, []
+        for i, (own, phase) in enumerate(zip(self.target, self.phases)):
+            if phase is None or phase.phase is not Phase.INTERCEPTING:
+                own = None
+            for j in active:
+                if until.get((i, j), t) > t:
+                    continue
+                if j == own:
+                    carry[i, j] = self.theta[i], self.snap_aim[i]
+                else:
+                    rest.append((i, j))
+        carried = carried_edges(carry, self.params)
+        rest += carry.keys() - carried
+        certified = {}
+        if rest:
+            pursuers = {i: PursuerState(self.p_xy[i], self.theta[i]) for i, _ in rest}
+            evaders = {j: EvaderState(pos=self.e_xy[j]) for _, j in rest}
+            pair_states = {(i, j): JointState(pursuers[i], evaders[j]) for i, j in rest}
+            graph = build_graph(pair_states, self.params, n_p)
+            for key, height in graph.screened.items():
+                p = self.params[key]
+                until[key] = t + (-height - WINDOW_MARGIN) / aim_height_rate(p.v_p, p.alpha)
+            certified = graph.edges
+        edges, kept = carried | certified.keys(), {}
         if self.cfg.sticky:  # the graph holds active evaders only
             kept = {i: j for i, j in self.matched.items() if (i, j) in edges}
         if kept:
             held = set(kept.values())
-            edges = {k: c for k, c in edges.items() if k[0] not in kept and k[1] not in held}
-        kept.update(self.match(WinGraph(n_pursuers=n_p, edges=edges)))
+            edges = {k for k in edges if k[0] not in kept and k[1] not in held}
+        kept.update(self.match(edges, certified))
         opportunistic = assign(kept, self.dist, active)
         pairs = tuple(sorted(kept.items()))
         if kept != self.matched:
@@ -289,10 +295,11 @@ class _Game:
             if self.phases[i] is not None:
                 self.phases[i] = TwoStepState()
 
-    def match(self, graph: WinGraph) -> dict[int, int]:
-        """``max_matching(graph)``, reused while the edge-key set is unchanged."""
-        if graph.edges.keys() != self.last_match[0]:
-            self.last_match = set(graph.edges), max_matching(graph)
+    def match(self, keys: set, certified: dict) -> dict[int, int]:
+        """``max_matching`` of ``win_graph(n_p, keys, certified)``, reused
+        while the edge-key set ``keys`` is unchanged."""
+        if keys != self.last_match[0]:
+            self.last_match = keys, max_matching(win_graph(self.n_p, keys, certified))
         return self.last_match[1]
 
     def live_target(self, i: int) -> int | None:

@@ -210,3 +210,28 @@ def brute_force_matching_size(n_pursuers: int, adjacency: dict[int, list[int]]) 
         return score
 
     return best(0, 0)
+
+
+def reference_fmt(value) -> str:
+    """Reference cell format of the trajectory CSV: empty for None, floats
+    at 9 significant digits, anything else by ``str``."""
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return f"{value:.9g}"
+    return str(value)
+
+
+def reference_write_trajectory_csv(result, fh):
+    """Reference trajectory writer: every row of every step formatted cell
+    by cell and written on its own."""
+    agents = sorted(result.trajectories, key=lambda name: (name[0] == "P", int(name[1:])))
+    labels = [f"{agent},{'pursuer' if agent[0] == 'P' else 'evader'}" for agent in agents]
+    fh.write("t,agent,kind,x,y,theta,u,status,target\n")
+    for step in zip(*(result.trajectories[agent] for agent in agents), strict=True):
+        for label, (t, x, y, theta, u, _mode, status, target) in zip(labels, step):
+            target_name = "" if target is None else f"E{target + 1}"
+            fh.write(
+                f"{reference_fmt(t)},{label},{reference_fmt(x)},{reference_fmt(y)},"
+                f"{reference_fmt(theta)},{reference_fmt(u)},{status},{target_name}\n"
+            )

@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import json
 import math
 import os
@@ -7,9 +8,11 @@ import sys
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dubinsguard as dg
+from conftest import reference_write_trajectory_csv
 from dubinsguard import cli
 
 
@@ -300,6 +303,34 @@ class TestTrajectoryCsv:
         with open(out, "w") as fh:
             cli.write_trajectory_csv(result, fh)
         assert out.read_text() == _reference_csv(result)
+
+    @staticmethod
+    def _bytes(write, result) -> str:
+        fh = io.StringIO()
+        write(result, fh)
+        return fh.getvalue()
+
+    def test_bytes_equal_the_reference_writer_on_the_bundled_game(self, golden_path):
+        cfg = dg.SimConfig(dt=1e-3, max_time=8.0, matching_period=20)
+        result = dg.run(cli.load_scenario(golden_path), cfg)
+        want = self._bytes(reference_write_trajectory_csv, result)
+        assert self._bytes(cli.write_trajectory_csv, result) == want
+        assert want.count("\n") == 10 * len(result.trajectories["P1"]) + 1
+
+    def test_bytes_equal_the_reference_writer_on_odd_cells(self):
+        # a step's rows share one t object; None, int, float-subclass and
+        # signed-zero cells are each formatted as the reference does
+        rows = {"P1": [], "P10": [], "E2": []}
+        for k, t in enumerate((0.0, -0.0, 1e-3, 2, np.float64(1 / 3))):
+            cells = (None, k, -0.0, 7, np.float64(-2.5e-10), 12345678901, 1 / 7)
+            for n, agent in enumerate(rows):
+                x, y, theta, u = (cells[(k + n + c) % len(cells)] for c in range(4))
+                target = None if agent[0] == "E" else (k + n) % 3 or None
+                rows[agent].append((t, x, y, theta, u, "adjust", "active", target))
+        result = dg.SimResult(rows, [], {}, [], False, 0, 0.0)
+        got = self._bytes(cli.write_trajectory_csv, result)
+        assert got == self._bytes(reference_write_trajectory_csv, result)
+        assert ",-0," in got and ",12345678901," in got and "\n-0,E2,evader," in got
 
     def test_series_of_unequal_length_is_refused(self, played, tmp_path):
         _, result = played

@@ -186,27 +186,46 @@ class TestSeparationScreen:
             assert any(c.kind is dg.CertificateKind.TWO_STEP for c in graph.edges.values())
 
     def test_carried_edges_are_the_intercept_edges(self, monkeypatch):
-        # handed each pair's aim, carried_edges computes none and keeps
-        # exactly the INTERCEPT certificates that certify_win gives
+        # handed each pair's aim, carried_edges computes none, builds no
+        # certificate and keeps exactly the keys that certify_win certifies
+        # INTERCEPT
         from dubinsguard import certificates, matching
         from dubinsguard.geometry import aim_bearing, aim_point
 
         states, params = _screen_corpus(np.random.default_rng(68), 8)
-        pairs, expected = {}, {}
+        pairs, expected = {}, set()
         for key, st in states.items():
             x_p, x_e = st.pursuer.pos, st.evader.pos
             x, y, _ = aim_point(x_p, x_e, params[key].alpha)
-            pairs[key] = (x_p, st.pursuer.theta, x_e, (x, y, aim_bearing(x_p, x, y)))
-            cert = dg.certify_win(st, params[key])
-            if cert.kind is dg.CertificateKind.INTERCEPT:
-                expected[key] = cert
+            pairs[key] = (st.pursuer.theta, (x, y, aim_bearing(x_p, x, y)))
+            if dg.certify_win(st, params[key]).kind is dg.CertificateKind.INTERCEPT:
+                expected.add(key)
 
-        def unexpected(*args):
-            raise AssertionError("aim point recomputed")
+        def unexpected(*args, **kwargs):
+            raise AssertionError("aim point recomputed or certificate built")
 
-        monkeypatch.setattr(certificates, "aim_point", unexpected)
+        for name in ("aim_point", "Certificate", "CertificateEvidence"):
+            monkeypatch.setattr(certificates, name, unexpected)
         assert matching.carried_edges(pairs, params) == expected
         assert 0 < len(expected) < len(pairs)
+
+    def test_win_graph_maps_each_key_to_its_kind(self):
+        # a certified key keeps its certificate's kind; any other key is a
+        # carried pair, INTERCEPT
+        from dubinsguard import matching
+
+        states, params = _screen_corpus(np.random.default_rng(69), 6)
+        certified = dg.build_graph(states, params, 6).edges
+        two_step = {k for k, c in certified.items() if c.kind is dg.CertificateKind.TWO_STEP}
+        uncertified = states.keys() - certified.keys()
+        assert two_step and uncertified
+        carried = min(uncertified)
+        graph = matching.win_graph(6, two_step | {carried}, certified)
+        assert graph.n_pursuers == 6 and not graph.screened
+        assert graph.edges == {
+            **dict.fromkeys(two_step, dg.CertificateKind.TWO_STEP),
+            carried: dg.CertificateKind.INTERCEPT,
+        }
 
     def test_screened_heights_are_the_aim_heights(self):
         from dubinsguard.geometry import aim_point
@@ -341,6 +360,16 @@ class TestAssign:
         out = dg.assign(matched, _dist(p_xy, e_xy), [0])
         assert out == {1: 0}
         assert out[1] in matched.values()
+
+    def test_every_pursuer_matched_reads_no_distance(self):
+        class Unread(np.ndarray):
+            def __getitem__(self, index):
+                raise AssertionError("distances read")
+
+        dist = _dist([(0.0, 0.0), (1.0, 0.0)], [(2.0, 0.0), (3.0, 0.0)]).view(Unread)
+        assert dg.assign({0: 1, 1: 0}, dist, [0, 1]) == {}
+        with pytest.raises(AssertionError, match="distances read"):
+            dg.assign({0: 1}, dist, [0, 1])
 
     def test_matched_evaders_never_duplicated(self):
         rng = np.random.default_rng(62)

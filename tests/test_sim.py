@@ -647,33 +647,33 @@ def _replay_windows(monkeypatch, sc, cfg):
     there.  Returns the result and the counts of windowed (skipped) and
     screened-out pair evaluations."""
     counts = {"skipped": 0, "screened": 0}
-    game = {}
+    offered = set()
     assign, build_graph, carried_edges = sim._Game.assign, sim.build_graph, sim.carried_edges
 
-    def recording_assign(self):
-        game["now"] = self
-        assign(self)
-
-    def recording_carried_edges(*args):
-        game["carried"] = carried_edges(*args)
-        return game["carried"]
-
-    def checked_build_graph(pair_states, *args):
-        g = game["now"]
-        for i in range(g.n_p):
-            for j in range(g.n_e):
-                if g.status[j] != sim.ACTIVE or (i, j) in pair_states or (i, j) in game["carried"]:
+    def checked_assign(self):
+        offered.clear()
+        assign(self)  # moves no agent
+        for i in range(self.n_p):
+            for j in range(self.n_e):
+                if self.status[j] != sim.ACTIVE or (i, j) in offered:
                     continue
-                height = aim_point(g.p_xy[i], g.e_xy[j], g.params[(i, j)].alpha)[1]
-                assert height < 0.0, (g.t, i, j)
+                height = aim_point(self.p_xy[i], self.e_xy[j], self.params[(i, j)].alpha)[1]
+                assert height < 0.0, (self.t, i, j)
                 counts["skipped"] += 1
+
+    def recording_carried_edges(pairs, pair_params):
+        offered.update(pairs)
+        return carried_edges(pairs, pair_params)
+
+    def recording_build_graph(pair_states, *args):
+        offered.update(pair_states)
         graph = build_graph(pair_states, *args)
         counts["screened"] += len(graph.screened)
         return graph
 
-    monkeypatch.setattr(sim._Game, "assign", recording_assign)
+    monkeypatch.setattr(sim._Game, "assign", checked_assign)
     monkeypatch.setattr(sim, "carried_edges", recording_carried_edges)
-    monkeypatch.setattr(sim, "build_graph", checked_build_graph)
+    monkeypatch.setattr(sim, "build_graph", recording_build_graph)
     return dg.run(sc, cfg), counts
 
 
@@ -761,24 +761,24 @@ class TestOneRematchingPass:
 
     @staticmethod
     def _refreshes(monkeypatch, sc, cfg):
-        """Play the game; returns, per refresh, the win graph (the carried
-        edges and the built graph's), the graph matched and the refresh's
-        matching."""
+        """Play the game; returns, per refresh, the edge-key set of the win
+        graph (the carried keys and the built graph's edges), the key set
+        matched and the refresh's matching."""
         built, matched = [], []
         build_graph, carried_edges, match = sim.build_graph, sim.carried_edges, sim._Game.match
 
         def recording_carry(*args):
-            built.append(carried_edges(*args))
-            return built[-1]
+            built.append(set(carried_edges(*args)))
+            return built[-1].copy()
 
         def recording_build(*args):
             graph = build_graph(*args)
-            built[-1] = dg.WinGraph(graph.n_pursuers, edges={**graph.edges, **built[-1]})
+            built[-1] |= graph.edges.keys()
             return graph
 
-        def recording_match(self, graph):
-            matched.append(graph)
-            return match(self, graph)
+        def recording_match(self, keys, certified):
+            matched.append(set(keys))
+            return match(self, keys, certified)
 
         monkeypatch.setattr(sim, "carried_edges", recording_carry)
         monkeypatch.setattr(sim, "build_graph", recording_build)
@@ -788,66 +788,83 @@ class TestOneRematchingPass:
         assert len(built) == len(matched) == len(history)
         return list(zip(built, matched, history))
 
+    @staticmethod
+    def _max_matching(n_p, keys):
+        return dg.max_matching(dg.WinGraph(n_p, dict.fromkeys(keys)))
+
     def test_only_an_equal_edge_key_set_reuses_its_matching(self, monkeypatch):
         calls, max_matching = [], sim.max_matching
         monkeypatch.setattr(sim, "max_matching", lambda g: calls.append(g) or max_matching(g))
         game = sim._Game(_bundled_5v5(), dg.SimConfig())
-        straight, crossed = [(0, 0), (1, 1)], [(0, 1), (1, 0)]
-        assert game.match(dg.WinGraph(5, dict.fromkeys(straight))) == {0: 0, 1: 1}
-        assert game.match(dg.WinGraph(5, dict.fromkeys(straight[::-1]))) == {0: 0, 1: 1}
+        straight, crossed = {(0, 0), (1, 1)}, {(0, 1), (1, 0)}
+        assert game.match(straight, {}) == {0: 0, 1: 1}
+        assert game.match(set(straight), {}) == {0: 0, 1: 1}
         assert len(calls) == 1
-        assert game.match(dg.WinGraph(5, dict.fromkeys(crossed))) == {0: 1, 1: 0}
-        assert game.match(dg.WinGraph(5)) == {}
+        assert calls[0].edges == dict.fromkeys(straight, dg.CertificateKind.INTERCEPT)
+        assert game.match(crossed, {}) == {0: 1, 1: 0}
+        assert game.match(set(), {}) == {}
         assert len(calls) == 3
 
     @pytest.mark.parametrize("seed, n", [(11, 5), (13, 8)])
     def test_plain_refresh_matches_the_whole_graph(self, monkeypatch, seed, n):
         cfg = dg.SimConfig(dt=1e-3, max_time=10.0, matching_period=5)
         refreshes = self._refreshes(monkeypatch, _contested_team(seed, n), cfg)
+        n_p = len(_contested_team(seed, n).pursuers)
         for graph, matched_graph, matching in refreshes:
-            assert matched_graph.edges == graph.edges
-            assert matching == dg.max_matching(graph)
+            assert matched_graph == graph
+            assert matching == self._max_matching(n_p, graph)
 
     @pytest.mark.parametrize("seed, n", [(11, 5), (13, 8)])
     def test_sticky_refresh_keeps_the_pairs_still_edges(self, monkeypatch, seed, n):
         cfg = dg.SimConfig(dt=1e-3, max_time=10.0, matching_period=5, sticky=True)
         previous, kept_some, differs = {}, 0, 0
+        n_p = len(_contested_team(seed, n).pursuers)
         refreshes = self._refreshes(monkeypatch, _contested_team(seed, n), cfg)
         for graph, matched_graph, matching in refreshes:
-            kept = {i: j for i, j in previous.items() if (i, j) in graph.edges}
+            kept = {i: j for i, j in previous.items() if (i, j) in graph}
             assert kept.items() <= matching.items()
-            assert (matched_graph.edges == graph.edges) == (not kept)
-            assert all(i not in kept and j not in kept.values() for i, j in matched_graph.edges)
+            assert (matched_graph == graph) == (not kept)
+            assert matched_graph == {
+                (i, j) for i, j in graph if i not in kept and j not in kept.values()
+            }
             kept_some += bool(kept)
-            differs += matching != dg.max_matching(graph)
+            differs += matching != self._max_matching(n_p, graph)
             previous = matching
         assert kept_some > 0 and differs > 0
 
 
 def _replay_carried(monkeypatch, sc, cfg):
     """Play the game certifying every pair handed to ``carried_edges``
-    anyway, by ``certify_win`` on a ``JointState`` of the same floats: a
-    carried edge's certificate must be equal, evidence included, and its aim
-    height, recomputed from the positions, at least 0; a pair left out must
-    not be INTERCEPT.  Returns the result and the number of carried edges."""
-    carried = [0]
-    carried_edges = sim.carried_edges
+    anyway, by ``certify_win`` on a ``JointState`` of the game's floats: a
+    carried key must be INTERCEPT, with the aim height and heading error
+    that the carry read as its evidence, bit for bit, and its aim height,
+    recomputed from the positions, at least 0; a pair left out must not be
+    INTERCEPT.  Returns the result and the number of carried keys."""
+    carried, games = [0], []
+    assign, carried_edges = sim._Game.assign, sim.carried_edges
+
+    def recording_assign(self):
+        games.append(self)
+        assign(self)
 
     def checked(pairs, pair_params):
-        edges = carried_edges(pairs, pair_params)
-        for key, (x_p, theta, x_e, _) in pairs.items():
-            p = pair_params[key]
-            state = dg.JointState(dg.PursuerState(x_p, theta), dg.EvaderState(x_e))
-            cert = dg.certify_win(state, p)
-            if key not in edges:
+        g, keys = games[-1], carried_edges(pairs, pair_params)
+        for (i, j), (theta, aim) in pairs.items():
+            x_p, x_e, p = g.p_xy[i], g.e_xy[j], pair_params[i, j]
+            assert theta == g.theta[i]
+            cert = dg.certify_win(dg.JointState(dg.PursuerState(x_p, theta), dg.EvaderState(x_e)), p)
+            if (i, j) not in keys:
                 assert cert.kind is not dg.CertificateKind.INTERCEPT
                 continue
-            assert edges[key] == cert
+            assert cert.kind is dg.CertificateKind.INTERCEPT
+            assert cert.evidence.separation == aim[1]
+            assert cert.evidence.heading_err == dg.wrap_to_pi(aim[2] - theta)
             dist = math.hypot(x_p[0] - x_e[0], x_p[1] - x_e[1])
             assert lowest_point(*x_p, *x_e, dist, p.alpha)[1] >= 0.0
-        carried[0] += len(edges)
-        return edges
+        carried[0] += len(keys)
+        return keys
 
+    monkeypatch.setattr(sim._Game, "assign", recording_assign)
     monkeypatch.setattr(sim, "carried_edges", checked)
     return dg.run(sc, cfg), carried[0]
 
@@ -875,9 +892,34 @@ def test_carried_certificates_equal_certify_win_and_change_nothing(
     assert carried > 0
     if scenario is _bundled_5v5 and period == 1:
         assert carried >= 7000
-    monkeypatch.setattr(sim, "carried_edges", lambda pairs, pair_params: {})
-    monkeypatch.setattr(sim._Game, "match", lambda self, graph: sim.max_matching(graph))
+    monkeypatch.setattr(sim, "carried_edges", lambda pairs, pair_params: set())
+    monkeypatch.setattr(
+        sim._Game,
+        "match",
+        lambda self, keys, certified: sim.max_matching(sim.win_graph(self.n_p, keys, certified)),
+    )
     assert dg.run(sc, cfg) == played
+
+
+def test_carried_pairs_build_no_evidence(monkeypatch):
+    # on the bundled 5v5 re-matched every step, evidence is built only for
+    # the pairs that reach ``build_graph``: 980 of them
+    counts = {"evidence": 0, "certified": 0}
+    evidence, build_graph = certificates.CertificateEvidence, sim.build_graph
+
+    def counted_evidence(*args, **kwargs):
+        counts["evidence"] += 1
+        return evidence(*args, **kwargs)
+
+    def counted_build_graph(pair_states, *args):
+        counts["certified"] += len(pair_states)
+        return build_graph(pair_states, *args)
+
+    monkeypatch.setattr(certificates, "CertificateEvidence", counted_evidence)
+    monkeypatch.setattr(sim, "build_graph", counted_build_graph)
+    result = dg.run(_bundled_5v5(), dg.SimConfig(dt=1e-3, max_time=8.0))
+    assert sum(e.kind == "capture" for e in result.events) == 5
+    assert counts["evidence"] == counts["certified"] <= 980
 
 
 def _count_refutations(monkeypatch):
@@ -948,7 +990,7 @@ def test_carried_pairs_are_the_intercepting_cars_at_their_snap_aims(monkeypatch,
             elif g.unseparated_until.get((i, j), g.t) <= g.t:
                 x_p, x_e = g.p_xy[i], g.e_xy[j]
                 x, y, _ = aim_point(x_p, x_e, pair_params[i, j].alpha)
-                expected[i, j] = x_p, g.theta[i], x_e, (x, y, aim_bearing(x_p, x, y))
+                expected[i, j] = g.theta[i], (x, y, aim_bearing(x_p, x, y))
         assert pairs == expected, g.t
         counts["carried"] += len(pairs)
         return carried_edges(pairs, pair_params)
