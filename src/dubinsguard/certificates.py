@@ -103,7 +103,7 @@ def intercept_feasible(r: float, kappa: float, alpha: float) -> bool:
     """Non-strict check r/kappa >= h(alpha) (admissibility of the
     interception-tracking command under separation and alignment).  The
     one place this comparison is made: ``two_step_feasible``,
-    ``classify_region``, ``intercepts``, ``certify_pair`` and
+    ``classify_region``, ``intercepts``, ``certify_win`` and
     ``strategies.two_step_command`` call it."""
     return r / kappa >= curvature_demand(alpha)
 
@@ -190,21 +190,15 @@ class AdjustBound:
 
 
 def adjust_time_bound(state: JointState, p: GameParams, err: float | None = None) -> AdjustBound:
-    """``adjust_bound`` on the state's floats; ``err`` is the state's
-    heading error, when the caller already has it."""
-    x_p, theta, x_e = state.pursuer.pos, state.pursuer.theta, state.evader.pos
-    err = heading_error(x_p, theta, x_e, p.alpha) if err is None else err
-    return adjust_bound(x_p, theta, x_e, p, err)
-
-
-def adjust_bound(x_p, theta: float, x_e, p: GameParams, err: float) -> AdjustBound:
-    """Upper bound on the heading-adjustment time of the car at ``x_p`` with
-    heading ``theta`` and heading error ``err`` against the evader at
-    ``x_e``; rejects aligned states.
+    """Upper bound on the heading-adjustment time; rejects aligned states.
+    ``err`` is the state's heading error, when the caller already has it.
 
     The turn is the one the car makes: ``turn_sign`` is
     ``geometry.turn_direction(err)``, so every bound built on this one
     (scope, clearance, both oracles) is a bound on the executed maneuver."""
+    x_p, theta, x_e = state.pursuer.pos, state.pursuer.theta, state.evader.pos
+    if err is None:
+        err = heading_error(x_p, theta, x_e, p.alpha)
     if err == 0.0:
         raise ValueError("state is already aligned; no adjustment to bound")
     sign = turn_direction(err)
@@ -801,14 +795,8 @@ class Certificate:
     evidence: CertificateEvidence
 
 
-def certify_win(state: JointState, p: GameParams) -> Certificate:
-    """``certify_pair`` on the state's floats: whether the pursuer has a
-    guaranteed win, with the predicate values that decided it."""
-    return certify_pair(state.pursuer.pos, state.pursuer.theta, state.evader.pos, p)
-
-
 def intercepts(aim, theta: float, p: GameParams) -> bool:
-    """The one INTERCEPT test, of ``certify_pair`` and ``carried_edges``:
+    """The one INTERCEPT test, of ``certify_win`` and ``carried_edges``:
     for the aim ``(x, y, bearing)`` (``aim_point``, ``aim_bearing``) and the
     pursuer heading ``theta``, separation (aim height at least 0) and, for a
     car, alignment (heading error within ``IO_TOL``) and the curvature check."""
@@ -818,10 +806,9 @@ def intercepts(aim, theta: float, p: GameParams) -> bool:
     return abs(wrap_to_pi(aim[2] - theta)) <= IO_TOL and intercept_feasible(p.r, p.kappa, p.alpha)
 
 
-def certify_pair(x_p, theta: float, x_e, p: GameParams, aim=None) -> Certificate:
-    """Whether the car at ``x_p`` with heading ``theta`` has a guaranteed win
-    against the evader at ``x_e``.  ``aim`` is the pair's (x, y, bearing), by
-    ``geometry.aim_point`` and ``aim_bearing``, when the caller has it.
+def certify_win(state: JointState, p: GameParams) -> Certificate:
+    """Decide whether the pursuer has a guaranteed win against the evader
+    from this state, and record the predicate values that decided it.
 
     A car wins directly when ``intercepts`` holds: separation and alignment
     hold and the parameters pass the curvature check; it wins through the
@@ -838,10 +825,9 @@ def certify_pair(x_p, theta: float, x_e, p: GameParams, aim=None) -> Certificate
     point, the heading error and the adjustment-time bound are each computed
     once and handed to the predicates that use them.
     """
-    if aim is None:
-        aim_x, aim_y, _ = aim_point(x_p, x_e, p.alpha)
-        aim = aim_x, aim_y, aim_bearing(x_p, aim_x, aim_y)
-    aim_x, aim_y, bearing = aim
+    x_p, theta, x_e = state.pursuer.pos, state.pursuer.theta, state.evader.pos
+    aim_x, aim_y, _ = aim_point(x_p, x_e, p.alpha)
+    aim = aim_x, aim_y, aim_bearing(x_p, aim_x, aim_y)
     sc = aim_y >= 0.0
     dist = math.hypot(x_p[0] - x_e[0], x_p[1] - x_e[1])
     io = err = intercept_ok = adjust_ok = two_ok = None
@@ -850,7 +836,7 @@ def certify_pair(x_p, theta: float, x_e, p: GameParams, aim=None) -> Certificate
     kind = CertificateKind.INTERCEPT if intercepts(aim, theta, p) else CertificateKind.NONE
 
     if p.motion != SIMPLE:
-        err = wrap_to_pi(bearing - theta)
+        err = wrap_to_pi(aim[2] - theta)
         io = abs(err) <= IO_TOL
         intercept_ok = intercept_feasible(p.r, p.kappa, p.alpha)
         adjust_ok = adjust_feasible(p.r, p.kappa, p.alpha)
@@ -858,7 +844,7 @@ def certify_pair(x_p, theta: float, x_e, p: GameParams, aim=None) -> Certificate
         if kind is CertificateKind.NONE:
             beyond_capture = dist > p.r
             if sc and not io and beyond_capture:
-                bound = adjust_bound(x_p, theta, x_e, p, err)
+                bound = adjust_time_bound(state, p, err)
                 duration = bound.duration
                 scope_ok = bound.scope_gap > 0.0
         if scope_ok and two_ok:
@@ -921,6 +907,7 @@ def sample_adjust_feasible_state(
         err = heading_error((xp, yp), theta_p, x_e, p.alpha)
         if abs(err) <= 1e-3:
             continue
-        if adjust_bound((xp, yp), theta_p, x_e, p, err).scope_gap > 0.0:
-            return JointState(PursuerState((xp, yp), theta_p), EvaderState(x_e))
+        state = JointState(PursuerState((xp, yp), theta_p), EvaderState(x_e))
+        if adjust_time_bound(state, p, err).scope_gap > 0.0:
+            return state
     raise RuntimeError("failed to sample a feasible state")

@@ -5,7 +5,7 @@ cardinality matching picks the guaranteed assignments, and leftover pursuers
 chase the nearest unmatched evader opportunistically (the nearest evader
 when every one is held), read from the game's pair-distance array.  The
 simulator reads a certificate only as the edge it makes: it merges edge
-keys, and the graph it matches maps each key to its ``CertificateKind``.
+keys and matches a graph of bare keys.
 """
 
 from __future__ import annotations
@@ -21,12 +21,12 @@ from .model import GameParams, JointState
 @dataclass(frozen=True)
 class WinGraph:
     """Bipartite graph over pursuer and evader indices; every edge carries
-    the certificate that justifies it (``build_graph``) or its kind (the
-    graph the simulator matches, ``win_graph``).  ``screened`` holds the aim
+    the certificate that justifies it (``build_graph``), or None in the
+    graph of bare keys the simulator matches.  ``screened`` holds the aim
     height, below 0, of every pair certified without separation."""
 
     n_pursuers: int
-    edges: dict[tuple[int, int], Certificate | CertificateKind] = field(default_factory=dict)
+    edges: dict[tuple[int, int], Certificate | None] = field(default_factory=dict)
     screened: dict[tuple[int, int], float] = field(default_factory=dict)
 
 
@@ -58,14 +58,6 @@ def carried_edges(pairs: dict[tuple[int, int], tuple], pair_params: dict) -> set
     computed at the current positions.  No certificate is built; the other
     pairs are left for ``build_graph``."""
     return {key for key, (theta, aim) in pairs.items() if intercepts(aim, theta, pair_params[key])}
-
-
-def win_graph(n_pursuers: int, keys, certified: dict) -> WinGraph:
-    """The graph over the edge keys ``keys``, each mapped to its kind: that
-    of its certificate in ``certified`` (``build_graph``'s edges), or
-    INTERCEPT for a pair ``carried_edges`` kept."""
-    kind = CertificateKind.INTERCEPT
-    return WinGraph(n_pursuers, {k: certified[k].kind if k in certified else kind for k in keys})
 
 
 def max_matching(graph: WinGraph) -> dict[int, int]:

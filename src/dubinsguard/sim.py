@@ -9,7 +9,7 @@ reached:
   leave (``sticky``: the previous pairs still edges) assigns pursuers to
   evaders, and leftover pursuers chase the nearest unmatched evader (the
   nearest evader when every one is held); certificates are read only as
-  edge keys.  One pass over the active pairs skips those whose separation
+  edge keys, and the graph matched holds bare keys.  One pass over the active pairs skips those whose separation
   window is open (see ``WINDOW_MARGIN``): no pair in a window could be an
   edge, so the graph is the one a full rebuild would give.  It carries an
   intercepting car's own pair as a bare edge key when ``intercepts`` holds
@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import IO_TOL, aim_bearing, aim_height_rate, aim_point
-from .matching import assign, build_graph, carried_edges, max_matching, win_graph
+from .matching import WinGraph, assign, build_graph, carried_edges, max_matching
 from .model import (
     DUBINS,
     EvaderState,
@@ -264,7 +264,7 @@ class _Game:
                     rest.append((i, j))
         carried = carried_edges(carry, self.params)
         rest += carry.keys() - carried
-        certified = {}
+        edges = carried
         if rest:
             pursuers = {i: PursuerState(self.p_xy[i], self.theta[i]) for i, _ in rest}
             evaders = {j: EvaderState(pos=self.e_xy[j]) for _, j in rest}
@@ -273,14 +273,14 @@ class _Game:
             for key, height in graph.screened.items():
                 p = self.params[key]
                 until[key] = t + (-height - WINDOW_MARGIN) / aim_height_rate(p.v_p, p.alpha)
-            certified = graph.edges
-        edges, kept = carried | certified.keys(), {}
+            edges = carried | graph.edges.keys()
+        kept = {}
         if self.cfg.sticky:  # the graph holds active evaders only
             kept = {i: j for i, j in self.matched.items() if (i, j) in edges}
         if kept:
             held = set(kept.values())
             edges = {k for k in edges if k[0] not in kept and k[1] not in held}
-        kept.update(self.match(edges, certified))
+        kept.update(self.match(edges))
         opportunistic = assign(kept, self.dist, active)
         pairs = tuple(sorted(kept.items()))
         if kept != self.matched:
@@ -295,11 +295,11 @@ class _Game:
             if self.phases[i] is not None:
                 self.phases[i] = TwoStepState()
 
-    def match(self, keys: set, certified: dict) -> dict[int, int]:
-        """``max_matching`` of ``win_graph(n_p, keys, certified)``, reused
-        while the edge-key set ``keys`` is unchanged."""
+    def match(self, keys: set) -> dict[int, int]:
+        """``max_matching`` of the graph over the edge keys ``keys``, reused
+        while that set is unchanged."""
         if keys != self.last_match[0]:
-            self.last_match = keys, max_matching(win_graph(self.n_p, keys, certified))
+            self.last_match = keys, max_matching(WinGraph(self.n_p, dict.fromkeys(keys)))
         return self.last_match[1]
 
     def live_target(self, i: int) -> int | None:

@@ -12,7 +12,6 @@ from dubinsguard.certificates import (
     _witness_clearance,
     _witness_margin,
     _wrapped_error,
-    certify_pair,
 )
 from dubinsguard.geometry import aim_point, lowest_point
 from dubinsguard.strategies import two_step_command
@@ -414,12 +413,12 @@ class TestAdjustScope:
         gap = float(np.linalg.norm(np.subtract(bound.turn_center, x_e)))
         assert gap == p.kappa + p.v_p * bound.duration / math.sqrt(p.alpha**2 - 1.0)
         assert bound.scope_gap == 0.0
-        evidence = certify_pair((0.0, 1.0), 0.0, x_e, p).evidence
+        evidence = dg.certify_win(make_state(0.0, 1.0, 0.0, *x_e), p).evidence
         assert evidence.sc and not evidence.io and evidence.beyond_capture
         assert evidence.scope_ok is False
         beyond = (2.0, math.nextafter(x_e[1], math.inf))
         assert dg.adjust_time_bound(make_state(0.0, 1.0, 0.0, *beyond), p).scope_gap > 0.0
-        assert certify_pair((0.0, 1.0), 0.0, beyond, p).evidence.scope_ok is True
+        assert dg.certify_win(make_state(0.0, 1.0, 0.0, *beyond), p).evidence.scope_ok is True
 
 
 class TestRelaxationSextic:
@@ -464,7 +463,7 @@ def _near_vertical_corpus(rng, n):
     evader, half of them exactly and the rest off by 1e-12 to 1e-3, with
     the speed ratio in [1.2, 2] for every other state and in [2, 150] for
     the rest, kappa in {1/16, 0.2, 1} and r/kappa 1% above the two-step
-    threshold.  ``certify_pair`` takes every state to the sextic: each is
+    threshold.  ``certify_win`` takes every state to the sextic: each is
     separated, unaligned, beyond capture and in scope, and the witness does
     not refute it.  Returns (x_p, theta, x_e, params) tuples."""
     corpus = []
@@ -597,7 +596,7 @@ class TestRelaxedClearance:
                 sol = dg.relaxed_clearance_from_centers(center, x_e, p.alpha, p.kappa)
             except dg.KKTReconstructionError:
                 assert center[0] != x_e[0]
-                cert = certify_pair(x_p, theta, x_e, p)
+                cert = dg.certify_win(make_state(*x_p, theta, *x_e), p)
                 assert cert.kind is dg.CertificateKind.NONE and cert.evidence.solver_failed
                 failed += 1
                 continue
@@ -909,6 +908,23 @@ class TestCertifyWin:
         assert cert.evidence.sc and not cert.evidence.io
         assert cert.evidence.clearance is not None and cert.evidence.clearance >= 0
         assert cert.evidence.adjust_duration is not None
+
+    def test_two_step_pair_reaches_the_bound_once_through_its_module_binding(
+        self, paper, monkeypatch
+    ):
+        # the benchmark traces the bound by wrapping this binding, so the
+        # certificate must reach the bound through it, and only once
+        from dubinsguard import certificates
+
+        calls, bound = [], certificates.adjust_time_bound
+        monkeypatch.setattr(
+            certificates, "adjust_time_bound", lambda *args: calls.append(args) or bound(*args)
+        )
+        state = make_state(4.7, 0.65, 0.0, 5.2, 0.32)
+        cert = dg.certify_win(state, paper)
+        assert cert.kind is dg.CertificateKind.TWO_STEP
+        assert len(calls) == 1 and calls[0][0] is state
+        assert cert.evidence.adjust_duration == bound(state, paper).duration
 
     def test_separation_failure_is_none(self):
         p = dg.GameParams(2.0, 1.0, 1.0, 0.1)

@@ -209,24 +209,6 @@ class TestSeparationScreen:
         assert matching.carried_edges(pairs, params) == expected
         assert 0 < len(expected) < len(pairs)
 
-    def test_win_graph_maps_each_key_to_its_kind(self):
-        # a certified key keeps its certificate's kind; any other key is a
-        # carried pair, INTERCEPT
-        from dubinsguard import matching
-
-        states, params = _screen_corpus(np.random.default_rng(69), 6)
-        certified = dg.build_graph(states, params, 6).edges
-        two_step = {k for k, c in certified.items() if c.kind is dg.CertificateKind.TWO_STEP}
-        uncertified = states.keys() - certified.keys()
-        assert two_step and uncertified
-        carried = min(uncertified)
-        graph = matching.win_graph(6, two_step | {carried}, certified)
-        assert graph.n_pursuers == 6 and not graph.screened
-        assert graph.edges == {
-            **dict.fromkeys(two_step, dg.CertificateKind.TWO_STEP),
-            carried: dg.CertificateKind.INTERCEPT,
-        }
-
     def test_screened_heights_are_the_aim_heights(self):
         from dubinsguard.geometry import aim_point
 

@@ -776,9 +776,9 @@ class TestOneRematchingPass:
             built[-1] |= graph.edges.keys()
             return graph
 
-        def recording_match(self, keys, certified):
+        def recording_match(self, keys):
             matched.append(set(keys))
-            return match(self, keys, certified)
+            return match(self, keys)
 
         monkeypatch.setattr(sim, "carried_edges", recording_carry)
         monkeypatch.setattr(sim, "build_graph", recording_build)
@@ -797,12 +797,12 @@ class TestOneRematchingPass:
         monkeypatch.setattr(sim, "max_matching", lambda g: calls.append(g) or max_matching(g))
         game = sim._Game(_bundled_5v5(), dg.SimConfig())
         straight, crossed = {(0, 0), (1, 1)}, {(0, 1), (1, 0)}
-        assert game.match(straight, {}) == {0: 0, 1: 1}
-        assert game.match(set(straight), {}) == {0: 0, 1: 1}
+        assert game.match(straight) == {0: 0, 1: 1}
+        assert game.match(set(straight)) == {0: 0, 1: 1}
         assert len(calls) == 1
-        assert calls[0].edges == dict.fromkeys(straight, dg.CertificateKind.INTERCEPT)
-        assert game.match(crossed, {}) == {0: 1, 1: 0}
-        assert game.match(set(), {}) == {}
+        assert calls[0].edges == dict.fromkeys(straight)
+        assert game.match(crossed) == {0: 1, 1: 0}
+        assert game.match(set()) == {}
         assert len(calls) == 3
 
     @pytest.mark.parametrize("seed, n", [(11, 5), (13, 8)])
@@ -896,7 +896,7 @@ def test_carried_certificates_equal_certify_win_and_change_nothing(
     monkeypatch.setattr(
         sim._Game,
         "match",
-        lambda self, keys, certified: sim.max_matching(sim.win_graph(self.n_p, keys, certified)),
+        lambda self, keys: sim.max_matching(sim.WinGraph(self.n_p, dict.fromkeys(keys))),
     )
     assert dg.run(sc, cfg) == played
 
