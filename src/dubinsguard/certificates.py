@@ -20,7 +20,12 @@ relaxed objective is evaluated at one feasible point (``_witness_clearance``):
 a minimum is never above a value it takes, so a value below minus the
 closed form's own tolerance margin (``_witness_margin``) refutes the pair
 without the root solve.  The screen only withholds certificates the closed
-form would withhold too.
+form would withhold too.  A pair solved at an earlier refresh can carry
+that solve (``ClearanceAnchor``): the relaxed minimum moves by at most the
+objective's Lipschitz bound times the move of the two centres, so the
+anchor's clearance less that bound and twice the margin is a lower bound on
+the closed form's value now, and the pair is certified on it without the
+root solve.
 """
 
 from __future__ import annotations
@@ -402,6 +407,45 @@ def _witness_margin(alpha: float, kappa: float) -> float:
     return 1e-9 * ((1.0 + kappa) + alpha * (1.0 + reach)) / (alpha - 1.0)
 
 
+#: Largest drift (``ClearanceAnchor.carry``) a carried clearance may rest
+#: on.  A carried bound sits at most 2 * cap + 4 * ``_witness_margin``
+#: below the closed form's value at the same state: 2.5e-4 keeps it within
+#: about 5e-4 of the minimum it stands for, inside the 1e-3 to which the
+#: closed form is cross-checked by grid search.  Without a cap, drift builds
+#: up over a pair's anchored refreshes: on the bundled 5v5 at period 1,
+#: carried clearances fell 1.5e-3 below their grid minimum.
+ANCHOR_DRIFT_CAP = 2.5e-4
+
+
+@dataclass(frozen=True)
+class ClearanceAnchor:
+    """A two-step pair's last sextic solve: the turn centre and the evader
+    position it was solved at, and the closed form's clearance there."""
+
+    center: tuple[float, float]
+    evader: tuple[float, float]
+    clearance: float
+
+    def carry(self, x_c, x_e, alpha: float, margin: float) -> float | None:
+        """The clearance this solve carries to the turn centre ``x_c`` and
+        the evader at ``x_e``, or None when it carries none.
+
+        The two circles of the relaxed problem move rigidly with their
+        centres, and by the gradient bounds of ``_witness_margin`` the
+        objective moves by at most 1 / (alpha - 1) per unit of pursuer point
+        and alpha / (alpha - 1) per unit of evader point.  So the minimum has
+        moved by at most drift = (|x_c - center| + alpha |x_e - evader|) /
+        (alpha - 1), and with the closed form within ``margin`` of the
+        minimum at both states, clearance - drift - 2 margin is a lower bound
+        on its value now.  It is carried when it is at least 0 and the drift
+        at most ``ANCHOR_DRIFT_CAP``."""
+        (cx, cy), (ex, ey) = self.center, self.evader
+        moved = math.hypot(x_c[0] - cx, x_c[1] - cy) + alpha * math.hypot(x_e[0] - ex, x_e[1] - ey)
+        drift = moved / (alpha - 1.0)
+        carried = self.clearance - drift - 2.0 * margin
+        return carried if drift <= ANCHOR_DRIFT_CAP and carried >= 0.0 else None
+
+
 def solve_relaxed_clearance(state: JointState, p: GameParams) -> RelaxedSolution:
     """Closed-form worst-case clearance bound for an unaligned pair state
     (the turn center is derived from the pursuer's heading and turn sign)."""
@@ -771,8 +815,12 @@ class CertificateEvidence:
     clearance of the two-step route: the closed form's minimum when the
     sextic was solved, or, for a pair refuted before the solve, the relaxed
     objective at one feasible point, below minus ``_witness_margin`` and an
-    upper bound on the closed form's value.  ``solver_failed`` is set when
-    no root reconstructed a KKT point."""
+    upper bound on the closed form's value.  ``clearance_carried`` marks a
+    clearance carried from ``anchor`` instead of solved: the anchor's
+    clearance less its drift and twice ``_witness_margin``, a lower bound on
+    the closed form's value.  ``anchor`` is the solve the clearance rests on,
+    the new one or the one carried.  ``solver_failed`` is set when no root
+    reconstructed a KKT point."""
 
     separation: float
     sc: bool
@@ -787,6 +835,8 @@ class CertificateEvidence:
     adjust_duration: float | None = None
     clearance: float | None = None
     solver_failed: bool = False
+    clearance_carried: bool = False
+    anchor: ClearanceAnchor | None = None
 
 
 @dataclass(frozen=True)
@@ -806,7 +856,7 @@ def intercepts(aim, theta: float, p: GameParams) -> bool:
     return abs(wrap_to_pi(aim[2] - theta)) <= IO_TOL and intercept_feasible(p.r, p.kappa, p.alpha)
 
 
-def certify_win(state: JointState, p: GameParams) -> Certificate:
+def certify_win(state: JointState, p: GameParams, anchor: ClearanceAnchor | None = None) -> Certificate:
     """Decide whether the pursuer has a guaranteed win against the evader
     from this state, and record the predicate values that decided it.
 
@@ -817,7 +867,14 @@ def certify_win(state: JointState, p: GameParams) -> Certificate:
     the parameters pass the two-step check and the worst-case clearance
     bound is non-negative; a pair whose relaxed objective is below
     -``_witness_margin`` at the witness point (``_witness_clearance``) is
-    refused before the bound is solved.  A simple-motion pursuer
+    refused before the bound is solved.  Given the ``anchor`` of an earlier
+    solve, a pair the witness does not refute is certified without the
+    solve when the anchor's drift is at most ``ANCHOR_DRIFT_CAP`` and its
+    clearance less that drift and 2 * ``_witness_margin`` is at least 0; it
+    is solved and re-anchored otherwise.  The carry is decided before any
+    solve, so a pair whose solve would raise ``KKTReconstructionError``
+    (a root next to a bracket end) is still certified on it.  A
+    simple-motion pursuer
     (``p.motion`` is ``model.SIMPLE``) needs separation only.
 
     Separation is the one test of the aim height: ``evidence.separation``
@@ -832,7 +889,8 @@ def certify_win(state: JointState, p: GameParams) -> Certificate:
     dist = math.hypot(x_p[0] - x_e[0], x_p[1] - x_e[1])
     io = err = intercept_ok = adjust_ok = two_ok = None
     beyond_capture = scope_ok = duration = clearance = None
-    solver_failed = False
+    solver_failed = carried = False
+    rests_on = None
     kind = CertificateKind.INTERCEPT if intercepts(aim, theta, p) else CertificateKind.NONE
 
     if p.motion != SIMPLE:
@@ -848,19 +906,25 @@ def certify_win(state: JointState, p: GameParams) -> Certificate:
                 duration = bound.duration
                 scope_ok = bound.scope_gap > 0.0
         if scope_ok and two_ok:
-            witness = _witness_clearance(bound.turn_center, x_e, p.alpha, p.kappa)[0]
-            if witness < -_witness_margin(p.alpha, p.kappa):
+            center = bound.turn_center
+            witness = _witness_clearance(center, x_e, p.alpha, p.kappa)[0]
+            margin = _witness_margin(p.alpha, p.kappa)
+            if witness < -margin:
                 clearance = witness
             else:
-                try:
-                    clearance = relaxed_clearance_from_centers(
-                        bound.turn_center, x_e, p.alpha, p.kappa
-                    ).clearance
-                except KKTReconstructionError:
-                    solver_failed = True
+                carry = None if anchor is None else anchor.carry(center, x_e, p.alpha, margin)
+                if carry is not None:
+                    clearance, carried, rests_on = carry, True, anchor
+                    kind = CertificateKind.TWO_STEP
                 else:
-                    if clearance >= 0.0:
-                        kind = CertificateKind.TWO_STEP
+                    try:
+                        clearance = relaxed_clearance_from_centers(center, x_e, p.alpha, p.kappa).clearance
+                    except KKTReconstructionError:
+                        solver_failed = True
+                    else:
+                        rests_on = ClearanceAnchor(center, tuple(x_e), clearance)
+                        if clearance >= 0.0:
+                            kind = CertificateKind.TWO_STEP
 
     return Certificate(
         kind=kind,
@@ -878,6 +942,8 @@ def certify_win(state: JointState, p: GameParams) -> Certificate:
             adjust_duration=duration,
             clearance=clearance,
             solver_failed=solver_failed,
+            clearance_carried=carried,
+            anchor=rests_on,
         ),
     )
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .certificates import Certificate, CertificateKind, certify_win, intercepts
+from .certificates import Certificate, CertificateKind, ClearanceAnchor, certify_win, intercepts
 from .model import GameParams, JointState
 
 
@@ -34,17 +34,27 @@ def build_graph(
     pair_states: dict[tuple[int, int], JointState],
     pair_params: dict[tuple[int, int], GameParams],
     n_pursuers: int,
+    anchors: dict[tuple[int, int], ClearanceAnchor] | None = None,
 ) -> WinGraph:
     """Certify every provided pair; an edge is present iff the certificate
     is not NONE.  Inactive players are simply absent from ``pair_states``.
 
     The graph reports the aim height (``evidence.separation``) of every
-    pair whose certificate lacks separation.
+    pair whose certificate lacks separation.  ``anchors`` holds each pair's
+    last two-step solve, updated in place: ``certify_win`` may carry it, a
+    new solve replaces it and a failed one drops it.  Without it nothing is
+    carried.
     """
+    if anchors is None:
+        anchors = {}
     edges = {}
     screened = {}
     for key in sorted(pair_states):
-        cert = certify_win(pair_states[key], pair_params[key])
+        cert = certify_win(pair_states[key], pair_params[key], anchors.get(key))
+        if cert.evidence.anchor is not None:
+            anchors[key] = cert.evidence.anchor
+        elif cert.evidence.solver_failed:
+            anchors.pop(key, None)
         if not cert.evidence.sc:
             screened[key] = cert.evidence.separation
         if cert.kind is not CertificateKind.NONE:
@@ -118,7 +128,9 @@ def assign(matched: dict[int, int], dist: np.ndarray, active: list[int]) -> dict
     ascending indices of the evaders in play.  Each pursuer outside
     ``matched`` takes the nearest active evader that no pair holds, or the
     nearest active evader when every one is held; ties go to the lowest
-    evader index.
+    evader index.  With every pursuer matched it returns ``{}`` without
+    reading ``dist``; the game calls it only when some pursuer is
+    unmatched, so that it computes the distances only then.
     """
     if len(matched) == len(dist):
         return {}

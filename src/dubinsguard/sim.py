@@ -14,10 +14,13 @@ reached:
   edge, so the graph is the one a full rebuild would give.  It carries an
   intercepting car's own pair as a bare edge key when ``intercepts`` holds
   at the car's last re-snap aim, and hands the rest to ``build_graph``,
-  which runs only when some pair is left.  An unchanged edge-key set
-  reuses its matching (bundled 5v5, period 1: 7,166 keys carried,
-  ``build_graph`` in 648 of 1,899 refreshes for 980 pairs, 6
-  ``max_matching`` calls);
+  which runs only when some pair is left, with each pair's last two-step
+  solve (``anchors``), which it may carry instead of solving again (see
+  ``run`` for where a carried pair can differ from a new solve).  An
+  unchanged edge-key set reuses its matching (bundled 5v5, period 1: 7,166
+  keys carried, ``build_graph`` in 648 of 1,899 refreshes for 980 pairs,
+  64 sextic solves for 307 two-step certificates, 6 ``max_matching``
+  calls);
 - controls: evader controls first, then the pursuers', which observe them.
   Every car runs ``strategies.two_step_command``, the one adjust-then-
   intercept phase machine and the only way into interception; the simulator
@@ -28,7 +31,9 @@ reached:
   ``step_evader`` call each, and intercepting cars are re-snapped against
   drift, each car keeping its last re-snap's aim;
 - detect: capture and goal-arrival crossings are located by linear
-  interpolation inside the step.
+  interpolation inside the step.  After each capture screen, the steps
+  that provably end with every active pair outside its capture disk are
+  counted (``_quiet_steps``); they test goal crossings only.
 
 Agent state is plain floats: positions and controls are ``(x, y)`` float
 pairs, the library's one point type, stepped by the float kernels of
@@ -37,16 +42,20 @@ already, so they are read as they are, and the validated state objects of
 the win graph, built only for agents with a pair neither windowed nor
 carried, take the pairs without conversion.  Arrays appear
 only where all pairs are batched: the pair distances are one ``(n_p, n_e)``
-array per step, from ``model.pair_distances``, shared by the capture
-screen, the nearest-pursuer choice of ``optimal`` evaders and the leftover
-pursuers' nearest evader.  A ``dt`` long enough for a pursuer and an evader
-to close a capture radius in one step is refused.
+array from ``model.pair_distances``, shared by the capture screen, the
+nearest-pursuer choice of ``optimal`` evaders and the leftover pursuers'
+nearest evader.  It is computed at the steps the capture screen runs, at
+the last of a run of quiet steps, and when a refresh with an unmatched
+pursuer or an ``optimal`` evader without a pursuer asks for it.  A ``dt``
+long enough for a pursuer and an evader to close a capture radius in one
+step is refused.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +64,7 @@ from .geometry import IO_TOL, aim_bearing, aim_height_rate, aim_point
 from .matching import WinGraph, assign, build_graph, carried_edges, max_matching
 from .model import (
     DUBINS,
+    STRAIGHT_EPS,
     EvaderState,
     JointState,
     PursuerState,
@@ -92,6 +102,16 @@ SNAP_FACTOR = 10.0
 #: below -WINDOW_MARGIN, for (-y - WINDOW_MARGIN) / ``aim_height_rate`` of
 #: game time: its window.  The margin absorbs the rounding of the heights.
 WINDOW_MARGIN = 1e-12
+
+#: Bound, per unit of turning radius, on how far a car's float step can end
+#: beyond the arc it integrates: ``model.step_pursuer`` scales differences
+#: of sines, each a few ulps off, by a turn radius of up to kappa /
+#: STRAIGHT_EPS.  At the smallest turn commands the overshoot reaches about
+#: 2e-4 kappa per step.
+CAR_STEP_ROUNDING = 8.0 * sys.float_info.epsilon / STRAIGHT_EPS
+
+#: Relative rounding allowance of the capture-quiet count (``_quiet_steps``).
+QUIET_ROUNDING = 16.0 * sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -174,16 +194,38 @@ def _with_heading(u: tuple[float, float]) -> tuple[tuple[float, float], float]:
     return u, math.atan2(u[1], u[0])
 
 
-def _validate(sc: Scenario, cfg: SimConfig):
+def _validate(sc: Scenario, cfg: SimConfig) -> list[float]:
+    """Refuse a ``dt`` at which a pursuer and an evader can close a capture
+    radius in one step; returns each pursuer's closing per step, (v_i +
+    max_j v_e_j) * dt."""
     v_e_max = max(spec.v for spec in sc.evaders)
-    for i, spec in enumerate(sc.pursuers):
-        closing = (spec.v + v_e_max) * cfg.dt
-        if closing >= spec.r:
+    closing = [(spec.v + v_e_max) * cfg.dt for spec in sc.pursuers]
+    for i, (spec, step) in enumerate(zip(sc.pursuers, closing)):
+        if step >= spec.r:
             raise ValueError(
                 f"dt={cfg.dt:g} is too large: pursuer {i} and the fastest evader "
-                f"close up to {closing:g} in one step, not less than its capture "
+                f"close up to {step:g} in one step, not less than its capture "
                 f"radius r={spec.r:g}"
             )
+    return closing
+
+
+def _quiet_steps(dist: np.ndarray, radii: np.ndarray, steps: np.ndarray, scale: float) -> int:
+    """How many coming steps provably end with every pair of ``dist`` (the
+    pair distances at the current positions) outside its capture disk.
+
+    One step closes pursuer ``i`` and any evader by at most ``steps[i]``, so
+    a pair with gap g = dist - r stays outside for g / steps[i] steps.  A
+    rounding allowance of QUIET_ROUNDING * (1 + 4 scale), ``scale`` the
+    largest coordinate in play, is taken off each gap and added to each
+    step: it covers the rounding of the distances and of the positions a
+    step writes, as no agent moves farther than the largest distance,
+    itself below 3 scale, before the count runs out."""
+    if dist.size == 0:
+        return 0
+    rounding = QUIET_ROUNDING * (1.0 + 4.0 * scale)
+    slack = (dist - radii[:, None] - rounding) / (steps[:, None] + rounding)
+    return max(0, math.floor(float(slack.min())))
 
 
 class _Game:
@@ -195,6 +237,7 @@ class _Game:
     """
 
     def __init__(self, sc: Scenario, cfg: SimConfig):
+        closing = _validate(sc, cfg)
         self.sc = sc
         self.cfg = cfg
         self.n_p = n_p = len(sc.pursuers)
@@ -218,9 +261,15 @@ class _Game:
 
         self.params = {(i, j): sc.pair_params(i, j) for i in range(n_p) for j in range(n_e)}
         # Game time until which each pair the graph reported without
-        # separation provably stays so.
+        # separation provably stays so, and each pair's last two-step solve
+        # (``build_graph``'s anchors).
         self.unseparated_until: dict[tuple[int, int], float] = {}
+        self.anchors: dict = {}
         self.radii = np.array([spec.r for spec in sc.pursuers])
+        # How far each pursuer and an evader can close in one float step.
+        self.steps = np.array(
+            [c + spec.kappa * CAR_STEP_ROUNDING for c, spec in zip(closing, sc.pursuers)]
+        )
 
         self.target: list[int | None] = [None] * n_p
         self.phases: list[TwoStepState | None] = [
@@ -236,11 +285,14 @@ class _Game:
         self.matching_history: list[tuple[float, tuple, tuple]] = []
         self.p_rows: list[list[tuple]] = [[] for _ in range(n_p)]
         self.e_rows: list[list[tuple]] = [[] for _ in range(n_e)]
-        # Pair distances at the current positions: computed here and after
-        # each step's integration and heading re-snap.  Evaders leaving play
-        # are then moved to their event points, but their columns are never
-        # read again.
-        self.dist = pair_distances(np.array(self.p_xy), np.array(self.e_xy))
+        # Pair distances at the current positions, or None after a quiet
+        # step (see ``detect``), until ``distances`` is asked for them.
+        # Evaders leaving play are moved to their event points after the
+        # distances are taken, but their columns are never read again.
+        self.dist: np.ndarray | None = None
+        # Coming steps that provably end with no capture.
+        self.quiet = 0
+        self.measure()
         # Evader positions at the start of the step, set by ``integrate``.
         self.e_start = self.e_xy
 
@@ -269,7 +321,7 @@ class _Game:
             pursuers = {i: PursuerState(self.p_xy[i], self.theta[i]) for i, _ in rest}
             evaders = {j: EvaderState(pos=self.e_xy[j]) for _, j in rest}
             pair_states = {(i, j): JointState(pursuers[i], evaders[j]) for i, j in rest}
-            graph = build_graph(pair_states, self.params, n_p)
+            graph = build_graph(pair_states, self.params, n_p, self.anchors)
             for key, height in graph.screened.items():
                 p = self.params[key]
                 until[key] = t + (-height - WINDOW_MARGIN) / aim_height_rate(p.v_p, p.alpha)
@@ -281,7 +333,7 @@ class _Game:
             held = set(kept.values())
             edges = {k for k in edges if k[0] not in kept and k[1] not in held}
         kept.update(self.match(edges))
-        opportunistic = assign(kept, self.dist, active)
+        opportunistic = assign(kept, self.distances(), active) if len(kept) < n_p else {}
         pairs = tuple(sorted(kept.items()))
         if kept != self.matched:
             self.events.append(Event(t=t, kind="matching_changed", detail=pairs))
@@ -324,7 +376,7 @@ class _Game:
             else:
                 i = assigned_to.get(j)
                 if i is None:
-                    i = int(np.argmin(self.dist[:, j]))
+                    i = int(np.argmin(self.distances()[:, j]))
                 u = evader_optimal(self.p_xy[i], self.e_xy[j], self.params[(i, j)].alpha)
                 controls.append(_with_heading(u))
         return controls
@@ -401,15 +453,42 @@ class _Game:
             if 0.0 < abs(wrap_to_pi(aim[2] - self.theta[i])) <= SNAP_FACTOR * IO_TOL:
                 self.theta[i] = aim[2]
 
+    def distances(self) -> np.ndarray:
+        """The pair distances at the current positions."""
+        if self.dist is None:
+            self.dist = pair_distances(np.array(self.p_xy), np.array(self.e_xy))
+        return self.dist
+
+    def measure(self) -> np.ndarray:
+        """Compute the pair distances at the current positions, and count
+        the coming steps that provably end with no active pair in a capture
+        disk (``_quiet_steps``)."""
+        p_pos, e_pos = np.array(self.p_xy), np.array(self.e_xy)
+        self.dist = pair_distances(p_pos, e_pos)
+        active = [j for j in range(self.n_e) if self.status[j] == ACTIVE]
+        scale = max(float(np.abs(p_pos).max()), float(np.abs(e_pos).max()))
+        self.quiet = _quiet_steps(self.dist[:, active], self.radii, self.steps, scale)
+        return self.dist
+
     def detect(self):
-        """Refresh the pair distances and end the play of every evader that
-        was captured or reached the goal during the step: capture before
-        goal arrival, earlier fraction wins.  The evader is moved to its
-        event point."""
-        prev_dist = self.dist
-        self.dist = pair_distances(np.array(self.p_xy), np.array(self.e_xy))
-        active = np.array([status == ACTIVE for status in self.status])
-        captures = detect_captures(prev_dist, self.dist, self.radii, active)
+        """End the play of every evader that was captured or reached the
+        goal during the step: capture before goal arrival, earlier fraction
+        wins.  The evader is moved to its event point.
+
+        A quiet step tests goal crossings only, and leaves the pair
+        distances to be computed when asked for; the last quiet step
+        computes them, as the next step's capture test starts from them."""
+        if self.quiet > 1:
+            self.quiet -= 1
+            self.dist = None
+            captures = {}
+        elif self.quiet == 1:
+            self.measure()
+            captures = {}
+        else:
+            prev_dist = self.dist
+            active = np.array([status == ACTIVE for status in self.status])
+            captures = detect_captures(prev_dist, self.measure(), self.radii, active)
         for j in range(self.n_e):
             if self.status[j] != ACTIVE:
                 continue
@@ -443,8 +522,17 @@ def run(sc: Scenario, cfg: SimConfig) -> SimResult:
     is refused (``ValueError``): a head-on pass could then jump the capture
     disk between two steps.  At an accepted ``dt`` a grazing pass whose chord
     through the capture disk is shorter than one step can still be missed.
+    The steps that end with every active pair provably outside its capture
+    disk, counted from the last distances, skip the capture screen, which
+    could find nothing there, so they change no bit of the result.
+
+    A carried two-step clearance (``certificates.ClearanceAnchor``) is a
+    lower bound on the relaxed minimum, so it certifies the pairs a new
+    solve would wherever that solve succeeds and the anchor's solve reached
+    the minimum.  A carried pair whose solve would now raise
+    ``KKTReconstructionError`` stays TWO_STEP, where a game without anchors
+    gives it no certificate (``solver_failed``).
     """
-    _validate(sc, cfg)
     game = _Game(sc, cfg)
     for step_index in itertools.count():
         if step_index % cfg.matching_period == 0:

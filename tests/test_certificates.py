@@ -8,6 +8,8 @@ import pytest
 import dubinsguard as dg
 from conftest import aligned_state, make_state, pair_floats
 from dubinsguard.certificates import (
+    ANCHOR_DRIFT_CAP,
+    ClearanceAnchor,
     _rollout_positions,
     _witness_clearance,
     _witness_margin,
@@ -1197,12 +1199,16 @@ class TestWitnessScreen:
         for (_, p), a, b in zip(corpus, screened, solved):
             if a.evidence != b.evidence:
                 # only a refuted pair's clearance differs: a witness above the
-                # closed form, below -margin
+                # closed form, below -margin; it has no solve to anchor on
                 refuted += 1
                 assert a.kind is dg.CertificateKind.NONE and not a.evidence.solver_failed
                 margin = _witness_margin(p.alpha, p.kappa)
                 assert b.evidence.clearance <= a.evidence.clearance < -margin
-                assert dataclasses.replace(a.evidence, clearance=b.evidence.clearance) == b.evidence
+                assert a.evidence.anchor is None and b.evidence.anchor is not None
+                same = dataclasses.replace(
+                    a.evidence, clearance=b.evidence.clearance, anchor=b.evidence.anchor
+                )
+                assert same == b.evidence
         # every pair these corpora lose at the sextic is refuted before it
         lost = sum(
             c.kind is dg.CertificateKind.NONE and c.evidence.clearance is not None for c in solved
@@ -1210,3 +1216,140 @@ class TestWitnessScreen:
         assert refuted == lost >= 40
         # no pair of these corpora fails the solver, refuted or not
         assert not any(c.evidence.solver_failed for c in solved)
+
+
+def _anchored_corpus():
+    """Two-step states at speed ratios 2 to 40 whose closed-form clearance
+    is at least 0.01, each with its parameters and its solve's anchor."""
+    corpus = []
+    for alpha in _SCREEN_ALPHAS[2:]:
+        p, states, _ = _screen_corpus(alpha)
+        for state in states:
+            cert = dg.certify_win(state, p)
+            if cert.kind is dg.CertificateKind.TWO_STEP and cert.evidence.clearance >= 0.01:
+                corpus.append((state, p, cert.evidence.anchor))
+    return corpus
+
+
+class TestClearanceAnchor:
+    """A two-step pair's last solve carries its clearance, less the
+    objective's Lipschitz bound times the move of the two centres and twice
+    the witness margin, while that is at least 0 and the move within the
+    cap."""
+
+    def test_a_solve_anchors_at_its_centre_evader_and_clearance(self, paper):
+        state = make_state(4.7, 0.65, 0.0, 5.2, 0.32)
+        cert = dg.certify_win(state, paper)
+        anchor = cert.evidence.anchor
+        assert anchor == ClearanceAnchor(
+            dg.adjust_time_bound(state, paper).turn_center, (5.2, 0.32), cert.evidence.clearance
+        )
+        assert not cert.evidence.clearance_carried
+
+    def test_the_carried_bound_is_below_every_solve_within_its_drift(self):
+        # the evader moves straight down, where the minimum falls fastest,
+        # and the turn centre moves in a random direction: a bound with half
+        # the Lipschitz factor lies above the solve
+        rng = np.random.default_rng(31)
+        corpus = _anchored_corpus()
+        assert len(corpus) >= 100
+        for _, p, anchor in corpus:
+            alpha, margin = p.alpha, _witness_margin(p.alpha, p.kappa)
+            for share in (0.0, 0.5, 1.0):
+                step = 0.9 * ANCHOR_DRIFT_CAP * (alpha - 1.0) / alpha
+                turn = rng.uniform(0.0, 2.0 * math.pi)
+                (cx, cy), (ex, ey) = anchor.center, anchor.evader
+                x_c = (cx + share * step * math.cos(turn), cy + share * step * math.sin(turn))
+                x_e = (ex, ey - (1.0 - share) * step)
+                moved = math.dist(x_c, anchor.center) + alpha * math.dist(x_e, anchor.evader)
+                drift = moved / (alpha - 1.0)
+                carried = anchor.carry(x_c, x_e, alpha, margin)
+                solved = dg.relaxed_clearance_from_centers(x_c, x_e, alpha, p.kappa).clearance
+                assert carried == anchor.clearance - drift - 2.0 * margin
+                assert solved - 2.0 * drift - 4.0 * margin <= carried <= solved
+
+    def test_an_anchor_within_twice_the_margin_of_zero_is_solved_again(self):
+        for state, p, anchor in _anchored_corpus()[::10]:
+            margin = _witness_margin(p.alpha, p.kappa)
+            low = dataclasses.replace(anchor, clearance=1.99 * margin)
+            cert = dg.certify_win(state, p, low)
+            assert not cert.evidence.clearance_carried
+            assert cert.evidence.anchor == anchor
+            high = dataclasses.replace(anchor, clearance=2.01 * margin)
+            cert = dg.certify_win(state, p, high)
+            assert cert.kind is dg.CertificateKind.TWO_STEP
+            assert cert.evidence.clearance_carried and cert.evidence.anchor is high
+            assert cert.evidence.clearance == high.clearance - 2.0 * margin
+
+    def test_an_anchor_past_the_cap_is_solved_again(self):
+        for state, p, anchor in _anchored_corpus()[::10]:
+            margin = _witness_margin(p.alpha, p.kappa)
+            ex, ey = anchor.evader
+            for factor, carries in ((0.99, True), (1.01, False)):
+                # the same state, anchored as if the evader had moved
+                moved = dataclasses.replace(
+                    anchor, evader=(ex + factor * ANCHOR_DRIFT_CAP * (p.alpha - 1.0) / p.alpha, ey)
+                )
+                cert = dg.certify_win(state, p, moved)
+                assert cert.kind is dg.CertificateKind.TWO_STEP
+                assert cert.evidence.clearance_carried is carries
+                if carries:
+                    assert cert.evidence.clearance == pytest.approx(
+                        anchor.clearance - factor * ANCHOR_DRIFT_CAP - 2.0 * margin, rel=0, abs=1e-15
+                    )
+                else:
+                    assert cert.evidence.anchor == anchor
+
+    def test_an_anchor_carries_a_pair_whose_solve_now_fails(self):
+        # the carry is decided before the solve: a pair whose sextic raises
+        # (a root next to a bracket end) is NONE with ``solver_failed``
+        # unanchored, but TWO_STEP on an anchor within the cap, here the
+        # solve at the exactly vertical centre, which always reconstructs;
+        # the carried bound stays below the grid oracle's value
+        carried = 0
+        for x_p, theta, x_e, p in _near_vertical_corpus(np.random.default_rng(29), 80):
+            state = make_state(*x_p, theta, *x_e)
+            center = dg.adjust_time_bound(state, p).turn_center
+            try:
+                dg.relaxed_clearance_from_centers(center, x_e, p.alpha, p.kappa)
+                continue
+            except dg.KKTReconstructionError:
+                pass
+            unanchored = dg.certify_win(state, p)
+            assert unanchored.kind is dg.CertificateKind.NONE and unanchored.evidence.solver_failed
+            vertical = (center[0], x_e[1])
+            solved = dg.relaxed_clearance_from_centers(center, vertical, p.alpha, p.kappa).clearance
+            anchor = ClearanceAnchor(center, vertical, solved)
+            cert = dg.certify_win(state, p, anchor)
+            assert cert.kind is dg.CertificateKind.TWO_STEP
+            assert cert.evidence.clearance_carried and not cert.evidence.solver_failed
+            assert cert.evidence.anchor is anchor
+            oracle = dg.relaxed_oracle_from_centers(center, x_e, p.alpha, p.kappa, grid=720)
+            assert 0.0 <= cert.evidence.clearance <= oracle
+            carried += 1
+        assert carried == 3
+
+    def test_a_refuted_or_failed_pair_carries_nothing(self, monkeypatch):
+        from dubinsguard import certificates
+
+        state, p, anchor = _anchored_corpus()[0]
+        # a witness below -margin refutes the pair before any anchor is read
+        monkeypatch.setattr(certificates, "_witness_clearance", lambda *args: (-1.0, None, None))
+        cert = dg.certify_win(state, p, dataclasses.replace(anchor, clearance=1.0))
+        assert cert.kind is dg.CertificateKind.NONE
+        assert cert.evidence.anchor is None and not cert.evidence.clearance_carried
+        monkeypatch.undo()
+
+        def failing(*args):
+            raise certificates.KKTReconstructionError("no KKT point")
+
+        monkeypatch.setattr(certificates, "relaxed_clearance_from_centers", failing)
+        far = dataclasses.replace(anchor, evader=(anchor.evader[0] + 1.0, anchor.evader[1]))
+        cert = dg.certify_win(state, p, far)
+        assert cert.kind is dg.CertificateKind.NONE and cert.evidence.solver_failed
+        assert cert.evidence.anchor is None
+        # ``build_graph`` drops the failed pair's anchor, and keeps the others
+        kept = dataclasses.replace(anchor, clearance=-1.0)
+        anchors = {(0, 0): far, (0, 1): kept}
+        dg.build_graph({(0, 0): state}, {(0, 0): p}, 1, anchors)
+        assert anchors == {(0, 1): kept}

@@ -145,8 +145,8 @@ class TestSeparationScreen:
         states, params = _screen_corpus(np.random.default_rng(65), 6)
         calls = []
 
-        def counting(state, p):
-            cert = dg.certify_win(state, p)
+        def counting(state, p, anchor=None):
+            cert = dg.certify_win(state, p, anchor)
             calls.append((state, cert))
             return cert
 

@@ -1,7 +1,11 @@
 import dataclasses
+import functools
+import importlib.util
 import math
 import re
+import sys
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -924,8 +928,9 @@ def test_carried_pairs_build_no_evidence(monkeypatch):
 
 def _count_refutations(monkeypatch):
     """Count, from now on, the two-step pairs whose witness refutes them:
-    the witness evaluations that no sextic solve follows."""
-    counts = {"_witness_clearance": 0, "relaxed_clearance_from_centers": 0}
+    the witness evaluations that neither a sextic solve nor a carried
+    anchor follows."""
+    counts = {"_witness_clearance": 0, "relaxed_clearance_from_centers": 0, "carried": 0}
 
     def counted(name):
         fn = getattr(certificates, name)
@@ -936,9 +941,17 @@ def _count_refutations(monkeypatch):
 
         return wrapper
 
-    for name in counts:
+    for name in ("_witness_clearance", "relaxed_clearance_from_centers"):
         monkeypatch.setattr(certificates, name, counted(name))
-    return lambda: counts["_witness_clearance"] - counts["relaxed_clearance_from_centers"]
+    carry = certificates.ClearanceAnchor.carry
+
+    def counted_carry(self, *args):
+        out = carry(self, *args)
+        counts["carried"] += out is not None
+        return out
+
+    monkeypatch.setattr(certificates.ClearanceAnchor, "carry", counted_carry)
+    return lambda: counts["_witness_clearance"] - counts["relaxed_clearance_from_centers"] - counts["carried"]
 
 
 @pytest.mark.parametrize(
@@ -1079,3 +1092,191 @@ def test_every_entry_into_interception_is_an_io_achieved_event(
     logged = [(e.t, e.pursuer, e.evader) for e in result.events if e.kind == "io_achieved"]
     assert entries == logged
     assert len(entries) >= 2
+
+
+def _team_lanes():
+    """The benchmark's seeded 20v20 lanes game, seed 1
+    (``perfbench/workloads.team_scenario``)."""
+    from dubinsguard.cli import parse_scenario
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return parse_scenario(workloads.team_scenario(1))
+
+
+@pytest.mark.parametrize(
+    "scenario, period",
+    [
+        (_bundled_5v5, 1),
+        (_mixed_5v5, 1),
+        (lambda: _contested_team(13, 8), 5),
+        (_team_lanes, 100),
+    ],
+    ids=["5v5-p1", "mixed-p1", "contested-13-8-p5", "team-lanes-p100"],
+)
+def test_quiet_steps_and_anchors_play_the_same_game(monkeypatch, scenario, period):
+    # both skips are proven: a game that computes the pair distances and
+    # tests captures at every step, and solves every two-step pair, is the
+    # same game, bit for bit
+    sc = scenario()
+    cfg = dg.SimConfig(dt=1e-3, max_time=20.0, matching_period=period)
+    counts = {"steps": 0, "quiet": 0, "carried": 0}
+    detect, build_graph = sim._Game.detect, sim.build_graph
+
+    def counted_detect(self):
+        counts["steps"] += 1
+        counts["quiet"] += self.quiet > 0
+        detect(self)
+
+    def counted_build_graph(*args):
+        graph = build_graph(*args)
+        counts["carried"] += sum(c.evidence.clearance_carried for c in graph.edges.values())
+        return graph
+
+    monkeypatch.setattr(sim._Game, "detect", counted_detect)
+    monkeypatch.setattr(sim, "build_graph", counted_build_graph)
+    played = dg.run(sc, cfg)
+    assert counts["quiet"] > counts["steps"] // 4
+    # at a longer period the pairs move past the anchors' drift cap
+    assert (counts["carried"] > 100) == (period == 1)
+    monkeypatch.setattr(sim, "_quiet_steps", lambda *args: 0)
+    monkeypatch.setattr(sim, "build_graph", lambda states, params, n_p, anchors: build_graph(states, params, n_p))
+    assert dg.run(sc, cfg) == played
+
+
+def _walk_scenario(rng):
+    """Two cars and two simple-motion pursuers among ten evaders, scattered
+    over a 4 x 3 box well above the goal."""
+    pursuers = [
+        dataclasses.replace(
+            _pursuer(rng.uniform(-2.0, 2.0), rng.uniform(1.0, 4.0), rng.uniform(0, 2 * math.pi), motion),
+            r=r,
+        )
+        for motion, r in (("dubins", 0.1), ("dubins", 0.1), ("simple", 0.12), ("simple", 0.1))
+    ]
+    evaders = []
+    while len(evaders) < 10:
+        x, y = rng.uniform(-2.0, 2.0), rng.uniform(1.0, 4.0)
+        if all(math.dist((x, y), spec.state.pos) > spec.r for spec in pursuers):
+            evaders.append(_evader(x, y, "constant", heading=0.0))
+    return dg.Scenario(pursuers=tuple(pursuers), evaders=tuple(evaders), seed=0)
+
+
+def test_no_quiet_step_hides_a_capture():
+    # random walks at the largest dt the guard accepts, cars on turn
+    # commands down to the smallest (whose float steps overshoot their
+    # arcs), the others often running at each other head on: the capture
+    # test on each step's distances finds nothing at a step the game skips
+    rng = np.random.default_rng(31)
+    quiet = captured = 0
+    for _ in range(12):
+        sc = _walk_scenario(rng)
+        v_e = max(spec.v for spec in sc.evaders)
+        dt = min(spec.r / (spec.v + v_e) for spec in sc.pursuers)
+        while True:
+            try:
+                sim._validate(sc, dg.SimConfig(dt=dt))
+                break
+            except ValueError:
+                dt = math.nextafter(dt, 0.0)
+        game = sim._Game(sc, dg.SimConfig(dt=dt, max_time=1e9))
+        prev = game.distances().copy()
+        for _ in range(300):
+            active = [j for j in range(game.n_e) if game.status[j] == sim.ACTIVE]
+            if not active:
+                break
+            p_controls = []
+            for i, spec in enumerate(sc.pursuers):
+                if spec.motion == "dubins":
+                    turn = rng.choice([1.0, 0.3, 1.01e-12, 3e-12])
+                    p_controls.append(float(rng.choice([-1.0, 1.0]) * turn))
+                    continue
+                bearing = rng.uniform(0, 2 * math.pi)
+                if rng.random() < 0.5:
+                    (px, py), (ex, ey) = game.p_xy[i], game.e_xy[active[int(np.argmin(prev[i, active]))]]
+                    bearing = math.atan2(ey - py, ex - px)
+                p_controls.append(((math.cos(bearing), math.sin(bearing)), bearing))
+            e_controls = [None] * game.n_e
+            for j in active:
+                bearing = rng.uniform(0, 2 * math.pi)
+                if rng.random() < 0.3:
+                    (px, py), (ex, ey) = game.p_xy[int(np.argmin(prev[:, j]))], game.e_xy[j]
+                    bearing = math.atan2(py - ey, px - ex)
+                e_controls[j] = ((math.cos(bearing), math.sin(bearing)), bearing)
+            game.integrate(p_controls, e_controls)
+            now = sim.pair_distances(np.array(game.p_xy), np.array(game.e_xy))
+            in_play = np.array([status == sim.ACTIVE for status in game.status])
+            hits = sim.detect_captures(prev, now, game.radii, in_play)
+            skipped, before = game.quiet > 0, len(game.events)
+            game.detect()
+            quiet += skipped
+            assert not (skipped and hits)
+            assert set(hits) <= {e.evader for e in game.events[before:]}
+            captured += sum(e.kind == "capture" for e in game.events[before:])
+            prev = now
+            game.t += dt
+    assert quiet > 500 and captured > 30
+
+
+@pytest.mark.parametrize(
+    "scenario, period, sticky",
+    [
+        (_bundled_5v5, 1, False),
+        (_mixed_5v5, 1, False),
+        (_contested_team, 1, True),
+        (functools.partial(_contested_team, 13, 8), 1, False),
+    ],
+    ids=["5v5-p1", "mixed-p1", "contested-p1-sticky", "contested13-p1"],
+)
+def test_carried_clearances_replay_as_solves_of_the_same_kind(monkeypatch, scenario, period, sticky):
+    # every two-step clearance carried from an anchor, solved again without
+    # one: the same kind, and the carried bound within its proven distance
+    # of the solve: at most 2 margins above, 2 caps and 4 margins below
+    from dubinsguard import matching
+
+    certify_win, carried = matching.certify_win, []
+
+    def replayed(state, p, anchor=None):
+        cert = certify_win(state, p, anchor)
+        if cert.evidence.clearance_carried:
+            solved = certify_win(state, p)
+            assert not solved.evidence.clearance_carried
+            assert solved.kind is cert.kind is dg.CertificateKind.TWO_STEP
+            margin = certificates._witness_margin(p.alpha, p.kappa)
+            low = solved.evidence.clearance - 2.0 * certificates.ANCHOR_DRIFT_CAP - 4.0 * margin
+            assert low <= cert.evidence.clearance <= solved.evidence.clearance + 2.0 * margin
+            carried.append(cert.evidence.clearance)
+        return cert
+
+    monkeypatch.setattr(matching, "certify_win", replayed)
+    cfg = dg.SimConfig(dt=1e-3, max_time=10.0, matching_period=period, sticky=sticky)
+    result = dg.run(scenario(), cfg)
+    assert sum(e.kind == "capture" for e in result.events) >= 5
+    assert len(carried) >= 100 and min(carried) >= 0.0
+
+
+def test_each_float_step_stays_within_the_quiet_counts_bound():
+    # ``_quiet_steps`` bounds how far a pair closes in one step: each agent
+    # moves at most v dt, a car up to kappa * CAR_STEP_ROUNDING more (its
+    # tiny turn commands overshoot the arc), and each one half the rounding
+    # allowance more, at any scale of coordinates
+    rng = np.random.default_rng(32)
+    dt, v_p, v_e, kappa = 0.25, 0.3, 0.1, 0.0625
+    overshoot = {"car": 0.0, "simple": 0.0}
+    for _ in range(20000):
+        scale = 10.0 ** rng.uniform(-1.0, 3.0)
+        x, y = rng.uniform(-scale, scale, 2)
+        allowance = 0.5 * sim.QUIET_ROUNDING * (1.0 + scale)
+        u = float(rng.choice([-1.0, 1.0]) * rng.choice([1.0, 0.3, 1e-9, 3e-12, 1.01e-12, 0.0]))
+        xp, yp, _ = dg.step_pursuer(x, y, rng.uniform(0.0, 2.0 * math.pi), u, dt, v_p, kappa)
+        moved = math.hypot(xp - x, yp - y) - v_p * dt
+        assert moved <= kappa * sim.CAR_STEP_ROUNDING + allowance
+        overshoot["car"] = max(overshoot["car"], moved)
+        heading = rng.uniform(0.0, 2.0 * math.pi)
+        xe, ye = dg.step_evader(x, y, (math.cos(heading), math.sin(heading)), dt, v_e)
+        moved = math.hypot(xe - x, ye - y) - v_e * dt
+        assert moved <= allowance
+        overshoot["simple"] = max(overshoot["simple"], moved)
+    assert overshoot["car"] > 1e-6 and overshoot["simple"] > 0.0
