@@ -9,11 +9,10 @@ already hold) or through the two-step route, whose safety is decided by a
 worst-case clearance bound: the minimum signed distance the interception
 point can be forced to during one turning period.  That bound has a KKT
 closed form driven by a degree-six polynomial; two brute-force oracles
-(a boundary scan of the relaxed problem, which computes exact distances only
-for the cells a cheaper screen cannot rule out, and a trajectory rollout of
-the original one, which skips the time steps where no event can fire and
-locates events only for the headings that can hold the minimum)
-cross-check it.  All of them bound the turn the car makes:
+(a branch and bound that proves a lower bound on the relaxed problem's
+minimum, and a trajectory rollout of the original one, which skips the time
+steps where no event can fire and locates events only for the headings that
+can hold the minimum) cross-check it.  All of them bound the turn the car makes:
 ``adjust_time_bound`` takes its direction from ``geometry.turn_direction``,
 the rule the strategies steer by.  Before the polynomial is solved, the
 relaxed objective is evaluated at one feasible point (``_witness_clearance``):
@@ -59,7 +58,7 @@ from .model import (
     wrap_angle,
     wrap_to_pi,
 )
-from .numerics import Polynomial, golden_max, max_on_circle, real_roots
+from .numerics import Polynomial, max_on_circle, real_roots
 
 #: Max-norm threshold on the stationarity residual below which a
 #: reconstructed candidate counts as a genuine KKT point.
@@ -455,149 +454,98 @@ def solve_relaxed_clearance(state: JointState, p: GameParams) -> RelaxedSolution
     )
 
 
-#: Lattice rows per block of the relaxed oracle's scan: each block is one
-#: array pass over (block rows) x (lattice columns), so the scan's memory is
-#: linear in the lattice's width.
-_LATTICE_BLOCK = 64
-
-
 def _check_grid(grid: int) -> None:
     if grid < 1:
         raise ValueError("grid must be >= 1")
 
 
-#: Margin of the relaxed lattice's screen, in units of (a^2 + 1 + 4 a) M /
-#: |a^2 - 1|, with M the largest coordinate magnitude.  A cell's exact
-#: height (a^2 ye - yp)/(a^2 - 1) - a hypot(dx, dy)/(a^2 - 1) and its screen
-#: height a^2 ye/(a^2 - 1) - (yp/(a^2 - 1) + a/(a^2 - 1) sqrt(dx dx + dy dy))
-#: compute one real number from the same dx and dy, with at most ten
-#: roundings each (``np.hypot``'s error counted as two), each of relative
-#: size eps/2 (eps = 2^-52) on a term no larger than one unit (the distance
-#: is at most |dx| + |dy| <= 4 M).  So the two differ by at most 10 eps, and
-#: the screen height of a lowest exact cell lies within 20 eps of the
-#: block's lowest screen height; the margin keeps three times that.  A floor
-#: of 2^-400 on M covers squares that underflow; coordinates from 1e150 up,
-#: whose squares could overflow, and coordinates that are not finite get an
-#: infinite margin.
-_SCREEN_MARGIN = 64.0 * math.ulp(1.0)
+def _cell_margin(alpha: float, scale: float) -> float:
+    """Rounding margin of the relaxed oracle's cell bounds, for a turn
+    centre c' = c - x_e in the evader's frame and the scale s = |c'_x| +
+    |c'_y| + kappa + reach; eps = 2^-52, a = alpha.
+
+    Every point evaluated has coordinates within 1.02 s (a tangent crossing
+    sits at R / cos(w / 2) < 1.02 R), so a pair distance is at most 2.9 s.
+    Where a point lies: c' rounds by eps s / 2, an angle k w by an ulp of 2
+    pi (9 eps of arc), numpy's cosine and sine by 4 ulps, each product and
+    sum by eps / 2; so it lies within 23 eps s of the exact vertex of a
+    triangle that holds its exact arc, and the arcs cover the circle but
+    for [2 pi rounded, 2 pi), within 2 eps R of the point at angle 0.  By
+    ``_witness_margin``'s gradient bounds that moves a value by at most 25
+    eps s (a + 1) / (a - 1).  How it is evaluated: ``lowest_point`` sums
+    terms of total size at most 2.9 s (a^2 + a + 1) / (a^2 - 1) <= 2.9 s (a
+    + 1) / (a - 1) with relative error at most eps (6 + a^2 / (a^2 - 1)),
+    the second part from a^2 - 1 taken from a rounded a^2.  Both together
+    are at most 43 eps s (a + 1) / (a - 1) (1 + a^2 / (a^2 - 1)) = 43 eps s
+    (2 a^2 - 1) / (a - 1)^2; the margin keeps 64 for 43, and a floor of
+    2^-1000 on s covers subnormal roundings."""
+    return 64.0 * math.ulp(1.0) * (scale + 2.0**-1000) * (2.0 * alpha**2 - 1.0) / (alpha - 1.0) ** 2
 
 
-def _lowest_cell(xp, yp, xe, ye, alpha: float) -> tuple[int, int, float]:
-    """Lowest interception point over the lattice of pursuer points (``xp``,
-    ``yp``; one per row) and evader points (``xe``, ``ye``; one per column):
-    (row, column, height) of the first lowest cell in row-major order, the
-    cell ``np.argmin`` picks on the whole lattice (a NaN cell wins).
-
-    Scans ``_LATTICE_BLOCK`` rows at a time in two reused buffers.  Each
-    block ranks its cells by a screen height, a column term minus a row term
-    and a distance ``sqrt(dx*dx + dy*dy)``, then computes the height with
-    ``lowest_point`` at the distance ``np.hypot(dx, dy)``, only for the cells
-    whose screen height is within ``_SCREEN_MARGIN`` of the block's lowest;
-    an infinite margin skips the screen."""
-    a2 = alpha * alpha
-    big = float(np.max(np.abs(np.concatenate((xp, yp, xe, ye)))))
-    unit = (a2 + 1.0 + 4.0 * alpha) * (big + 2.0**-400) / abs(a2 - 1.0)
-    margin = _SCREEN_MARGIN * unit if big < 1e150 else math.inf
-    xp_col, yp_col = xp[:, None], yp[:, None]
-    col, row, rate = a2 * ye / (a2 - 1.0), yp_col / (a2 - 1.0), alpha / (a2 - 1.0)
-    dist_buf, screen_buf = np.empty((2, min(_LATTICE_BLOCK, len(xp)), len(xe)))
-    best, cell = math.inf, (0, 0)
-    for i0 in range(0, len(xp), _LATTICE_BLOCK):
-        rows = slice(i0, i0 + _LATTICE_BLOCK)
-        n = len(xp[rows])
-        if margin == math.inf:
-            # the screen could overflow and would rule out no cell
-            near = np.arange(n * len(xe))
-        else:
-            dist, screen = dist_buf[:n], screen_buf[:n]
-            np.subtract(xp_col[rows], xe, out=dist)
-            np.multiply(dist, dist, out=dist)
-            np.subtract(yp_col[rows], ye, out=screen)
-            np.multiply(screen, screen, out=screen)
-            np.add(dist, screen, out=dist)
-            np.sqrt(dist, out=dist)
-            np.multiply(dist, rate, out=dist)
-            np.add(dist, row[rows], out=dist)
-            np.subtract(col, dist, out=screen)
-            # row-major order is kept; a NaN threshold keeps every cell
-            near = np.flatnonzero(~(screen > np.min(screen) + margin))
-        i, j = near // len(xe) + i0, near % len(xe)
-        dist = np.hypot(xp[i] - xe[j], yp[i] - ye[j])
-        height = lowest_point(xp[i], yp[i], xe[j], ye[j], dist, alpha)[1]
-        k = int(np.argmin(height))
-        value = float(height[k])
-        # a later block wins only with a strictly lower value, or with the
-        # first NaN
-        if best == best and not value >= best:
-            best, cell = value, (int(i[k]), int(j[k]))
-    return (*cell, best)
+#: Rounds and most kept cells per round of the relaxed oracle's branch and
+#: bound; either cap ends it early, its lower end still sound.
+_BRANCH_ROUNDS = 32
+_BRANCH_CELLS = 4096
 
 
-def relaxed_oracle_from_centers(
-    x_c, x_e, alpha: float, kappa: float, grid: int = 720
-) -> float:
-    """Brute-force minimum of the relaxed clearance objective.
+def _arc_points(cx: float, cy: float, radius: float, index, width: float):
+    """Per arc [k w, (k + 1) w] of the circle about (cx, cy), one row per
+    index k: its two ends, the crossing of its end tangents and its mid
+    point, as (x, y) arrays of shape (len(index), 4)."""
+    rho = radius * np.array([1.0, 1.0, 1.0 / math.cos(0.5 * width), 1.0])
+    theta = (index[:, None] + np.array([0.0, 1.0, 0.5, 0.5])) * width
+    return cx + rho * np.cos(theta), cy + rho * np.sin(theta)
 
-    The objective is concave and the constraint set is a product of two
-    disks, so the minimum sits on both boundary circles; scan the grid x grid
-    lattice of boundary angles (``_lowest_cell``: pursuer angle down the
-    rows, evader angle across, each angle's boundary point taken once), then
-    polish the lowest cell by alternating golden-section descent, each
-    search's fixed boundary point built once.  Returns the clearance on the
-    closed form's scale."""
+
+def relaxed_oracle_from_centers(x_c, x_e, alpha: float, kappa: float) -> float:
+    """A proven lower bound on the minimum m of the relaxed clearance
+    problem, within 1e-10 (1 + |m - e_y|) of it unless a cap ends the
+    search, e_y the evader's height.
+
+    Branch and bound over cells of one arc on each boundary circle.  An arc
+    of width w < pi lies in the triangle of its ends and its end tangents'
+    crossing, and the objective (a^2 y_e - y_p - a |x_p - x_e|) / (a^2 - 1)
+    is jointly concave, so over a cell it is at least its least value at the
+    3 x 3 vertex pairs (Horst & Tuy, Global Optimization, 1996) less
+    ``_cell_margin``; the arcs' mid points are a feasible pair, which gives
+    an upper bound.  From 16 x 16 cells of width pi / 8, each round drops
+    the cells whose lower bound is above the upper bound by more than the
+    margin and splits the rest in four, until the bounds are 1e-10 (1 +
+    |upper|) apart, the upper bound is not finite, or a cap is reached
+    (``_BRANCH_ROUNDS``, ``_BRANCH_CELLS``).  It works in the evader's frame,
+    so the margin scales with the pair's separation, not its coordinates,
+    and adds the evader's height back rounding down."""
     _speed_ratio(alpha)
     _positive("kappa", kappa)
-    _check_grid(grid)
-    cx, cy = _as_point(x_c)
-    ex, ey = _as_point(x_e)
+    (cx, cy), (ex, ey) = _as_point(x_c), _as_point(x_e)
+    cx, cy = cx - ex, cy - ey
     reach = 2.0 * math.pi * kappa / alpha
-
-    # the polish works on Python floats, which round as numpy scalars do.
-    # The trig stays numpy's (it may use its own SIMD loops); the distance is
-    # the complex magnitude, which calls the C library's ``hypot`` as numpy's
-    # does but raises on overflow; the height is ``lowest_point``'s y.
-    def circle(x0, y0, radius, theta):
-        return x0 + radius * float(np.cos(theta)), y0 + radius * float(np.sin(theta))
-
-    def height(xp, yp, xe, ye):
-        try:
-            dist = abs(complex(xp - xe, yp - ye))
-        except OverflowError:
-            dist = math.inf
-        return lowest_point(xp, yp, xe, ye, dist, alpha)[1]
-
-    angles = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
-    cos, sin = np.cos(angles), np.sin(angles)
-    i, j, best = _lowest_cell(
-        cx + kappa * cos, cy + kappa * sin, ex + reach * cos, ey + reach * sin, alpha
-    )
-    theta_p, theta_e = float(angles[i]), float(angles[j])
-    window = 4.0 * math.pi / grid
-    for _ in range(8):
-        xe, ye = circle(ex, ey, reach, theta_e)
-        theta_p, _ = golden_max(
-            lambda t: -height(*circle(cx, cy, kappa, t), xe, ye),
-            theta_p - window,
-            theta_p + window,
-            tol=1e-12,
-        )
-        xp, yp = circle(cx, cy, kappa, theta_p)
-        theta_e, _ = golden_max(
-            lambda t: -height(xp, yp, *circle(ex, ey, reach, t)),
-            theta_e - window,
-            theta_e + window,
-            tol=1e-12,
-        )
-        window *= 0.5
-    return min(height(xp, yp, *circle(ex, ey, reach, theta_e)), best)
+    margin = _cell_margin(alpha, abs(cx) + abs(cy) + kappa + reach)
+    ip, ie = (k.ravel().astype(float) for k in np.indices((16, 16)))
+    width, upper = math.pi / 8.0, math.inf
+    for _ in range(_BRANCH_ROUNDS):
+        xp, yp = (v[:, :, None] for v in _arc_points(cx, cy, kappa, ip, width))
+        xe, ye = (v[:, None, :] for v in _arc_points(0.0, 0.0, reach, ie, width))
+        height = lowest_point(xp, yp, xe, ye, np.hypot(xp - xe, yp - ye), alpha)[1]
+        upper = min(upper, float(np.min(height[:, 3, 3])))
+        lower = np.min(height[:, :3, :3], axis=(1, 2)) - margin
+        best = float(np.min(lower))
+        if not math.isfinite(upper) or upper - best <= 1e-10 * (1.0 + abs(upper)):
+            break
+        keep = lower <= upper + margin
+        if np.count_nonzero(keep) > _BRANCH_CELLS:
+            break
+        ip = (2.0 * ip[keep, None] + np.array([0.0, 0.0, 1.0, 1.0])).ravel()
+        ie = (2.0 * ie[keep, None] + np.array([0.0, 1.0, 0.0, 1.0])).ravel()
+        width *= 0.5
+    return float(np.nextafter(best + ey, -math.inf))
 
 
-def relaxed_clearance_oracle(state: JointState, p: GameParams, grid: int = 720) -> float:
-    """Brute-force worst-case clearance for an unaligned pair state."""
+def relaxed_clearance_oracle(state: JointState, p: GameParams) -> float:
+    """Proven lower bound on the relaxed worst-case clearance of an unaligned
+    pair state (``relaxed_oracle_from_centers``)."""
     bound = adjust_time_bound(state, p)
-    return relaxed_oracle_from_centers(
-        bound.turn_center, state.evader.pos, p.alpha, p.kappa, grid=grid
-    )
+    return relaxed_oracle_from_centers(bound.turn_center, state.evader.pos, p.alpha, p.kappa)
 
 
 def _rollout_positions(state: JointState, p: GameParams, sign: float, s, cos_e, sin_e):

@@ -20,6 +20,7 @@ from conftest import (
     brute_force_matching_size,
     er_goal_distance,
 )
+from test_certificates import _reference_relaxed_oracle
 
 REFERENCE = dg.GameParams.from_alpha(v_p=0.3, alpha=6.3, kappa=0.0625, r=0.1)
 
@@ -163,15 +164,19 @@ def test_criterion_05_heading_adjustment_reaches_alignment_in_time():
 
 
 def test_criterion_06_closed_form_matches_relaxed_oracle():
-    with report(6, "closed-form clearance equals the boundary-scan oracle", budget=60.0):
+    with report(6, "closed-form clearance sits at the relaxed oracle's lower end", budget=60.0):
         rng = np.random.default_rng(103)
         reach = 2 * math.pi * REFERENCE.kappa / REFERENCE.alpha
         for _ in range(100):
             state = dg.sample_adjust_feasible_state(rng, REFERENCE)
             bound = dg.adjust_time_bound(state, REFERENCE)
             sol = dg.solve_relaxed_clearance(state, REFERENCE)
-            oracle = dg.relaxed_clearance_oracle(state, REFERENCE, grid=720)
-            assert abs(sol.clearance - oracle) <= 1e-3 * (1 + abs(sol.clearance))
+            # the oracle proves a lower bound on the minimum; the feasible
+            # reference value bounds it from above
+            lower = dg.relaxed_clearance_oracle(state, REFERENCE)
+            assert lower <= sol.clearance <= lower + 1e-9 * (1 + abs(lower))
+            args = (bound.turn_center, state.evader.pos, REFERENCE.alpha, REFERENCE.kappa)
+            assert lower <= _reference_relaxed_oracle(*args, grid=180)
             # solution invariants: active constraints, sign law, multiplier
             # bracket, stationarity residual
             assert float(

@@ -20,8 +20,9 @@ from dubinsguard.strategies import two_step_command
 
 
 def _reference_relaxed_oracle(x_c, x_e, alpha, kappa, grid):
-    """The relaxed oracle with its first grid scan: a ``meshgrid`` of both
-    boundary angles, then the same golden-section polish."""
+    """A feasible value of the relaxed problem, so at or above its minimum:
+    the lowest cell of a ``meshgrid`` of both boundary angles, polished by
+    alternating golden-section descent."""
     cx, cy = float(x_c[0]), float(x_c[1])
     ex, ey = float(x_e[0]), float(x_e[1])
     reach = 2.0 * math.pi * kappa / alpha
@@ -162,6 +163,32 @@ def _horizon_case():
 
 def _bits(x):
     return np.asarray(x, dtype=float).view(np.int64)
+
+
+def _sound(closed, lower, tol=1e-9):
+    """A value at or above the oracle's proven lower end, by at most ``tol``
+    (1 + |lower|): for the closed form, its soundness and its precision."""
+    return lower <= closed <= lower + tol * (1.0 + abs(lower))
+
+
+#: Speed ratios of the relaxed oracle's corpus, from near 1 to a fast car.
+_ORACLE_ALPHAS = (1.05, 1.3, 2.0, 6.3, 15.0, 60.0)
+
+
+@functools.cache
+def _alpha_corpus():
+    """(turn centre, evader, alpha, kappa) of 15 seeded states at each of
+    ``_ORACLE_ALPHAS``, with r = 0.1 and r/kappa 1e-3 above max(h(alpha),
+    heading-adjust ratio)."""
+    cases = []
+    for alpha in _ORACLE_ALPHAS:
+        demand = max(dg.curvature_demand(alpha), dg.heading_adjust_ratio(alpha))
+        p = dg.GameParams.from_alpha(v_p=0.3, alpha=alpha, kappa=0.1 / (demand * 1.001), r=0.1)
+        rng = np.random.default_rng(int(alpha * 100))
+        for _ in range(15):
+            state = dg.sample_adjust_feasible_state(rng, p)
+            cases.append((dg.adjust_time_bound(state, p).turn_center, state.evader.pos, alpha, p.kappa))
+    return cases
 
 
 @functools.cache
@@ -517,8 +544,7 @@ class TestRelaxedClearance:
         assert sol.multiplier == 3.0
         assert sol.pursuer_point[0] == 0.0
         assert sol.evader_point[0] == 0.0
-        oracle = dg.relaxed_oracle_from_centers((0, 5), (0, 0), 2.0, 1.0, grid=720)
-        assert sol.clearance == pytest.approx(oracle, abs=1e-3)
+        assert _sound(sol.clearance, dg.relaxed_oracle_from_centers((0, 5), (0, 0), 2.0, 1.0))
 
     def test_generic_case_sign_law(self):
         sol = dg.relaxed_clearance_from_centers((1, 5), (0, 0), 2.0, 1.0)
@@ -532,11 +558,11 @@ class TestRelaxedClearance:
         for _ in range(20):
             state = dg.sample_adjust_feasible_state(rng, paper)
             sol = dg.solve_relaxed_clearance(state, paper)
-            oracle = dg.relaxed_clearance_oracle(state, paper, grid=360)
-            assert sol.clearance == pytest.approx(
-                oracle, abs=1e-3 * (1.0 + abs(sol.clearance))
-            )
+            assert _sound(sol.clearance, dg.relaxed_clearance_oracle(state, paper))
             assert paper.alpha - 1.0 <= sol.multiplier <= paper.alpha + 1.0
+        for args in _alpha_corpus():
+            lower = dg.relaxed_oracle_from_centers(*args)
+            assert _sound(dg.relaxed_clearance_from_centers(*args).clearance, lower), args
 
     def test_solution_invariants(self, paper):
         rng = np.random.default_rng(56)
@@ -579,18 +605,18 @@ class TestRelaxedClearance:
     def test_vertical_center_matches_the_oracle(self):
         # the turn center straight below the evader, its minimum at an
         # interior root off the axis: on one side sign, with both bracket
-        # ends as candidates, the closed form finds the oracle's value
+        # ends as candidates, the closed form finds the minimum
         args = (0.3267063158833985, 0.06492744446875265), (0.3267063158833985, 0.8473599249944499)
         sol = dg.relaxed_clearance_from_centers(*args, 2.4, 0.2)
-        oracle = dg.relaxed_oracle_from_centers(*args, 2.4, 0.2, grid=720)
-        assert abs(sol.clearance - oracle) <= 1e-12
+        assert _sound(sol.clearance, dg.relaxed_oracle_from_centers(*args, 2.4, 0.2))
         assert abs(sol.clearance - 0.171291934618373) <= 1e-12
 
     def test_near_vertical_corpus_stays_at_or_below_the_oracle(self):
-        # a minimum is never above the objective at a feasible point, so no
-        # solved state may exceed the oracle; a vertical center always
-        # solves (one bracket end reconstructs an exact on-axis KKT point),
-        # and a pair whose sextic fails gets no certificate
+        # the closed form sits at the minimum, which the oracle's lower end
+        # bounds from below and a feasible reference value from above; a
+        # vertical center always solves (one bracket end reconstructs an
+        # exact on-axis KKT point), and a pair whose sextic fails gets no
+        # certificate
         solved = failed = 0
         for x_p, theta, x_e, p in _near_vertical_corpus(np.random.default_rng(29), 80):
             center = dg.adjust_time_bound(make_state(*x_p, theta, *x_e), p).turn_center
@@ -602,8 +628,9 @@ class TestRelaxedClearance:
                 assert cert.kind is dg.CertificateKind.NONE and cert.evidence.solver_failed
                 failed += 1
                 continue
-            oracle = dg.relaxed_oracle_from_centers(center, x_e, p.alpha, p.kappa, grid=720)
-            assert sol.clearance <= oracle + 1e-9, (x_p, theta, x_e, p)
+            lower = dg.relaxed_oracle_from_centers(center, x_e, p.alpha, p.kappa)
+            assert _sound(sol.clearance, lower), (x_p, theta, x_e, p)
+            assert lower <= _reference_relaxed_oracle(center, x_e, p.alpha, p.kappa, 180)
             solved += 1
         assert solved > failed
 
@@ -642,22 +669,29 @@ class TestRelaxedOracle:
         for shrink in (0.99, 0.9, 0.5):
             assert objective(kappa * shrink, tp, reach * shrink, te) >= best[0]
 
-    def test_grid_refinement_converges(self):
-        coarse = dg.relaxed_oracle_from_centers((1, 5), (0, 0), 2.0, 1.0, grid=720)
-        fine = dg.relaxed_oracle_from_centers((1, 5), (0, 0), 2.0, 1.0, grid=1440)
-        assert fine <= coarse + 1e-9
-        assert abs(fine - coarse) < 1e-4
+    def test_lower_end_is_below_a_fine_lattice(self):
+        # every lattice value is feasible, so none is below the lower end;
+        # at spacing 2 pi / 720 the lowest is within 1e-4 of it
+        reach = math.pi
+        angles = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False)[:, None]
+        xp, yp = 1.0 + np.cos(angles), 5.0 + np.sin(angles)
+        xe, ye = reach * np.cos(angles.T), reach * np.sin(angles.T)
+        lattice = lowest_point(xp, yp, xe, ye, np.hypot(xp - xe, yp - ye), 2.0)[1].min()
+        lower = dg.relaxed_oracle_from_centers((1, 5), (0, 0), 2.0, 1.0)
+        assert lower <= lattice < lower + 1e-4
 
-
-    def test_broadcast_grid_matches_meshgrid_reference(self, paper):
-        # the oracle corpora, then the horizon case and the states at three
-        # parameter sets away from the paper's; grid 360 is oracle-compare's
-        for grid in (180, 360):
-            for state, p, _ in _jump_corpus(paper, 180):
-                center = dg.adjust_time_bound(state, p).turn_center
-                args = (center, state.evader.pos, p.alpha, p.kappa)
-                want = _reference_relaxed_oracle(*args, grid=grid)
-                assert _bits(dg.relaxed_oracle_from_centers(*args, grid=grid)) == _bits(want)
+    def test_lower_end_sits_just_below_the_reference(self, paper):
+        # the oracle corpora, the horizon case, the states at three parameter
+        # sets away from the paper's and the speed-ratio corpus: the
+        # reference's polished value is feasible, and within 1e-8 of the
+        # minimum
+        cases = [
+            (dg.adjust_time_bound(state, p).turn_center, state.evader.pos, p.alpha, p.kappa)
+            for state, p, _ in _jump_corpus(paper, 180)
+        ]
+        for args in cases + _alpha_corpus():
+            lower = dg.relaxed_oracle_from_centers(*args)
+            assert _sound(_reference_relaxed_oracle(*args, grid=180), lower, tol=1e-8), args
 
 
 class TestRolloutOracle:
@@ -676,6 +710,8 @@ class TestRolloutOracle:
             value, times = dg.rollout_clearance_oracle(
                 state, paper, grid=180, return_times=True
             )
+            # the relaxed lower end, the closed form, then the rollout
+            assert _sound(sol.clearance, dg.relaxed_clearance_oracle(state, paper))
             assert sol.clearance <= value + 1e-3
             assert np.isfinite(times).all()
             assert float(np.nanmax(times)) <= bound.duration + 1e-6
@@ -1305,7 +1341,8 @@ class TestClearanceAnchor:
         # (a root next to a bracket end) is NONE with ``solver_failed``
         # unanchored, but TWO_STEP on an anchor within the cap, here the
         # solve at the exactly vertical centre, which always reconstructs;
-        # the carried bound stays below the grid oracle's value
+        # the carried bound stays below the minimum, up to the closed form's
+        # precision
         carried = 0
         for x_p, theta, x_e, p in _near_vertical_corpus(np.random.default_rng(29), 80):
             state = make_state(*x_p, theta, *x_e)
@@ -1324,8 +1361,8 @@ class TestClearanceAnchor:
             assert cert.kind is dg.CertificateKind.TWO_STEP
             assert cert.evidence.clearance_carried and not cert.evidence.solver_failed
             assert cert.evidence.anchor is anchor
-            oracle = dg.relaxed_oracle_from_centers(center, x_e, p.alpha, p.kappa, grid=720)
-            assert 0.0 <= cert.evidence.clearance <= oracle
+            lower = dg.relaxed_oracle_from_centers(center, x_e, p.alpha, p.kappa)
+            assert 0.0 <= cert.evidence.clearance <= lower + 1e-9 * (1.0 + abs(lower))
             carried += 1
         assert carried == 3
 
