@@ -1,6 +1,6 @@
 """The brute-force oracles' array kernels: the ``np.mod`` wrap, the relaxed
-branch and bound at extreme coordinates, the refusal of an empty heading
-grid, and the rollout scan's jumps."""
+branch and bound (its cells, caps, frame and extreme coordinates), the
+refusal of an empty heading grid, and the rollout scan's jumps."""
 
 import math
 import warnings
@@ -13,7 +13,7 @@ from conftest import aligned_state, pair_floats
 from dubinsguard import certificates
 from dubinsguard.certificates import _wrapped_error
 from dubinsguard.geometry import lowest_point
-from test_certificates import _bits
+from test_certificates import _alpha_corpus, _bits, _oracle_corpora, _reference_relaxed_oracle
 
 TWO_PI = 2.0 * math.pi
 
@@ -57,6 +57,108 @@ class TestRelaxedExtremes:
             warnings.simplefilter("error")
             value = dg.relaxed_oracle_from_centers((1e200, 1e200), (-1e200, -1e200), 6.3, 0.0625)
         assert value <= want <= value + 1e-10 * (1.0 + abs(value))
+
+
+def _lifted(monkeypatch):
+    """Double both caps of the relaxed branch and bound, which keeps the
+    largest round's arrays at a few tens of megabytes."""
+    monkeypatch.setattr(certificates, "_BRANCH_ROUNDS", 2 * certificates._BRANCH_ROUNDS)
+    monkeypatch.setattr(certificates, "_BRANCH_CELLS", 2 * certificates._BRANCH_CELLS)
+
+
+def _trial_pairs(paper):
+    """(turn centre, evader, alpha, kappa) of the oracle-compare trial
+    states and the speed-ratio corpus."""
+    trials, _ = _oracle_corpora(paper)
+    pairs = [
+        (dg.adjust_time_bound(s, paper).turn_center, s.evader.pos, paper.alpha, paper.kappa)
+        for s in trials
+    ]
+    return pairs + _alpha_corpus()
+
+
+class TestRelaxedBranchAndBound:
+    def test_each_arc_lies_in_its_triangle(self):
+        # the cell bound's premise: every point of an arc lies in the
+        # triangle of its ends and its end tangents' crossing, and the
+        # fourth point, the feasible one, is on the circle
+        rng = np.random.default_rng(5)
+        for width in (math.pi / 8.0, math.pi / 64.0, math.pi / 2048.0):
+            count = int(round(TWO_PI / width))
+            index = np.arange(count, dtype=float)
+            cx, cy, radius = (float(v) for v in rng.uniform(0.5, 3.0, 3))
+            xs, ys = certificates._arc_points(cx, cy, radius, index, width)
+            assert np.allclose(np.hypot(xs[:, 3] - cx, ys[:, 3] - cy), radius, rtol=1e-14)
+            theta = (index[:, None] + rng.uniform(0.0, 1.0, (count, 16))) * width
+            px, py = cx + radius * np.cos(theta), cy + radius * np.sin(theta)
+            (ax, bx, tx), (ay, by, ty) = xs[:, :3].T[..., None], ys[:, :3].T[..., None]
+            # barycentric coordinates of each sample, none below rounding
+            det = (by - ty) * (ax - tx) + (tx - bx) * (ay - ty)
+            u = ((by - ty) * (px - tx) + (tx - bx) * (py - ty)) / det
+            v = ((ty - ay) * (px - tx) + (ax - tx) * (py - ty)) / det
+            assert np.all(u >= -1e-9) and np.all(v >= -1e-9) and np.all(1.0 - u - v >= -1e-9)
+
+    def test_the_search_ends_by_its_tolerance(self, paper, monkeypatch):
+        # on the trial states and the speed-ratio corpus no cap fires: with
+        # both lifted every value keeps its bits, so each is within 1e-10
+        # of the minimum as the docstring states
+        pairs = _trial_pairs(paper)
+        capped = [dg.relaxed_oracle_from_centers(*args) for args in pairs]
+        _lifted(monkeypatch)
+        assert _bits([dg.relaxed_oracle_from_centers(*args) for args in pairs]).tolist() == (
+            _bits(capped).tolist()
+        )
+
+    @pytest.mark.parametrize("rounds", [1, 2, 4])
+    def test_a_round_cap_keeps_the_lower_end_sound(self, paper, monkeypatch, rounds):
+        # fewer rounds give a looser bound, never one above the full search's
+        # nor above the reference's feasible value; one round is well short
+        # of the tolerance
+        pairs = _trial_pairs(paper)[::7]
+        full = [dg.relaxed_oracle_from_centers(*args) for args in pairs]
+        monkeypatch.setattr(certificates, "_BRANCH_ROUNDS", rounds)
+        for args, want in zip(pairs, full):
+            lower = dg.relaxed_oracle_from_centers(*args)
+            assert lower <= want <= _reference_relaxed_oracle(*args, grid=180)
+            if rounds == 1:
+                assert want - lower > 1e-6 * (1.0 + abs(want))
+
+    def test_a_cell_cap_keeps_the_lower_end_sound(self, paper, monkeypatch):
+        # with no cell kept past the first round the search stops there,
+        # with the first round's bound
+        pairs = _trial_pairs(paper)[::7]
+        monkeypatch.setattr(certificates, "_BRANCH_ROUNDS", 1)
+        first = [dg.relaxed_oracle_from_centers(*args) for args in pairs]
+        monkeypatch.setattr(certificates, "_BRANCH_ROUNDS", 32)
+        monkeypatch.setattr(certificates, "_BRANCH_CELLS", 0)
+        assert [dg.relaxed_oracle_from_centers(*args) for args in pairs] == first
+
+    @pytest.mark.parametrize("shift", [(1e6, 1e6), (-3e6, 2e5)])
+    def test_a_shifted_pair_moves_by_the_height_alone(self, paper, monkeypatch, shift):
+        # in the evader's frame a pair far from the origin meets the same
+        # tolerance as at the origin, before any cap, and its value moves
+        # by the shift's height
+        dx, dy = shift
+        for center, x_e, alpha, kappa in _trial_pairs(paper)[::9]:
+            moved_c = (center[0] + dx, center[1] + dy)
+            moved_e = (x_e[0] + dx, x_e[1] + dy)
+            at_origin = dg.relaxed_oracle_from_centers(center, x_e, alpha, kappa)
+            moved = dg.relaxed_oracle_from_centers(moved_c, moved_e, alpha, kappa)
+            with monkeypatch.context() as m:
+                _lifted(m)
+                assert dg.relaxed_oracle_from_centers(moved_c, moved_e, alpha, kappa) == moved
+            assert abs((moved - dy) - at_origin) <= 1e-9 * (1.0 + abs(at_origin))
+
+    def test_a_mirrored_pair_keeps_its_value(self, paper):
+        # the objective sees only |x_p - x_e|, so mirroring the pair in a
+        # vertical line leaves the minimum, and both lower ends lie within
+        # 1e-10 of it
+        for center, x_e, alpha, kappa in _trial_pairs(paper)[::3]:
+            value = dg.relaxed_oracle_from_centers(center, x_e, alpha, kappa)
+            mirrored = dg.relaxed_oracle_from_centers(
+                (-center[0], center[1]), (-x_e[0], x_e[1]), alpha, kappa
+            )
+            assert abs(mirrored - value) <= 2e-10 * (1.0 + abs(value - x_e[1]))
 
 
 @pytest.mark.parametrize("grid", [0, -3])
