@@ -8,11 +8,14 @@ a pair-state certificate is issued either directly (separation and alignment
 already hold) or through the two-step route, whose safety is decided by a
 worst-case clearance bound: the minimum signed distance the interception
 point can be forced to during one turning period.  That bound has a KKT
-closed form driven by a degree-six polynomial; two brute-force oracles
-(a branch and bound that proves a lower bound on the relaxed problem's
-minimum, and a trajectory rollout of the original one, which skips the time
-steps where no event can fire and locates events only for the headings that
-can hold the minimum) cross-check it.  All of them bound the turn the car makes:
+closed form driven by a degree-six polynomial: each root in its bracket
+gives a feasible pair of points, a spurious root from squaring included,
+and the closed form keeps the least value of those stationary on their
+circles.  Two brute-force oracles (a branch and bound that proves a lower
+bound on the relaxed problem's minimum, and a trajectory rollout of the
+original one, which skips the time steps where no event can fire and
+locates events only for the headings that can hold the minimum)
+cross-check it.  All of them bound the turn the car makes:
 ``adjust_time_bound`` takes its direction from ``geometry.turn_direction``,
 the rule the strategies steer by.  Before the polynomial is solved, the
 relaxed objective is evaluated at one feasible point (``_witness_clearance``):
@@ -60,14 +63,17 @@ from .model import (
 )
 from .numerics import Polynomial, max_on_circle, real_roots
 
-#: Max-norm threshold on the stationarity residual below which a
-#: reconstructed candidate counts as a genuine KKT point.
+#: Threshold on the tangential part of the relaxed objective's gradient,
+#: relative to its largest size, at both points of a reconstructed
+#: candidate: below it at both, the candidate is stationary on its circles
+#: and kept.  A spurious root from squaring gives a feasible candidate that
+#: this test weighs like any other.
 KKT_RESIDUAL_TOL = 1e-6
 
 
 class KKTReconstructionError(RuntimeError):
-    """No admissible root of the relaxation polynomial reconstructs a valid
-    KKT point."""
+    """No root of the relaxation polynomial, nor a bracket end,
+    reconstructs a candidate stationary on both circles."""
 
 
 def _demand_objective(x, y, alpha: float):
@@ -218,7 +224,7 @@ def adjust_time_bound(state: JointState, p: GameParams, err: float | None = None
         swept += 2.0 * math.pi
         wraps = 1
     duration = swept * p.kappa / p.v_p
-    gap = float(np.linalg.norm(np.subtract((cx, cy), x_e)))
+    gap = math.hypot(cx - xe, cy - ye)
     return AdjustBound(
         turn_center=(cx, cy),
         center_bearing=center_bearing,
@@ -272,34 +278,6 @@ class RelaxedSolution:
     sigma: int
 
 
-def _kkt_residual(
-    pxs: float,
-    pys: float,
-    exs: float,
-    eys: float,
-    cx: float,
-    cy: float,
-    ex: float,
-    ey: float,
-    lam: float,
-    alpha: float,
-    kappa: float,
-    reach: float,
-) -> float:
-    """Max-norm stationarity residual of the candidate pursuer point
-    (pxs, pys) and evader point (exs, eys), for the turn center (cx, cy),
-    the evader at (ex, ey) and the multiplier ``lam``."""
-    dx, dy = pxs - exs, pys - eys
-    dist = math.hypot(dx, dy)
-    if dist == 0.0:
-        return math.inf
-    res_a = alpha * dx / dist + alpha * lam * ((exs - ex) / reach)
-    res_b = alpha * dy / dist + alpha * lam * ((eys - ey) / reach) + alpha * alpha
-    res_c = -alpha * dx / dist + lam * ((pxs - cx) / kappa)
-    res_d = -alpha * dy / dist + lam * ((pys - cy) / kappa) - 1.0
-    return max(abs(res_a), abs(res_b), abs(res_c), abs(res_d))
-
-
 def relaxed_clearance_from_centers(
     x_c, x_e, alpha: float, kappa: float
 ) -> RelaxedSolution:
@@ -309,13 +287,22 @@ def relaxed_clearance_from_centers(
     Builds the relaxation polynomial, gathers its real roots in the bracket
     [alpha-1, alpha+1] (outside it the reconstruction square root turns
     imaginary) and both bracket ends, reconstructs the candidate extremal
-    points for each, keeps those passing the active-constraint, sign-law
-    and stationarity checks, and returns the candidate with the smallest
-    objective.  At a bracket end the horizontal displacements vanish, so an
-    on-axis minimizer of a vertical geometry is always a candidate.  Squaring
-    steps in the derivation can introduce spurious roots; the residual
-    filter removes them.  The candidates are reconstructed on floats; the
-    kept candidate's distance is ``np.linalg.norm``'s, the one the
+    points for each, and returns the smallest objective among the candidates
+    whose two points are stationary on their circles.  For every multiplier
+    in the bracket the two points lie on their circles (|p - c|^2 = kappa^2
+    (phi^2 + (1 - a^2 + lam^2)^2) / (4 lam^2) = kappa^2, and likewise for the
+    evader), so each candidate is feasible, and the one test is of what is
+    evaluated: the tangential part of the objective's gradient at both
+    points, below ``KKT_RESIDUAL_TOL`` of its largest size.  It reads no
+    multiplier, so a root next to a bracket end, where the rounding of lam
+    is magnified through phi, passes as well as any other.  At a bracket end
+    the horizontal displacements vanish, so an on-axis minimizer of a
+    vertical geometry is always a candidate.  Squaring steps in the
+    derivation can introduce spurious roots; their candidates are feasible
+    points, weighed by the same test like any other.  No stationary
+    candidate means a root was missed, and the solve raises
+    ``KKTReconstructionError``.  The candidates are reconstructed on floats;
+    the kept candidate's distance is ``np.linalg.norm``'s, the one the
     clearance has always been computed from.
     """
     a2 = alpha * alpha
@@ -327,7 +314,6 @@ def relaxed_clearance_from_centers(
     candidates = real_roots(poly, lo, hi, tol=1e-12) + [lo, hi]
 
     reach = 2.0 * math.pi * kappa / alpha
-    side_tol = 1e-9 * (1.0 + math.hypot(cx - ex, cy - ey))
     best: RelaxedSolution | None = None
     for lam in candidates:
         # phi^2 = 2 (1 + a^2) lam^2 - lam^4 - (1 - a^2)^2, factored: never
@@ -341,15 +327,19 @@ def relaxed_clearance_from_centers(
             continue
         if abs(math.hypot(pxs - cx, pys - cy) - kappa) > 1e-9 * (1.0 + kappa):
             continue
-        gap_x = pxs - exs
-        if sigma * gap_x < -side_tol:
+        gap_x, gap_y = pxs - exs, pys - eys
+        gap = math.hypot(gap_x, gap_y)
+        if gap == 0.0:
             continue
-        if (
-            _kkt_residual(pxs, pys, exs, eys, cx, cy, ex, ey, lam, alpha, kappa, reach)
-            >= KKT_RESIDUAL_TOL
-        ):
+        # the objective's gradient, tangential part, relative to its largest
+        # size: kappa (1 + a) at the pursuer point, reach a (a + 1) at the
+        # evader point
+        ux, uy = gap_x / gap, gap_y / gap
+        res_p = abs(alpha * ux * (pys - cy) - (1.0 + alpha * uy) * (pxs - cx)) / (kappa * (1.0 + alpha))
+        res_e = abs((a2 + alpha * uy) * (exs - ex) - alpha * ux * (eys - ey)) / (reach * alpha * (alpha + 1.0))
+        if max(res_p, res_e) >= KKT_RESIDUAL_TOL:
             continue
-        dist = float(np.linalg.norm((gap_x, pys - eys)))
+        dist = float(np.linalg.norm((gap_x, gap_y)))
         _, clearance, _ = lowest_point(pxs, pys, exs, eys, dist, alpha)
         if best is None or clearance < best.clearance:
             best = RelaxedSolution(
@@ -692,7 +682,7 @@ def rollout_clearance_oracle(
     """
     _check_grid(grid)
     x_p, x_e = state.pursuer.pos, state.evader.pos
-    dist0 = float(np.linalg.norm(np.subtract(x_p, x_e)))
+    dist0 = math.hypot(x_p[0] - x_e[0], x_p[1] - x_e[1])
     if dist0 <= p.r or abs(err0 := heading_error(x_p, state.pursuer.theta, x_e, p.alpha)) <= 1e-12:
         return (math.inf, np.full(grid, np.nan)) if return_times else math.inf
     bound = adjust_time_bound(state, p, err0)
@@ -821,8 +811,7 @@ def certify_win(state: JointState, p: GameParams, anchor: ClearanceAnchor | None
     clearance less that drift and 2 * ``_witness_margin`` is at least 0; it
     is solved and re-anchored otherwise.  The carry is decided before any
     solve, so a pair whose solve would raise ``KKTReconstructionError``
-    (a root next to a bracket end) is still certified on it.  A
-    simple-motion pursuer
+    (a missed root) is still certified on it.  A simple-motion pursuer
     (``p.motion`` is ``model.SIMPLE``) needs separation only.
 
     Separation is the one test of the aim height: ``evidence.separation``

@@ -323,11 +323,7 @@ def cmd_oracle_compare(args) -> int:
             err = abs(closed - relaxed)
             # the relaxed oracle is a proven lower bound on the minimum the
             # closed form stands for
-            ok = (
-                err <= 1e-3 * (1.0 + abs(closed))
-                and closed <= relaxed + 1e-9 * (1.0 + abs(relaxed))
-                and closed <= rollout + 1e-3
-            )
+            ok = relaxed <= closed <= relaxed + 1e-9 * (1.0 + abs(relaxed)) and closed <= rollout + 1e-3
             if not ok:
                 violations += 1
             values = ",".join(repr(float(v)) for v in (closed, relaxed, rollout, err))

@@ -529,9 +529,10 @@ def run(sc: Scenario, cfg: SimConfig) -> SimResult:
     A carried two-step clearance (``certificates.ClearanceAnchor``) is a
     lower bound on the relaxed minimum, so it certifies the pairs a new
     solve would wherever that solve succeeds and the anchor's solve reached
-    the minimum.  A carried pair whose solve would now raise
-    ``KKTReconstructionError`` stays TWO_STEP, where a game without anchors
-    gives it no certificate (``solver_failed``).
+    the minimum.  The carry is decided before any solve, so a carried pair
+    whose solve would raise ``KKTReconstructionError`` (a missed root) stays
+    TWO_STEP, where a game without anchors gives it no certificate
+    (``solver_failed``).
     """
     game = _Game(sc, cfg)
     for step_index in itertools.count():

@@ -613,26 +613,14 @@ class TestRelaxedClearance:
 
     def test_near_vertical_corpus_stays_at_or_below_the_oracle(self):
         # the closed form sits at the minimum, which the oracle's lower end
-        # bounds from below and a feasible reference value from above; a
-        # vertical center always solves (one bracket end reconstructs an
-        # exact on-axis KKT point), and a pair whose sextic fails gets no
-        # certificate
-        solved = failed = 0
+        # bounds from below and a feasible reference value from above; every
+        # state solves, a root next to a bracket end included
         for x_p, theta, x_e, p in _near_vertical_corpus(np.random.default_rng(29), 80):
             center = dg.adjust_time_bound(make_state(*x_p, theta, *x_e), p).turn_center
-            try:
-                sol = dg.relaxed_clearance_from_centers(center, x_e, p.alpha, p.kappa)
-            except dg.KKTReconstructionError:
-                assert center[0] != x_e[0]
-                cert = dg.certify_win(make_state(*x_p, theta, *x_e), p)
-                assert cert.kind is dg.CertificateKind.NONE and cert.evidence.solver_failed
-                failed += 1
-                continue
+            sol = dg.relaxed_clearance_from_centers(center, x_e, p.alpha, p.kappa)
             lower = dg.relaxed_oracle_from_centers(center, x_e, p.alpha, p.kappa)
             assert _sound(sol.clearance, lower), (x_p, theta, x_e, p)
             assert lower <= _reference_relaxed_oracle(center, x_e, p.alpha, p.kappa, 180)
-            solved += 1
-        assert solved > failed
 
     def test_reconstruction_failure_raises(self, monkeypatch):
         # with no polynomial roots available, the endpoint fallbacks of a
@@ -643,6 +631,31 @@ class TestRelaxedClearance:
         monkeypatch.setattr(certificates, "real_roots", lambda *a, **k: [])
         with pytest.raises(dg.KKTReconstructionError):
             certificates.relaxed_clearance_from_centers((1, 5), (0, 0), 2.0, 1.0)
+
+    def test_a_missed_minimiser_root_raises(self, paper, monkeypatch):
+        # withholding only the minimiser's root leaves no candidate
+        # stationary on both circles: the solve reports the miss instead of
+        # returning another candidate's value, and the pair gets no
+        # certificate
+        from dubinsguard import certificates
+
+        real = certificates.real_roots
+        trials, near = _oracle_corpora(paper)
+        states = trials + near
+        cases = [
+            (dg.adjust_time_bound(state, paper).turn_center, state.evader.pos, paper.alpha, paper.kappa)
+            for state in states
+        ]
+        for k, args in enumerate(cases + _alpha_corpus()):
+            lam = dg.relaxed_clearance_from_centers(*args).multiplier
+            assert args[2] - 1.0 < lam < args[2] + 1.0
+            with monkeypatch.context() as patch:
+                patch.setattr(certificates, "real_roots", lambda *a, **kw: [x for x in real(*a, **kw) if x != lam])
+                with pytest.raises(dg.KKTReconstructionError):
+                    dg.relaxed_clearance_from_centers(*args)
+                if k < len(states):
+                    cert = dg.certify_win(states[k], paper)
+                    assert cert.kind is dg.CertificateKind.NONE and cert.evidence.solver_failed
 
 
 class TestRelaxedOracle:
@@ -1336,35 +1349,47 @@ class TestClearanceAnchor:
                 else:
                     assert cert.evidence.anchor == anchor
 
-    def test_an_anchor_carries_a_pair_whose_solve_now_fails(self):
-        # the carry is decided before the solve: a pair whose sextic raises
-        # (a root next to a bracket end) is NONE with ``solver_failed``
-        # unanchored, but TWO_STEP on an anchor within the cap, here the
-        # solve at the exactly vertical centre, which always reconstructs;
-        # the carried bound stays below the minimum, up to the closed form's
-        # precision
+    def test_an_anchor_carries_a_near_end_pair_below_its_solve(self):
+        # off-axis pairs whose minimiser's root lies within 1e-9 of a bracket
+        # end but off it, where the root's rounding is magnified through phi:
+        # each solves to TWO_STEP, and on an anchor within the cap, here the
+        # solve at the exactly vertical centre, it is TWO_STEP on a carried
+        # bound at or below that solve
         carried = 0
         for x_p, theta, x_e, p in _near_vertical_corpus(np.random.default_rng(29), 80):
             state = make_state(*x_p, theta, *x_e)
             center = dg.adjust_time_bound(state, p).turn_center
-            try:
-                dg.relaxed_clearance_from_centers(center, x_e, p.alpha, p.kappa)
+            lam = dg.relaxed_clearance_from_centers(center, x_e, p.alpha, p.kappa).multiplier
+            if center[0] == x_e[0] or not 0.0 < min(lam - p.alpha + 1.0, p.alpha + 1.0 - lam) <= 1e-9:
                 continue
-            except dg.KKTReconstructionError:
-                pass
             unanchored = dg.certify_win(state, p)
-            assert unanchored.kind is dg.CertificateKind.NONE and unanchored.evidence.solver_failed
+            assert unanchored.kind is dg.CertificateKind.TWO_STEP
+            assert not unanchored.evidence.solver_failed
             vertical = (center[0], x_e[1])
             solved = dg.relaxed_clearance_from_centers(center, vertical, p.alpha, p.kappa).clearance
             anchor = ClearanceAnchor(center, vertical, solved)
             cert = dg.certify_win(state, p, anchor)
             assert cert.kind is dg.CertificateKind.TWO_STEP
-            assert cert.evidence.clearance_carried and not cert.evidence.solver_failed
-            assert cert.evidence.anchor is anchor
-            lower = dg.relaxed_oracle_from_centers(center, x_e, p.alpha, p.kappa)
-            assert 0.0 <= cert.evidence.clearance <= lower + 1e-9 * (1.0 + abs(lower))
+            assert cert.evidence.clearance_carried and cert.evidence.anchor is anchor
+            assert 0.0 <= cert.evidence.clearance <= unanchored.evidence.clearance
             carried += 1
-        assert carried == 3
+        assert carried == 16
+
+    def test_the_carry_is_decided_before_any_solve(self, monkeypatch):
+        # a pair whose solve would fail is still TWO_STEP on an anchor
+        # within the cap
+        from dubinsguard import certificates
+
+        state, p, anchor = _anchored_corpus()[0]
+
+        def failing(*args):
+            raise certificates.KKTReconstructionError("no KKT point")
+
+        monkeypatch.setattr(certificates, "relaxed_clearance_from_centers", failing)
+        cert = dg.certify_win(state, p, anchor)
+        assert cert.kind is dg.CertificateKind.TWO_STEP
+        assert cert.evidence.clearance_carried and not cert.evidence.solver_failed
+        assert cert.evidence.clearance == anchor.clearance - 2.0 * _witness_margin(p.alpha, p.kappa)
 
     def test_a_refuted_or_failed_pair_carries_nothing(self, monkeypatch):
         from dubinsguard import certificates

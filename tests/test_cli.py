@@ -7,6 +7,7 @@ import subprocess
 import sys
 from importlib import resources
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -508,6 +509,20 @@ class TestCmdOracleCompare:
         assert len(rows) == 2
         for row in rows:
             assert row[1] == "nan" and row[4] == "nan" and row[5] == "0"
+
+    def test_a_closed_form_below_the_lower_end_is_a_violation(self, tmp_path, monkeypatch, capsys):
+        # the relaxed oracle is a proven lower bound on the minimum: a closed
+        # form below it is wrong, by 1e-6 as by more
+        def low(state, p):
+            return SimpleNamespace(clearance=cli.certs.relaxed_clearance_oracle(state, p) - 1e-6)
+
+        monkeypatch.setattr(cli.certs, "solve_relaxed_clearance", low)
+        out = tmp_path / "oracle.csv"
+        argv = ["oracle-compare", "--trials", "1", "--grid", "180", "--out", str(out)]
+        assert cli.main(argv) == 1
+        assert "violations=1" in capsys.readouterr().out
+        row = out.read_text().splitlines()[1].split(",")
+        assert float(row[1]) == float(row[2]) - 1e-6 and row[5] == "0"
 
     def test_deterministic_given_seed(self, tmp_path):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]

@@ -1,10 +1,13 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import dubinsguard as dg
+from conftest import make_state
 from dubinsguard.numerics import IMAG_TOL, NEWTON_STEP_CAP, NEWTON_STEPS
+from test_certificates import _alpha_corpus, _near_vertical_corpus
 
 
 def bisect_oracle(f, lo, hi, tol=1e-12):
@@ -133,6 +136,43 @@ def _root_corpus(rng, n, paper):
     return cases
 
 
+def _sturm(coeffs):
+    """Sturm sequence of the polynomial with ascending coefficients
+    ``coeffs``, in exact rationals; each member is scaled by a positive
+    constant, which keeps its signs."""
+
+    def monic(c):
+        while c and c[-1] == 0:
+            c = c[:-1]
+        return [a / abs(c[-1]) for a in c]
+
+    seq = [monic([Fraction(c) for c in coeffs])]
+    seq.append(monic([k * c for k, c in enumerate(seq[0])][1:]))
+    while len(seq[-1]) > 1:
+        rem, div = list(seq[-2]), seq[-1]
+        while rem and len(rem) >= len(div):
+            q, shift = rem[-1] / div[-1], len(rem) - len(div)
+            rem = [a - q * div[k - shift] if k >= shift else a for k, a in enumerate(rem)][:-1]
+            while rem and rem[-1] == 0:
+                rem.pop()
+        if not rem:
+            break
+        seq.append(monic([-a for a in rem]))
+    return seq
+
+
+def _sign_changes(seq, x):
+    """Sign changes of the Sturm sequence ``seq`` at the rational ``x``."""
+    signs = []
+    for c in seq:
+        value = Fraction(0)
+        for a in reversed(c):
+            value = value * x + a
+        if value:
+            signs.append(value > 0)
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
 class TestPolynomial:
     def test_trims_trailing_zeros(self):
         p = dg.Polynomial((1.0, 2.0, 0.0, 0.0))
@@ -243,6 +283,32 @@ class TestRealRoots:
             for root in dg.real_roots(poly, lo, hi, tol=tol):
                 assert abs(poly(root)) <= bound
 
+
+    def test_no_exact_root_between_the_returned_ones(self, paper):
+        # the float coefficients of each relaxation sextic, taken as exact
+        # rationals, have no root that real_roots leaves out: a Sturm count
+        # finds none in any gap between the returned roots and the bracket
+        # ends, each widened by 1e-6 (1 + |x|) (two exact roots 4.6e-8 apart
+        # come back as one, and a near-real complex pair can come back as a
+        # root, which the closed form weighs like any other)
+        cases = [
+            (dg.adjust_time_bound(make_state(*x_p, theta, *x_e), p).turn_center, x_e, p.alpha, p.kappa)
+            for x_p, theta, x_e, p in _near_vertical_corpus(np.random.default_rng(29), 200)
+        ]
+        for seed in range(100):
+            state = dg.sample_adjust_feasible_state(np.random.default_rng(seed), paper)
+            cases.append((dg.adjust_time_bound(state, paper).turn_center, state.evader.pos, paper.alpha, paper.kappa))
+        cases += _alpha_corpus()
+        assert len(cases) == 390
+        for center, x_e, alpha, kappa in cases:
+            poly = dg.relaxation_sextic(center, x_e, alpha, kappa)
+            lo, hi = alpha - 1.0, alpha + 1.0
+            seq = _sturm(poly.coeffs)
+            ends = [lo, *dg.real_roots(poly, lo, hi, tol=1e-12), hi]
+            for x, y in zip(ends, ends[1:]):
+                a, b = x + 1e-6 * (1.0 + abs(x)), y - 1e-6 * (1.0 + abs(y))
+                if a < b:
+                    assert _sign_changes(seq, Fraction(a)) == _sign_changes(seq, Fraction(b)), (center, x_e, alpha)
 
     def test_same_roots_as_the_np_roots_reference(self, paper):
         # the companion matrix built in place gives np.roots' eigenvalues,
