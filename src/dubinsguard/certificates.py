@@ -444,11 +444,6 @@ def solve_relaxed_clearance(state: JointState, p: GameParams) -> RelaxedSolution
     )
 
 
-def _check_grid(grid: int) -> None:
-    if grid < 1:
-        raise ValueError("grid must be >= 1")
-
-
 def _cell_margin(alpha: float, scale: float) -> float:
     """Rounding margin of the relaxed oracle's cell bounds, for a turn
     centre c' = c - x_e in the evader's frame and the scale s = |c'_x| +
@@ -680,7 +675,8 @@ def rollout_clearance_oracle(
     each bracket's end, widened by its rate bound over the bracket, rules out
     the rest (``_PRUNE_MARGIN``).
     """
-    _check_grid(grid)
+    if grid < 1:
+        raise ValueError("grid must be >= 1")
     x_p, x_e = state.pursuer.pos, state.evader.pos
     dist0 = math.hypot(x_p[0] - x_e[0], x_p[1] - x_e[1])
     if dist0 <= p.r or abs(err0 := heading_error(x_p, state.pursuer.theta, x_e, p.alpha)) <= 1e-12:

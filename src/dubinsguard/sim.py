@@ -44,11 +44,11 @@ carried, take the pairs without conversion.  Arrays appear
 only where all pairs are batched: the pair distances are one ``(n_p, n_e)``
 array from ``model.pair_distances``, shared by the capture screen, the
 nearest-pursuer choice of ``optimal`` evaders and the leftover pursuers'
-nearest evader.  It is computed at the steps the capture screen runs, at
-the last of a run of quiet steps, and when a refresh with an unmatched
-pursuer or an ``optimal`` evader without a pursuer asks for it.  A ``dt``
-long enough for a pursuer and an evader to close a capture radius in one
-step is refused.
+nearest evader.  ``_Game.distances`` alone builds it: at the steps the
+capture screen runs, at the last of a run of quiet steps, and when a
+refresh with an unmatched pursuer or an ``optimal`` evader without a
+pursuer asks for it.  A ``dt`` long enough for a pursuer and an evader to
+close a capture radius in one step is refused.
 """
 
 from __future__ import annotations
@@ -285,10 +285,11 @@ class _Game:
         self.matching_history: list[tuple[float, tuple, tuple]] = []
         self.p_rows: list[list[tuple]] = [[] for _ in range(n_p)]
         self.e_rows: list[list[tuple]] = [[] for _ in range(n_e)]
-        # Pair distances at the current positions, or None after a quiet
-        # step (see ``detect``), until ``distances`` is asked for them.
-        # Evaders leaving play are moved to their event points after the
-        # distances are taken, but their columns are never read again.
+        # Pair distances at the current positions, built only by
+        # ``distances``; None from the start of ``detect`` until they are
+        # asked for (a quiet step leaves them unbuilt).  Evaders leaving
+        # play are moved to their event points after the distances are
+        # taken, but their columns are never read again.
         self.dist: np.ndarray | None = None
         # Coming steps that provably end with no capture.
         self.quiet = 0
@@ -459,36 +460,32 @@ class _Game:
             self.dist = pair_distances(np.array(self.p_xy), np.array(self.e_xy))
         return self.dist
 
-    def measure(self) -> np.ndarray:
-        """Compute the pair distances at the current positions, and count
-        the coming steps that provably end with no active pair in a capture
-        disk (``_quiet_steps``)."""
-        p_pos, e_pos = np.array(self.p_xy), np.array(self.e_xy)
-        self.dist = pair_distances(p_pos, e_pos)
+    def measure(self):
+        """Count the coming steps that provably end with no active pair in
+        a capture disk (``_quiet_steps``), from the pair distances at the
+        current positions."""
         active = [j for j in range(self.n_e) if self.status[j] == ACTIVE]
-        scale = max(float(np.abs(p_pos).max()), float(np.abs(e_pos).max()))
-        self.quiet = _quiet_steps(self.dist[:, active], self.radii, self.steps, scale)
-        return self.dist
+        scale = max(abs(c) for xy in (*self.p_xy, *self.e_xy) for c in xy)
+        self.quiet = _quiet_steps(self.distances()[:, active], self.radii, self.steps, scale)
 
     def detect(self):
         """End the play of every evader that was captured or reached the
         goal during the step: capture before goal arrival, earlier fraction
         wins.  The evader is moved to its event point.
 
-        A quiet step tests goal crossings only, and leaves the pair
-        distances to be computed when asked for; the last quiet step
-        computes them, as the next step's capture test starts from them."""
-        if self.quiet > 1:
+        A quiet step counts down and tests goal crossings only; any other
+        step screens the captures between the distances at its two ends.
+        When the count is then out, it is taken anew from the end-of-step
+        distances, which the next screen starts from."""
+        prev, self.dist = self.dist, None
+        if self.quiet > 0:
             self.quiet -= 1
-            self.dist = None
-            captures = {}
-        elif self.quiet == 1:
-            self.measure()
             captures = {}
         else:
-            prev_dist = self.dist
             active = np.array([status == ACTIVE for status in self.status])
-            captures = detect_captures(prev_dist, self.measure(), self.radii, active)
+            captures = detect_captures(prev, self.distances(), self.radii, active)
+        if self.quiet == 0:
+            self.measure()
         for j in range(self.n_e):
             if self.status[j] != ACTIVE:
                 continue

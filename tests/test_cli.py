@@ -354,6 +354,25 @@ class TestCmdCertify:
         assert "delta=" in two_step_line and "clearance=" in two_step_line
         assert all("region=II" in line for line in lines)
 
+    def test_simple_motion_pursuer_lines(self, golden_path, tmp_path, capsys):
+        # a simple-motion pursuer has no heading and no adjust phase: its
+        # lines carry io=None and neither a delta nor a clearance, and its
+        # pairs are INTERCEPT exactly where separation holds
+        doc = json.load(open(golden_path))
+        doc["pursuers"][4]["model"] = "simple"
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["certify", "--scenario", str(path), "--all"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert len(lines) == 25
+        p5 = [line for line in lines if line.startswith("P5-")]
+        assert len(p5) == 5
+        for line in p5:
+            assert " io=None " in line
+            assert "delta=" not in line and "clearance=" not in line
+            assert ("kind=intercept" in line) == (" sc=True " in line)
+        assert [line.split()[0] for line in p5 if "kind=intercept" in line] == ["P5-E1"]
+
     def test_single_pair(self, golden_path, capsys):
         assert cli.main(["certify", "--scenario", golden_path, "--pair", "3,3"]) == 0
         out = capsys.readouterr().out

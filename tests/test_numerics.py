@@ -173,6 +173,35 @@ def _sign_changes(seq, x):
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
+def _root_count_changes():
+    """(turn centre, evader, alpha, kappa) on both sides of each change in
+    the number of roots ``real_roots`` returns in [alpha - 1, alpha + 1],
+    bisected to 1e-12: kappa 0.2, alpha in {1.05, 1.3, 2}, an evader at the
+    origin and turn centres on seven vertical lines, each swept over y in
+    [-3, 3] in 241 steps.  The line x = 0, where the count changes at almost
+    every step, is the near-vertical corpus's."""
+
+    def count(x, y, alpha):
+        poly = dg.relaxation_sextic((x, y), (0.0, 0.0), alpha, 0.2)
+        return len(dg.real_roots(poly, alpha - 1.0, alpha + 1.0, tol=1e-12))
+
+    cases = []
+    ys = np.linspace(-3.0, 3.0, 241).tolist()
+    for alpha in (1.05, 1.3, 2.0):
+        for x in (-1.3, -0.6, -0.2, 0.1, 0.3, 0.8, 1.2):
+            counts = [count(x, y, alpha) for y in ys]
+            for k in np.flatnonzero(np.diff(counts)):
+                a, b = ys[k], ys[k + 1]
+                while b - a > 1e-12:
+                    mid = 0.5 * (a + b)
+                    if count(x, mid, alpha) == counts[k]:
+                        a = mid
+                    else:
+                        b = mid
+                cases += [((x, y), (0.0, 0.0), alpha, 0.2) for y in (a, b)]
+    return cases
+
+
 class TestPolynomial:
     def test_trims_trailing_zeros(self):
         p = dg.Polynomial((1.0, 2.0, 0.0, 0.0))
@@ -290,17 +319,21 @@ class TestRealRoots:
         # finds none in any gap between the returned roots and the bracket
         # ends, each widened by 1e-6 (1 + |x|) (two exact roots 4.6e-8 apart
         # come back as one, and a near-real complex pair can come back as a
-        # root, which the closed form weighs like any other)
+        # root, which the closed form weighs like any other); the states on
+        # both sides of a change in the returned root count included
         cases = [
             (dg.adjust_time_bound(make_state(*x_p, theta, *x_e), p).turn_center, x_e, p.alpha, p.kappa)
-            for x_p, theta, x_e, p in _near_vertical_corpus(np.random.default_rng(29), 200)
+            for seed in (29, 7)
+            for x_p, theta, x_e, p in _near_vertical_corpus(np.random.default_rng(seed), 200)
         ]
         for seed in range(100):
             state = dg.sample_adjust_feasible_state(np.random.default_rng(seed), paper)
             cases.append((dg.adjust_time_bound(state, paper).turn_center, state.evader.pos, paper.alpha, paper.kappa))
         cases += _alpha_corpus()
-        assert len(cases) == 390
-        for center, x_e, alpha, kappa in cases:
+        assert len(cases) == 590
+        changes = _root_count_changes()
+        assert len(changes) >= 40
+        for center, x_e, alpha, kappa in cases + changes:
             poly = dg.relaxation_sextic(center, x_e, alpha, kappa)
             lo, hi = alpha - 1.0, alpha + 1.0
             seq = _sturm(poly.coeffs)

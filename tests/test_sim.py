@@ -1146,6 +1146,40 @@ def test_quiet_steps_and_anchors_play_the_same_game(monkeypatch, scenario, perio
     assert dg.run(sc, cfg) == played
 
 
+@pytest.mark.parametrize(
+    "scenario, period, max_time, builds, quiet",
+    [
+        (_bundled_5v5, 1, 8.0, 1_223, 1_885),
+        (_bundled_5v5, 20, 8.0, 100, 1_885),
+        (_team_lanes, 100, 20.0, 72, 752),
+    ],
+    ids=["5v5-p1", "5v5-p20", "team-lanes-p100"],
+)
+def test_quiet_steps_leave_the_pair_distances_unbuilt(
+    monkeypatch, scenario, period, max_time, builds, quiet
+):
+    # the pair-distance array is built at a screen, at the end of a run of
+    # quiet steps and when a refresh reads it, never at the other quiet
+    # steps: 42 counts of quiet steps on the 5v5, 71 on the lanes game, and
+    # at period 1 the 5v5's refreshes read 1,181 arrays
+    sc = scenario()
+    counts = {"builds": 0, "quiet": 0}
+    pair_distances, detect = sim.pair_distances, sim._Game.detect
+
+    def counted_pair_distances(p_pos, e_pos):
+        counts["builds"] += 1
+        return pair_distances(p_pos, e_pos)
+
+    def counted_detect(self):
+        counts["quiet"] += self.quiet > 0
+        detect(self)
+
+    monkeypatch.setattr(sim, "pair_distances", counted_pair_distances)
+    monkeypatch.setattr(sim._Game, "detect", counted_detect)
+    dg.run(sc, dg.SimConfig(dt=1e-3, max_time=max_time, matching_period=period))
+    assert counts == {"builds": builds, "quiet": quiet}
+
+
 def _walk_scenario(rng):
     """Two cars and two simple-motion pursuers among ten evaders, scattered
     over a 4 x 3 box well above the goal."""
