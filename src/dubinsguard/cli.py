@@ -167,22 +167,42 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _rows(t: str, labels: list[str], step: tuple, cell) -> str:
+    """One step's trajectory rows, one ``%`` template each; ``cell(v,
+    ".9g")`` formats x, y, theta and u, the last two when present."""
+    return "".join([
+        "%s,%s,%s,%s,%s,%s,%s,%s\n" % (
+            t,
+            label,
+            cell(x, ".9g"),
+            cell(y, ".9g"),
+            "" if theta is None else cell(theta, ".9g"),
+            "" if u is None else cell(u, ".9g"),
+            status,
+            "" if target is None else "E%d" % (target + 1),
+        )
+        for label, (_, x, y, theta, u, _mode, status, target) in zip(labels, step)
+    ])
+
+
 def write_trajectory_csv(result, fh):
     """CSV rows to the open file ``fh`` in step order, each step's evaders
     then pursuers by numeric index (E2 before E10); floats at 9 significant
     digits; theta and target are empty for evaders.  Series of unequal
     length raise ``ValueError``.  A step's rows share one ``t``
-    (``SimResult``), formatted once, and go out in one write."""
+    (``SimResult``), formatted once, and go out in one write.  Cells are
+    formatted by ``float.__format__``, which refuses anything but a float,
+    so a step with any other cell is formatted by ``_fmt`` instead."""
     agents = sorted(result.trajectories, key=lambda name: (name[0] == "P", int(name[1:])))
     labels = [f"{agent},{'pursuer' if agent[0] == 'P' else 'evader'}" for agent in agents]
     fh.write("t,agent,kind,x,y,theta,u,status,target\n")
     for step in zip(*(result.trajectories[agent] for agent in agents), strict=True):
         t = _fmt(step[0][0])
-        fh.write("".join([
-            f"{t},{label},{_fmt(x)},{_fmt(y)},{_fmt(theta)},{_fmt(u)},{status},"
-            f"{'' if target is None else f'E{target + 1}'}\n"
-            for label, (_, x, y, theta, u, _mode, status, target) in zip(labels, step)
-        ]))
+        try:
+            rows = _rows(t, labels, step, float.__format__)
+        except TypeError:
+            rows = _rows(t, labels, step, lambda value, _spec: _fmt(value))
+        fh.write(rows)
 
 
 def write_events(result, fh):

@@ -134,9 +134,15 @@ def assign(matched: dict[int, int], dist: np.ndarray, active: list[int]) -> dict
     """
     if len(matched) == len(dist):
         return {}
-    taken = set(matched.values())
-    pool = [j for j in active if j not in taken] or active
+    pool = _pool(matched, active)
     if not pool:
         return {}
     nearest = np.argmin(dist[:, pool], axis=1).tolist()
     return {i: pool[k] for i, k in enumerate(nearest) if i not in matched}
+
+
+def _pool(matched: dict[int, int], active: list[int]) -> list[int]:
+    """The evaders ``assign`` picks from: the active ones that no pair of
+    ``matched`` holds, or every active one when all are held."""
+    taken = set(matched.values())
+    return [j for j in active if j not in taken] or active

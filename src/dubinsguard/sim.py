@@ -8,19 +8,22 @@ reached:
   the active pairs is rebuilt, a maximum matching of what its kept pairs
   leave (``sticky``: the previous pairs still edges) assigns pursuers to
   evaders, and leftover pursuers chase the nearest unmatched evader (the
-  nearest evader when every one is held); certificates are read only as
-  edge keys, and the graph matched holds bare keys.  One pass over the active pairs skips those whose separation
-  window is open (see ``WINDOW_MARGIN``): no pair in a window could be an
-  edge, so the graph is the one a full rebuild would give.  It carries an
-  intercepting car's own pair as a bare edge key when ``intercepts`` holds
-  at the car's last re-snap aim, and hands the rest to ``build_graph``,
-  which runs only when some pair is left, with each pair's last two-step
-  solve (``anchors``), which it may carry instead of solving again (see
-  ``run`` for where a carried pair can differ from a new solve).  An
-  unchanged edge-key set reuses its matching (bundled 5v5, period 1: 7,166
-  keys carried, ``build_graph`` in 648 of 1,899 refreshes for 980 pairs,
-  64 sextic solves for 307 two-step certificates, 6 ``max_matching``
-  calls);
+  nearest evader when every one is held), kept while the kept pairs and
+  the evaders in play are unchanged and ``_nearest_steps`` proves them
+  nearest (bundled 5v5, period 1: taken 5 times in the 1,212 refreshes
+  with a leftover pursuer); certificates are read only as edge keys, and
+  the graph matched holds bare keys.  One pass over the active pairs skips
+  those whose separation window is open (see ``WINDOW_MARGIN``): no pair in
+  a window could be an edge, so the graph is the one a full rebuild would
+  give.  It carries an intercepting car's own pair as a bare edge key when
+  ``intercepts`` holds at the car's last re-snap aim, and hands the rest to
+  ``build_graph``, which runs only when some pair is left, with each pair's
+  last two-step solve (``anchors``), which it may carry instead of solving
+  again (see ``run`` for where a carried pair can differ from a new solve).
+  An unchanged edge-key set reuses its matching (bundled 5v5, period 1:
+  7,166 keys carried, ``build_graph`` in 648 of 1,899 refreshes for 980
+  pairs, 64 sextic solves for 307 two-step certificates, 6
+  ``max_matching`` calls);
 - controls: evader controls first, then the pursuers', which observe them.
   Every car runs ``strategies.two_step_command``, the one adjust-then-
   intercept phase machine and the only way into interception; the simulator
@@ -46,9 +49,10 @@ array from ``model.pair_distances``, shared by the capture screen, the
 nearest-pursuer choice of ``optimal`` evaders and the leftover pursuers'
 nearest evader.  ``_Game.distances`` alone builds it: at the steps the
 capture screen runs, at the last of a run of quiet steps, and when a
-refresh with an unmatched pursuer or an ``optimal`` evader without a
-pursuer asks for it.  A ``dt`` long enough for a pursuer and an evader to
-close a capture radius in one step is refused.
+refresh asks for it, for an ``optimal`` evader without a pursuer or to take
+the leftover pursuers' targets anew (bundled 5v5, 1,899 steps: 42 arrays
+at period 1, 43 at period 20).  A ``dt`` long enough for a pursuer and an
+evader to close a capture radius in one step is refused.
 """
 
 from __future__ import annotations
@@ -61,7 +65,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import IO_TOL, aim_bearing, aim_height_rate, aim_point
-from .matching import WinGraph, assign, build_graph, carried_edges, max_matching
+from .matching import WinGraph, _pool, assign, build_graph, carried_edges, max_matching
 from .model import (
     DUBINS,
     STRAIGHT_EPS,
@@ -228,6 +232,31 @@ def _quiet_steps(dist: np.ndarray, radii: np.ndarray, steps: np.ndarray, scale: 
     return max(0, math.floor(float(slack.min())))
 
 
+def _nearest_steps(dist: np.ndarray, steps: np.ndarray, scale: float) -> int:
+    """How many coming steps provably leave each row's first nearest column
+    of ``dist`` (the distances of some pursuers to the evaders they pick
+    from, at the current positions) its first nearest column, so that
+    ``matching.assign`` picks the same targets; ``steps`` holds the rows'
+    pursuers' ``_quiet_steps`` closings.
+
+    A row's margin m is its second-least distance minus its least.  One
+    step changes each distance of pursuer ``i`` by at most ``steps[i]``, so
+    the margin shrinks by at most 2 steps[i] per step.  With the rounding
+    allowance rho of ``_quiet_steps`` taken off for each of the two
+    distances (it covers a distance at both ends) and added to each step,
+    the margin stays strictly positive after n steps while m - 2 rho -
+    2 n (steps[i] + rho) > 0; no agent in the row moves farther than m / 2,
+    below 3 scale, before the count runs out, as ``_quiet_steps`` allows.
+    A tie gives 0, since a tie goes to the lowest index; a single column
+    never expires."""
+    if dist.shape[1] < 2:
+        return sys.maxsize
+    rounding = QUIET_ROUNDING * (1.0 + 4.0 * scale)
+    least = np.partition(dist, 1, axis=1)
+    slack = (least[:, 1] - least[:, 0] - 2.0 * rounding) / (2.0 * (steps + rounding))
+    return max(0, math.ceil(float(slack.min())) - 1)
+
+
 class _Game:
     """State of one game in play, with one method per simulator stage.
 
@@ -278,8 +307,12 @@ class _Game:
         self.matched: dict[int, int] = {}
         self.snap_aim: list[tuple | None] = [None] * n_p  # see ``integrate``
         self.last_match: tuple = (None, {})  # edge-key set, its matching
+        # (kept pairs, active evaders), the leftover pursuers' targets and
+        # the step from which ``_nearest_steps`` no longer proves them.
+        self.leftovers: tuple = (None, {}, 0)
 
         self.t = 0.0
+        self.n_steps = 0  # steps integrated
         self.diag = ClampDiagnostics()
         self.events: list[Event] = []
         self.matching_history: list[tuple[float, tuple, tuple]] = []
@@ -287,7 +320,8 @@ class _Game:
         self.e_rows: list[list[tuple]] = [[] for _ in range(n_e)]
         # Pair distances at the current positions, built only by
         # ``distances``; None from the start of ``detect`` until they are
-        # asked for (a quiet step leaves them unbuilt).  Evaders leaving
+        # asked for (a quiet step, and a refresh that keeps its leftover
+        # targets, leaves them unbuilt).  Evaders leaving
         # play are moved to their event points after the distances are
         # taken, but their columns are never read again.
         self.dist: np.ndarray | None = None
@@ -334,8 +368,8 @@ class _Game:
             held = set(kept.values())
             edges = {k for k in edges if k[0] not in kept and k[1] not in held}
         kept.update(self.match(edges))
-        opportunistic = assign(kept, self.distances(), active) if len(kept) < n_p else {}
         pairs = tuple(sorted(kept.items()))
+        opportunistic = self.nearest(kept, pairs, active) if len(kept) < n_p else {}
         if kept != self.matched:
             self.events.append(Event(t=t, kind="matching_changed", detail=pairs))
             self.matched = kept
@@ -347,6 +381,22 @@ class _Game:
             self.target[i] = new_target
             if self.phases[i] is not None:
                 self.phases[i] = TwoStepState()
+
+    def nearest(self, kept: dict[int, int], pairs: tuple, active: list[int]) -> dict[int, int]:
+        """``assign``'s targets for the pursuers outside ``kept`` (``pairs``
+        sorted), reused while the kept pairs and the active evaders are
+        those they were taken at and ``_nearest_steps`` proves them
+        unchanged: neither the pair distances nor ``assign`` run then."""
+        key = pairs, tuple(active)
+        held, targets, expiry = self.leftovers
+        if key == held and self.n_steps < expiry:
+            return targets
+        dist = self.distances()
+        targets = assign(kept, dist, active)
+        rows = [i for i in range(self.n_p) if i not in kept]
+        hold = _nearest_steps(dist[np.ix_(rows, _pool(kept, active))], self.steps[rows], self.scale())
+        self.leftovers = key, targets, self.n_steps + hold + 1
+        return targets
 
     def match(self, keys: set) -> dict[int, int]:
         """``max_matching`` of the graph over the edge keys ``keys``, reused
@@ -445,6 +495,7 @@ class _Game:
         for j, (spec, c) in enumerate(zip(self.sc.evaders, e_controls)):
             if c is not None:
                 self.e_xy[j] = step_evader(*self.e_xy[j], c[0], dt, spec.v)
+        self.n_steps += 1
 
         for i, phase in enumerate(self.phases):
             j = self.live_target(i)
@@ -465,8 +516,11 @@ class _Game:
         a capture disk (``_quiet_steps``), from the pair distances at the
         current positions."""
         active = [j for j in range(self.n_e) if self.status[j] == ACTIVE]
-        scale = max(abs(c) for xy in (*self.p_xy, *self.e_xy) for c in xy)
-        self.quiet = _quiet_steps(self.distances()[:, active], self.radii, self.steps, scale)
+        self.quiet = _quiet_steps(self.distances()[:, active], self.radii, self.steps, self.scale())
+
+    def scale(self) -> float:
+        """The largest absolute coordinate of any agent."""
+        return max(abs(c) for xy in (*self.p_xy, *self.e_xy) for c in xy)
 
     def detect(self):
         """End the play of every evader that was captured or reached the

@@ -1016,33 +1016,145 @@ def test_carried_pairs_are_the_intercepting_cars_at_their_snap_aims(monkeypatch,
     assert counts["carried"] > 0 and counts["orphaned"] > 0
 
 
+def _checked_leftovers(monkeypatch):
+    """Check, at every refresh with an unmatched pursuer, that the game's
+    leftover targets are those ``assign`` picks from the pair distances of
+    the positions at the refresh.  Returns the (kept pairs, targets) of
+    those refreshes, and the index among them of each refresh at which the
+    game called ``assign``."""
+    game_assign, assign = sim._Game.assign, sim.assign
+    refreshes, calls = [], []
+
+    def checked_game_assign(self):
+        game_assign(self)
+        t, pairs, opportunistic = self.matching_history[-1]
+        kept = dict(pairs)
+        if len(kept) < self.n_p:
+            active = [j for j in range(self.n_e) if self.status[j] == sim.ACTIVE]
+            fresh = assign(kept, sim.pair_distances(np.array(self.p_xy), np.array(self.e_xy)), active)
+            assert opportunistic == tuple(sorted(fresh.items())), t
+            refreshes.append((kept, fresh))
+
+    def counted_assign(*args):
+        calls.append(len(refreshes))
+        return assign(*args)
+
+    monkeypatch.setattr(sim._Game, "assign", checked_game_assign)
+    monkeypatch.setattr(sim, "assign", counted_assign)
+    return refreshes, calls
+
+
 @pytest.mark.parametrize(
-    "scenario, period",
-    [(_bundled_5v5, 1), (lambda: _contested_team(13, 8), 5)],
+    "scenario, period, most_calls",
+    [(_bundled_5v5, 1, 10), (lambda: _contested_team(13, 8), 5, 40)],
     ids=["bundled_5v5_p1", "contested_13_8_p5"],
 )
-def test_leftover_pursuers_read_the_current_pair_distances(monkeypatch, scenario, period):
-    # the distances ``assign`` picks from are those of the positions at the
-    # refresh, on every column of an evader in play
-    game, doubled = {}, []
-    game_assign, assign = sim._Game.assign, sim.assign
-
-    def recording_game_assign(self):
-        game["now"] = self
-        game_assign(self)
-
-    def checked_assign(matched, dist, active):
-        g = game["now"]
-        want = sim.pair_distances(np.array(g.p_xy), np.array(g.e_xy))
-        assert np.array_equal(dist[:, active], want[:, active]), g.t
-        out = assign(matched, dist, active)
-        doubled.append(any(j in matched.values() for j in out.values()))
-        return out
-
-    monkeypatch.setattr(sim._Game, "assign", recording_game_assign)
-    monkeypatch.setattr(sim, "assign", checked_assign)
+def test_leftover_pursuers_read_the_current_pair_distances(monkeypatch, scenario, period, most_calls):
+    # at every refresh, one that carries its leftover targets included, the
+    # leftover pursuers chase what ``assign`` picks from the distances of
+    # the positions at the refresh; ``assign`` itself runs only when the
+    # targets are not proven unchanged (5 of 1,212 such refreshes on the
+    # 5v5, 38 of 306 on the contested game)
+    refreshes, calls = _checked_leftovers(monkeypatch)
     dg.run(scenario(), dg.SimConfig(dt=1e-3, max_time=10.0, matching_period=period))
+    doubled = [any(j in kept.values() for j in targets.values()) for kept, targets in refreshes]
     assert len(doubled) > 100 and any(doubled)
+    assert 0 < len(calls) <= most_calls
+
+
+class TestNearestSteps:
+    RHO = sim.QUIET_ROUNDING * (1.0 + 4.0 * 2.0)  # the allowance at scale 2
+
+    def test_a_tie_gives_no_step(self):
+        steps = np.array([1e-3, 1e-3])
+        assert sim._nearest_steps(np.array([[1.0, 1.0, 2.0], [0.5, 3.0, 4.0]]), steps, 2.0) == 0
+        assert sim._nearest_steps(np.array([[2.0, 1.0, 1.0], [0.5, 3.0, 4.0]]), steps, 2.0) == 0
+
+    def test_a_pool_of_one_never_expires(self):
+        assert sim._nearest_steps(np.array([[0.3], [2.0]]), np.array([1e-3, 1e-3]), 2.0) == sys.maxsize
+
+    @pytest.mark.parametrize("n", [1, 7, 300])
+    def test_a_margin_just_above_or_below_the_bound_moves_the_count_by_one(self, n):
+        # the margin of the first row stays strictly positive for n steps
+        # when it exceeds 2 rho + 2 n (step + rho); the second row's, with a
+        # larger step and margin, binds nowhere
+        step, rho = 3e-4, self.RHO
+        bound = 2.0 * rho + 2.0 * n * (step + rho)
+        steps = np.array([step, 10.0 * step])
+        for scaled, count in ((1.0 + 1e-6, n), (1.0 - 1e-6, n - 1)):
+            margin = bound * scaled
+            dist = np.array([[1.5, 1.5 + margin, 1.9], [5.0, 0.1, 0.1 + 20.0 * margin]])
+            assert sim._nearest_steps(dist, steps, 2.0) == count
+
+
+def _swap_game():
+    """A car that no certificate covers (r < kappa h(alpha)), heading along
+    the line of two evaders that run the same way, away from the nearer one
+    behind it and at the farther one ahead: the margin between them shrinks
+    at nearly the full rate 2 (v_p + v_e) of ``_nearest_steps``' bound,
+    from 0.6 to 0 in about 20 steps."""
+    car = dg.PursuerSpec(
+        state=dg.PursuerState(pos=(0.0, 5.0), theta=0.0), motion="dubins", v=1.0, kappa=1.0, r=0.05
+    )
+    evaders = tuple(
+        dg.EvaderSpec(state=dg.EvaderState(pos=(x, 5.0)), v=0.5, strategy="constant", heading=math.pi)
+        for x in (-1.0, 1.6)
+    )
+    return dg.Scenario(pursuers=(car,), evaders=evaders, seed=0)
+
+
+def test_a_carried_leftover_target_swaps_at_the_step_a_fresh_assign_does(monkeypatch):
+    sc = _swap_game()
+    p = sc.pair_params(0, 0)
+    assert p.r < p.kappa * certificates.curvature_demand(p.alpha)
+    refreshes, calls = _checked_leftovers(monkeypatch)
+    dg.run(sc, dg.SimConfig(dt=0.01, max_time=0.5))
+    assert len(refreshes) == 50 and all(kept == {} for kept, _ in refreshes)
+    targets = [nearest[0] for _, nearest in refreshes]
+    assert targets == [0] * 21 + [1] * 29
+    # the first hold, 17 of the 0.6 / (2 ((v_p + v_e) dt + kappa
+    # CAR_STEP_ROUNDING)) = 17.9 steps, ends 3 steps short of the swap;
+    # shorter ones follow
+    assert calls[:5] == [0, 18, 20, 21, 22] and len(calls) < 12
+
+
+def _uncovered_game(rng):
+    """Three cars that no certificate covers (r < kappa h(alpha)) among
+    five evaders, constant or optimal, scattered over a 4 x 3 box well
+    above the goal: every car is a leftover pursuer at every refresh."""
+    cars = tuple(
+        dg.PursuerSpec(
+            state=dg.PursuerState(
+                pos=(rng.uniform(-2.0, 2.0), rng.uniform(3.0, 6.0)), theta=rng.uniform(0, 2 * math.pi)
+            ),
+            motion="dubins",
+            v=1.0,
+            kappa=float(rng.choice([0.3, 1.0, 3.0])),
+            r=0.05,
+        )
+        for _ in range(3)
+    )
+    evaders = []
+    while len(evaders) < 5:
+        x, y = rng.uniform(-2.0, 2.0), rng.uniform(3.0, 6.0)
+        if all(math.dist((x, y), car.state.pos) > car.r for car in cars):
+            strategy, heading = str(rng.choice(["constant", "optimal"])), rng.uniform(0, 2 * math.pi)
+            evaders.append(
+                dg.EvaderSpec(state=dg.EvaderState(pos=(x, y)), v=0.5, strategy=strategy, heading=heading)
+            )
+    return dg.Scenario(pursuers=cars, evaders=tuple(evaders), seed=int(rng.integers(100)))
+
+
+def test_leftover_targets_of_uncovered_cars_equal_a_fresh_assign(monkeypatch):
+    # cars turning at full rate among evaders running every way: their
+    # nearest evaders change often, and each change comes at the refresh a
+    # fresh ``assign`` makes it
+    rng = np.random.default_rng(35)
+    refreshes, calls = _checked_leftovers(monkeypatch)
+    for _ in range(12):
+        dg.run(_uncovered_game(rng), dg.SimConfig(dt=0.01, max_time=3.0))
+    changed = sum(a != b for (_, a), (_, b) in zip(refreshes, refreshes[1:]))
+    assert len(refreshes) > 3000 and changed > 50 and len(calls) < len(refreshes) // 2
 
 
 def _interception_entries(monkeypatch, sc, cfg):
@@ -1142,6 +1254,7 @@ def test_quiet_steps_and_anchors_play_the_same_game(monkeypatch, scenario, perio
     # at a longer period the pairs move past the anchors' drift cap
     assert (counts["carried"] > 100) == (period == 1)
     monkeypatch.setattr(sim, "_quiet_steps", lambda *args: 0)
+    monkeypatch.setattr(sim, "_nearest_steps", lambda *args: 0)
     monkeypatch.setattr(sim, "build_graph", lambda states, params, n_p, anchors: build_graph(states, params, n_p))
     assert dg.run(sc, cfg) == played
 
@@ -1149,8 +1262,8 @@ def test_quiet_steps_and_anchors_play_the_same_game(monkeypatch, scenario, perio
 @pytest.mark.parametrize(
     "scenario, period, max_time, builds, quiet",
     [
-        (_bundled_5v5, 1, 8.0, 1_223, 1_885),
-        (_bundled_5v5, 20, 8.0, 100, 1_885),
+        (_bundled_5v5, 1, 8.0, 42, 1_885),
+        (_bundled_5v5, 20, 8.0, 43, 1_885),
         (_team_lanes, 100, 20.0, 72, 752),
     ],
     ids=["5v5-p1", "5v5-p20", "team-lanes-p100"],
@@ -1160,8 +1273,9 @@ def test_quiet_steps_leave_the_pair_distances_unbuilt(
 ):
     # the pair-distance array is built at a screen, at the end of a run of
     # quiet steps and when a refresh reads it, never at the other quiet
-    # steps: 42 counts of quiet steps on the 5v5, 71 on the lanes game, and
-    # at period 1 the 5v5's refreshes read 1,181 arrays
+    # steps: 42 counts of quiet steps on the 5v5, 71 on the lanes game; the
+    # 5v5's refreshes read none at period 1 and one at period 20, where the
+    # leftover targets are taken anew 5 and 3 times
     sc = scenario()
     counts = {"builds": 0, "quiet": 0}
     pair_distances, detect = sim.pair_distances, sim._Game.detect
