@@ -41,6 +41,7 @@ import numpy as np
 
 from .geometry import (
     IO_TOL,
+    OPPOSITE_TOL,
     aim_bearing,
     aim_height_rate,
     aim_point,
@@ -56,6 +57,7 @@ from .model import (
     JointState,
     PursuerState,
     _as_point,
+    _margin_steps,
     _positive,
     _speed_ratio,
     wrap_angle,
@@ -435,6 +437,36 @@ class ClearanceAnchor:
         return carried if drift <= ANCHOR_DRIFT_CAP and carried >= 0.0 else None
 
 
+def _refuted_steps(ev: CertificateEvidence, p: GameParams, dt: float, snap: float, excess: float) -> int:
+    """Steps of ``dt`` over which a car's pair refuted by its witness (``ev``:
+    clearance w below -``_witness_margin``) provably stays NONE, while a
+    step turns the heading by at most v_p dt / kappa plus ``snap`` (a
+    re-snap) and moves either agent at most ``excess`` beyond v dt.  The
+    least of three ``model._margin_steps`` (rate s, allowance rho; a = alpha):
+
+    - gap d - r: s = (v_p + v_e) dt, rho = 2 excess;
+    - error band min(|err| - IO_TOL, pi - OPPOSITE_TOL - |err|): the aim
+      point moves at most (a d_e + d_p) / (a - 1) when the agents move d_p,
+      d_e, and lies at least a r / (a + 1) from the car, so its bearing turns
+      at most b dt / r (``_error_rate_bound``): s = (v_p / kappa + b / r) dt
+      + snap, rho = excess (1 + 2 (a + 1) / ((a - 1) r)).  So no step aligns
+      and ``turn_direction`` keeps the turn;
+    - -w - margin: the turn centre moves at most 2 v_p dt + kappa snap a
+      step; the witness's points, moved with the centres, stay feasible and
+      rise by at most (|dc| + a |dx_e|) / (a - 1) (``_witness_margin``): s =
+      (2 v_p dt + kappa snap + a v_e dt) / (a - 1), rho = excess (a + 1) / (a
+      - 1).  The closed form then stays below 0, and no carry reaches 0."""
+    a, err = p.alpha, abs(ev.heading_err)
+    spread, (turn, bearing) = (a + 1.0) / (a - 1.0), _error_rate_bound(p)
+    band = (turn + bearing / p.r) * dt + snap, excess * (1.0 + 2.0 * spread / p.r)
+    drift = (2.0 * p.v_p * dt + p.kappa * snap + a * p.v_e * dt) / (a - 1.0), excess * spread
+    return min(
+        _margin_steps(ev.dist - p.r, (p.v_p + p.v_e) * dt, 2.0 * excess),
+        _margin_steps(min(err - IO_TOL, math.pi - OPPOSITE_TOL - err), *band),
+        _margin_steps(-ev.clearance - _witness_margin(a, p.kappa), *drift),
+    )
+
+
 def solve_relaxed_clearance(state: JointState, p: GameParams) -> RelaxedSolution:
     """Closed-form worst-case clearance bound for an unaligned pair state
     (the turn center is derived from the pursuer's heading and turn sign)."""
@@ -595,7 +627,7 @@ def _error_rate_bound(p: GameParams) -> tuple[float, float]:
 
 #: Rounding margin of the rollout scan's jumps, in radians of heading error
 #: and in lengths of capture gap.  A heading at step k, with error e, gap g
-#: and pair distance d = g + r, jumps s = ``_quiet_steps`` >= 1 steps and
+#: and pair distance d = g + r, jumps s = ``_jump_steps`` >= 1 steps and
 #: skips the hit tests of steps k+1..k+s, which span at most x = s dt of game
 #: time (the horizon clamp only shortens it).  No skipped step fires.  The
 #: gap moves at most v_p + v_e, and x <= (g - margin) / (v_p + v_e), so it
@@ -619,7 +651,7 @@ def _error_rate_bound(p: GameParams) -> tuple[float, float]:
 _JUMP_MARGIN = 1e-9
 
 
-def _quiet_steps(err, gap, p: GameParams, dt: float):
+def _jump_steps(err, gap, p: GameParams, dt: float):
     """Whole steps of ``dt`` over which neither the heading error ``err`` nor
     the capture gap ``gap`` can reach zero (``_JUMP_MARGIN``), or below 1."""
     a, b = _error_rate_bound(p)
@@ -666,7 +698,7 @@ def rollout_clearance_oracle(
     A time scan on the grid min(k dt, horizon) brackets each heading's first
     firing step.  Each heading without an event keeps its own step, error
     and gap; in one array pass per round, all of them jump over the steps
-    where neither can reach zero (``_quiet_steps``) or take one step under
+    where neither can reach zero (``_jump_steps``) or take one step under
     the hit test, so the brackets are a per-step scan's (``_JUMP_MARGIN``).
     Then one array bisection locates the heading-error events and one the
     captures (the earlier wins), and one ``lowest_point`` call gives every
@@ -694,7 +726,7 @@ def rollout_clearance_oracle(
     idx, k, t = np.arange(grid), np.zeros(grid), np.zeros(grid)
     err, gap = np.full(grid, err0), np.full(grid, dist0 - p.r)
     while idx.size:
-        skip = _quiet_steps(err, gap, p, dt)
+        skip = _jump_steps(err, gap, p, dt)
         single = skip < 1.0
         k = np.where(single, k + 1.0, k + skip)
         t_next = np.minimum(k * dt, horizon)
@@ -780,7 +812,7 @@ class Certificate:
 
 
 def intercepts(aim, theta: float, p: GameParams) -> bool:
-    """The one INTERCEPT test, of ``certify_win`` and ``carried_edges``:
+    """The one INTERCEPT test, of ``certify_win`` and the simulator's carry:
     for the aim ``(x, y, bearing)`` (``aim_point``, ``aim_bearing``) and the
     pursuer heading ``theta``, separation (aim height at least 0) and, for a
     car, alignment (heading error within ``IO_TOL``) and the curvature check."""

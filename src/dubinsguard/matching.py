@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .certificates import Certificate, CertificateKind, ClearanceAnchor, certify_win, intercepts
+from .certificates import Certificate, CertificateEvidence, CertificateKind, ClearanceAnchor, certify_win
 from .model import GameParams, JointState
 
 
@@ -23,11 +23,13 @@ class WinGraph:
     """Bipartite graph over pursuer and evader indices; every edge carries
     the certificate that justifies it (``build_graph``), or None in the
     graph of bare keys the simulator matches.  ``screened`` holds the aim
-    height, below 0, of every pair certified without separation."""
+    height, below 0, of every pair certified without separation, ``refuted``
+    the evidence of every pair its two-step witness refuted."""
 
     n_pursuers: int
     edges: dict[tuple[int, int], Certificate | None] = field(default_factory=dict)
     screened: dict[tuple[int, int], float] = field(default_factory=dict)
+    refuted: dict[tuple[int, int], CertificateEvidence] = field(default_factory=dict)
 
 
 def build_graph(
@@ -40,34 +42,29 @@ def build_graph(
     is not NONE.  Inactive players are simply absent from ``pair_states``.
 
     The graph reports the aim height (``evidence.separation``) of every
-    pair whose certificate lacks separation.  ``anchors`` holds each pair's
+    pair whose certificate lacks separation, and the evidence of each pair
+    refuted before a solve or a carry.  ``anchors`` holds each pair's
     last two-step solve, updated in place: ``certify_win`` may carry it, a
     new solve replaces it and a failed one drops it.  Without it nothing is
     carried.
     """
     if anchors is None:
         anchors = {}
-    edges = {}
-    screened = {}
+    graph = WinGraph(n_pursuers=n_pursuers)
     for key in sorted(pair_states):
         cert = certify_win(pair_states[key], pair_params[key], anchors.get(key))
-        if cert.evidence.anchor is not None:
-            anchors[key] = cert.evidence.anchor
-        elif cert.evidence.solver_failed:
+        ev = cert.evidence
+        if ev.anchor is not None:
+            anchors[key] = ev.anchor
+        elif ev.solver_failed:
             anchors.pop(key, None)
-        if not cert.evidence.sc:
-            screened[key] = cert.evidence.separation
+        elif ev.clearance is not None:
+            graph.refuted[key] = ev
+        if not ev.sc:
+            graph.screened[key] = ev.separation
         if cert.kind is not CertificateKind.NONE:
-            edges[key] = cert
-    return WinGraph(n_pursuers=n_pursuers, edges=edges, screened=screened)
-
-
-def carried_edges(pairs: dict[tuple[int, int], tuple], pair_params: dict) -> set:
-    """The keys of the INTERCEPT pairs among ``pairs``, each ``(theta, aim)``:
-    the pursuer's heading and the pair's (x, y, bearing) that its caller
-    computed at the current positions.  No certificate is built; the other
-    pairs are left for ``build_graph``."""
-    return {key for key, (theta, aim) in pairs.items() if intercepts(aim, theta, pair_params[key])}
+            graph.edges[key] = cert
+    return graph
 
 
 def max_matching(graph: WinGraph) -> dict[int, int]:

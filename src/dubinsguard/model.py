@@ -238,6 +238,16 @@ def step_evader(x: float, y: float, u_e, dt: float, v_e: float) -> tuple[float, 
     return out
 
 
+def _margin_steps(margin, rate, rounding=0.0) -> int:
+    """The most whole n with m - rho - n (s + rho) > 0, or 0: how many
+    coming steps provably leave a margin m above 0 as it shrinks by at most
+    s a step, the rounding allowance rho taken off once and added to each
+    step; on arrays, the least.  The simulator's skips and holds count so."""
+    slack = (margin - rounding) / (rate + rounding)
+    slack = slack.min() if isinstance(slack, np.ndarray) else slack  # floats skip numpy
+    return math.ceil(slack) - 1 if slack > 0.0 else 0
+
+
 def pair_distances(p_pos: np.ndarray, e_pos: np.ndarray) -> np.ndarray:
     """Distance of every pursuer to every evader, an ``(n_p, n_e)`` array:
     the one pair-distance kernel of the admissibility rules and the game.

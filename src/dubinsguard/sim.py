@@ -4,26 +4,21 @@
 over one per-game state object until no evader is in play or the horizon is
 reached:
 
-- assign: every step (or every ``matching_period`` steps) the win graph over
-  the active pairs is rebuilt, a maximum matching of what its kept pairs
-  leave (``sticky``: the previous pairs still edges) assigns pursuers to
-  evaders, and leftover pursuers chase the nearest unmatched evader (the
-  nearest evader when every one is held), kept while the kept pairs and
-  the evaders in play are unchanged and ``_nearest_steps`` proves them
-  nearest (bundled 5v5, period 1: taken 5 times in the 1,212 refreshes
-  with a leftover pursuer); certificates are read only as edge keys, and
-  the graph matched holds bare keys.  One pass over the active pairs skips
-  those whose separation window is open (see ``WINDOW_MARGIN``): no pair in
-  a window could be an edge, so the graph is the one a full rebuild would
-  give.  It carries an intercepting car's own pair as a bare edge key when
-  ``intercepts`` holds at the car's last re-snap aim, and hands the rest to
-  ``build_graph``, which runs only when some pair is left, with each pair's
-  last two-step solve (``anchors``), which it may carry instead of solving
-  again (see ``run`` for where a carried pair can differ from a new solve).
-  An unchanged edge-key set reuses its matching (bundled 5v5, period 1:
-  7,166 keys carried, ``build_graph`` in 648 of 1,899 refreshes for 980
-  pairs, 64 sextic solves for 307 two-step certificates, 6
-  ``max_matching`` calls);
+- assign: every step (or every ``matching_period`` steps) a maximum
+  matching of the win graph, less its kept pairs (``sticky``), assigns
+  pursuers to evaders; leftover pursuers chase the nearest unmatched evader
+  (the nearest when all are held) while ``_nearest_steps`` proves it.  The
+  graph is a ledger of one record per active pair, (expiry step, edge or
+  not, reason), each expiry a proof.  Before the first, with no event since
+  (a capture, a goal arrival, a retarget, an ``io_achieved``, a re-snap that
+  breaks an intercept edge), the last result is reused.  Otherwise only
+  expired pairs are recorded anew: an intercepting car's own pair is an
+  edge while ``intercepts`` holds at its last re-snap aim, until an event;
+  ``build_graph`` certifies the rest with their ``anchors``, and holds a
+  pair without separation for its window (``WINDOW_MARGIN``) and a refuted
+  one for ``certificates._refuted_steps`` (bundled 5v5, period 1: 196 full
+  refreshes of 1,899, ``build_graph`` in 181 for 363 pairs, 64 sextic
+  solves for 307 two-step certificates, 6 ``max_matching`` calls);
 - controls: evader controls first, then the pursuers', which observe them.
   Every car runs ``strategies.two_step_command``, the one adjust-then-
   intercept phase machine and the only way into interception; the simulator
@@ -36,14 +31,15 @@ reached:
 - detect: capture and goal-arrival crossings are located by linear
   interpolation inside the step.  After each capture screen, the steps
   that provably end with every active pair outside its capture disk are
-  counted (``_quiet_steps``); they test goal crossings only.
+  counted (``_quiet_steps``); they test goal crossings only.  That count,
+  the leftover targets' and the ledger's are one ``model._margin_steps``.
 
 Agent state is plain floats: positions and controls are ``(x, y)`` float
 pairs, the library's one point type, stepped by the float kernels of
 ``model`` and ``strategies``.  A scenario's state positions are such pairs
 already, so they are read as they are, and the validated state objects of
-the win graph, built only for agents with a pair neither windowed nor
-carried, take the pairs without conversion.  Arrays appear
+the win graph, built only for agents with a pair whose record is out, take
+the pairs without conversion.  Arrays appear
 only where all pairs are batched: the pair distances are one ``(n_p, n_e)``
 array from ``model.pair_distances``, shared by the capture screen, the
 nearest-pursuer choice of ``optimal`` evaders and the leftover pursuers'
@@ -64,8 +60,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .certificates import _refuted_steps, intercepts
 from .geometry import IO_TOL, aim_bearing, aim_height_rate, aim_point
-from .matching import WinGraph, _pool, assign, build_graph, carried_edges, max_matching
+from .matching import WinGraph, _pool, assign, build_graph, max_matching
 from .model import (
     DUBINS,
     STRAIGHT_EPS,
@@ -73,6 +70,7 @@ from .model import (
     JointState,
     PursuerState,
     Scenario,
+    _margin_steps,
     _positive,
     pair_distances,
     step_evader,
@@ -103,8 +101,9 @@ SNAP_FACTOR = 10.0
 
 #: Margin, in units of aim height, that a separation window keeps.  A pair
 #: reported at aim height y < 0 still lacks separation, with an aim height
-#: below -WINDOW_MARGIN, for (-y - WINDOW_MARGIN) / ``aim_height_rate`` of
-#: game time: its window.  The margin absorbs the rounding of the heights.
+#: below -WINDOW_MARGIN, for the whole steps that fit in (-y - WINDOW_MARGIN)
+#: / ``aim_height_rate`` of game time: its window.  The margin absorbs the
+#: rounding of the heights.
 WINDOW_MARGIN = 1e-12
 
 #: Bound, per unit of turning radius, on how far a car's float step can end
@@ -116,6 +115,10 @@ CAR_STEP_ROUNDING = 8.0 * sys.float_info.epsilon / STRAIGHT_EPS
 
 #: Relative rounding allowance of the capture-quiet count (``_quiet_steps``).
 QUIET_ROUNDING = 16.0 * sys.float_info.epsilon
+
+#: A pair's record before it is first certified: (step from which it no
+#: longer holds, edge or not, reason: "window", "refuted", "intercept", None).
+_NO_RECORD = (0, False, None)
 
 
 @dataclass(frozen=True)
@@ -218,18 +221,16 @@ def _quiet_steps(dist: np.ndarray, radii: np.ndarray, steps: np.ndarray, scale: 
     """How many coming steps provably end with every pair of ``dist`` (the
     pair distances at the current positions) outside its capture disk.
 
-    One step closes pursuer ``i`` and any evader by at most ``steps[i]``, so
-    a pair with gap g = dist - r stays outside for g / steps[i] steps.  A
+    One step closes pursuer ``i`` and any evader by at most ``steps[i]``: a
+    gap g = dist - r shrinks at that rate (``model._margin_steps``), with a
     rounding allowance of QUIET_ROUNDING * (1 + 4 scale), ``scale`` the
-    largest coordinate in play, is taken off each gap and added to each
-    step: it covers the rounding of the distances and of the positions a
-    step writes, as no agent moves farther than the largest distance,
-    itself below 3 scale, before the count runs out."""
+    largest coordinate in play.  It covers the rounding of the distances and
+    of the positions a step writes, as no agent moves farther than the
+    largest distance, itself below 3 scale, before the count runs out."""
     if dist.size == 0:
         return 0
     rounding = QUIET_ROUNDING * (1.0 + 4.0 * scale)
-    slack = (dist - radii[:, None] - rounding) / (steps[:, None] + rounding)
-    return max(0, math.floor(float(slack.min())))
+    return _margin_steps(dist - radii[:, None], steps[:, None], rounding)
 
 
 def _nearest_steps(dist: np.ndarray, steps: np.ndarray, scale: float) -> int:
@@ -239,22 +240,17 @@ def _nearest_steps(dist: np.ndarray, steps: np.ndarray, scale: float) -> int:
     ``matching.assign`` picks the same targets; ``steps`` holds the rows'
     pursuers' ``_quiet_steps`` closings.
 
-    A row's margin m is its second-least distance minus its least.  One
-    step changes each distance of pursuer ``i`` by at most ``steps[i]``, so
-    the margin shrinks by at most 2 steps[i] per step.  With the rounding
-    allowance rho of ``_quiet_steps`` taken off for each of the two
-    distances (it covers a distance at both ends) and added to each step,
-    the margin stays strictly positive after n steps while m - 2 rho -
-    2 n (steps[i] + rho) > 0; no agent in the row moves farther than m / 2,
-    below 3 scale, before the count runs out, as ``_quiet_steps`` allows.
-    A tie gives 0, since a tie goes to the lowest index; a single column
-    never expires."""
+    A row's margin m, its second-least distance less its least, shrinks by
+    at most 2 steps[i] a step (``model._margin_steps``), with twice the
+    allowance rho of ``_quiet_steps``, one per distance; no agent in the row
+    moves farther than m / 2, below 3 scale, before the count runs out.  A
+    tie gives 0, since a tie goes to the lowest index; a single column never
+    expires."""
     if dist.shape[1] < 2:
         return sys.maxsize
     rounding = QUIET_ROUNDING * (1.0 + 4.0 * scale)
     least = np.partition(dist, 1, axis=1)
-    slack = (least[:, 1] - least[:, 0] - 2.0 * rounding) / (2.0 * (steps + rounding))
-    return max(0, math.ceil(float(slack.min())) - 1)
+    return _margin_steps(least[:, 1] - least[:, 0], 2.0 * steps, 2.0 * rounding)
 
 
 class _Game:
@@ -289,10 +285,10 @@ class _Game:
             self.e_fixed.append(_with_heading(evader_constant(heading)))
 
         self.params = {(i, j): sc.pair_params(i, j) for i in range(n_p) for j in range(n_e)}
-        # Game time until which each pair the graph reported without
-        # separation provably stays so, and each pair's last two-step solve
-        # (``build_graph``'s anchors).
-        self.unseparated_until: dict[tuple[int, int], float] = {}
+        # Pair records (``_NO_RECORD``), the step from which the last result
+        # no longer holds (``assign``), each pair's last two-step solve.
+        self.records: dict[tuple[int, int], tuple[int, bool, str | None]] = {}
+        self.due = 0
         self.anchors: dict = {}
         self.radii = np.array([spec.r for spec in sc.pursuers])
         # How far each pursuer and an evader can close in one float step.
@@ -321,9 +317,9 @@ class _Game:
         # Pair distances at the current positions, built only by
         # ``distances``; None from the start of ``detect`` until they are
         # asked for (a quiet step, and a refresh that keeps its leftover
-        # targets, leaves them unbuilt).  Evaders leaving
-        # play are moved to their event points after the distances are
-        # taken, but their columns are never read again.
+        # targets, leaves them unbuilt).  Evaders leaving play are moved to
+        # their event points after the distances are taken, but their
+        # columns are never read again.
         self.dist: np.ndarray | None = None
         # Coming steps that provably end with no capture.
         self.quiet = 0
@@ -332,35 +328,47 @@ class _Game:
         self.e_start = self.e_xy
 
     def assign(self):
-        """Rebuild the win graph over the active pairs outside their windows,
-        carrying the intercepting cars' pairs, re-match and retarget the
-        pursuers.  A car with a new target restarts its phase machine and
-        enters interception at once when the new pair is aligned and feasible."""
-        n_p, t, until = self.n_p, self.t, self.unseparated_until
+        """Re-match and retarget the pursuers from the active pairs' records,
+        reusing the last result before ``due`` (module docstring).  A car
+        with a new target restarts its phase machine and enters interception
+        at once when the new pair is aligned and feasible."""
+        n_p, t, n, dt, records = self.n_p, self.t, self.n_steps, self.cfg.dt, self.records
+        if n < self.due:
+            self.matching_history.append((t, *self.matching_history[-1][1:]))
+            return
         active = [j for j in range(self.n_e) if self.status[j] == ACTIVE]
-        carry, rest = {}, []
+        edges, rest, due = set(), [], sys.maxsize
         for i, (own, phase) in enumerate(zip(self.target, self.phases)):
             if phase is None or phase.phase is not Phase.INTERCEPTING:
                 own = None
             for j in active:
-                if until.get((i, j), t) > t:
-                    continue
-                if j == own:
-                    carry[i, j] = self.theta[i], self.snap_aim[i]
-                else:
-                    rest.append((i, j))
-        carried = carried_edges(carry, self.params)
-        rest += carry.keys() - carried
-        edges = carried
+                record = records.get((i, j), _NO_RECORD)
+                if record[0] <= n or (record[2] == "intercept" and j != own):
+                    if j != own or not intercepts(self.snap_aim[i], self.theta[i], self.params[i, j]):
+                        rest.append((i, j))
+                        continue
+                    record = records[i, j] = sys.maxsize, True, "intercept"
+                if record[0] < due:
+                    due = record[0]
+                if record[1]:
+                    edges.add((i, j))
         if rest:
             pursuers = {i: PursuerState(self.p_xy[i], self.theta[i]) for i, _ in rest}
             evaders = {j: EvaderState(pos=self.e_xy[j]) for _, j in rest}
             pair_states = {(i, j): JointState(pursuers[i], evaders[j]) for i, j in rest}
             graph = build_graph(pair_states, self.params, n_p, self.anchors)
-            for key, height in graph.screened.items():
-                p = self.params[key]
-                until[key] = t + (-height - WINDOW_MARGIN) / aim_height_rate(p.v_p, p.alpha)
-            edges = carried | graph.edges.keys()
+            rounding = QUIET_ROUNDING * (1.0 + 4.0 * self.scale()) if graph.refuted else 0.0
+            for key in rest:
+                p, steps, reason = self.params[key], 0, None
+                if key in graph.screened:  # its window
+                    rate = aim_height_rate(p.v_p, p.alpha) * dt
+                    steps, reason = _margin_steps(-graph.screened[key] - WINDOW_MARGIN, rate), "window"
+                elif key in graph.refuted:
+                    excess = p.kappa * CAR_STEP_ROUNDING + rounding
+                    steps, reason = _refuted_steps(graph.refuted[key], p, dt, SNAP_FACTOR * IO_TOL, excess), "refuted"
+                records[key] = n + 1 + steps, key in graph.edges, reason
+                due = min(due, n + 1 + steps)
+            edges |= graph.edges.keys()
         kept = {}
         if self.cfg.sticky:  # the graph holds active evaders only
             kept = {i: j for i, j in self.matched.items() if (i, j) in edges}
@@ -370,6 +378,7 @@ class _Game:
         kept.update(self.match(edges))
         pairs = tuple(sorted(kept.items()))
         opportunistic = self.nearest(kept, pairs, active) if len(kept) < n_p else {}
+        self.due = min(due, self.leftovers[2]) if len(kept) < n_p else due
         if kept != self.matched:
             self.events.append(Event(t=t, kind="matching_changed", detail=pairs))
             self.matched = kept
@@ -381,6 +390,7 @@ class _Game:
             self.target[i] = new_target
             if self.phases[i] is not None:
                 self.phases[i] = TwoStepState()
+                self.due = 0
 
     def nearest(self, kept: dict[int, int], pairs: tuple, active: list[int]) -> dict[int, int]:
         """``assign``'s targets for the pursuers outside ``kept`` (``pairs``
@@ -459,6 +469,9 @@ class _Game:
             if self.phases[i].phase is not phase.phase:
                 self.theta[i] = self.aim(i, j)[2]
                 self.events.append(Event(t=self.t, kind="io_achieved", pursuer=i, evader=j))
+                # its records that rest on its heading go; a window rests on positions
+                self.records = {k: rec for k, rec in self.records.items() if k[0] != i or rec[2] == "window"}
+                self.due = 0
             controls.append(u)
         return controls
 
@@ -482,7 +495,7 @@ class _Game:
         intercepting cars against drift, each keeping its re-snap's aim in
         ``snap_aim``: nothing in play moves between the re-snap and the next
         refresh, so that refresh reads the aim at the current floats."""
-        dt = self.cfg.dt
+        dt, band = self.cfg.dt, SNAP_FACTOR * IO_TOL
         for i, (spec, u) in enumerate(zip(self.sc.pursuers, p_controls)):
             x, y = self.p_xy[i]
             if self.phases[i] is not None:
@@ -502,8 +515,11 @@ class _Game:
             if j is None or phase is None or phase.phase is not Phase.INTERCEPTING:
                 continue
             self.snap_aim[i] = aim = self.aim(i, j)
-            if 0.0 < abs(wrap_to_pi(aim[2] - self.theta[i])) <= SNAP_FACTOR * IO_TOL:
+            err = abs(wrap_to_pi(aim[2] - self.theta[i]))
+            if 0.0 < err <= band:
                 self.theta[i] = aim[2]
+            if (aim[1] < 0.0 or err > band) and self.records.get((i, j), _NO_RECORD)[1]:
+                self.records[i, j], self.due = _NO_RECORD, 0  # an intercept edge no longer
 
     def distances(self) -> np.ndarray:
         """The pair distances at the current positions."""
@@ -552,6 +568,7 @@ class _Game:
             else:
                 continue
             self.status[j] = status
+            self.due = 0
             (sx, sy), (ex, ey) = self.e_start[j], self.e_xy[j]
             self.e_xy[j] = (sx + frac * (ex - sx), sy + frac * (ey - sy))
             self.events.append(
@@ -584,6 +601,10 @@ def run(sc: Scenario, cfg: SimConfig) -> SimResult:
     whose solve would raise ``KKTReconstructionError`` (a missed root) stays
     TWO_STEP, where a game without anchors gives it no certificate
     (``solver_failed``).
+
+    The ledger gives the edge keys certifying every pair would (5v5, period
+    1: 1,703 of 1,899 refreshes reuse them); a held refuted pair keeps an
+    anchor that a solve could replace by one that never carries.
     """
     game = _Game(sc, cfg)
     for step_index in itertools.count():

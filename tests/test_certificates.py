@@ -9,13 +9,15 @@ import dubinsguard as dg
 from conftest import aligned_state, make_state, pair_floats
 from dubinsguard.certificates import (
     ANCHOR_DRIFT_CAP,
+    CertificateEvidence,
     ClearanceAnchor,
+    _refuted_steps,
     _rollout_positions,
     _witness_clearance,
     _witness_margin,
     _wrapped_error,
 )
-from dubinsguard.geometry import aim_point, lowest_point
+from dubinsguard.geometry import IO_TOL, OPPOSITE_TOL, aim_point, lowest_point
 from dubinsguard.strategies import two_step_command
 
 
@@ -902,17 +904,17 @@ class TestRolloutOracle:
     def test_jump_scan_evaluates_few_headings(self, paper, monkeypatch):
         # a scan of every step evaluates each heading at every step up to
         # its event at t, at least floor(t / dt) times; the jump scan
-        # evaluates once per round each heading it passes to _quiet_steps
+        # evaluates once per round each heading it passes to _jump_steps
         from dubinsguard import certificates
 
         evaluated = []
 
         def spy(err, gap, p, dt):
             evaluated.append(err.size)
-            return quiet_steps(err, gap, p, dt)
+            return jump_steps(err, gap, p, dt)
 
-        quiet_steps = certificates._quiet_steps
-        monkeypatch.setattr(certificates, "_quiet_steps", spy)
+        jump_steps = certificates._jump_steps
+        monkeypatch.setattr(certificates, "_jump_steps", spy)
         per_step = 0
         for seed in range(12):
             state = dg.sample_adjust_feasible_state(np.random.default_rng(seed), paper)
@@ -1415,3 +1417,62 @@ class TestClearanceAnchor:
         anchors = {(0, 0): far, (0, 1): kept}
         dg.build_graph({(0, 0): state}, {(0, 0): p}, 1, anchors)
         assert anchors == {(0, 1): kept}
+
+
+def _refuted(witness, err, gap, p):
+    """Evidence of a car's pair refuted by a witness clearance ``witness``,
+    at heading error ``err`` and capture gap ``gap``."""
+    return CertificateEvidence(
+        separation=0.5,
+        sc=True,
+        io=False,
+        heading_err=err,
+        dist=p.r + gap,
+        intercept_ok=True,
+        adjust_ok=True,
+        two_step_ok=True,
+        clearance=witness,
+    )
+
+
+class TestRefutedSteps:
+    """The hold of a refuted pair is the least of three ``_margin_steps``
+    counts, each margin with its rate s and allowance rho from the
+    docstring's derivation: steps with margin - rho - n (s + rho) > 0."""
+
+    P = dg.GameParams(v_p=1.0, v_e=0.5, kappa=1.0, r=1.0)  # alpha 2
+    DT, SNAP, EXCESS = 1e-5, 1e-5, 1e-9
+    # (rate, allowance) per margin at P: the gap closes at (v_p + v_e) dt;
+    # the error at (v_p / kappa + b / r) dt + snap, b = v_p (a + 1)^2 / (a
+    # (a - 1)) = 4.5; the witness at (2 v_p dt + kappa snap + a v_e dt) /
+    # (a - 1)
+    RATES = {
+        "gap": (1.5e-5, 2.0 * EXCESS),
+        "band": ((1.0 + 4.5) * DT + SNAP, EXCESS * (1.0 + 2.0 * 3.0)),
+        "witness": ((2.0 * DT + SNAP + 2.0 * 0.5 * DT) / 1.0, EXCESS * 3.0),
+    }
+
+    def _steps(self, witness=-1.0, err=0.5 * math.pi, gap=1.0):
+        ev = _refuted(witness, err, gap, self.P)
+        return _refuted_steps(ev, self.P, self.DT, self.SNAP, self.EXCESS)
+
+    def test_far_margins_hold_for_many_steps(self):
+        assert self._steps() > 20000
+
+    def test_no_step_at_the_witness_margin_or_the_alignment_band(self):
+        margin = _witness_margin(self.P.alpha, self.P.kappa)
+        assert self._steps(witness=-margin) == 0
+        assert self._steps(err=IO_TOL) == 0 and self._steps(err=-IO_TOL) == 0
+        assert self._steps(err=math.pi - OPPOSITE_TOL) == 0
+        assert self._steps(gap=0.0) == 0
+
+    @pytest.mark.parametrize("n", [1, 7, 300])
+    @pytest.mark.parametrize("which", ["gap", "band", "witness"])
+    def test_a_margin_just_above_or_below_the_bound_moves_the_count_by_one(self, which, n):
+        rate, rho = self.RATES[which]
+        bound = rho + n * (rate + rho)
+        margin = _witness_margin(self.P.alpha, self.P.kappa)
+        for scaled, count in ((1.0 + 1e-6, n), (1.0 - 1e-6, n - 1)):
+            m = bound * scaled
+            kwargs = {"gap": {"gap": m}, "band": {"err": -(IO_TOL + m)}, "witness": {"witness": -(margin + m)}}
+            assert self._steps(**kwargs[which]) == count

@@ -185,11 +185,12 @@ class TestSeparationScreen:
             assert 0 < len(graph.screened) < len(states)
             assert any(c.kind is dg.CertificateKind.TWO_STEP for c in graph.edges.values())
 
-    def test_carried_edges_are_the_intercept_edges(self, monkeypatch):
-        # handed each pair's aim, carried_edges computes none, builds no
-        # certificate and keeps exactly the keys that certify_win certifies
-        # INTERCEPT
-        from dubinsguard import certificates, matching
+    def test_intercepts_at_a_given_aim_is_the_intercept_certificate(self, monkeypatch):
+        # handed each pair's aim, ``intercepts`` computes none, builds no
+        # certificate and holds on exactly the keys that certify_win
+        # certifies INTERCEPT: the test the simulator makes on an
+        # intercepting car's own pair at the car's re-snap aim
+        from dubinsguard import certificates
         from dubinsguard.geometry import aim_bearing, aim_point
 
         states, params = _screen_corpus(np.random.default_rng(68), 8)
@@ -206,7 +207,8 @@ class TestSeparationScreen:
 
         for name in ("aim_point", "Certificate", "CertificateEvidence"):
             monkeypatch.setattr(certificates, name, unexpected)
-        assert matching.carried_edges(pairs, params) == expected
+        held = {key for key, (theta, aim) in pairs.items() if certificates.intercepts(aim, theta, params[key])}
+        assert held == expected
         assert 0 < len(expected) < len(pairs)
 
     def test_screened_heights_are_the_aim_heights(self):

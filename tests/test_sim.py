@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import functools
 import importlib.util
@@ -645,29 +646,29 @@ def _climbing_duels():
     )
 
 
+def _active_pairs(game):
+    """The pairs of ``game`` with an evader in play."""
+    return [(i, j) for i in range(game.n_p) for j in range(game.n_e) if game.status[j] == sim.ACTIVE]
+
+
 def _replay_windows(monkeypatch, sc, cfg):
-    """Play the game checking every pair the simulator leaves out of a
-    refresh, neither carried nor certified: each must lack separation
-    there.  Returns the result and the counts of windowed (skipped) and
-    screened-out pair evaluations."""
+    """Play the game checking, at every refresh, every pair that the
+    simulator holds on a separation window instead of certifying it: each
+    must lack separation there.  Returns the result and the counts of
+    windowed (skipped) and screened-out pair evaluations."""
     counts = {"skipped": 0, "screened": 0}
     offered = set()
-    assign, build_graph, carried_edges = sim._Game.assign, sim.build_graph, sim.carried_edges
+    assign, build_graph = sim._Game.assign, sim.build_graph
 
     def checked_assign(self):
         offered.clear()
         assign(self)  # moves no agent
-        for i in range(self.n_p):
-            for j in range(self.n_e):
-                if self.status[j] != sim.ACTIVE or (i, j) in offered:
-                    continue
-                height = aim_point(self.p_xy[i], self.e_xy[j], self.params[(i, j)].alpha)[1]
-                assert height < 0.0, (self.t, i, j)
-                counts["skipped"] += 1
-
-    def recording_carried_edges(pairs, pair_params):
-        offered.update(pairs)
-        return carried_edges(pairs, pair_params)
+        for i, j in _active_pairs(self):
+            if (i, j) in offered or self.records[i, j][2] != "window":
+                continue
+            height = aim_point(self.p_xy[i], self.e_xy[j], self.params[(i, j)].alpha)[1]
+            assert height < 0.0, (self.t, i, j)
+            counts["skipped"] += 1
 
     def recording_build_graph(pair_states, *args):
         offered.update(pair_states)
@@ -676,7 +677,6 @@ def _replay_windows(monkeypatch, sc, cfg):
         return graph
 
     monkeypatch.setattr(sim._Game, "assign", checked_assign)
-    monkeypatch.setattr(sim, "carried_edges", recording_carried_edges)
     monkeypatch.setattr(sim, "build_graph", recording_build_graph)
     return dg.run(sc, cfg), counts
 
@@ -766,27 +766,18 @@ class TestOneRematchingPass:
     @staticmethod
     def _refreshes(monkeypatch, sc, cfg):
         """Play the game; returns, per refresh, the edge-key set of the win
-        graph (the carried keys and the built graph's edges), the key set
-        matched and the refresh's matching."""
+        graph (the active pairs whose records are edges), the key set
+        matched and the refresh's matching.  A refresh that reuses the last
+        one's result matches the key set that one matched."""
         built, matched = [], []
-        build_graph, carried_edges, match = sim.build_graph, sim.carried_edges, sim._Game.match
+        assign = sim._Game.assign
 
-        def recording_carry(*args):
-            built.append(set(carried_edges(*args)))
-            return built[-1].copy()
+        def recording_assign(self):
+            assign(self)
+            built.append({key for key in _active_pairs(self) if self.records[key][1]})
+            matched.append(set(self.last_match[0]))
 
-        def recording_build(*args):
-            graph = build_graph(*args)
-            built[-1] |= graph.edges.keys()
-            return graph
-
-        def recording_match(self, keys):
-            matched.append(set(keys))
-            return match(self, keys)
-
-        monkeypatch.setattr(sim, "carried_edges", recording_carry)
-        monkeypatch.setattr(sim, "build_graph", recording_build)
-        monkeypatch.setattr(sim._Game, "match", recording_match)
+        monkeypatch.setattr(sim._Game, "assign", recording_assign)
         result = dg.run(sc, cfg)
         history = [dict(pairs) for _, pairs, _ in result.matching_history]
         assert len(built) == len(matched) == len(history)
@@ -838,38 +829,41 @@ class TestOneRematchingPass:
 
 
 def _replay_carried(monkeypatch, sc, cfg):
-    """Play the game certifying every pair handed to ``carried_edges``
-    anyway, by ``certify_win`` on a ``JointState`` of the game's floats: a
-    carried key must be INTERCEPT, with the aim height and heading error
-    that the carry read as its evidence, bit for bit, and its aim height,
-    recomputed from the positions, at least 0; a pair left out must not be
-    INTERCEPT.  Returns the result and the number of carried keys."""
+    """Play the game certifying every intercepting car's own pair that the
+    simulator tests with ``intercepts`` anyway, by ``certify_win`` on a
+    ``JointState`` of the game's floats: a carried pair must be INTERCEPT,
+    with the aim height and heading error that the test read as its
+    evidence, bit for bit, and its aim height, recomputed from the
+    positions, at least 0; a pair the test refuses must not be INTERCEPT.
+    Returns the result and the number of carried keys summed over the
+    refreshes, the ones that hold them from an earlier test included."""
     carried, games = [0], []
-    assign, carried_edges = sim._Game.assign, sim.carried_edges
+    assign, intercepts = sim._Game.assign, sim.intercepts
 
     def recording_assign(self):
         games.append(self)
         assign(self)
+        carried[0] += sum(self.records[key][2] == "intercept" for key in _active_pairs(self))
 
-    def checked(pairs, pair_params):
-        g, keys = games[-1], carried_edges(pairs, pair_params)
-        for (i, j), (theta, aim) in pairs.items():
-            x_p, x_e, p = g.p_xy[i], g.e_xy[j], pair_params[i, j]
-            assert theta == g.theta[i]
-            cert = dg.certify_win(dg.JointState(dg.PursuerState(x_p, theta), dg.EvaderState(x_e)), p)
-            if (i, j) not in keys:
-                assert cert.kind is not dg.CertificateKind.INTERCEPT
-                continue
-            assert cert.kind is dg.CertificateKind.INTERCEPT
-            assert cert.evidence.separation == aim[1]
-            assert cert.evidence.heading_err == dg.wrap_to_pi(aim[2] - theta)
-            dist = math.hypot(x_p[0] - x_e[0], x_p[1] - x_e[1])
-            assert lowest_point(*x_p, *x_e, dist, p.alpha)[1] >= 0.0
-        carried[0] += len(keys)
-        return keys
+    def checked(aim, theta, p):
+        g = games[-1]
+        (i,) = [i for i in range(g.n_p) if g.snap_aim[i] is aim]
+        j = g.target[i]
+        x_p, x_e = g.p_xy[i], g.e_xy[j]
+        assert theta == g.theta[i] and p is g.params[i, j]
+        cert = dg.certify_win(dg.JointState(dg.PursuerState(x_p, theta), dg.EvaderState(x_e)), p)
+        if not intercepts(aim, theta, p):
+            assert cert.kind is not dg.CertificateKind.INTERCEPT
+            return False
+        assert cert.kind is dg.CertificateKind.INTERCEPT
+        assert cert.evidence.separation == aim[1]
+        assert cert.evidence.heading_err == dg.wrap_to_pi(aim[2] - theta)
+        dist = math.hypot(x_p[0] - x_e[0], x_p[1] - x_e[1])
+        assert lowest_point(*x_p, *x_e, dist, p.alpha)[1] >= 0.0
+        return True
 
     monkeypatch.setattr(sim._Game, "assign", recording_assign)
-    monkeypatch.setattr(sim, "carried_edges", checked)
+    monkeypatch.setattr(sim, "intercepts", checked)
     return dg.run(sc, cfg), carried[0]
 
 
@@ -896,7 +890,7 @@ def test_carried_certificates_equal_certify_win_and_change_nothing(
     assert carried > 0
     if scenario is _bundled_5v5 and period == 1:
         assert carried >= 7000
-    monkeypatch.setattr(sim, "carried_edges", lambda pairs, pair_params: set())
+    monkeypatch.setattr(sim, "intercepts", lambda aim, theta, p: False)
     monkeypatch.setattr(
         sim._Game,
         "match",
@@ -907,7 +901,8 @@ def test_carried_certificates_equal_certify_win_and_change_nothing(
 
 def test_carried_pairs_build_no_evidence(monkeypatch):
     # on the bundled 5v5 re-matched every step, evidence is built only for
-    # the pairs that reach ``build_graph``: 980 of them
+    # the pairs that reach ``build_graph``: 363 of them, the ledger holding
+    # the others
     counts = {"evidence": 0, "certified": 0}
     evidence, build_graph = certificates.CertificateEvidence, sim.build_graph
 
@@ -923,14 +918,15 @@ def test_carried_pairs_build_no_evidence(monkeypatch):
     monkeypatch.setattr(sim, "build_graph", counted_build_graph)
     result = dg.run(_bundled_5v5(), dg.SimConfig(dt=1e-3, max_time=8.0))
     assert sum(e.kind == "capture" for e in result.events) == 5
-    assert counts["evidence"] == counts["certified"] <= 980
+    assert counts["evidence"] == counts["certified"] <= 400
 
 
 def _count_refutations(monkeypatch):
     """Count, from now on, the two-step pairs whose witness refutes them:
     the witness evaluations that neither a sextic solve nor a carried
-    anchor follows."""
-    counts = {"_witness_clearance": 0, "relaxed_clearance_from_centers": 0, "carried": 0}
+    anchor follows, and the refreshes at which a pair is held on an earlier
+    refutation instead (``certificates._refuted_steps``)."""
+    counts = {"_witness_clearance": 0, "relaxed_clearance_from_centers": 0, "carried": 0, "held": 0}
 
     def counted(name):
         fn = getattr(certificates, name)
@@ -951,7 +947,18 @@ def _count_refutations(monkeypatch):
         return out
 
     monkeypatch.setattr(certificates.ClearanceAnchor, "carry", counted_carry)
-    return lambda: counts["_witness_clearance"] - counts["relaxed_clearance_from_centers"] - counts["carried"]
+    assign = sim._Game.assign
+
+    def counted_assign(self):
+        n, before = self.n_steps, dict(self.records)
+        assign(self)
+        held = (before.get(key, sim._NO_RECORD) for key in _active_pairs(self))
+        counts["held"] += sum(expiry > n and reason == "refuted" for expiry, _, reason in held)
+
+    monkeypatch.setattr(sim._Game, "assign", counted_assign)
+    return lambda: (
+        counts["_witness_clearance"] - counts["relaxed_clearance_from_centers"] - counts["carried"] + counts["held"]
+    )
 
 
 @pytest.mark.parametrize(
@@ -966,7 +973,8 @@ def _count_refutations(monkeypatch):
 )
 def test_a_screen_that_never_refutes_plays_the_same_game(monkeypatch, scenario, period, sticky):
     # the two-step screen withholds only certificates the sextic withholds
-    # too, so a game that solves every sextic is the same game, bit for bit
+    # too, so a game that solves every sextic, and so holds no pair on a
+    # refutation, is the same game, bit for bit
     sc = scenario()
     cfg = dg.SimConfig(dt=1e-3, max_time=10.0, matching_period=period, sticky=sticky)
     refuted = _count_refutations(monkeypatch)
@@ -980,36 +988,34 @@ def test_a_screen_that_never_refutes_plays_the_same_game(monkeypatch, scenario, 
 
 @pytest.mark.parametrize("period", [1, 20])
 def test_carried_pairs_are_the_intercepting_cars_at_their_snap_aims(monkeypatch, period):
-    # every refresh carries exactly the offered pair of each intercepting
-    # car with its target, at the current floats and with the aim those
-    # floats give, bit for bit.  Targets are captured between refreshes:
-    # their cars still intercept an evader no longer in play, whose pair is
-    # not offered
-    assign, carried_edges = sim._Game.assign, sim.carried_edges
-    games, counts = [], {"carried": 0, "orphaned": 0}
+    # at every refresh the own pair of each intercepting car with its
+    # target is carried as an intercept edge exactly when ``intercepts``
+    # holds at the current floats, with the aim those floats give, bit for
+    # bit; no other pair is.  Targets are captured between refreshes: their
+    # cars still intercept an evader no longer in play, whose pair is not
+    # recorded
+    assign = sim._Game.assign
+    counts = {"carried": 0, "orphaned": 0}
 
-    def recording_assign(self):
-        games.append(self)
-        assign(self)
-
-    def checked(pairs, pair_params):
-        g = games[-1]
-        expected = {}
-        for i, (j, phase) in enumerate(zip(g.target, g.phases)):
+    def checked(self):
+        own = {}  # read before ``assign`` retargets any car
+        for i, (j, phase) in enumerate(zip(self.target, self.phases)):
             if phase is None or phase.phase is not dg.Phase.INTERCEPTING:
                 continue
-            if g.status[j] != sim.ACTIVE:
+            if self.status[j] != sim.ACTIVE:
                 counts["orphaned"] += 1
-            elif g.unseparated_until.get((i, j), g.t) <= g.t:
-                x_p, x_e = g.p_xy[i], g.e_xy[j]
-                x, y, _ = aim_point(x_p, x_e, pair_params[i, j].alpha)
-                expected[i, j] = g.theta[i], (x, y, aim_bearing(x_p, x, y))
-        assert pairs == expected, g.t
-        counts["carried"] += len(pairs)
-        return carried_edges(pairs, pair_params)
+                continue
+            x_p, x_e, p = self.p_xy[i], self.e_xy[j], self.params[i, j]
+            x, y, _ = aim_point(x_p, x_e, p.alpha)
+            aim = x, y, aim_bearing(x_p, x, y)
+            assert self.snap_aim[i] == aim, self.t
+            own[i, j] = certificates.intercepts(aim, self.theta[i], p)
+        assign(self)  # moves no agent
+        carried = {key for key in _active_pairs(self) if self.records[key][2] == "intercept"}
+        assert carried == {key for key, holds in own.items() if holds}, self.t
+        counts["carried"] += len(carried)
 
-    monkeypatch.setattr(sim._Game, "assign", recording_assign)
-    monkeypatch.setattr(sim, "carried_edges", checked)
+    monkeypatch.setattr(sim._Game, "assign", checked)
     cfg = dg.SimConfig(dt=1e-3, max_time=10.0, matching_period=period)
     result = dg.run(_bundled_5v5(), cfg)
     assert sum(e.kind == "capture" for e in result.events) == 5
@@ -1428,3 +1434,101 @@ def test_each_float_step_stays_within_the_quiet_counts_bound():
         assert moved <= allowance
         overshoot["simple"] = max(overshoot["simple"], moved)
     assert overshoot["car"] > 1e-6 and overshoot["simple"] > 0.0
+
+
+def _replay_ledger(monkeypatch, sc, cfg, watched=None):
+    """Play the game certifying, at every refresh, whether it reuses the
+    last one's result or records pairs anew, every active pair by a fresh
+    ``certify_win`` on a ``JointState`` of the game's floats, with no
+    anchor: each pair's record must be an edge exactly when that
+    certificate is not NONE, and every matched pair an edge.  Returns the
+    result and the records read, counted by reason, with the refreshes
+    that reused their result under "reused".  ``watched``, a dict keyed by
+    pair, collects that pair's (step, record, certificate) per refresh."""
+    counts = collections.Counter()
+    assign = sim._Game.assign
+
+    def checked(self):
+        reused = self.n_steps < self.due
+        assign(self)  # moves no agent
+        counts["reused"] += reused
+        for i, j in _active_pairs(self):
+            record = self.records[i, j]
+            state = dg.JointState(dg.PursuerState(self.p_xy[i], self.theta[i]), dg.EvaderState(self.e_xy[j]))
+            cert = dg.certify_win(state, self.params[i, j])
+            assert record[1] == (cert.kind is not dg.CertificateKind.NONE), (self.t, i, j, record, cert.kind)
+            counts[record[2]] += 1
+            if watched is not None and (i, j) in watched:
+                watched[i, j].append((self.n_steps, record, cert))
+        assert all(self.records[key][1] for key in self.matching_history[-1][1])
+
+    monkeypatch.setattr(sim._Game, "assign", checked)
+    return dg.run(sc, cfg), counts
+
+
+@pytest.mark.parametrize(
+    "scenario, period, sticky, max_time",
+    [
+        (_bundled_5v5, 1, False, 8.0),
+        (_bundled_5v5, 5, False, 8.0),
+        (_bundled_5v5, 20, False, 8.0),
+        (_bundled_5v5, 1, True, 8.0),
+        (_mixed_5v5, 1, False, 8.0),
+        (_mixed_5v5, 1, True, 8.0),
+        (functools.partial(_contested_team, 13, 8), 1, False, 10.0),
+        (_contested_team, 1, True, 10.0),
+        (_team_lanes, 100, False, 20.0),
+    ],
+    ids=["5v5-p1", "5v5-p5", "5v5-p20", "5v5-p1-sticky", "mixed-p1", "mixed-p1-sticky",
+         "contested13-p1", "contested-p1-sticky", "team-lanes-p100"],
+)
+def test_every_record_is_a_fresh_certificates_edge(monkeypatch, scenario, period, sticky, max_time):
+    # the ledger's records are proofs: at every refresh, one that reuses
+    # the last result included, each active pair's record gives the edge or
+    # non-edge a fresh certificate gives
+    cfg = dg.SimConfig(dt=1e-3, max_time=max_time, matching_period=period, sticky=sticky)
+    result, counts = _replay_ledger(monkeypatch, scenario(), cfg)
+    assert sum(e.kind == "capture" for e in result.events) >= 5
+    assert counts["window"] > 0
+    if scenario is _bundled_5v5 and period == 1:
+        # at most 450 of the 1,899 refreshes record pairs anew (196), and
+        # every reason is read
+        assert len(result.matching_history) - counts["reused"] <= 450
+        assert counts["refuted"] > 0 and counts["intercept"] > 0
+
+
+def _climbing_refuted_duel():
+    """A car turning clockwise toward a two-step target up to its left, and
+    an evader straight below it that climbs.  The pair below turns the other
+    way, so its turn centre runs at 2 v_p along the car's heading, nearly
+    down: its witness rises at 0.93 of ``certificates._refuted_steps``'
+    drift bound (2 v_p dt + kappa snap + alpha v_e dt) / (alpha - 1), from
+    -0.049 to -0.002 in 17 steps, and the pair is TWO_STEP from step 18."""
+    car = dg.PursuerSpec(state=dg.PursuerState(pos=(0.0, 2.4), theta=4.4), motion="dubins", v=1.0, kappa=0.05, r=0.6)
+    evaders = (
+        dg.EvaderSpec(state=dg.EvaderState(pos=(-2.2, 3.8)), v=0.5, strategy="constant", heading=math.pi),
+        dg.EvaderSpec(state=dg.EvaderState(pos=(0.0, 1.35)), v=0.5, strategy="constant", heading=0.5 * math.pi),
+    )
+    return dg.Scenario(pursuers=(car,), evaders=evaders, seed=0)
+
+
+def test_a_refuted_pair_is_held_only_while_its_witness_cannot_reach_zero(monkeypatch):
+    # the pair below is held on its refutation, its last hold ending at
+    # the step it turns TWO_STEP; a hold twice as long would still read it
+    # as no edge there
+    watched = {(0, 1): []}
+    cfg = dg.SimConfig(dt=1e-3, max_time=0.05)
+    _replay_ledger(monkeypatch, _climbing_refuted_duel(), cfg, watched)
+    rows = watched[0, 1]
+    flip = next(n for n, _, cert in rows if cert.kind is not dg.CertificateKind.NONE)
+    assert flip == 18
+    assert all(record[2] == "refuted" for n, record, _ in rows if n < flip)
+    assert all(cert.kind is dg.CertificateKind.TWO_STEP for n, _, cert in rows if n >= flip)
+    witness = [cert.evidence.clearance for n, _, cert in rows if n < flip]
+    p = _climbing_refuted_duel().pair_params(0, 1)
+    bound = (2.0 * p.v_p * cfg.dt + p.kappa * sim.SNAP_FACTOR * sim.IO_TOL + p.alpha * p.v_e * cfg.dt) / (p.alpha - 1.0)
+    assert witness[0] < -0.04 and 0.9 * bound < (witness[-1] - witness[0]) / (flip - 1) < bound
+    # the records before the flip: the last refutation held up to it
+    expiries = sorted({record[0] for n, record, _ in rows if n < flip})
+    assert expiries[-1] == flip
+
